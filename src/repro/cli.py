@@ -116,16 +116,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         mode = f"frontend, QD={qd}"
     else:
         ctx = default_context(args.scale, args.seed)
-        if args.qd:
-            from . import SCHEMES as schemes
-            from .sim import Simulator
-            ftl = schemes[args.scheme](ctx.trace_config(args.trace))
-            result = Simulator(ftl).run_closed(ctx.trace(args.trace),
-                                               queue_depth=args.qd)
-            mode = f"closed loop, QD={args.qd}"
-        else:
-            result = ctx.run(args.trace, args.scheme)
-            mode = "open loop"
+        result = ctx.run(args.trace, args.scheme,
+                         queue_depth=args.qd or None)
+        mode = f"closed loop, QD={args.qd}" if args.qd else "open loop"
     rows = [{"metric": k, "value": v} for k, v in result.summary().items()]
     if args.frontend:
         rows += [

@@ -68,6 +68,17 @@ def config_from_dict(data: dict) -> SSDConfig:
     return SSDConfig(seed=data.get("seed"), **kwargs).validate()
 
 
+def config_to_json(config: SSDConfig) -> str:
+    """Canonical one-line JSON form (sorted keys, no whitespace)."""
+    return json.dumps(config_to_dict(config), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def config_from_json(text: str) -> SSDConfig:
+    """Inverse of :func:`config_to_json`."""
+    return config_from_dict(json.loads(text))
+
+
 def save_config(config: SSDConfig, path: "str | Path") -> None:
     """Write a configuration as pretty-printed JSON."""
     Path(path).write_text(

@@ -35,7 +35,7 @@ from ..units import Ms
 
 #: Bump whenever simulator behaviour or the result schema changes, so a
 #: code change can never be masked by a stale cache entry.
-CACHE_SCHEMA_VERSION = 5
+CACHE_SCHEMA_VERSION = 6
 
 
 def default_cache_dir() -> Path:
@@ -51,14 +51,19 @@ def cell_key(config: SSDConfig, profile: TraceProfile, n_requests: int,
              seed: int, length_factor: float = 1.0,
              pe: int | None = None,
              faults: dict | None = None,
-             frontend: dict | None = None) -> str:
+             frontend: dict | None = None,
+             queue_depth: int | None = None) -> str:
     """SHA-256 digest identifying one simulation cell.
 
     Everything that influences the replay goes in: the full nested config
-    (so any Table-2 field change moves the key), the trace profile and
-    generator parameters, the scheme, and the context identity.  Floats
-    are serialised via ``repr`` inside ``json.dumps``, which is exact for
-    round-trippable doubles.
+    (so any Table-2 field change — or a per-cell config override — moves
+    the key), the trace profile and generator parameters, the scheme, and
+    the context identity.  Floats are serialised via ``repr`` inside
+    ``json.dumps``, which is exact for round-trippable doubles.
+
+    ``queue_depth`` is the depth of a closed-loop replay
+    (``Simulator.run_closed``), or ``None`` for the open-loop timestamp
+    replay, so the two drivers never share an entry.
 
     ``faults`` is the serialised :class:`repro.faults.FaultConfig` of a
     fault campaign, or ``None`` when injection is disabled.  Callers must
@@ -85,6 +90,7 @@ def cell_key(config: SSDConfig, profile: TraceProfile, n_requests: int,
         "pe": pe,
         "faults": faults,
         "frontend": frontend,
+        "queue_depth": queue_depth,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -8,16 +8,19 @@
   paper's introduction attributes to second-level mapping tables, using
   the DFTL-style cached-mapping-table model: MGA's two-level table misses
   more than IPU's page-level-plus-offset table.
+
+Every cell here replays through :meth:`RunContext.run` (config overrides
+and closed-loop queue depths are cell inputs), so a warm result cache
+serves all of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..config import TranslationConfig
-from ..sim.simulator import Simulator
+from ..config import SSDConfig, TranslationConfig
 from .artifact import Artifact
-from .runner import default_context
+from .runner import SCHEME_ORDER, default_context, new_context
 
 #: Traces used by the extension studies (one write-hot, one read-hot).
 EXT_TRACES = ("ts0", "lun2")
@@ -25,16 +28,12 @@ EXT_TRACES = ("ts0", "lun2")
 
 def build_delta_comparison(scale: str = "small", seed: int = 1) -> Artifact:
     """Four-way comparison including the Delta scheme."""
-    from .. import SCHEMES
-    ctx = default_context(scale, seed)
+    schemes = ("baseline", "mga", "delta", "ipu")
+    results = default_context(scale, seed).run_matrix(EXT_TRACES, schemes)
     rows = []
     for trace in EXT_TRACES:
-        for scheme in ("baseline", "mga", "delta", "ipu"):
-            if scheme in ("baseline", "mga", "ipu"):
-                r = ctx.run(trace, scheme)
-            else:
-                ftl = SCHEMES["delta"](ctx.trace_config(trace))
-                r = Simulator(ftl).run(ctx.trace(trace))
+        for scheme in schemes:
+            r = results[(trace, scheme)]
             rows.append({
                 "Trace": trace,
                 "Scheme": scheme,
@@ -63,13 +62,10 @@ def build_seed_study(scale: str = "small", seed: int = 1) -> Artifact:
     under three different generator/device seeds to show they are
     properties of the mechanisms, not of one lucky trace realisation.
     """
-    from .runner import RunContext
     rows = []
     for s_ in (seed, seed + 1, seed + 2):
-        ctx = RunContext(scale=scale, seed=s_)
-        results = {scheme: ctx.run("ts0", scheme)
-                   for scheme in ("baseline", "mga", "ipu")}
-        base, mga, ipu = (results[k] for k in ("baseline", "mga", "ipu"))
+        results = default_context(scale, s_).run_matrix(("ts0",))
+        base, mga, ipu = (results[("ts0", k)] for k in SCHEME_ORDER)
         rows.append({
             "seed": s_,
             "IPU vs Base lat": f"{ipu.avg_latency_ms / base.avg_latency_ms - 1:+.1%}",
@@ -95,32 +91,28 @@ def build_seed_study(scale: str = "small", seed: int = 1) -> Artifact:
 def build_cache_sensitivity(scale: str = "small", seed: int = 1) -> Artifact:
     """IPU behaviour versus SLC cache size (the Table 2 ratio is fixed at
     5%; this sweeps the cache relative to the trace's hot set)."""
-    import dataclasses
-
-    from ..config import SSDConfig
-    from .runner import RunContext
-
-    ctx = RunContext(scale=scale, seed=seed)
+    ctx = default_context(scale, seed)
     base_cfg = ctx.trace_config("ts0")
-    trace = ctx.trace("ts0")
     planes = base_cfg.geometry.planes
     base_slc_pp = max(1, round(base_cfg.geometry.blocks_per_plane
                                * base_cfg.cache.slc_ratio))
     mlc_pp = base_cfg.geometry.blocks_per_plane - base_slc_pp
 
-    rows = []
+    configs = {}
     for factor in (0.5, 1.0, 2.0):
         slc_pp = max(1, round(base_slc_pp * factor))
         bpp = slc_pp + mlc_pp
         geometry = dataclasses.replace(
             base_cfg.geometry, total_blocks=bpp * planes)
         cache = dataclasses.replace(base_cfg.cache, slc_ratio=slc_pp / bpp)
-        cfg = SSDConfig(geometry=geometry, cache=cache,
-                        reliability=base_cfg.reliability,
-                        timing=base_cfg.timing).validate()
-        from .. import SCHEMES
-        ftl = SCHEMES["ipu"](cfg)
-        r = Simulator(ftl).run(trace)
+        configs[factor] = SSDConfig(geometry=geometry, cache=cache,
+                                    reliability=base_cfg.reliability,
+                                    timing=base_cfg.timing).validate()
+    ctx.run_cells([("ts0", "ipu", None, cfg) for cfg in configs.values()])
+
+    rows = []
+    for factor, cfg in configs.items():
+        r = ctx.run("ts0", "ipu", config=cfg)
         rows.append({
             "cache factor": f"{factor:.1f}x",
             "SLC blocks": cfg.slc_blocks,
@@ -157,16 +149,13 @@ def build_qd_study(scale: str = "small", seed: int = 1,
     distribution.  ``--qd``/``--frontend`` on ``repro-ssd run`` map to
     the ``qds``/``frontend`` keywords.
     """
-    from .. import SCHEMES
-    from .runner import new_context
     ctx = default_context(scale, seed)
     rows = []
-    trace = ctx.trace("ts0")
-    schemes = ("baseline", "mga", "ipu")
+    schemes = SCHEME_ORDER
+    ctx.run_cells([("ts0", s, None, None, qd) for qd in qds for s in schemes])
     for qd in qds:
         for scheme in schemes:
-            ftl = SCHEMES[scheme](ctx.trace_config("ts0"))
-            result = Simulator(ftl).run_closed(trace, queue_depth=qd)
+            result = ctx.run("ts0", scheme, queue_depth=qd)
             iops = (result.n_requests / result.sim_time_ms * 1e3
                     if result.sim_time_ms else 0.0)
             rows.append({
@@ -215,9 +204,8 @@ def build_qd_study(scale: str = "small", seed: int = 1,
 
 def build_translation_study(scale: str = "small", seed: int = 1) -> Artifact:
     """CMT hit ratios and the latency cost of second-level translation."""
-    from .. import SCHEMES
     ctx = default_context(scale, seed)
-    rows = []
+    configs = {}
     for trace in EXT_TRACES:
         base_cfg = ctx.trace_config(trace)
         # Size the CMT to cover ~30% of the trace's first-level working
@@ -225,22 +213,26 @@ def build_translation_study(scale: str = "small", seed: int = 1) -> Artifact:
         # second-level key space cannot fit.
         entries = 256
         lpns = ctx.trace(trace).footprint_bytes // base_cfg.geometry.page_size
-        cache_pages = max(2, int(0.3 * lpns / entries))
-        for scheme in ("baseline", "mga", "ipu"):
-            cfg = dataclasses.replace(
-                base_cfg,
-                translation=TranslationConfig(
-                    enabled=True, entries_per_page=entries,
-                    cache_pages=cache_pages))
-            ftl = SCHEMES[scheme](cfg)
-            result = Simulator(ftl).run(ctx.trace(trace))
+        configs[trace] = dataclasses.replace(
+            base_cfg,
+            translation=TranslationConfig(
+                enabled=True, entries_per_page=entries,
+                cache_pages=max(2, int(0.3 * lpns / entries))))
+    ctx.run_cells([(trace, scheme, None, config)
+                   for trace, cfg in configs.items()
+                   for scheme in SCHEME_ORDER
+                   for config in (None, cfg)])
+    rows = []
+    for trace, cfg in configs.items():
+        for scheme in SCHEME_ORDER:
+            result = ctx.run(trace, scheme, config=cfg)
             plain = ctx.run(trace, scheme)
             rows.append({
                 "Trace": trace,
                 "Scheme": scheme,
-                "CMT hit ratio": f"{ftl.cmt.stats.hit_ratio:.1%}",
-                "misses": ftl.cmt.stats.misses,
-                "writebacks": ftl.cmt.stats.writebacks,
+                "CMT hit ratio": f"{result.cmt_hit_ratio:.1%}",
+                "misses": result.cmt_misses,
+                "writebacks": result.cmt_writebacks,
                 "latency ms": f"{result.avg_latency_ms:.4f}",
                 "vs no-CMT": (f"{result.avg_latency_ms / plain.avg_latency_ms - 1:+.1%}"
                               if plain.avg_latency_ms else "-"),

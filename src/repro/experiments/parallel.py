@@ -1,7 +1,8 @@
 """Parallel execution of independent simulation cells.
 
 Every artifact decomposes into ``(trace, scheme, scale, seed, P/E)``
-cells whose replays share no state: the synthetic trace, the device
+cells — some with a device-config override or a closed-loop queue
+depth — whose replays share no state: the synthetic trace, the device
 configuration and the FTL are all rebuilt deterministically from the cell
 description.  That makes the fan-out embarrassingly parallel — each
 worker process reconstructs a fresh :class:`~repro.experiments.runner.RunContext`
@@ -65,10 +66,16 @@ class CellSpec:
     #: Serialised :class:`repro.frontend.FrontendConfig` of a front-end
     #: replay (None = direct path), under the same primitives-only rule.
     frontend_json: str | None = None
+    #: Device config override as :func:`repro.configio.config_to_json`
+    #: (None = the trace-sized config).
+    config_json: str | None = None
+    #: Closed-loop queue depth (None = open-loop timestamp replay).
+    queue_depth: int | None = None
 
 
 def simulate_cell(spec: CellSpec) -> dict:
     """Worker entry point: replay one cell, return its serialised result."""
+    from ..configio import config_from_json
     from ..faults import FaultConfig
     from ..frontend import FrontendConfig
     from .cache import ResultCache
@@ -82,7 +89,10 @@ def simulate_cell(spec: CellSpec) -> dict:
     ctx = RunContext(scale=spec.scale, seed=spec.seed,
                      length_factor=spec.length_factor, cache=cache,
                      faults=faults, frontend=frontend)
-    return ctx.run(spec.trace, spec.scheme, pe=spec.pe).to_dict()
+    config = (config_from_json(spec.config_json)
+              if spec.config_json else None)
+    return ctx.run(spec.trace, spec.scheme, pe=spec.pe, config=config,
+                   queue_depth=spec.queue_depth).to_dict()
 
 
 def run_cells(specs: "list[CellSpec]", jobs: "int | None" = None) -> list[dict]:

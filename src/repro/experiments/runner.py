@@ -15,6 +15,11 @@ A :class:`RunContext` fixes the scale and the seed.  For each trace it
 4. replays the trace against the requested scheme and memoises the
    :class:`~repro.sim.simulator.SimulationResult`.
 
+A replay is one :class:`Cell`.  Besides the trace, scheme and P/E age, a
+cell may override the device config or ask for a closed-loop replay at a
+fixed queue depth; :meth:`RunContext.run` is the one place any of them
+is simulated, so every cell goes through the on-disk result cache.
+
 At ``paper`` scale the device is the fixed Table 2 configuration (65536
 blocks, 5% SLC) and traces replay at full length instead.
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from ..config import (
     CacheConfig,
@@ -32,6 +38,7 @@ from ..config import (
     ScaleSpec,
     scaled_config,
 )
+from ..configio import config_to_json
 from ..errors import ExperimentError
 from ..faults import FaultConfig, attach_faults
 from ..frontend import FrontendConfig
@@ -79,6 +86,21 @@ def estimate_interarrival_ms(prof: TraceProfile, config: SSDConfig,
     return max(0.02, per_req / (chips * utilization))
 
 
+class Cell(NamedTuple):
+    """The inputs of one replay, as :meth:`RunContext.run` takes them.
+
+    ``config`` replaces the trace-sized device config (``pe`` still ages
+    it); ``queue_depth`` replays closed-loop at that depth instead of at
+    the trace timestamps.  ``None`` keeps the context's default for both.
+    """
+
+    trace: str
+    scheme: str
+    pe: int | None = None
+    config: SSDConfig | None = None
+    queue_depth: int | None = None
+
+
 @dataclass
 class RunContext:
     """Scale + seed + memoised results for one experiment session."""
@@ -104,7 +126,8 @@ class RunContext:
     #: to — and shares cache entries with — the direct replay path.
     frontend: FrontendConfig | None = None
     #: Cells this context actually simulated (cache hits excluded) and the
-    #: wall-clock seconds those replays took — the CLI summary counters.
+    #: wall-clock seconds those replays took (the CLI summary line sums
+    #: them over every context, see :func:`execution_summary`).
     executed_cells: int = field(default=0, compare=False)
     executed_seconds: float = field(default=0.0, compare=False)
     _results: dict = field(default_factory=dict, repr=False)
@@ -223,90 +246,118 @@ class RunContext:
             return None
         return frontend
 
+    def _cell_config(self, trace_name: str, pe: int | None = None,
+                    config: SSDConfig | None = None) -> SSDConfig:
+        """The device config a cell replays on: ``config`` when given,
+        else the trace-sized one; ``pe`` ages either."""
+        if config is None:
+            return self.trace_config(trace_name, pe)
+        return config.with_pe_cycles(pe) if pe is not None else config
+
     def cell_key(self, trace_name: str, scheme: str, pe: int | None = None,
-                 ) -> str:
+                 config: SSDConfig | None = None,
+                 queue_depth: int | None = None) -> str:
         """Content hash identifying one simulation cell for the on-disk
-        cache: canonicalised config + trace parameters + scheme + context
-        identity (see :func:`repro.experiments.cache.cell_key`)."""
+        cache: canonicalised config + trace parameters + scheme + replay
+        driver + context identity (see
+        :func:`repro.experiments.cache.cell_key`)."""
         prof = profile(trace_name)
         faults = self._active_faults()
         frontend = self._active_frontend()
         return _cache_cell_key(
-            self.trace_config(trace_name, pe), prof,
+            self._cell_config(trace_name, pe, config), prof,
             self.trace_requests(trace_name),
             estimate_interarrival_ms(prof, self.trace_config(trace_name)),
             scheme, self.scale, self.seed, self.length_factor, pe,
             faults=faults.to_dict() if faults is not None else None,
-            frontend=frontend.to_dict() if frontend is not None else None)
+            frontend=frontend.to_dict() if frontend is not None else None,
+            queue_depth=queue_depth)
 
-    def _check_scheme(self, scheme: str) -> None:
+    def _check_cell(self, cell: Cell) -> None:
         from .. import SCHEMES
-        if scheme not in SCHEMES:
+        if cell.scheme not in SCHEMES:
             raise ExperimentError(
-                f"unknown scheme {scheme!r}; available: {', '.join(SCHEMES)}")
+                f"unknown scheme {cell.scheme!r}; available: "
+                f"{', '.join(SCHEMES)}")
+        if cell.queue_depth is not None and self._active_frontend() is not None:
+            raise ExperimentError(
+                "queue_depth= asks for a closed-loop replay, but this "
+                "context replays through the front-end; set the depth "
+                "with FrontendConfig.from_qd instead")
 
-    def run(self, trace_name: str, scheme: str, pe: int | None = None,
-            ) -> SimulationResult:
-        """Replay ``trace_name`` under ``scheme`` (memoised and cached)."""
-        from .. import SCHEMES
-        self._check_scheme(scheme)
-        key = (trace_name, scheme, pe)
-        if key in self._results:
-            return self._results[key]
-        ck = None
-        if self.cache is not None:
-            ck = self.cell_key(trace_name, scheme, pe)
-            payload = self.cache.get(ck)
+    def _lookup(self, cell: Cell) -> SimulationResult | None:
+        """The memoised or cached result of ``cell``, else ``None``."""
+        result = self._results.get(cell)
+        if result is None and self.cache is not None:
+            payload = self.cache.get(self.cell_key(*cell))
             if payload is not None:
-                self._results[key] = SimulationResult.from_dict(payload)
-                return self._results[key]
-        cfg = self.trace_config(trace_name, pe)
-        ftl = SCHEMES[scheme](cfg)
+                result = self._results[cell] = SimulationResult.from_dict(payload)
+        return result
+
+    def _record(self, cell: Cell, result: SimulationResult) -> SimulationResult:
+        """Memoise a freshly simulated cell and count it."""
+        self.executed_cells += 1
+        self.executed_seconds += result.wall_seconds
+        _EXECUTED["cells"] += 1
+        _EXECUTED["seconds"] += result.wall_seconds
+        self._results[cell] = result
+        return result
+
+    def _simulate(self, cell: Cell) -> SimulationResult:
+        """Replay ``cell`` in this process and store the result."""
+        from .. import SCHEMES
+        ftl = SCHEMES[cell.scheme](
+            self._cell_config(cell.trace, cell.pe, cell.config))
         attach_faults(ftl, self._active_faults(), seed=self.seed)
+        trace = self.trace(cell.trace)
         frontend = self._active_frontend()
         if frontend is not None:
             from ..frontend.simulate import FrontendSimulator
-            result = FrontendSimulator(ftl, frontend).run(self.trace(trace_name))
+            result = FrontendSimulator(ftl, frontend).run(trace)
+        elif cell.queue_depth is not None:
+            result = Simulator(ftl).run_closed(
+                trace, queue_depth=cell.queue_depth)
         else:
-            result = Simulator(ftl).run(self.trace(trace_name))
-        self.executed_cells += 1
-        self.executed_seconds += result.wall_seconds
+            result = Simulator(ftl).run(trace)
         if self.cache is not None:
-            self.cache.put(ck, result.to_dict())
-        self._results[key] = result
-        return result
+            self.cache.put(self.cell_key(*cell), result.to_dict())
+        return self._record(cell, result)
+
+    def run(self, trace_name: str, scheme: str, pe: int | None = None, *,
+            config: SSDConfig | None = None,
+            queue_depth: int | None = None) -> SimulationResult:
+        """Replay ``trace_name`` under ``scheme`` (memoised and cached).
+
+        ``config`` overrides the trace-sized device config and
+        ``queue_depth`` replays closed-loop (:meth:`Simulator.run_closed`)
+        instead of at the trace timestamps; both are part of the cell's
+        cache key.
+        """
+        cell = Cell(trace_name, scheme, pe, config, queue_depth)
+        self._check_cell(cell)
+        result = self._lookup(cell)
+        return result if result is not None else self._simulate(cell)
 
     def run_cells(self, cells, jobs: int | None = None) -> None:
-        """Memoise every ``(trace, scheme, pe)`` cell, in parallel.
+        """Memoise every cell, in parallel.
 
-        Cells already memoised are skipped; cells present in the on-disk
-        cache are restored in-process (counted as hits); only the
-        remainder fans out over worker processes.  With an effective
-        worker count of 1 this is plain sequential :meth:`run`.
+        ``cells`` are :class:`Cell` tuples, or plain ``(trace, scheme,
+        pe[, config[, queue_depth]])`` tuples.  Cells already memoised
+        are skipped; cells present in the on-disk cache are restored
+        in-process (counted as hits); only the remainder fans out over
+        worker processes.  With one worker, or one cell left, this is
+        plain sequential :meth:`run`.
         """
         from . import parallel
-        cells = [(t, s, pe) for (t, s, pe) in cells]
-        for _, scheme, _ in cells:
-            self._check_scheme(scheme)
+        cells = [Cell(*c) for c in cells]
+        for cell in cells:
+            self._check_cell(cell)
         jobs = jobs if jobs is not None else self.jobs
         n_workers = parallel.resolve_jobs(jobs) if jobs is not None else 1
-        if n_workers <= 1:
-            for trace_name, scheme, pe in cells:
-                self.run(trace_name, scheme, pe=pe)
-            return
-        pending: list[tuple[tuple, str]] = []
-        for key in cells:
-            if key in self._results:
-                continue
-            trace_name, scheme, pe = key
-            if self.cache is not None:
-                ck = self.cell_key(trace_name, scheme, pe)
-                payload = self.cache.get(ck)
-                if payload is not None:
-                    self._results[key] = SimulationResult.from_dict(payload)
-                    continue
-            pending.append(key)
-        if not pending:
+        pending = [c for c in dict.fromkeys(cells) if self._lookup(c) is None]
+        if n_workers <= 1 or len(pending) <= 1:
+            for cell in pending:
+                self._simulate(cell)
             return
         cache_dir = str(self.cache.root) if self.cache is not None else None
         faults = self._active_faults()
@@ -315,18 +366,18 @@ class RunContext:
         frontend_json = frontend.to_json() if frontend is not None else None
         specs = [
             parallel.CellSpec(scale=self.scale, seed=self.seed,
-                              trace=t, scheme=s, pe=pe,
+                              trace=c.trace, scheme=c.scheme, pe=c.pe,
                               length_factor=self.length_factor,
                               cache_dir=cache_dir,
                               faults_json=faults_json,
-                              frontend_json=frontend_json)
-            for (t, s, pe) in pending
+                              frontend_json=frontend_json,
+                              config_json=(config_to_json(c.config)
+                                           if c.config is not None else None),
+                              queue_depth=c.queue_depth)
+            for c in pending
         ]
-        for key, payload in zip(pending, parallel.run_cells(specs, n_workers)):
-            result = SimulationResult.from_dict(payload)
-            self.executed_cells += 1
-            self.executed_seconds += result.wall_seconds
-            self._results[key] = result
+        for cell, payload in zip(pending, parallel.run_cells(specs, n_workers)):
+            self._record(cell, SimulationResult.from_dict(payload))
 
     def run_matrix(self, traces: "tuple[str, ...] | None" = None,
                    schemes: "tuple[str, ...]" = SCHEME_ORDER,
@@ -336,7 +387,7 @@ class RunContext:
         names = traces if traces is not None else TRACE_NAMES
         self.run_cells([(t, s, pe) for t in names for s in schemes], jobs=jobs)
         return {
-            (t, s): self._results[(t, s, pe)]
+            (t, s): self._results[Cell(t, s, pe)]
             for t in names
             for s in schemes
         }
@@ -350,6 +401,10 @@ _DEFAULT_CONTEXTS: dict[tuple[str, int], RunContext] = {}
 #: (the sweep module registers its own; ad-hoc ``RunContext``s are not
 #: tracked).
 _CONTEXT_POOLS: list[dict] = [_DEFAULT_CONTEXTS]
+
+#: Cells simulated in this process by any context, pooled or not, since
+#: the last :func:`configure_execution`, and their replay wall seconds.
+_EXECUTED: dict = {"cells": 0, "seconds": 0.0}
 
 #: Execution settings applied to every context created via
 #: :func:`new_context` / :func:`default_context`.
@@ -370,8 +425,11 @@ def configure_execution(jobs=_UNSET, cache=_UNSET) -> None:
 
     Applies both to contexts created from now on and to the already
     memoised shared contexts, so ``--jobs``/``--cache-dir`` reach the
-    builders no matter which order figures run in.
+    builders no matter which order figures run in.  Also restarts the
+    :func:`execution_summary` cell count, so each CLI invocation reports
+    its own.
     """
+    _EXECUTED.update(cells=0, seconds=0.0)
     for pool in _CONTEXT_POOLS:
         for ctx in pool.values():
             if jobs is not _UNSET:
@@ -401,13 +459,17 @@ def default_context(scale: str = "small", seed: int = 1) -> RunContext:
 
 
 def execution_summary() -> dict:
-    """Aggregate cell/cache counters over the managed contexts (the
-    numbers behind the CLI summary line)."""
-    contexts = [ctx for pool in _CONTEXT_POOLS for ctx in pool.values()]
+    """Cell and cache counters since the last :func:`configure_execution`
+    (the numbers behind the CLI summary line).
+
+    ``executed_cells`` counts every cell any :class:`RunContext`
+    simulated, so when every context shares the process-wide cache it
+    equals that cache's misses.
+    """
     cache = _EXEC_DEFAULTS["cache"]
     return {
-        "executed_cells": sum(c.executed_cells for c in contexts),
-        "executed_seconds": sum(c.executed_seconds for c in contexts),
+        "executed_cells": _EXECUTED["cells"],
+        "executed_seconds": _EXECUTED["seconds"],
         "cache_hits": cache.stats.hits if cache is not None else 0,
         "cache_misses": cache.stats.misses if cache is not None else 0,
         "cache_stores": cache.stats.stores if cache is not None else 0,

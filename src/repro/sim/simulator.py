@@ -90,6 +90,14 @@ class SimulationResult:
     mapping_table_bytes: int = 0
     metadata_bytes: int = 0
 
+    # Cached-mapping-table counters (repro.ftl.translation).  All zero —
+    # and bit-identical to pre-CMT results — unless the config enabled
+    # demand-paged translation.
+    cmt_lookups: int = 0
+    cmt_hits: int = 0
+    cmt_misses: int = 0
+    cmt_writebacks: int = 0
+
     # Fault-injection degradation counters (repro.faults).  All zero —
     # and bit-identical to pre-fault results — unless a FaultPlan was
     # attached to the FTL.
@@ -154,6 +162,12 @@ class SimulationResult:
     def read_error_rate(self) -> float:
         """Expected raw bit errors per bit read (Figures 8 and 14)."""
         return self.read_raw_errors / self.read_bits if self.read_bits else 0.0
+
+    @property
+    def cmt_hit_ratio(self) -> float:
+        """Fraction of CMT lookups served from cached translation pages
+        (1.0 without lookups, as ``TranslationStats.hit_ratio``)."""
+        return self.cmt_hits / self.cmt_lookups if self.cmt_lookups else 1.0
 
     def summary(self) -> dict[str, float]:
         """Flat summary for reports."""
@@ -283,6 +297,12 @@ def collect_result(ftl, config: SSDConfig, *, trace_name: str,
     breakdown = mapping_breakdown(ftl.scheme_name, config)
     result.mapping_table_bytes = breakdown.mapping_bytes
     result.metadata_bytes = breakdown.metadata_bytes
+    cmt = getattr(ftl, "cmt", None)
+    if cmt is not None:
+        result.cmt_lookups = cmt.stats.lookups
+        result.cmt_hits = cmt.stats.hits
+        result.cmt_misses = cmt.stats.misses
+        result.cmt_writebacks = cmt.stats.writebacks
     _apply_fault_stats(result, ftl)
     return result
 

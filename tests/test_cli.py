@@ -55,6 +55,27 @@ class TestCommands:
         assert "KIOPS" in out
         assert "closed loop" in out
 
+    def test_simulate_closed_loop_is_cached(self, tmp_path, fresh_execution,
+                                            monkeypatch, capsys):
+        from repro.sim import Simulator
+
+        args = ["simulate", "--trace", "ts0", "--scheme", "ipu", "--scale",
+                "smoke", "--seed", "3", "--qd", "4", "--jobs", "1",
+                "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        assert "[cells] 1 simulated" in cold and "0 hits / 1 misses" in cold
+        fresh_execution()
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a warm simulate --qd replayed its cell")
+
+        monkeypatch.setattr(Simulator, "run_closed", no_replay)
+        assert main(args) == 0
+        warm = capsys.readouterr().out
+        assert "[cells] 0 simulated" in warm and "1 hits / 0 misses" in warm
+        assert warm.split("[cells]")[0] == cold.split("[cells]")[0]
+
     def test_simulate_delta_scheme(self, capsys):
         assert main(["simulate", "--trace", "ads", "--scheme", "delta",
                      "--scale", "smoke", "--seed", "3"]) == 0

@@ -1,11 +1,20 @@
 """Experiment harnesses at smoke scale (shared memoised sweep)."""
 
+import dataclasses
+import json
+import re
+
 import pytest
 
+from repro import SCHEMES
+from repro.cli import main
+from repro.config import TranslationConfig
 from repro.errors import ExperimentError
 from repro.experiments import EXPERIMENTS, get, run
 from repro.experiments.artifact import Artifact
 from repro.experiments.runner import RunContext, default_context
+from repro.frontend.simulate import FrontendSimulator
+from repro.sim import SimulationResult, Simulator
 
 SCALE = "smoke"
 SEED = 3
@@ -168,3 +177,76 @@ class TestSimArtifacts:
         art = run("table1", scale=SCALE, seed=SEED)
         assert art.column("Trace") == ["ts0", "wdev0", "lun1", "usr0",
                                        "lun2", "ads"]
+
+
+class TestCmtCounters:
+    """The cached-mapping-table counters travel in the result."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return RunContext(scale=SCALE, seed=SEED, length_factor=0.25)
+
+    @pytest.fixture(scope="class")
+    def cmt_config(self, ctx):
+        return dataclasses.replace(
+            ctx.trace_config("ts0"),
+            translation=TranslationConfig(enabled=True, entries_per_page=16,
+                                          cache_pages=2))
+
+    def test_counters_equal_a_direct_replay(self, ctx, cmt_config):
+        ftl = SCHEMES["mga"](cmt_config)
+        Simulator(ftl).run(ctx.trace("ts0"))
+        stats = ftl.cmt.stats
+        result = ctx.run("ts0", "mga", config=cmt_config)
+        assert stats.misses > 0 and stats.writebacks > 0
+        assert (result.cmt_lookups, result.cmt_hits, result.cmt_misses,
+                result.cmt_writebacks) == (stats.lookups, stats.hits,
+                                           stats.misses, stats.writebacks)
+        assert result.cmt_hit_ratio == stats.hit_ratio
+
+    def test_counters_round_trip(self, ctx, cmt_config):
+        result = ctx.run("ts0", "mga", config=cmt_config)
+        back = SimulationResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        assert back.deterministic_dict() == result.deterministic_dict()
+        assert back.cmt_misses == result.cmt_misses > 0
+
+    def test_counters_zero_without_cmt(self, ctx):
+        result = ctx.run("ts0", "mga")
+        assert (result.cmt_lookups, result.cmt_hits, result.cmt_misses,
+                result.cmt_writebacks) == (0, 0, 0, 0)
+        assert result.cmt_hit_ratio == 1.0
+
+
+_CELLS = re.compile(r"^\[cells\] (\d+) simulated .*cache: (\d+) hits / "
+                    r"(\d+) misses", re.MULTILINE)
+
+
+def _without_cells_line(out: str) -> str:
+    return "\n".join(line for line in out.splitlines()
+                     if not line.startswith("[cells]"))
+
+
+class TestWarmRunAll:
+    def test_warm_run_all_replays_nothing(self, tmp_path, fresh_execution,
+                                          monkeypatch, capsys):
+        args = ["run-all", "--scale", "smoke", "--jobs", "1",
+                "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        simulated, hits, misses = map(int, _CELLS.search(cold).groups())
+        assert simulated == misses > 0 and hits == 0
+
+        # Drop the in-process memo: the warm run must be served by the
+        # on-disk cache alone, with every replay entry point disabled.
+        fresh_execution()
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a warm run-all replayed a cell")
+
+        for cls, name in ((Simulator, "run"), (Simulator, "run_closed"),
+                          (FrontendSimulator, "run")):
+            monkeypatch.setattr(cls, name, no_replay)
+        assert main(args) == 0
+        warm = capsys.readouterr().out
+        assert _CELLS.search(warm).groups() == ("0", str(misses), "0")
+        assert _without_cells_line(warm) == _without_cells_line(cold)

@@ -3,13 +3,19 @@ sequential path, and the on-disk cache must short-circuit re-runs."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
 
+from repro import SCHEMES as FTLS
+from repro.config import TranslationConfig
+from repro.errors import ExperimentError
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import CellSpec, resolve_jobs, run_cells, simulate_cell
-from repro.experiments.runner import RunContext
+from repro.experiments.runner import Cell, RunContext
+from repro.frontend import FrontendConfig
+from repro.sim import Simulator
 
 #: Short cells keep the fan-out affordable: the smoke scale floors the
 #: trace at 1000 requests under this length factor.
@@ -75,7 +81,7 @@ class TestCacheIntegration:
         assert warm.executed_cells == 0
         assert cache.stats.hits == 1
         assert (r.deterministic_dict()
-                == cold._results[("ts0", "ipu", None)].deterministic_dict())
+                == cold.run("ts0", "ipu").deterministic_dict())
 
     def test_parallel_workers_populate_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -100,6 +106,76 @@ class TestCacheIntegration:
         assert r.n_requests > 0
         # The torn entry was replaced by a good one.
         assert ResultCache(tmp_path).get(key) is not None
+
+
+def cmt_config(ctx: RunContext):
+    """The ts0 trace config with a small CMT enabled (a config override)."""
+    return dataclasses.replace(
+        ctx.trace_config("ts0"),
+        translation=TranslationConfig(enabled=True, entries_per_page=256,
+                                      cache_pages=4))
+
+
+class TestCellInputs:
+    """Closed-loop depth and config overrides are ordinary cell inputs."""
+
+    def test_cell_key_separates_drivers_depths_and_configs(self):
+        ctx = RunContext(**FAST)
+        keys = [ctx.cell_key("ts0", "ipu"),
+                ctx.cell_key("ts0", "ipu", queue_depth=4),
+                ctx.cell_key("ts0", "ipu", queue_depth=8),
+                ctx.cell_key("ts0", "ipu", config=cmt_config(ctx)),
+                ctx.cell_key("ts0", "ipu", config=cmt_config(ctx),
+                             queue_depth=4)]
+        assert len(set(keys)) == len(keys)
+        # An override equal to the trace-sized config is the same cell.
+        assert (ctx.cell_key("ts0", "ipu", config=ctx.trace_config("ts0"))
+                == ctx.cell_key("ts0", "ipu"))
+
+    def test_closed_loop_cell_matches_direct_replay(self):
+        ctx = RunContext(**FAST)
+        ftl = FTLS["mga"](ctx.trace_config("ts0"))
+        direct = Simulator(ftl).run_closed(ctx.trace("ts0"), queue_depth=4)
+        got = ctx.run("ts0", "mga", queue_depth=4)
+        assert got.deterministic_dict() == direct.deterministic_dict()
+        assert (got.deterministic_dict()
+                != ctx.run("ts0", "mga").deterministic_dict())
+
+    def test_config_cell_matches_direct_replay(self):
+        ctx = RunContext(**FAST)
+        cfg = cmt_config(ctx)
+        direct = Simulator(FTLS["ipu"](cfg)).run(ctx.trace("ts0"))
+        got = ctx.run("ts0", "ipu", config=cfg)
+        assert got.deterministic_dict() == direct.deterministic_dict()
+
+    def test_parallel_matches_sequential(self):
+        cfg = cmt_config(RunContext(**FAST))
+        cells = [("ts0", "ipu", None, None, 4), ("ts0", "mga", None, cfg)]
+        seq = RunContext(**FAST)
+        par = RunContext(jobs=2, **FAST)
+        seq.run_cells(cells, jobs=1)
+        par.run_cells(cells, jobs=2)
+        assert seq.executed_cells == par.executed_cells == len(cells)
+        for cell in (Cell(*c) for c in cells):
+            inputs = dict(config=cell.config, queue_depth=cell.queue_depth)
+            assert (par.run(cell.trace, cell.scheme, **inputs).deterministic_dict()
+                    == seq.run(cell.trace, cell.scheme, **inputs).deterministic_dict())
+
+    def test_warm_cache_serves_new_inputs(self, tmp_path):
+        cfg = cmt_config(RunContext(**FAST))
+        cells = [("ts0", "ipu", None, None, 4), ("ts0", "mga", None, cfg)]
+        RunContext(jobs=2, cache=ResultCache(tmp_path), **FAST).run_cells(cells)
+        cache = ResultCache(tmp_path)
+        warm = RunContext(cache=cache, **FAST)
+        warm.run_cells(cells)
+        assert warm.executed_cells == 0
+        assert cache.stats.hits == len(cells) and cache.stats.misses == 0
+
+    def test_queue_depth_rejected_with_frontend(self):
+        ctx = RunContext(**FAST)
+        ctx.frontend = FrontendConfig.from_qd(4)
+        with pytest.raises(ExperimentError, match="closed-loop"):
+            ctx.run("ts0", "ipu", queue_depth=4)
 
 
 class TestExecutionDefaults:
