@@ -2,7 +2,9 @@
 """Regenerate the committed reference artifacts in this directory.
 
 With no flags, everything regenerates in **one pass** — figure/table
-JSONs, the smoke-scale golden metric files under ``golden/``, and
+JSONs, the smoke-scale golden metric files under ``golden/`` (the
+direct-path ``*_smoke.json`` pins and the front-end ``frontend_qd.json``
+pins), and
 ``schema_snapshot.json`` — so a behaviour change can never leave one
 artifact class stale while the others move (PR 4 shipped a stale
 ``fig12.json`` exactly that way).  ``--figures`` / ``--golden`` /
@@ -35,6 +37,16 @@ GOLDEN_METRICS = {
              "read_error_rate"),
     "fig9": ("slc_page_utilization", "erases_slc", "erases_mlc"),
 }
+#: Front-end pins: every cell replays through the write buffer and the
+#: multi-queue scheduler.  The file name avoids the ``*_smoke.json``
+#: pattern, whose cells are read as direct ``trace/scheme`` replays.
+FRONTEND_GOLDEN_TRACES = ("ts0", "lun2")
+FRONTEND_GOLDEN_SCHEMES = ("ipu", "baseline")
+FRONTEND_GOLDEN_QDS = (1, 8, 32)
+FRONTEND_GOLDEN_METRICS = (
+    "avg_latency_ms", "lat_p50_ms", "lat_p90_ms", "lat_p99_ms", "flushes",
+    "cache_read_hits", "merged_writes", "coalesced_writes", "erases_slc",
+    "programs_slc")
 
 
 def regenerate_figures() -> None:
@@ -65,6 +77,28 @@ def regenerate_golden() -> None:
              "cells": cells},
             indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
+    path = golden_dir / "frontend_qd.json"
+    path.write_text(json.dumps(
+        {"experiment": "frontend-qd", "scale": GOLDEN_SCALE,
+         "seed": GOLDEN_SEED, "cells": frontend_golden_cells()},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
+
+
+def frontend_golden_cells() -> "dict[str, dict]":
+    """Front-end pins keyed ``trace/scheme/qdN`` (replayed uncached)."""
+    from repro.frontend import FrontendConfig
+
+    cells = {}
+    for qd in FRONTEND_GOLDEN_QDS:
+        ctx = RunContext(scale=GOLDEN_SCALE, seed=GOLDEN_SEED,
+                         frontend=FrontendConfig.from_qd(qd))
+        for trace in FRONTEND_GOLDEN_TRACES:
+            for scheme in FRONTEND_GOLDEN_SCHEMES:
+                result = ctx.run(trace, scheme)
+                cells[f"{trace}/{scheme}/qd{qd}"] = {
+                    m: getattr(result, m) for m in FRONTEND_GOLDEN_METRICS}
+    return cells
 
 
 def regenerate_schema() -> None:

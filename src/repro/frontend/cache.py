@@ -93,9 +93,13 @@ class WriteBuffer:
         """Partition a host read into ``(hits, misses)``, order preserved.
 
         Counter contract: over any run, ``read_hits + read_misses`` equals
-        the total subpages read.
+        the total subpages read.  A read that touches no buffered subpage
+        returns ``lsns`` itself as the misses.
         """
         entries = self._entries
+        if not entries or entries.keys().isdisjoint(lsns):
+            self.stats.read_misses += len(lsns)
+            return [], lsns
         hits = [lsn for lsn in lsns if lsn in entries]
         misses = [lsn for lsn in lsns if lsn not in entries]
         self.stats.read_hits += len(hits)

@@ -6,7 +6,9 @@ under one global in-flight bound — the *queue depth*.  Arbitration over
 the non-empty queues is round-robin from a persistent pointer, so the
 dispatch order is a pure function of the submission history:
 
-* **submission** appends to the target queue (FIFO per queue);
+* **submission** appends to the target queue (FIFO per queue) — or,
+  when no request is waiting and a slot is free, dispatches at once:
+  the scan would pick that request anyway;
 * a **slot** frees when the earliest outstanding completion is reached;
   ties between equal completion times break by submission sequence
   number (a heap of ``(completion, seq)`` pairs — never by id or hash);
@@ -15,24 +17,27 @@ dispatch order is a pure function of the submission history:
 
 The scheduler never prices anything itself: the owner supplies an
 ``issue(request, issue_ms) -> completion_ms`` callback that runs the FTL
-and reserves chip/channel time through the existing
-:class:`~repro.sim.timing.TimingModel` pipeline, keeping all latency
-arithmetic in one place.
+and reserves chip/channel time through the replay's
+:class:`~repro.sim.timing.OpPricer`, keeping all latency arithmetic in
+one place.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import Callable
+from heapq import heappop, heappush
+from typing import Callable, NamedTuple
 
 from ..errors import SimulationError
 from ..units import Lsn, Ms
 
 
-@dataclass(frozen=True, slots=True)
-class FrontRequest:
-    """One host request as the scheduler sees it."""
+class FrontRequest(NamedTuple):
+    """One host request as the scheduler sees it.
+
+    A named tuple rather than a frozen dataclass: one is built per host
+    request, and a frozen dataclass pays an ``object.__setattr__`` per
+    field on construction.
+    """
 
     index: int          #: position in the trace (latency slot)
     arrival_ms: Ms      #: host submission time
@@ -70,9 +75,16 @@ class MultiQueueScheduler:
         Completions due before ``now`` are retired first (each freed slot
         dispatches from the backlog at its completion time), then the new
         request joins its queue and dispatches immediately if a slot is
-        free.
+        free.  With the backlog empty the round-robin scan could only pick
+        this request, so it is dispatched directly, without the enqueue.
         """
-        self.advance(now)
+        inflight = self._inflight
+        if inflight and inflight[0][0] <= now:
+            self.advance(now)
+        if not self._queued and len(inflight) < self.queue_depth:
+            self._rr = (queue_id + 1) % len(self._queues)
+            self._dispatch(request, now)
+            return
         self._queues[queue_id].append(request)
         self._queued += 1
         self._fill(now)
@@ -81,8 +93,9 @@ class MultiQueueScheduler:
         """Retire completions up to ``to_ms``, dispatching the backlog."""
         inflight = self._inflight
         while inflight and inflight[0][0] <= to_ms:
-            done_ms, _ = heapq.heappop(inflight)
-            self._fill(done_ms)
+            done_ms, _ = heappop(inflight)
+            if self._queued:
+                self._fill(done_ms)
 
     def drain(self) -> Ms:
         """Run every queued and in-flight request to completion.
@@ -92,7 +105,7 @@ class MultiQueueScheduler:
         last = 0.0
         inflight = self._inflight
         while inflight:
-            done_ms, _ = heapq.heappop(inflight)
+            done_ms, _ = heappop(inflight)
             if done_ms > last:
                 last = done_ms
             self._fill(done_ms)
@@ -104,13 +117,17 @@ class MultiQueueScheduler:
         """Dispatch backlog into free slots, round-robin across queues."""
         inflight = self._inflight
         while len(inflight) < self.queue_depth and self._queued:
-            request = self._next_request()
-            issue_ms = now if now > request.arrival_ms else request.arrival_ms
-            completion = self.issue(request, issue_ms)
-            self._seq += 1
-            heapq.heappush(inflight, (completion, self._seq))
-            if len(inflight) > self.max_inflight:
-                self.max_inflight = len(inflight)
+            self._dispatch(self._next_request(), now)
+
+    def _dispatch(self, request: FrontRequest, now: Ms) -> None:
+        """Issue one request into a free slot at ``max(now, arrival)``."""
+        arrival = request.arrival_ms
+        completion = self.issue(request, now if now > arrival else arrival)
+        seq = self._seq = self._seq + 1
+        inflight = self._inflight
+        heappush(inflight, (completion, seq))
+        if len(inflight) > self.max_inflight:
+            self.max_inflight = len(inflight)
 
     def _next_request(self) -> FrontRequest:
         """The next backlog entry in round-robin order (caller checked

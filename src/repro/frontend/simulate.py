@@ -38,7 +38,8 @@ import numpy as np
 from ..config import SSDConfig
 from ..sim.ops import Cause, OpKind
 from ..sim.resources import ResourceSet
-from ..sim.simulator import SimulationResult, _source_chunks, collect_result
+from ..sim.simulator import (SimulationResult, _chunk_extents, _source_chunks,
+                             collect_result)
 from ..sim.timing import TimingModel
 from ..traces.model import Trace
 from ..units import Lsn, Ms
@@ -62,6 +63,7 @@ class FrontendSimulator:
         self.geometry = ftl.geometry
         self.timing = TimingModel(self.config, ecc=ftl.ecc, rber=ftl.rber)
         self.resources = ResourceSet(self.geometry)
+        self.pricer = self.timing.pricer(self.resources)
         self.buffer = WriteBuffer(frontend)
         #: The scheduler lives for the simulator's whole life (not per
         #: run) so a checkpoint pickled between chunks carries the
@@ -86,26 +88,16 @@ class FrontendSimulator:
                                 if faults_plan is not None else math.inf)
         self._finished = False
 
-    # -- op pricing ----------------------------------------------------------
-
-    def _reserve(self, op, when: Ms) -> Ms:
-        """Reserve chip/channel time for one op; returns its end time."""
-        if self.config.timing.pipelined_bus:
-            chip_ms, chan_ms, chip_first = self.timing.segments_ms(op)
-            _, end = self.resources.acquire_pipelined(
-                op.block_id, when, chip_ms, chan_ms, chip_first)
-        else:
-            _, end = self.resources.acquire_for_block(
-                op.block_id, when, self.timing.duration_ms(op))
-        return end
+    # -- destage ------------------------------------------------------------
 
     def _flush_span(self, span: "list[Lsn]", now: Ms) -> Ms:
         """Destage one buffer span through the FTL; returns the last end
         time among its ops (GC riding along included — a pressure-flushed
         writer waits for the whole eviction it forced)."""
         end = now
+        reserve = self.pricer.reserve
         for op in self.ftl.handle_write(span, now):
-            op_end = self._reserve(op, now)
+            op_end = reserve(op, now)
             if op_end > end:
                 end = op_end
         return end
@@ -114,23 +106,24 @@ class FrontendSimulator:
 
     def _issue(self, request: FrontRequest, issue_ms: Ms) -> Ms:
         """Run one dispatched request; returns its completion time."""
-        fe = self.frontend
-        if request.is_write:
-            spans = self.buffer.write(request.lsns, issue_ms)
-            complete = issue_ms + fe.write_ack_ms
+        index, arrival_ms, lsns, is_write = request
+        if is_write:
+            spans = self.buffer.write(lsns, issue_ms)
+            complete = issue_ms + self.frontend.write_ack_ms
             for span in spans:
                 end = self._flush_span(span, issue_ms)
                 if end > complete:
                     complete = end
         else:
-            hits, misses = self.buffer.split_read(request.lsns)
-            complete = issue_ms + fe.read_hit_ms if hits else issue_ms
+            hits, misses = self.buffer.split_read(lsns)
+            complete = issue_ms + self.frontend.read_hit_ms if hits else issue_ms
             if misses:
+                reserve = self.pricer.reserve
                 ops = self.ftl.handle_read(misses, issue_ms)
                 for op in ops:
                     if op.cause not in _HOSTLIKE:
                         continue
-                    end = self._reserve(op, issue_ms)
+                    end = reserve(op, issue_ms)
                     if end > complete:
                         complete = end
                     if op.kind is OpKind.READ and op.cause is Cause.HOST:
@@ -138,8 +131,8 @@ class FrontendSimulator:
                         self._read_bits += op.n_slots * self._subpage_bits
                 for op in ops:
                     if op.cause not in _HOSTLIKE:
-                        self._reserve(op, issue_ms)
-        self._latencies[request.index] = complete - request.arrival_ms
+                        reserve(op, issue_ms)
+        self._latencies[index] = complete - arrival_ms
         return complete
 
     # -- replay --------------------------------------------------------------
@@ -155,24 +148,23 @@ class FrontendSimulator:
         """
         n = len(trace)
         base_index = self.n
+        times = trace.times_ms.tolist()
+        writes = trace.is_write.tolist()
+        firsts, lasts = _chunk_extents(trace, self.geometry)
         self._latencies.extend([0.0] * n)
-        self._is_write.extend(bool(w) for w in trace.is_write)
+        self._is_write.extend(writes)
 
         ftl = self.ftl
         buffer = self.buffer
-        geometry = self.geometry
-        byte_range_to_lsns = geometry.byte_range_to_lsns
-        subpages_per_page = geometry.subpages_per_page
-        n_chips = geometry.chips
-        scheduler = self.scheduler
-        timing = self.timing
+        # The buffer's dirty map, oldest entry first: the writeback sweep
+        # is only called once its head has been dirty past the delay.
+        entries = buffer._entries
+        delay = buffer.delay_ms
+        subpages_per_page = self.geometry.subpages_per_page
+        n_chips = self.geometry.chips
+        submit = self.scheduler.submit
         faults_plan = getattr(ftl, "faults", None)
         next_power_loss = self.next_power_loss
-
-        times = trace.times_ms.tolist()
-        offsets = trace.offsets.tolist()
-        sizes = trace.sizes.tolist()
-        writes = trace.is_write.tolist()
         now = self.now
         for i in range(n):
             now = times[i]
@@ -180,18 +172,17 @@ class FrontendSimulator:
                 # DRAM dies first: dirty buffer contents are gone before
                 # the mount scan repairs whatever reached the flash.
                 buffer.drop_all()
-                faults_plan.power_loss(ftl, next_power_loss, timing)
+                faults_plan.power_loss(ftl, next_power_loss, self.timing)
                 next_power_loss = faults_plan.next_power_loss(next_power_loss)
             # Periodic writeback: destage entries past their delay in the
             # background (they occupy chips but complete no request).
-            for span in buffer.expire(now):
-                self._flush_span(span, now)
-            lsns = list(byte_range_to_lsns(offsets[i], sizes[i]))
-            queue_id = (lsns[0] // subpages_per_page) % n_chips
-            scheduler.submit(
-                FrontRequest(index=base_index + i, arrival_ms=now, lsns=lsns,
-                             is_write=bool(writes[i])),
-                queue_id, now)
+            if entries and now - next(iter(entries.values())) >= delay:
+                for span in buffer.expire(now):
+                    self._flush_span(span, now)
+            first = firsts[i]
+            submit(FrontRequest(base_index + i, now,
+                                list(range(first, lasts[i])), writes[i]),
+                   (first // subpages_per_page) % n_chips, now)
         self.n = base_index + n
         self.now = now
         self.next_power_loss = next_power_loss

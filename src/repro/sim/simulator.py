@@ -22,7 +22,6 @@ from ..config import SSDConfig
 from ..errors import SimulationError
 from ..traces.model import Trace
 from ..units import Ms
-from .engine import Engine
 from .ops import Cause, OpKind
 from .resources import ResourceSet
 from .timing import TimingModel
@@ -330,6 +329,26 @@ def _apply_fault_stats(result: SimulationResult, ftl) -> None:
     result.recovery_ms = s.recovery_ms
 
 
+def _chunk_extents(trace: Trace, geometry) -> "tuple[list[int], list[int]]":
+    """Per-request ``[first, last)`` LSN bounds of one whole chunk.
+
+    Vectorized :meth:`Geometry.byte_range_to_lsns`: a replay touches
+    every request, so the extent arithmetic (two integer divisions per
+    request) runs once per chunk instead of once per call.  A bad extent
+    raises the scalar path's error.
+    """
+    offsets = np.asarray(trace.offsets)
+    sizes = np.asarray(trace.sizes)
+    if len(offsets) and (offsets.min() < 0 or sizes.min() <= 0):
+        # Defer to the scalar path for the message.
+        for offset, size in zip(offsets.tolist(), sizes.tolist()):
+            geometry.byte_range_to_lsns(offset, size)
+    subpage_size = geometry.subpage_size
+    firsts = (offsets // subpage_size).tolist()
+    lasts = ((offsets + sizes - 1) // subpage_size + 1).tolist()
+    return firsts, lasts
+
+
 def _source_chunks(source) -> "tuple[str, object]":
     """``(name, iterable-of-Trace-chunks)`` for a trace or stream.
 
@@ -407,76 +426,23 @@ class OpenLoopReplay:
         read_raw_errors = self.read_raw_errors
         read_bits = self.read_bits
 
-        resources = self.resources
         ftl = self.ftl
         timing = self.timing
-        byte_range_to_lsns = ftl.geometry.byte_range_to_lsns
-        pipelined = self.config.timing.pipelined_bus
+        reserve = timing.pricer(self.resources).reserve
         observer = self.observer
         idle_gc = self.idle_gc
         idle_threshold = self.idle_threshold_ms
         subpage_bits = self._subpage_bits
         handle_write = ftl.handle_write
         handle_read = ftl.handle_read
-        segments_ms = timing.segments_ms
-        acquire_pipelined = resources.acquire_pipelined
         hostlike = (Cause.HOST, Cause.TRANSLATION)
         faults_plan = getattr(ftl, "faults", None)
         next_power_loss = self.next_power_loss
         base_index = self.n
 
-        pair = resources._pair
-        erase_ms = timing._erase_ms
-        transfer_unit = timing._transfer
-        read_ms = timing._read
-        write_ms = timing._write
-        erase_kind = OpKind.ERASE
-        program_kind = OpKind.PROGRAM
-
-        def reserve(op, when):
-            if pipelined:
-                chip_ms, chan_ms, chip_first = segments_ms(op)
-                return acquire_pipelined(
-                    op.block_id, when, chip_ms, chan_ms, chip_first)
-            # Inlined TimingModel.duration_ms + ResourceSet.acquire_for_block
-            # (same arithmetic in the same order — the replay prices every
-            # op this way, so the two call frames per op are measurable).
-            kind = op.kind
-            if kind is erase_kind:
-                duration = erase_ms
-            else:
-                transfer = transfer_unit * (op.transfer_slots or op.n_slots)
-                if kind is program_kind:
-                    duration = transfer + write_ms[op.is_slc]
-                else:
-                    duration = read_ms[op.is_slc] + transfer + op.ecc_ms
-            chip, channel = pair[op.block_id]
-            start = max(when, chip.next_free, channel.next_free)
-            end = start + duration
-            chip.next_free = end
-            chip.busy_ms += duration
-            chip.operations += 1
-            channel.next_free = end
-            channel.busy_ms += duration
-            channel.operations += 1
-            return start, end
-
         times = trace.times_ms.tolist()
-        offsets = trace.offsets.tolist()
-        sizes = trace.sizes.tolist()
         writes = is_write.tolist()
-        # Vectorized byte_range_to_lsns: the replay touches every request,
-        # so the extent arithmetic (two integer divisions per request) is
-        # done once on the whole chunk instead of per-call.  Validation
-        # matches Geometry.byte_range_to_lsns.
-        subpage_size = ftl.geometry.config.subpage_size
-        offs_arr = np.asarray(trace.offsets)
-        size_arr = np.asarray(trace.sizes)
-        if len(offs_arr) and (offs_arr.min() < 0 or size_arr.min() <= 0):
-            for i in range(n):  # defer to the scalar path for the message
-                byte_range_to_lsns(offsets[i], sizes[i])
-        firsts = (offs_arr // subpage_size).tolist()
-        lasts = ((offs_arr + size_arr - 1) // subpage_size + 1).tolist()
+        firsts, lasts = _chunk_extents(trace, ftl.geometry)
         last_arrival = self.last_arrival
         now = self.now
         for i in range(n):
@@ -504,7 +470,7 @@ class OpenLoopReplay:
             for op in ops:
                 if op.cause not in hostlike:
                     continue
-                _, end = reserve(op, now)
+                end = reserve(op, now)
                 if end > complete:
                     complete = end
                 if (not write and op.kind is OpKind.READ
@@ -549,6 +515,11 @@ class OpenLoopReplay:
     def result(self, trace_name: str, wall_seconds: float = 0.0,
                ) -> SimulationResult:
         """Harvest the run-so-far into a :class:`SimulationResult`."""
+        return self._result(trace_name, wall_seconds, self.now)
+
+    def _result(self, trace_name: str, wall_seconds: float,
+                sim_time_ms: Ms) -> SimulationResult:
+        # Shared with the closed loop, whose clock is its last completion.
         parts_lat = self._done_lat + self._window_lat
         parts_iw = self._done_iw + self._window_iw
         latencies = (np.concatenate(parts_lat) if parts_lat
@@ -559,7 +530,7 @@ class OpenLoopReplay:
             self.ftl, self.config,
             trace_name=trace_name,
             n_requests=self.n,
-            sim_time_ms=self.now,
+            sim_time_ms=sim_time_ms,
             wall_seconds=wall_seconds,
             read_latencies=latencies[~is_write],
             write_latencies=latencies[is_write],
@@ -619,54 +590,44 @@ class ClosedLoopReplay:
         ring = self.ring
         max_completion = self.max_completion
 
-        resources = self.resources
         ftl = self.ftl
-        timing = self.timing
-        byte_range_to_lsns = ftl.geometry.byte_range_to_lsns
-        pipelined = self.config.timing.pipelined_bus
+        reserve = self.timing.pricer(self.resources).reserve
+        handle_write = ftl.handle_write
+        handle_read = ftl.handle_read
+        hostlike = (Cause.HOST, Cause.TRANSLATION)
+        subpage_bits = self._subpage_bits
         observer = self.observer
         base_index = self.n
         now = self.now
 
+        writes = is_write.tolist()
+        firsts, lasts = _chunk_extents(trace, ftl.geometry)
         for i in range(n):
             if len(ring) >= queue_depth:
                 head = ring.pop(0)
                 if head > now:
                     now = head
-            lsns = list(byte_range_to_lsns(int(trace.offsets[i]),
-                                           int(trace.sizes[i])))
-            write = bool(is_write[i])
+            lsns = list(range(firsts[i], lasts[i]))
+            write = writes[i]
             if write:
-                ops = ftl.handle_write(lsns, now)
+                ops = handle_write(lsns, now)
             else:
-                ops = ftl.handle_read(lsns, now)
+                ops = handle_read(lsns, now)
             complete = now
             for op in ops:
-                if op.cause not in (Cause.HOST, Cause.TRANSLATION):
+                if op.cause not in hostlike:
                     continue
-                if pipelined:
-                    chip_ms, chan_ms, chip_first = timing.segments_ms(op)
-                    _, end = resources.acquire_pipelined(
-                        op.block_id, now, chip_ms, chan_ms, chip_first)
-                else:
-                    _, end = resources.acquire_for_block(
-                        op.block_id, now, timing.duration_ms(op))
+                end = reserve(op, now)
                 if end > complete:
                     complete = end
                 if (not write and op.kind is OpKind.READ
                         and op.cause is Cause.HOST):
                     read_raw_errors += op.raw_errors
-                    read_bits += op.n_slots * self._subpage_bits
+                    read_bits += op.n_slots * subpage_bits
             for op in ops:
-                if op.cause in (Cause.HOST, Cause.TRANSLATION):
+                if op.cause in hostlike:
                     continue
-                if pipelined:
-                    chip_ms, chan_ms, chip_first = timing.segments_ms(op)
-                    resources.acquire_pipelined(
-                        op.block_id, now, chip_ms, chan_ms, chip_first)
-                else:
-                    resources.acquire_for_block(
-                        op.block_id, now, timing.duration_ms(op))
+                reserve(op, now)
             ring.append(complete)
             if complete > max_completion:
                 max_completion = complete
@@ -685,27 +646,13 @@ class ClosedLoopReplay:
 
     # Shared window/result plumbing (identical contract to the open loop).
     drain_window = OpenLoopReplay.drain_window
+    _result = OpenLoopReplay._result
 
     def result(self, trace_name: str, wall_seconds: float = 0.0,
                ) -> SimulationResult:
         """Harvest the run-so-far into a :class:`SimulationResult`."""
-        parts_lat = self._done_lat + self._window_lat
-        parts_iw = self._done_iw + self._window_iw
-        latencies = (np.concatenate(parts_lat) if parts_lat
-                     else np.zeros(0, dtype=np.float64))
-        is_write = (np.concatenate(parts_iw) if parts_iw
-                    else np.zeros(0, dtype=bool))
-        return collect_result(
-            self.ftl, self.config,
-            trace_name=trace_name,
-            n_requests=self.n,
-            sim_time_ms=self.max_completion if self.n else 0.0,
-            wall_seconds=wall_seconds,
-            read_latencies=latencies[~is_write],
-            write_latencies=latencies[is_write],
-            read_raw_errors=self.read_raw_errors,
-            read_bits=self.read_bits,
-        )
+        return self._result(trace_name, wall_seconds,
+                            self.max_completion if self.n else 0.0)
 
 
 class Simulator:
@@ -726,8 +673,6 @@ class Simulator:
         self.geometry = ftl.geometry
         self.timing = TimingModel(self.config, ecc=ftl.ecc, rber=ftl.rber)
         self.resources = ResourceSet(self.geometry)
-        self.engine = Engine()
-        self._subpage_bits = self.geometry.subpage_size * 8
 
     def run(self, trace) -> SimulationResult:
         """Replay a :class:`Trace` or ``TraceStream``, aggregate metrics.

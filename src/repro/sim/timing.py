@@ -13,12 +13,14 @@ MLC read at the base (undisturbed) RBER.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..config import SSDConfig
 from ..error import EccModel, RberModel
 from ..units import Ms
 from .ops import OpKind, OpRecord
+from .resources import ResourceSet
+
+_ERASE = OpKind.ERASE
+_PROGRAM = OpKind.PROGRAM
 
 
 class TimingModel:
@@ -64,32 +66,9 @@ class TimingModel:
             return self._write[op.is_slc], transfer, False
         return self._read[op.is_slc], transfer + op.ecc_ms, True
 
-    def durations_ms(self, ops: "list[OpRecord]") -> np.ndarray:
-        """Vectorised :meth:`duration_ms` over an operation batch.
-
-        One gather pass plus elementwise float64 arithmetic — element
-        ``i`` equals ``duration_ms(ops[i])`` bit for bit (the summation
-        grouping matches the scalar path; tests assert the equivalence).
-        Used by batch accounting paths (reports, the bench harness);
-        replay keeps the scalar call because it needs each op's end time
-        before pricing the next.
-        """
-        n = len(ops)
-        slots = np.fromiter((op.channel_slots for op in ops),
-                            dtype=np.float64, count=n)
-        slc = np.fromiter((op.is_slc for op in ops), dtype=bool, count=n)
-        ecc = np.fromiter((op.ecc_ms for op in ops), dtype=np.float64, count=n)
-        is_erase = np.fromiter((op.kind is OpKind.ERASE for op in ops),
-                               dtype=bool, count=n)
-        is_program = np.fromiter((op.kind is OpKind.PROGRAM for op in ops),
-                                 dtype=bool, count=n)
-        transfer = self._transfer * slots
-        read_ms = np.where(slc, self._read[True], self._read[False])
-        write_ms = np.where(slc, self._write[True], self._write[False])
-        out = read_ms + transfer + ecc
-        out[is_program] = (transfer + write_ms)[is_program]
-        out[is_erase] = self._erase_ms
-        return out
+    def pricer(self, resources: ResourceSet) -> "OpPricer":
+        """An :class:`OpPricer` bound to this model and ``resources``."""
+        return OpPricer(self, resources)
 
     def pseudo_read_ecc_ms(self) -> Ms:
         """ECC decode time for never-written (pre-existing MLC) data."""
@@ -100,3 +79,52 @@ class TimingModel:
         """Expected raw bit errors of a pseudo read of ``n_slots`` subpages."""
         base = self.rber.base(self.config.reliability.initial_pe_cycles, slc=False)
         return self.ecc.expected_raw_errors(base, n_slots * self.config.geometry.subpage_size)
+
+
+class OpPricer:
+    """Prices one op and reserves its chip/channel time in one call.
+
+    :meth:`reserve` fuses :meth:`TimingModel.duration_ms` and
+    :meth:`ResourceSet.acquire_for_block` (or, under the pipelined bus,
+    ``segments_ms`` and ``acquire_pipelined``) into one call frame, bit
+    for bit.  Every replay driver prices its ops through one.
+    """
+
+    __slots__ = ("timing", "resources", "_pipelined", "_pair", "_erase_ms",
+                 "_transfer", "_read", "_write")
+
+    def __init__(self, timing: TimingModel, resources: ResourceSet):
+        self.timing = timing
+        self.resources = resources
+        self._pipelined = timing.timing.pipelined_bus
+        self._pair = resources._pair
+        self._erase_ms = timing._erase_ms
+        self._transfer = timing._transfer
+        self._read = timing._read
+        self._write = timing._write
+
+    def reserve(self, op: OpRecord, when: Ms) -> Ms:
+        """Reserve ``op``'s servers from ``when``; returns its end time."""
+        if self._pipelined:
+            chip_ms, chan_ms, chip_first = self.timing.segments_ms(op)
+            return self.resources.acquire_pipelined(
+                op.block_id, when, chip_ms, chan_ms, chip_first)[1]
+        kind = op.kind
+        if kind is _ERASE:
+            duration = self._erase_ms
+        else:
+            transfer = self._transfer * (op.transfer_slots or op.n_slots)
+            if kind is _PROGRAM:
+                duration = transfer + self._write[op.is_slc]
+            else:
+                duration = self._read[op.is_slc] + transfer + op.ecc_ms
+        chip, channel = self._pair[op.block_id]
+        start = max(when, chip.next_free, channel.next_free)
+        end = start + duration
+        chip.next_free = end
+        chip.busy_ms += duration
+        chip.operations += 1
+        channel.next_free = end
+        channel.busy_ms += duration
+        channel.operations += 1
+        return end

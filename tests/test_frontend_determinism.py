@@ -4,14 +4,19 @@ Three contracts from ``docs/FRONTEND.md``:
 
 * the :class:`MultiQueueScheduler` dispatch order is a pure function of
   the submission history (round-robin arbitration, FIFO per queue,
-  seq-number tie-break, global depth bound);
+  seq-number tie-break, global depth bound), and equals that of the
+  plain enqueue-then-scan reference scheduler kept here as a twin;
 * a frontend-enabled run is byte-identical across repeated runs and
   across ``--jobs 1`` vs ``--jobs N``, at every queue depth;
 * a *disabled* ``FrontendConfig`` is indistinguishable from no frontend
   at all — same results, same cache keys.
 """
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.frontend import FrontendConfig, FrontRequest, MultiQueueScheduler
@@ -92,6 +97,127 @@ class TestScheduler:
             MultiQueueScheduler(0, 4, lambda r, t: t)
         with pytest.raises(SimulationError):
             MultiQueueScheduler(2, 0, lambda r, t: t)
+
+    def test_empty_backlog_submit_advances_round_robin(self):
+        log = []
+        sched = MultiQueueScheduler(4, 8, record_issue(log))
+        sched.submit(req(0), 2, 0.0)
+        assert log == [(0, 0.0)]
+        assert sched._rr == 3
+        assert sched._queued == 0
+
+
+# -- reference twin ----------------------------------------------------------
+
+class ReferenceScheduler:
+    """The enqueue-then-round-robin scheduler, kept verbatim as the
+    specification the production scheduler's fast paths must match."""
+
+    def __init__(self, n_queues, queue_depth, issue):
+        self.queue_depth = queue_depth
+        self.issue = issue
+        self._queues = [[] for _ in range(n_queues)]
+        self._heads = [0] * n_queues
+        self._rr = 0
+        self._inflight = []
+        self._seq = 0
+        self._queued = 0
+        self.max_inflight = 0
+
+    def submit(self, request, queue_id, now):
+        self.advance(now)
+        self._queues[queue_id].append(request)
+        self._queued += 1
+        self._fill(now)
+
+    def advance(self, to_ms):
+        inflight = self._inflight
+        while inflight and inflight[0][0] <= to_ms:
+            done_ms, _ = heapq.heappop(inflight)
+            self._fill(done_ms)
+
+    def drain(self):
+        last = 0.0
+        inflight = self._inflight
+        while inflight:
+            done_ms, _ = heapq.heappop(inflight)
+            if done_ms > last:
+                last = done_ms
+            self._fill(done_ms)
+        return last
+
+    def _fill(self, now):
+        inflight = self._inflight
+        while len(inflight) < self.queue_depth and self._queued:
+            request = self._next_request()
+            issue_ms = now if now > request.arrival_ms else request.arrival_ms
+            completion = self.issue(request, issue_ms)
+            self._seq += 1
+            heapq.heappush(inflight, (completion, self._seq))
+            if len(inflight) > self.max_inflight:
+                self.max_inflight = len(inflight)
+
+    def _next_request(self):
+        queues = self._queues
+        heads = self._heads
+        n = len(queues)
+        rr = self._rr
+        for off in range(n):
+            qid = (rr + off) % n
+            queue = queues[qid]
+            head = heads[qid]
+            if head < len(queue):
+                request = queue[head]
+                heads[qid] = head + 1
+                if heads[qid] == len(queue):
+                    queue.clear()
+                    heads[qid] = 0
+                self._rr = (qid + 1) % n
+                self._queued -= 1
+                return request
+        raise SimulationError("scheduler backlog accounting desynced")
+
+
+def replay_history(scheduler_cls, n_queues, queue_depth, history):
+    """Submit ``history`` (``(gap, lag, service, queue_id)`` steps) and
+    return everything observable: the issue log, the in-flight heap after
+    every submit (which fixes the retirement order), the drain time,
+    ``max_inflight`` and the final round-robin cursor."""
+    log = []
+    services = [service for _, _, service, _ in history]
+
+    def issue(request, issue_ms):
+        log.append((request.index, issue_ms))
+        return issue_ms + services[request.index]
+
+    sched = scheduler_cls(n_queues, queue_depth, issue)
+    arrival = 0.0
+    inflight_after = []
+    for index, (gap, lag, _, queue_id) in enumerate(history):
+        arrival += gap
+        sched.submit(req(index, arrival_ms=arrival), queue_id % n_queues,
+                     arrival + lag)
+        inflight_after.append(sorted(sched._inflight))
+    last = sched.drain()
+    return log, inflight_after, last, sched.max_inflight, sched._rr
+
+
+# Quarter-millisecond grid: equal arrivals, equal completions and
+# zero-length services all occur, so every tie-break path is exercised.
+_grid = st.integers(min_value=0, max_value=8).map(lambda k: k * 0.25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_queues=st.integers(min_value=1, max_value=8),
+       queue_depth=st.integers(min_value=1, max_value=8),
+       history=st.lists(
+           st.tuples(_grid, st.sampled_from([0.0, 0.0, 0.5]), _grid,
+                     st.integers(min_value=0, max_value=7)),
+           max_size=60))
+def test_scheduler_matches_reference_twin(n_queues, queue_depth, history):
+    assert replay_history(MultiQueueScheduler, n_queues, queue_depth,
+                          history) == \
+        replay_history(ReferenceScheduler, n_queues, queue_depth, history)
 
 
 # -- end-to-end determinism --------------------------------------------------

@@ -1,6 +1,7 @@
 """Golden regression guard: the smoke-scale cells behind the committed
 fig5/fig9 reference artifacts must reproduce their headline metrics
 exactly (within 1e-9), so refactors cannot silently shift paper numbers.
+The front-end cells in ``frontend_qd.json`` must reproduce bit for bit.
 
 Regenerate the golden files with ``python results/regenerate.py --golden``
 only for a *deliberate* behaviour change; the diff is the audit trail.
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.runner import RunContext
+from repro.frontend import FrontendConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "results" / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*_smoke.json"))
@@ -65,4 +67,29 @@ def test_smoke_cells_match_golden(path, smoke_matrix):
     assert not mismatches, (
         "headline metrics drifted from the committed golden values "
         "(intentional change? re-run results/regenerate.py --golden):\n"
+        + "\n".join(mismatches))
+
+
+def test_frontend_cells_match_golden_exactly():
+    """Front-end replays (write buffer + scheduler, QD 1/8/32) reproduce
+    the committed pins exactly: a hot-path rework must not move a bit."""
+    golden = json.loads((GOLDEN_DIR / "frontend_qd.json").read_text())
+    assert golden["scale"] == "smoke"
+    contexts: dict[int, RunContext] = {}
+    mismatches = []
+    for cell, metrics in golden["cells"].items():
+        trace, scheme, qd_tag = cell.split("/")
+        qd = int(qd_tag.removeprefix("qd"))
+        if qd not in contexts:
+            contexts[qd] = RunContext(scale="smoke", seed=golden["seed"],
+                                      frontend=FrontendConfig.from_qd(qd))
+        result = contexts[qd].run(trace, scheme)
+        for metric, expected in metrics.items():
+            got = getattr(result, metric)
+            if got != expected:
+                mismatches.append(
+                    f"{cell}.{metric}: golden {expected!r} != {got!r}")
+    assert len(golden["cells"]) == 12
+    assert not mismatches, (
+        "front-end metrics drifted from the committed golden values:\n"
         + "\n".join(mismatches))

@@ -1,6 +1,7 @@
 """Pipelined bus model (optional timing refinement)."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -98,6 +99,55 @@ class TestSegments:
                           if kind is OpKind.READ else 0.0)
             chip, chan, _ = timing.segments_ms(op)
             assert chip + chan == pytest.approx(timing.duration_ms(op))
+
+
+def server_state(resources):
+    return [(r.next_free, r.busy_ms, r.operations)
+            for r in resources.chips + resources.channels]
+
+
+@pytest.mark.parametrize("pipelined", [False, True])
+@pytest.mark.parametrize("transfer_slots", [0, 4])
+@pytest.mark.parametrize("slc", [True, False])
+@pytest.mark.parametrize("kind", [OpKind.ERASE, OpKind.PROGRAM, OpKind.READ])
+def test_pricer_matches_timing_model(kind, slc, transfer_slots, pipelined):
+    """``OpPricer.reserve`` is the model's price plus the resource
+    reservation fused: same end times and same server clocks, bit for bit."""
+    cfg = pipe_config() if pipelined else tiny_config()
+    timing = TimingModel(cfg)
+    geo = Geometry(cfg.geometry)
+    expected_rs, pricer_rs = ResourceSet(geo), ResourceSet(geo)
+    pricer = timing.pricer(pricer_rs)
+    n_slots = 0 if kind is OpKind.ERASE else 3
+    ecc_ms = 0.0123 if kind is OpKind.READ else 0.0
+    # Same block twice (the second op queues behind the first), then a
+    # block on another chip, at issue times that are not float-round.
+    for block_id, when in ((0, 0.1), (0, 0.3), (1, 0.7)):
+        op = OpRecord(kind, block_id, 0, n_slots, slc, Cause.HOST,
+                      transfer_slots, ecc_ms)
+        if pipelined:
+            chip_ms, chan_ms, chip_first = timing.segments_ms(op)
+            _, expected = expected_rs.acquire_pipelined(
+                block_id, when, chip_ms, chan_ms, chip_first)
+        else:
+            _, expected = expected_rs.acquire_for_block(
+                block_id, when, timing.duration_ms(op))
+        assert pricer.reserve(op, when) == expected
+        assert server_state(pricer_rs) == server_state(expected_rs)
+
+
+def test_pricer_pickles_with_its_resources():
+    timing = TimingModel(tiny_config())
+    rs = ResourceSet(Geometry(tiny_config().geometry))
+    pricer = timing.pricer(rs)
+    pricer.reserve(OpRecord(OpKind.ERASE, 0, 0, 0, True, Cause.GC), 1.0)
+    copy = pickle.loads(pickle.dumps(pricer))
+    assert server_state(copy.resources) == server_state(rs)
+    assert copy.reserve(OpRecord(OpKind.ERASE, 0, 0, 0, True, Cause.GC),
+                        1.0) == pricer.reserve(
+        OpRecord(OpKind.ERASE, 0, 0, 0, True, Cause.GC), 1.0)
+    # The restored pricer still books onto the restored resource set.
+    assert copy.resources.chip_for_block(0).operations == 2
 
 
 class TestEndToEnd:

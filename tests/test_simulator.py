@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro import SCHEMES, Simulator, replay
+from repro.errors import ConfigError
+from repro.frontend import FrontendConfig
+from repro.frontend.simulate import FrontendSimulator
 from repro.traces import generate, profile
 from repro.traces.model import Trace
 
@@ -103,3 +106,24 @@ class TestEmptyAndEdge:
         result = replay(SCHEMES["baseline"](tiny_config()), trace)
         assert result.read_bits == 2 * 4096 * 8
         assert result.programs_slc == 0
+
+
+@pytest.mark.parametrize("driver", ["open", "closed", "frontend"])
+@pytest.mark.parametrize("column, value", [("offsets", -4096),
+                                           ("sizes", 0)])
+def test_bad_extent_raises_the_scalar_error(driver, column, value):
+    """Every replay computes a chunk's extents in one vectorised pass; a
+    bad extent (here patched in after the trace validated) still raises
+    ``Geometry.byte_range_to_lsns``'s error, before any request runs."""
+    trace = small_trace(n=50)
+    getattr(trace, column)[7] = value
+    ftl = SCHEMES["ipu"](tiny_config())
+    with pytest.raises(ConfigError, match="invalid byte extent"):
+        if driver == "open":
+            Simulator(ftl).run(trace)
+        elif driver == "closed":
+            Simulator(ftl).run_closed(trace, queue_depth=4)
+        else:
+            FrontendSimulator(ftl, FrontendConfig.from_qd(4)).run(trace)
+    assert ftl.stats.host_write_requests == 0
+    assert ftl.stats.host_read_requests == 0

@@ -9,8 +9,9 @@ Three families:
   lowest-``block_id`` tie-break, before and after further mutations;
 * vectorised ECC decode latency — ``decode_ms_many`` must equal the
   scalar ``decode_ms`` element by element, bit for bit;
-* vectorised op pricing — ``TimingModel.durations_ms`` must equal
-  ``duration_ms`` per record, bit for bit.
+* fused op pricing — ``OpPricer.reserve`` must equal ``duration_ms``
+  plus ``ResourceSet.acquire_for_block`` over random op sequences, end
+  times and server clocks bit for bit.
 """
 
 import numpy as np
@@ -27,7 +28,9 @@ from repro.ftl.victim import (
 )
 from repro.nand.block import Block
 from repro.nand.cell import CellMode
+from repro.nand.geometry import Geometry
 from repro.sim.ops import Cause, OpKind, OpRecord
+from repro.sim.resources import ResourceSet
 from repro.sim.timing import TimingModel
 
 from conftest import tiny_config
@@ -213,16 +216,28 @@ class TestVectorisedAccounting:
     )
 
     @SETTINGS
-    @given(st.lists(op_record, min_size=1, max_size=24))
-    def test_durations_ms_matches_scalar(self, specs):
-        timing = TimingModel(tiny_config())
-        ops = [OpRecord(kind=kind, block_id=0, page=0,
-                        n_slots=n_slots if kind is not OpKind.ERASE else 0,
-                        is_slc=slc, cause=Cause.HOST,
-                        transfer_slots=transfer,
-                        ecc_ms=ecc_ms if kind is OpKind.READ else 0.0)
-               for kind, n_slots, slc, transfer, ecc_ms in specs]
-        batch = timing.durations_ms(ops)
-        assert batch.shape == (len(ops),)
-        for op, got in zip(ops, batch):
-            assert float(got) == timing.duration_ms(op)
+    @given(st.lists(st.tuples(op_record,
+                              st.integers(min_value=0, max_value=7),
+                              st.floats(min_value=0.0, max_value=20.0,
+                                        allow_nan=False,
+                                        allow_infinity=False)),
+                    min_size=1, max_size=24))
+    def test_pricer_matches_scalar(self, specs):
+        config = tiny_config()
+        timing = TimingModel(config)
+        geometry = Geometry(config.geometry)
+        expected_rs, pricer_rs = ResourceSet(geometry), ResourceSet(geometry)
+        reserve = timing.pricer(pricer_rs).reserve
+        for (kind, n_slots, slc, transfer, ecc_ms), block_id, when in specs:
+            op = OpRecord(kind=kind, block_id=block_id, page=0,
+                          n_slots=n_slots if kind is not OpKind.ERASE else 0,
+                          is_slc=slc, cause=Cause.HOST,
+                          transfer_slots=transfer,
+                          ecc_ms=ecc_ms if kind is OpKind.READ else 0.0)
+            _, expected = expected_rs.acquire_for_block(
+                block_id, when, timing.duration_ms(op))
+            assert reserve(op, when) == expected
+        assert [(r.next_free, r.busy_ms, r.operations)
+                for r in pricer_rs.chips + pricer_rs.channels] == \
+            [(r.next_free, r.busy_ms, r.operations)
+             for r in expected_rs.chips + expected_rs.channels]
