@@ -32,7 +32,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .core import SourceFile
+from .core import SourceFile, walk
 
 
 @dataclass
@@ -200,7 +200,7 @@ class ProjectIndex:
         self.modules[src.relpath] = mod
         self.modules_by_key[_module_key(src.relpath)] = mod
 
-        for node in ast.walk(src.tree):
+        for node in src.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
@@ -234,7 +234,7 @@ class ProjectIndex:
         # self.<attr> = Cls(...) anywhere inside the class body gives the
         # attribute a class; conditional rebinding to a different class
         # (e.g. ``x if cond else None``) simply leaves no entry.
-        for sub in ast.walk(node):
+        for sub in walk(node):
             if not (isinstance(sub, ast.Assign)
                     and isinstance(sub.value, ast.Call)
                     and isinstance(sub.value.func, ast.Name)):

@@ -45,11 +45,8 @@ class ConfigLiteralRule(Rule):
         parts = src.relpath.split("/")
         if len(parts) < 2 or parts[0] not in self.TARGET_DIRS:
             return
-        parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(src.tree):
-            for child in ast.iter_child_nodes(parent):
-                parents[child] = parent
-        for node in ast.walk(src.tree):
+        parents: dict[ast.AST, ast.AST] | None = None
+        for node in src.nodes:
             if not isinstance(node, ast.Constant):
                 continue
             value = node.value
@@ -63,6 +60,9 @@ class ConfigLiteralRule(Rule):
                 if value not in TIMING_LITERALS:
                     continue
                 home = "TimingConfig"
+            if parents is None:  # built only once a candidate turns up
+                parents = {child: parent for parent in src.nodes
+                           for child in ast.iter_child_nodes(parent)}
             if self._declared_default(node, parents):
                 continue
             yield Violation(

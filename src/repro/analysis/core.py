@@ -16,7 +16,9 @@ The engine here is deliberately small:
 * :class:`Rule` — base class with per-file and per-project hooks;
 * :func:`run_lint` — walk a package tree, run every rule, drop
   suppressed findings, and fingerprint the survivors so the baseline
-  file can match them across unrelated line-number drift.
+  file can match them across unrelated line-number drift;
+* :func:`walk` — ``ast.walk`` without its per-node generator stack (the
+  same nodes, in the same order), the one tree walk every rule uses.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Sequence,
+                    TypeVar, cast)
+
+if TYPE_CHECKING:
+    from .callgraph import ProjectIndex
+
+T = TypeVar("T")
 
 #: ``# repro-lint: disable=D001`` / ``disable=D001,S002`` on a line
 #: suppresses those rules for violations reported *on that line*.
@@ -38,6 +46,35 @@ _SUPPRESS_FILE = re.compile(
 
 #: Rule id used for files the parser rejects.
 PARSE_ERROR_RULE = "E999"
+
+
+#: ``try`` statement classes: 3.11's ``except*`` (``ast.TryStar``) has
+#: the same fields as ``ast.Try``, so flow passes handle both alike.
+TRY_STATEMENTS: tuple[type[ast.Try], ...] = tuple(
+    cls for cls in (ast.Try, getattr(ast, "TryStar", None)) if cls)
+
+
+def walk(node: ast.AST) -> Iterator[ast.AST]:
+    """Every node under ``node`` (itself included), as ``ast.walk`` yields
+    them: the same nodes in the same breadth-first order.
+
+    Reads ``_fields`` directly instead of stacking the
+    ``iter_child_nodes``/``iter_fields`` generators per node, which
+    makes a whole-tree walk about twice as fast.  No field is skipped
+    by name: which fields hold nodes differs between Python versions
+    (3.12's ``TypeAlias.name`` is a ``Name``).
+    """
+    todo = [node]
+    for current in todo:  # the list grows while it is iterated
+        for name in current._fields:
+            value = getattr(current, name, None)
+            if isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        todo.append(item)
+            elif isinstance(value, ast.AST):
+                todo.append(value)
+        yield current
 
 
 @dataclass(frozen=True)
@@ -71,6 +108,9 @@ class SourceFile:
     text: str
     lines: list[str]
     tree: ast.Module
+    #: ``list(walk(tree))``: whole-module scans iterate this list
+    #: instead of walking the tree again.
+    nodes: list[ast.AST]
     line_suppressions: dict[int, set[str]]
     file_suppressions: set[str]
 
@@ -94,7 +134,8 @@ class SourceFile:
                 file_supp.update(part.strip() for part in m.group(1).split(","))
         return cls(path=path, relpath=path.relative_to(root).as_posix(),
                    text=text, lines=lines, tree=tree,
-                   line_suppressions=line_supp, file_suppressions=file_supp)
+                   nodes=list(walk(tree)), line_suppressions=line_supp,
+                   file_suppressions=file_supp)
 
     def suppressed(self, violation: Violation) -> bool:
         """Whether a suppression comment covers ``violation``."""
@@ -113,9 +154,11 @@ class SourceFile:
 class ProjectContext:
     """Inputs for rules that look at the tree as a whole (S001, U-rules).
 
-    ``eq=False`` keeps identity hashing so interprocedural rules can memoize
-    one whole-tree analysis per run in a ``WeakKeyDictionary`` keyed on the
-    context (the three U-rules share a single dataflow pass).
+    One context lives for one engine run.  It owns the run's
+    :class:`~repro.analysis.callgraph.ProjectIndex` (:attr:`index`) and
+    a memo of whole-tree analyses (:meth:`shared`), so the rules of one
+    family share a single pass and the four interprocedural passes share
+    a single index.
     """
 
     #: Directory being linted — normally ``src/repro``.
@@ -126,6 +169,23 @@ class ProjectContext:
     #: Every successfully parsed module, keyed by relpath — the input to
     #: project-wide dataflow (empty for rules that never look at it).
     sources: dict[str, SourceFile] = field(default_factory=dict)
+    _memo: dict[Callable[["ProjectContext"], object], object] = field(
+        default_factory=dict, init=False, repr=False)
+
+    def shared(self, build: Callable[["ProjectContext"], T]) -> T:
+        """``build(self)``, computed on first use and kept for the run."""
+        if build not in self._memo:
+            self._memo[build] = build(self)
+        return cast(T, self._memo[build])
+
+    @property
+    def index(self) -> "ProjectIndex":
+        """The run's symbol table and call graph, built on first use.
+
+        Passes read it and never write to it, so one build serves all
+        of them; a run whose rules need no index builds none.
+        """
+        return self.shared(_build_index)
 
     @property
     def snapshot_path(self) -> Path | None:
@@ -133,6 +193,41 @@ class ProjectContext:
         if self.repo_root is None:
             return None
         return self.repo_root / "results" / "schema_snapshot.json"
+
+
+def _build_index(ctx: ProjectContext) -> "ProjectIndex":
+    from .callgraph import ProjectIndex  # late import: callgraph imports core
+    return ProjectIndex.build(ctx.sources)
+
+
+class ProjectPass:
+    """A whole-tree pass whose findings one rule family reports.
+
+    Built once per run by :meth:`ProjectContext.shared`: a subclass
+    analyses in ``__init__`` and reports through :meth:`emit`, and each
+    rule of the family picks its own id out of :meth:`findings`.
+    """
+
+    def __init__(self, ctx: ProjectContext) -> None:
+        self.sources = ctx.sources
+        self.index = ctx.index
+        self.violations: list[Violation] = []
+        self._emitted: set[tuple[str, str, int, int, str]] = set()
+
+    def emit(self, rule: str, relpath: str, node: ast.AST,
+             message: str) -> None:
+        """Record one finding; an exact repeat is dropped."""
+        lineno = getattr(node, "lineno", 1)
+        col = getattr(node, "col_offset", 0)
+        key = (rule, relpath, lineno, col, message)
+        if key not in self._emitted:
+            self._emitted.add(key)
+            self.violations.append(
+                Violation(rule, relpath, lineno, col, message))
+
+    def findings(self, rule: str) -> Iterator[Violation]:
+        """The findings of one rule, in the order they were emitted."""
+        return (v for v in self.violations if v.rule == rule)
 
 
 class Rule:

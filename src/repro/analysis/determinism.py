@@ -11,7 +11,7 @@ simulation state.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import Rule, SourceFile, Violation, dotted_name
 
@@ -32,6 +32,33 @@ _NUMPY_RNG_CONSTRUCTORS = frozenset({
     "default_rng", "Generator", "RandomState",
     "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
 })
+
+
+def numpy_bindings(
+        nodes: Iterable[ast.AST]) -> "tuple[frozenset[str], dict[str, str]]":
+    """Numpy-derived local bindings among a module's ``nodes``.
+
+    Returns ``(aliases, ctor_names)``: names bound to the numpy package
+    (``import numpy as X``), so ``X.random.Generator(...)`` is caught
+    under any alias (the N-rules read ``np.<attr>`` through them too),
+    and local names bound to a ``numpy.random`` generator constructor
+    (``from numpy.random import default_rng as mk``) mapped back to the
+    constructor they alias, so the *call* is flagged too, not just the
+    import line.
+    """
+    aliases: set[str] = set()
+    ctor_names: dict[str, str] = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    aliases.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "") == "numpy.random":
+                for alias in node.names:
+                    if alias.name in _NUMPY_RNG_CONSTRUCTORS:
+                        ctor_names[alias.asname or alias.name] = alias.name
+    return frozenset(aliases), ctor_names
 
 
 class RandomnessRule(Rule):
@@ -57,9 +84,9 @@ class RandomnessRule(Rule):
     def check_file(self, src: SourceFile) -> Iterator[Violation]:
         if src.relpath in self.ALLOWED:
             return
-        numpy_aliases, rng_ctor_names = self._numpy_bindings(src.tree)
+        numpy_aliases, rng_ctor_names = numpy_bindings(src.nodes)
         rng_prefixes = tuple(f"{a}.random." for a in numpy_aliases)
-        for node in ast.walk(src.tree):
+        for node in src.nodes:
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id in rng_ctor_names):
                 yield self._v(
@@ -87,32 +114,6 @@ class RandomnessRule(Rule):
                 if (name in _RANDOM_NAMES or name.startswith(_RANDOM_PREFIXES)
                         or name.startswith(rng_prefixes)):
                     yield self._v(src, node, f"use of {name!r}")
-
-    @staticmethod
-    def _numpy_bindings(
-            tree: ast.Module) -> "tuple[frozenset[str], dict[str, str]]":
-        """Numpy-derived local bindings the fixed prefixes cannot cover.
-
-        Returns ``(aliases, ctor_names)``: names bound to the numpy
-        package (``import numpy as X``), so ``X.random.Generator(...)``
-        is caught under any alias, and local names bound to a
-        ``numpy.random`` generator constructor (``from numpy.random
-        import default_rng as mk``) mapped back to the constructor they
-        alias, so the *call* is flagged too, not just the import line.
-        """
-        aliases: set[str] = set()
-        ctor_names: dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        aliases.add(alias.asname or "numpy")
-            elif isinstance(node, ast.ImportFrom):
-                if (node.module or "") == "numpy.random":
-                    for alias in node.names:
-                        if alias.name in _NUMPY_RNG_CONSTRUCTORS:
-                            ctor_names[alias.asname or alias.name] = alias.name
-        return frozenset(aliases), ctor_names
 
     def _v(self, src: SourceFile, node: ast.AST, what: str) -> Violation:
         return Violation(
@@ -165,7 +166,7 @@ class WallClockRule(Rule):
     def check_file(self, src: SourceFile) -> Iterator[Violation]:
         if src.relpath in self.ALLOWED:
             return
-        for node in ast.walk(src.tree):
+        for node in src.nodes:
             if isinstance(node, ast.ImportFrom):
                 mod = node.module or ""
                 if mod == "time":
@@ -227,7 +228,7 @@ class SetIterationRule(Rule):
         parts = src.relpath.split("/")
         if len(parts) < 2 or parts[0] not in self.TARGET_DIRS:
             return
-        set_locals, set_attrs = self._collect_set_names(src.tree)
+        set_locals, set_attrs = self._collect_set_names(src.nodes)
 
         def is_setish(node: ast.AST) -> bool:
             if _is_set_construct(node):
@@ -238,7 +239,7 @@ class SetIterationRule(Rule):
                 return True
             return False
 
-        for node in ast.walk(src.tree):
+        for node in src.nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)) and is_setish(node.iter):
                 yield self._v(src, node, "for-loop over a set")
             elif isinstance(node, ast.comprehension) and is_setish(node.iter):
@@ -251,7 +252,8 @@ class SetIterationRule(Rule):
                 yield self._v(src, node, f"{node.func.id}() over a set")
 
     @staticmethod
-    def _collect_set_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    def _collect_set_names(
+            nodes: Iterable[ast.AST]) -> tuple[set[str], set[str]]:
         """Names statically known to hold sets: locals assigned a set
         construct, and ``self.X`` attributes annotated or assigned one."""
         set_locals: set[str] = set()
@@ -263,7 +265,7 @@ class SetIterationRule(Rule):
             elif isinstance(target, ast.Attribute):
                 set_attrs.add(target.attr)
 
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.AnnAssign):
                 if _is_set_annotation(node.annotation):
                     note_target(node.target)

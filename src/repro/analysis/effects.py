@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
-from weakref import WeakKeyDictionary
+from typing import Iterator
 
-from .callgraph import ClassInfo, FunctionInfo, ModuleInfo, ProjectIndex
-from .core import ProjectContext, Rule, SourceFile, Violation
+from .callgraph import ClassInfo, FunctionInfo, ModuleInfo
+from .core import (TRY_STATEMENTS, ProjectContext, ProjectPass, Rule,
+                   Violation, walk)
 
 #: Flat :class:`~repro.nand.state.RegionState` columns (the
 #: authoritative arrays of the structure-of-arrays kernel).
@@ -104,6 +104,10 @@ M002_PREFIX = "nand/"
 M002_ALLOWED_FILES = frozenset({"nand/reference.py"})
 
 
+#: Statements that open a scope of their own.
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 @dataclass
 class WriteSite:
     """One classified state write inside a function body."""
@@ -148,7 +152,7 @@ class _AliasMap:
         self.regions: set[str] = set()
         #: Local name -> region column it aliases.
         self.columns: dict[str, str] = {}
-        for node in ast.walk(fn_node):
+        for node in walk(fn_node):
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)):
                 continue
@@ -214,32 +218,38 @@ def _flatten_targets(targets: Iterator[ast.expr]) -> Iterator[ast.expr]:
 
 
 def _own_statements(fn_node: ast.FunctionDef | ast.AsyncFunctionDef,
-                    ) -> Iterator[ast.stmt]:
-    """Statements of ``fn_node``'s own body, nested defs excluded."""
-    pending = list(fn_node.body)
+                    ) -> list[ast.stmt]:
+    """Statements of ``fn_node``'s own body, nested defs excluded.
+
+    Depth-first, last statement first.  Expressions hold no statements,
+    so only statement children and the bodies of ``except`` handlers and
+    ``match`` cases are followed.
+    """
+    out: list[ast.stmt] = []
+    pending: list[ast.stmt] = list(fn_node.body)
     while pending:
         stmt = pending.pop()
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
+        if isinstance(stmt, _DEFS):
             continue
-        yield stmt
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                pending.append(child)
-            else:
-                pending.extend(c for c in ast.walk(child)
-                               if isinstance(c, ast.stmt))
+        out.append(stmt)
+        for name in stmt._fields:
+            value = getattr(stmt, name, None)
+            if not isinstance(value, list):
+                continue
+            for child in value:
+                if isinstance(child, ast.stmt):
+                    pending.append(child)
+                elif isinstance(child, (ast.ExceptHandler, ast.match_case)):
+                    pending.extend(child.body)
+    return out
 
 
-class EffectsAnalysis:
+class EffectsAnalysis(ProjectPass):
     """One whole-tree effect/exception dataflow shared by the M-rules."""
 
-    def __init__(self, sources: Mapping[str, SourceFile]) -> None:
-        self.sources = sources
-        self.index = ProjectIndex.build(sources)
+    def __init__(self, ctx: ProjectContext) -> None:
+        super().__init__(ctx)
         self.summaries: dict[str, EffectSummary] = {}
-        self.violations: list[Violation] = []
-        self._emitted: set[tuple[str, str, int, int, str]] = set()
         self._aliases: dict[str, _AliasMap] = {}
         self._local_types: dict[str, dict[str, ClassInfo]] = {}
         self._build_summaries()
@@ -249,12 +259,12 @@ class EffectsAnalysis:
 
     # -- summaries ---------------------------------------------------------
 
-    def _function_types(self, fn: FunctionInfo,
-                        module: ModuleInfo) -> dict[str, ClassInfo]:
+    def _function_types(self, fn: FunctionInfo, module: ModuleInfo,
+                        stmts: list[ast.stmt]) -> dict[str, ClassInfo]:
         """Instance classes of locals/params, for call resolution."""
         types: dict[str, ClassInfo] = dict(
             self.index.param_types(fn, module))
-        for stmt in _own_statements(fn.node):
+        for stmt in stmts:
             if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
                     and isinstance(stmt.targets[0], ast.Name)):
                 continue
@@ -268,18 +278,21 @@ class EffectsAnalysis:
             module = self.index.modules[fn.relpath]
             aliases = _AliasMap(fn.node)
             self._aliases[fn.qualname] = aliases
-            types = self._function_types(fn, module)
+            stmts = _own_statements(fn.node)
+            types = self._function_types(fn, module, stmts)
             self._local_types[fn.qualname] = types
             summ = EffectSummary()
-            for stmt in sorted(_own_statements(fn.node),
-                               key=lambda s: (s.lineno, s.col_offset)):
+            for stmt in sorted(stmts, key=lambda s: (s.lineno, s.col_offset)):
                 if isinstance(stmt, ast.Raise):
                     summ.raises_direct = True
                 for target in _flatten_targets(_write_targets(stmt)):
                     site = classify_write(target, aliases)
                     if site is not None:
                         summ.writes.append(site)
-                for node in ast.walk(stmt):
+            for stmt in fn.node.body:
+                if isinstance(stmt, _DEFS):
+                    continue  # its calls are the nested def's own
+                for node in walk(stmt):
                     if isinstance(node, ast.Call):
                         resolved = self.index.resolve_call(
                             node, module, fn.cls, types)
@@ -356,19 +369,6 @@ class EffectsAnalysis:
                         f"and array columns must update in lock-step in "
                         f"the same method")
 
-    # -- reporting ---------------------------------------------------------
-
-    def emit(self, rule: str, relpath: str, node: ast.AST,
-             message: str) -> None:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        key = (rule, relpath, lineno, col, message)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        self.violations.append(
-            Violation(rule, relpath, lineno, col, message))
-
 
 class _TornStateFlow:
     """Ordered walk of one function body for M001.
@@ -435,6 +435,17 @@ class _TornStateFlow:
         if isinstance(node, ast.If):
             self.visit_calls(node.test)
             return self.branches([node.body, node.orelse])
+        if isinstance(node, ast.Match):
+            self.visit_calls(node.subject)
+            for case in node.cases:
+                if case.guard is not None:
+                    self.visit_calls(case.guard)
+            bodies = [case.body for case in node.cases]
+            last = node.cases[-1]
+            if not (isinstance(last.pattern, ast.MatchAs)
+                    and last.pattern.pattern is None and last.guard is None):
+                bodies.append([])  # no case matched
+            return self.branches(bodies)
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
             head = node.iter if isinstance(node, (ast.For, ast.AsyncFor)) \
                 else node.test
@@ -450,7 +461,7 @@ class _TornStateFlow:
             for item in node.items:
                 self.visit_calls(item.context_expr)
             return self.walk(node.body)
-        if isinstance(node, ast.Try):
+        if isinstance(node, TRY_STATEMENTS):
             if node.handlers:
                 self.try_depth += 1
                 self.walk(node.body)
@@ -487,7 +498,7 @@ class _TornStateFlow:
 
     def visit_calls(self, expr: ast.expr) -> None:
         """Treat calls to pure validators inside ``expr`` as raise points."""
-        for node in ast.walk(expr):
+        for node in walk(expr):
             if not isinstance(node, ast.Call):
                 continue
             resolved = self.analysis.index.resolve_call(
@@ -514,30 +525,12 @@ class _TornStateFlow:
             f"object partially mutated; validate before mutating")
 
 
-#: One analysis per engine run, shared by the two M-rule instances
-#: (ProjectContext hashes by identity precisely to make this sound).
-_ANALYSIS_CACHE: "WeakKeyDictionary[ProjectContext, EffectsAnalysis]" = (
-    WeakKeyDictionary())
-
-
-def project_effects(ctx: ProjectContext) -> EffectsAnalysis:
-    """The (memoized) whole-tree effect analysis for one lint run."""
-    analysis = _ANALYSIS_CACHE.get(ctx)
-    if analysis is None:
-        analysis = EffectsAnalysis(ctx.sources)
-        _ANALYSIS_CACHE[ctx] = analysis
-    return analysis
-
-
 class _EffectsRule(Rule):
     """Base for the M-family: filter the shared analysis by rule id."""
 
     def check_project(self, ctx: ProjectContext) -> Iterator[Violation]:
-        if not ctx.sources:
-            return
-        for violation in project_effects(ctx).violations:
-            if violation.rule == self.id:
-                yield violation
+        if ctx.sources:
+            yield from ctx.shared(EffectsAnalysis).findings(self.id)
 
 
 class TornStateWriteRule(_EffectsRule):

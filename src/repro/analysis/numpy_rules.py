@@ -30,6 +30,7 @@ import ast
 from typing import Iterator
 
 from .core import Rule, SourceFile, Violation
+from .determinism import numpy_bindings
 
 #: Modules whose outputs the golden/bench stack pins byte-for-byte.
 GATED_FILES = frozenset({
@@ -53,18 +54,7 @@ NARROW_FLOATS = frozenset({
 })
 
 
-def _numpy_aliases(tree: ast.Module) -> set[str]:
-    """Local names the module binds to the numpy package."""
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy":
-                    aliases.add(alias.asname or "numpy")
-    return aliases
-
-
-def _np_attr(node: ast.expr, aliases: set[str]) -> str | None:
+def _np_attr(node: ast.expr, aliases: frozenset[str]) -> str | None:
     """``np.<attr>`` attribute name when ``node`` is one, else None."""
     if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in aliases):
@@ -72,7 +62,7 @@ def _np_attr(node: ast.expr, aliases: set[str]) -> str | None:
     return None
 
 
-def _is_dtype_expr(node: ast.expr, aliases: set[str]) -> bool:
+def _is_dtype_expr(node: ast.expr, aliases: frozenset[str]) -> bool:
     """Whether ``node`` plausibly denotes a dtype (``np.int64``,
     ``bool``, ``"float64"``)."""
     attr = _np_attr(node, aliases)
@@ -87,13 +77,14 @@ def _is_dtype_expr(node: ast.expr, aliases: set[str]) -> bool:
     return False
 
 
-def _has_explicit_dtype(call: ast.Call, aliases: set[str]) -> bool:
+def _has_explicit_dtype(call: ast.Call, aliases: frozenset[str]) -> bool:
     if any(kw.arg == "dtype" for kw in call.keywords):
         return True
     return any(_is_dtype_expr(arg, aliases) for arg in call.args)
 
 
-def _narrow_float_name(node: ast.expr, aliases: set[str]) -> str | None:
+def _narrow_float_name(node: ast.expr,
+                       aliases: frozenset[str]) -> str | None:
     """The narrow float dtype ``node`` names, if it names one."""
     attr = _np_attr(node, aliases)
     if attr in NARROW_FLOATS:
@@ -127,11 +118,11 @@ class _NumpyRule(Rule):
     def check_file(self, src: SourceFile) -> Iterator[Violation]:
         if src.relpath not in GATED_FILES:
             return
-        aliases = _numpy_aliases(src.tree)
+        aliases, _ = numpy_bindings(src.nodes)
         yield from self.check_gated(src, aliases)
 
     def check_gated(self, src: SourceFile,
-                    aliases: set[str]) -> Iterator[Violation]:
+                    aliases: frozenset[str]) -> Iterator[Violation]:
         raise NotImplementedError
 
 
@@ -142,8 +133,8 @@ class DtypeDisciplineRule(_NumpyRule):
     title = "dtype-less or narrow-float numpy construction in a byte-identity-gated module"
 
     def check_gated(self, src: SourceFile,
-                    aliases: set[str]) -> Iterator[Violation]:
-        for node in ast.walk(src.tree):
+                    aliases: frozenset[str]) -> Iterator[Violation]:
+        for node in src.nodes:
             if isinstance(node, ast.Call):
                 ctor = (_np_attr(node.func, aliases)
                         if isinstance(node.func, ast.Attribute) else None)
@@ -188,8 +179,8 @@ class ReductionOrderRule(_NumpyRule):
     title = "order-dependent reduction in a byte-identity-gated module"
 
     def check_gated(self, src: SourceFile,
-                    aliases: set[str]) -> Iterator[Violation]:
-        for node in ast.walk(src.tree):
+                    aliases: frozenset[str]) -> Iterator[Violation]:
+        for node in src.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -41,11 +41,11 @@ fires nothing.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Mapping
-from weakref import WeakKeyDictionary
+from typing import Iterator
 
-from .callgraph import ClassInfo, FunctionInfo, ProjectIndex
-from .core import ProjectContext, Rule, SourceFile, Violation
+from .callgraph import ClassInfo, FunctionInfo
+from .core import (ProjectContext, ProjectPass, Rule, SourceFile,
+                   Violation, walk)
 from .effects import REGION_COLUMNS, _AliasMap, _own_statements
 
 #: A class defining this method is a chunk-fed replay driver.
@@ -72,7 +72,7 @@ def _self_assigned_attrs(fn_node: ast.FunctionDef | ast.AsyncFunctionDef,
         elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
             targets = [stmt.target]
         for target in targets:
-            for leaf in ast.walk(target):
+            for leaf in walk(target):
                 if (isinstance(leaf, ast.Attribute)
                         and isinstance(leaf.value, ast.Name)
                         and leaf.value.id == "self"
@@ -110,14 +110,11 @@ def _constant_str_elts(node: ast.expr) -> set[str] | None:
     return None
 
 
-class PickleAnalysis:
+class PickleAnalysis(ProjectPass):
     """One whole-tree checkpoint-safety pass shared by P001/P002."""
 
-    def __init__(self, sources: Mapping[str, SourceFile]) -> None:
-        self.sources = sources
-        self.index = ProjectIndex.build(sources)
-        self.violations: list[Violation] = []
-        self._emitted: set[tuple[str, str, int, int, str]] = set()
+    def __init__(self, ctx: ProjectContext) -> None:
+        super().__init__(ctx)
         self._check_p001()
         self._check_p002()
 
@@ -161,7 +158,7 @@ class PickleAnalysis:
         if setstate is None:
             return set()
         restored = set(_self_assigned_attrs(setstate.node))
-        for node in ast.walk(setstate.node):
+        for node in walk(setstate.node):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name)
@@ -338,42 +335,13 @@ class PickleAnalysis:
                         f"pickled private copy instead of a view (rebind "
                         f"it like Block._rebind_views() does)")
 
-    # -- reporting ---------------------------------------------------------
-
-    def emit(self, rule: str, relpath: str, node: ast.AST,
-             message: str) -> None:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        key = (rule, relpath, lineno, col, message)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        self.violations.append(Violation(rule, relpath, lineno, col, message))
-
-
-#: One analysis per engine run, shared by the P001/P002 rule instances.
-_ANALYSIS_CACHE: "WeakKeyDictionary[ProjectContext, PickleAnalysis]" = (
-    WeakKeyDictionary())
-
-
-def project_pickle(ctx: ProjectContext) -> PickleAnalysis:
-    """The (memoized) whole-tree pickle-safety analysis for one run."""
-    analysis = _ANALYSIS_CACHE.get(ctx)
-    if analysis is None:
-        analysis = PickleAnalysis(ctx.sources)
-        _ANALYSIS_CACHE[ctx] = analysis
-    return analysis
-
 
 class _PickleRule(Rule):
     """Base for the project-level P-rules: filter the shared analysis."""
 
     def check_project(self, ctx: ProjectContext) -> Iterator[Violation]:
-        if not ctx.sources:
-            return
-        for violation in project_pickle(ctx).violations:
-            if violation.rule == self.id:
-                yield violation
+        if ctx.sources:
+            yield from ctx.shared(PickleAnalysis).findings(self.id)
 
 
 class LoopCarryPickleRule(_PickleRule):
@@ -404,11 +372,13 @@ class ExecutorPayloadRule(Rule):
     title = "unpicklable payload passed to a process pool"
 
     def check_file(self, src: SourceFile) -> Iterator[Violation]:
-        for holder in ast.walk(src.tree):
+        if not any(self._pool_call(node) for node in src.nodes):
+            return  # no pool is built here, so no payload can reach one
+        for holder in src.nodes:
             if isinstance(holder, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_function(src, holder)
 
-    def _pool_call(self, expr: ast.expr) -> bool:
+    def _pool_call(self, expr: ast.AST) -> bool:
         if not isinstance(expr, ast.Call):
             return False
         func = expr.func
@@ -422,7 +392,7 @@ class ExecutorPayloadRule(Rule):
         pools: set[str] = set()
         nested: set[str] = set()
         for node in fn.body:
-            for stmt in ast.walk(node):
+            for stmt in walk(node):
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and stmt is not fn:
                     nested.add(stmt.name)
@@ -437,7 +407,7 @@ class ExecutorPayloadRule(Rule):
                             pools.add(item.optional_vars.id)
         if not pools:
             return
-        for node in ast.walk(fn):
+        for node in walk(fn):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name)

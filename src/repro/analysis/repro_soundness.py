@@ -47,16 +47,15 @@ from __future__ import annotations
 
 import ast
 from typing import Iterator, Mapping
-from weakref import WeakKeyDictionary
 
 from .callgraph import (
     ClassInfo,
     FunctionInfo,
     ModuleInfo,
-    ProjectIndex,
     annotation_class_name,
 )
-from .core import ProjectContext, Rule, SourceFile, Violation, dotted_name
+from .core import (ProjectContext, ProjectPass, Rule, Violation,
+                   dotted_name, walk)
 from .effects import _own_statements
 
 #: Config classes whose fields feed the canonical cache keys.  The five
@@ -142,14 +141,11 @@ def _is_classvar(ann: ast.expr) -> bool:
     return annotation_class_name(head) == "ClassVar"
 
 
-class SoundnessAnalysis:
+class SoundnessAnalysis(ProjectPass):
     """One whole-tree cache-key soundness pass shared by the K-rules."""
 
-    def __init__(self, sources: Mapping[str, SourceFile]) -> None:
-        self.sources = sources
-        self.index = ProjectIndex.build(sources)
-        self.violations: list[Violation] = []
-        self._emitted: set[tuple[str, str, int, int, str]] = set()
+    def __init__(self, ctx: ProjectContext) -> None:
+        super().__init__(ctx)
         #: qualname -> entry-point name that first reached the function.
         self.reachable: dict[str, str] = {}
         self._live: set[str] = set()
@@ -363,7 +359,7 @@ class SoundnessAnalysis:
                                        (ast.Dict, ast.List, ast.Tuple,
                                         ast.Set))):
                     continue
-                for sub in ast.walk(stmt.value):
+                for sub in walk(stmt.value):
                     if isinstance(sub, ast.Name):
                         cls = self.index.resolve_class_name(sub.id,
                                                             origin_mod)
@@ -377,7 +373,7 @@ class SoundnessAnalysis:
                        worklist: list[tuple[FunctionInfo, str]]) -> None:
         module = self.index.modules[fn.relpath]
         types = self._function_types(fn, module)
-        for node in ast.walk(fn.node):
+        for node in walk(fn.node):
             if isinstance(node, ast.Call):
                 resolved = self.index.resolve_call(node, module, fn.cls,
                                                    types)
@@ -457,7 +453,7 @@ class SoundnessAnalysis:
         if emitter.params:
             targets.add(emitter.params[0])
         keys: set[str] = set()
-        for node in ast.walk(emitter.node):
+        for node in walk(emitter.node):
             if isinstance(node, ast.Call):
                 name = (dotted_name(node.func) or "").rsplit(".", 1)[-1]
                 if (name in _STRUCTURAL_CALLS and node.args
@@ -534,7 +530,7 @@ class SoundnessAnalysis:
 
     def _check_k001(self, fn: FunctionInfo, entry: str, module: ModuleInfo,
                     types: Mapping[str, ClassInfo]) -> None:
-        for node in ast.walk(fn.node):
+        for node in walk(fn.node):
             if not (isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load)):
                 continue
@@ -556,7 +552,7 @@ class SoundnessAnalysis:
                 f"stale hits would be served")
 
     def _check_k002(self, fn: FunctionInfo, entry: str) -> None:
-        for node in ast.walk(fn.node):
+        for node in walk(fn.node):
             what: str | None = None
             if isinstance(node, ast.Call):
                 dn = dotted_name(node.func) or ""
@@ -585,42 +581,13 @@ class SoundnessAnalysis:
                 f"outcome may depend on state the cache key cannot see; "
                 f"hoist it out of the cell or allowlist the file")
 
-    # -- reporting ---------------------------------------------------------
-
-    def emit(self, rule: str, relpath: str, node: ast.AST,
-             message: str) -> None:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        key = (rule, relpath, lineno, col, message)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        self.violations.append(Violation(rule, relpath, lineno, col, message))
-
-
-#: One analysis per engine run, shared by the three K-rule instances.
-_ANALYSIS_CACHE: "WeakKeyDictionary[ProjectContext, SoundnessAnalysis]" = (
-    WeakKeyDictionary())
-
-
-def project_soundness(ctx: ProjectContext) -> SoundnessAnalysis:
-    """The (memoized) whole-tree cache-key analysis for one lint run."""
-    analysis = _ANALYSIS_CACHE.get(ctx)
-    if analysis is None:
-        analysis = SoundnessAnalysis(ctx.sources)
-        _ANALYSIS_CACHE[ctx] = analysis
-    return analysis
-
 
 class _SoundnessRule(Rule):
     """Base for the K-family: filter the shared analysis by rule id."""
 
     def check_project(self, ctx: ProjectContext) -> Iterator[Violation]:
-        if not ctx.sources:
-            return
-        for violation in project_soundness(ctx).violations:
-            if violation.rule == self.id:
-                yield violation
+        if ctx.sources:
+            yield from ctx.shared(SoundnessAnalysis).findings(self.id)
 
 
 class CacheKeyTaintRule(_SoundnessRule):

@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 from typing import Iterator
 
-from .core import ProjectContext, Rule, SourceFile, Violation
+from .core import ProjectContext, Rule, SourceFile, Violation, walk
 
 #: Repo-relative file the snapshot describes.
 SIMULATOR_RELPATH = "sim/simulator.py"
@@ -74,7 +74,7 @@ def _schema_of_class(cls: ast.ClassDef) -> dict:
                 nondet = [e.value for e in value.elts
                           if isinstance(e, ast.Constant) and isinstance(e.value, str)]
         elif isinstance(stmt, ast.FunctionDef) and stmt.name == "summary":
-            for sub in ast.walk(stmt):
+            for sub in walk(stmt):
                 if isinstance(sub, ast.Return) and isinstance(sub.value, ast.Dict):
                     summary_keys = [k.value for k in sub.value.keys
                                     if isinstance(k, ast.Constant)
@@ -271,7 +271,7 @@ class BlockCounterWriteRule(Rule):
     def check_file(self, src: SourceFile) -> Iterator[Violation]:
         if src.relpath in self.ALLOWED:
             return
-        for node in ast.walk(src.tree):
+        for node in src.nodes:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     for elt in self._flatten(target):

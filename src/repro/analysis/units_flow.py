@@ -44,11 +44,11 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
-from weakref import WeakKeyDictionary
+from typing import Iterator
 
-from .callgraph import ClassInfo, FunctionInfo, ModuleInfo, ProjectIndex
-from .core import ProjectContext, Rule, SourceFile, Violation
+from .callgraph import ClassInfo, FunctionInfo, ModuleInfo
+from .core import (TRY_STATEMENTS, ProjectContext, ProjectPass, Rule,
+                   SourceFile, Violation, walk)
 
 #: ``repro.units`` alias name -> unit fact.
 VOCAB_UNITS: dict[str, str] = {
@@ -258,21 +258,18 @@ class Summary:
     return_elem: str | None = None
 
 
-class UnitsAnalysis:
+class UnitsAnalysis(ProjectPass):
     """One whole-tree dataflow pass shared by the three U-rules."""
 
     #: The conversion boundary itself is exempt (cf. rng.py for D001).
     SKIP_FILES = frozenset({"units.py"})
 
-    def __init__(self, sources: Mapping[str, SourceFile]) -> None:
-        self.sources = sources
-        self.index = ProjectIndex.build(sources)
+    def __init__(self, ctx: ProjectContext) -> None:
+        super().__init__(ctx)
         self.summaries: dict[str, Summary] = {}
         #: ``(relpath, class name) -> {attr: AnnInfo}`` from class-level
         #: and ``self.x: T`` annotated assignments.
         self.attr_info: dict[tuple[str, str], dict[str, AnnInfo]] = {}
-        self.violations: list[Violation] = []
-        self._emitted: set[tuple[str, str, int, int, str]] = set()
         self._build_attr_info()
         self._seed_summaries()
         # Body-inferred return units depend on other summaries; two
@@ -286,11 +283,11 @@ class UnitsAnalysis:
 
     def _build_attr_info(self) -> None:
         for relpath in sorted(self.sources):
-            for node in ast.walk(self.sources[relpath].tree):
+            for node in self.sources[relpath].nodes:
                 if not isinstance(node, ast.ClassDef):
                     continue
                 attrs: dict[str, AnnInfo] = {}
-                for sub in ast.walk(node):
+                for sub in walk(node):
                     if not isinstance(sub, ast.AnnAssign):
                         continue
                     target = sub.target
@@ -402,17 +399,6 @@ class UnitsAnalysis:
             if len(known) == 1:
                 summ.return_elem = known.pop()
 
-    def emit(self, rule: str, relpath: str, node: ast.AST,
-             message: str) -> None:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        key = (rule, relpath, lineno, col, message)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        self.violations.append(
-            Violation(rule, relpath, lineno, col, message))
-
 
 class _FunctionFlow:
     """Flow-sensitive unit inference over one function (or module) body.
@@ -480,13 +466,19 @@ class _FunctionFlow:
             self.infer(node.test)
             self.run(node.body)
             self.run(node.orelse)
-        elif isinstance(node, ast.For):
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
             self.do_for(node)
         elif isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
                 self.infer(item.context_expr)
             self.run(node.body)
-        elif isinstance(node, ast.Try):
+        elif isinstance(node, ast.Match):
+            self.infer(node.subject)
+            for case in node.cases:
+                if case.guard is not None:
+                    self.infer(case.guard)
+                self.run(case.body)
+        elif isinstance(node, TRY_STATEMENTS):
             self.run(node.body)
             for handler in node.handlers:
                 self.run(handler.body)
@@ -573,7 +565,7 @@ class _FunctionFlow:
             else:
                 self.env.pop(node.target.id, None)
 
-    def do_for(self, node: ast.For) -> None:
+    def do_for(self, node: ast.For | ast.AsyncFor) -> None:
         self.infer(node.iter)
         elem = self.infer_elem(node.iter)
         target = node.target
@@ -1003,30 +995,12 @@ class _FunctionFlow:
             self.analysis.emit(rule, self.src.relpath, node, message)
 
 
-#: One analysis per engine run, shared by the three U-rule instances
-#: (ProjectContext hashes by identity precisely to make this sound).
-_ANALYSIS_CACHE: "WeakKeyDictionary[ProjectContext, UnitsAnalysis]" = (
-    WeakKeyDictionary())
-
-
-def project_analysis(ctx: ProjectContext) -> UnitsAnalysis:
-    """The (memoized) whole-tree dataflow analysis for one lint run."""
-    analysis = _ANALYSIS_CACHE.get(ctx)
-    if analysis is None:
-        analysis = UnitsAnalysis(ctx.sources)
-        _ANALYSIS_CACHE[ctx] = analysis
-    return analysis
-
-
 class _UnitsRule(Rule):
     """Base for the U-family: filter the shared analysis by rule id."""
 
     def check_project(self, ctx: ProjectContext) -> Iterator[Violation]:
-        if not ctx.sources:
-            return
-        for violation in project_analysis(ctx).violations:
-            if violation.rule == self.id:
-                yield violation
+        if ctx.sources:
+            yield from ctx.shared(UnitsAnalysis).findings(self.id)
 
 
 class MixedUnitArithmeticRule(_UnitsRule):

@@ -7,6 +7,7 @@ allowlists/exemptions are pinned by example.
 
 from __future__ import annotations
 
+import sys
 import textwrap
 from pathlib import Path
 
@@ -485,6 +486,43 @@ def test_u001_flags_ms_times_ms(tmp_path):
     assert "U001" in rules
 
 
+def test_u001_flags_mix_inside_match_case(tmp_path):
+    """``match`` arms and guards are analysed like ``if`` branches."""
+    rules, _ = lint_snippet(tmp_path, "sim/mod.py", """
+        def cost(kind, delay_ms, size_bytes):
+            match kind:
+                case "read":
+                    total = delay_ms + size_bytes
+                case _ if delay_ms > size_bytes:
+                    total = 0
+            return total
+        """, select=["U"])
+    assert rules == ["U001", "U001"]
+
+
+def test_u001_flags_mix_inside_async_for(tmp_path):
+    rules, _ = lint_snippet(tmp_path, "sim/mod.py", """
+        async def cost(stream, delay_ms, size_bytes):
+            async for _ in stream:
+                total = delay_ms + size_bytes
+            return total
+        """, select=["U"])
+    assert rules == ["U001"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is 3.11+")
+def test_u001_flags_mix_inside_try_star(tmp_path):
+    rules, _ = lint_snippet(tmp_path, "sim/mod.py", """
+        def cost(delay_ms, size_bytes):
+            try:
+                total = delay_ms + size_bytes
+            except* ValueError:
+                total = size_bytes - delay_ms
+            return total
+        """, select=["U"])
+    assert rules == ["U001", "U001"]
+
+
 def test_u001_good_same_unit_and_counts(tmp_path):
     rules, _ = lint_snippet(tmp_path, "sim/mod.py", """
         def total(read_ms, write_ms, n_requests):
@@ -866,6 +904,58 @@ def test_m001_line_suppression(tmp_path):
                     raise ValueError("empty")  # repro-lint: disable=M001
         """, select=["M"])
     assert rules == []
+
+
+def test_m001_flags_torn_write_inside_match_case(tmp_path):
+    rules, _ = lint_snippet(tmp_path, "nand/block.py", """
+        class Block:
+            def program(self, page, mask):
+                match mask:
+                    case 0:
+                        self.next_page += 1
+                        raise ValueError("empty mask")
+                    case _:
+                        self.next_page += page
+        """, select=["M"])
+    assert rules == ["M001"]
+
+
+def test_m001_good_terminating_match_cases(tmp_path):
+    """A ``match`` arm that returns never reaches a sibling arm's raise,
+    and an exhaustive ``match`` whose arms all return leaves no path to
+    a later raise."""
+    rules, _ = lint_snippet(tmp_path, "nand/block.py", """
+        class Block:
+            def program(self, mode):
+                match mode:
+                    case "fast":
+                        self.next_page += 1
+                        return True
+                    case "bad":
+                        raise ValueError("bad mode")
+                self.next_page += 2
+                match mode:
+                    case "slow":
+                        return False
+                    case _:
+                        return True
+                raise RuntimeError("unreachable")
+        """, select=["M"])
+    assert rules == []
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is 3.11+")
+def test_m001_flags_torn_write_inside_except_star(tmp_path):
+    rules, _ = lint_snippet(tmp_path, "nand/block.py", """
+        class Block:
+            def program(self, page):
+                try:
+                    self.load(page)
+                except* KeyError:
+                    self.next_page += 1
+                    raise ValueError("bad page")
+        """, select=["M"])
+    assert rules == ["M001"]
 
 
 # --------------------------------------------------------------------------
