@@ -15,67 +15,61 @@ Quickstart::
     trace = generate(profile("ts0"), n_requests=20_000, seed=1)
     result = Simulator(IPUFTL(config)).run(trace)
     print(result.summary())
+
+Every name in ``__all__`` but ``__version__`` is imported on first
+access (PEP 562), so importing the package — or a numpy-free subpackage
+such as :mod:`repro.analysis` — loads neither numpy nor the simulator.
 """
 
-from .config import (
-    SSDConfig,
-    GeometryConfig,
-    TimingConfig,
-    ReliabilityConfig,
-    CacheConfig,
-    ScaleSpec,
-    SCALES,
-    paper_config,
-    scaled_config,
-)
-from .errors import ReproError
-from .nand import FlashArray, CellMode, Geometry, PPA
-from .error import RberModel, BCHCode, EccModel
-from .ftl import BaselineFTL, DeltaFTL, MGAFTL
-from .ftl.levels import BlockLevel
-from .core import IPUFTL
-from .frontend import FrontendConfig
-from .sim import Simulator, SimulationResult, replay
+from __future__ import annotations
+
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-#: Scheme registry used by experiments and the CLI.  The paper evaluates
-#: the first three; ``delta`` (Zhang et al., FAST'16) is the related-work
-#: scheme IPU improves on, included as an extra comparator.
-SCHEMES = {
-    "baseline": BaselineFTL,
-    "mga": MGAFTL,
-    "ipu": IPUFTL,
-    "delta": DeltaFTL,
+#: Public name -> the submodule that defines it, in ``__all__`` order.
+_EXPORTS = {
+    "SSDConfig": "config",
+    "GeometryConfig": "config",
+    "TimingConfig": "config",
+    "ReliabilityConfig": "config",
+    "CacheConfig": "config",
+    "ScaleSpec": "config",
+    "SCALES": "config",
+    "paper_config": "config",
+    "scaled_config": "config",
+    "ReproError": "errors",
+    "FlashArray": "nand",
+    "CellMode": "nand",
+    "Geometry": "nand",
+    "PPA": "nand",
+    "RberModel": "error",
+    "BCHCode": "error",
+    "EccModel": "error",
+    "BaselineFTL": "ftl",
+    "MGAFTL": "ftl",
+    "DeltaFTL": "ftl",
+    "IPUFTL": "core",
+    "BlockLevel": "ftl.levels",
+    "FrontendConfig": "frontend",
+    "Simulator": "sim",
+    "SimulationResult": "sim",
+    "replay": "sim",
+    "SCHEMES": "schemes",
 }
 
-__all__ = [
-    "SSDConfig",
-    "GeometryConfig",
-    "TimingConfig",
-    "ReliabilityConfig",
-    "CacheConfig",
-    "ScaleSpec",
-    "SCALES",
-    "paper_config",
-    "scaled_config",
-    "ReproError",
-    "FlashArray",
-    "CellMode",
-    "Geometry",
-    "PPA",
-    "RberModel",
-    "BCHCode",
-    "EccModel",
-    "BaselineFTL",
-    "MGAFTL",
-    "DeltaFTL",
-    "IPUFTL",
-    "BlockLevel",
-    "FrontendConfig",
-    "Simulator",
-    "SimulationResult",
-    "replay",
-    "SCHEMES",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -41,7 +41,9 @@ function writes and which paths can raise.  The N-family
 modules whose outputs the golden pins diff byte-for-byte.
 
 Pure standard library (``ast`` + ``json``): importable and runnable even
-where numpy is not, and adding a rule cannot perturb simulation results.
+where numpy is not (``tests/test_lean_startup.py`` runs ``python -m repro
+lint`` with numpy blocked), and adding a rule cannot perturb simulation
+results.
 """
 
 from __future__ import annotations

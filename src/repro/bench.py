@@ -51,7 +51,7 @@ def _run_cell(trace_name: str, scheme: str, scale: str, seed: int,
     :class:`~repro.frontend.simulate.FrontendSimulator` (write buffer +
     multi-queue scheduler enabled) instead of the direct path.
     """
-    from . import SCHEMES
+    from .schemes import SCHEMES
     from .experiments.runner import RunContext
     from .sim.simulator import Simulator
 
@@ -137,7 +137,7 @@ def run_bench(scale: str = "smoke", seed: int = 1,
 def profile_cell(trace_name: str, scheme: str, scale: str, seed: int,
                  top: int = 25) -> str:
     """One cell under cProfile; returns the top-``top`` tottime table."""
-    from . import SCHEMES
+    from .schemes import SCHEMES
     from .experiments.runner import RunContext
     from .sim.simulator import Simulator
 

@@ -19,24 +19,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import SCHEMES, __version__
-from .analysis.cli import add_lint_arguments, cmd_lint
-from .bench import DEFAULT_SCHEMES, DEFAULT_TRACES
-from .experiments import EXPERIMENTS, run as run_experiment
-from .experiments.cache import ResultCache, default_cache_dir
-from .experiments.parallel import resolve_jobs
-from .experiments.runner import (
-    configure_execution,
-    default_context,
-    execution_summary,
-)
-from .metrics.report import format_table
-from .traces.profiles import PROFILES
-from .units import KIB
+from . import __version__
+
+# Each handler (and each ``_add_*_arguments``) imports what its command
+# needs, so ``lint``, ``--help`` and ``--version`` start without numpy
+# or the simulator.
 
 
 def _setup_execution(args: argparse.Namespace) -> None:
     """Apply ``--jobs`` / ``--cache-dir`` / ``--no-cache`` process-wide."""
+    from .experiments.cache import ResultCache, default_cache_dir
+    from .experiments.parallel import resolve_jobs
+    from .experiments.runner import configure_execution
+
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
@@ -45,6 +40,8 @@ def _setup_execution(args: argparse.Namespace) -> None:
 
 def _print_execution_summary() -> None:
     """The per-invocation cell / cache counter line."""
+    from .experiments.runner import execution_summary
+
     info = execution_summary()
     line = (f"[cells] {info['executed_cells']} simulated "
             f"({info['executed_seconds']:.1f}s replay wall)")
@@ -55,6 +52,9 @@ def _print_execution_summary() -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .experiments import EXPERIMENTS
+    from .metrics.report import format_table
+
     rows = [{"id": eid, "builder": fn.__module__.split(".")[-1]}
             for eid, fn in EXPERIMENTS.items()]
     print(format_table(rows, title="Available experiments"))
@@ -62,6 +62,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .experiments import run as run_experiment
+
     _setup_execution(args)
     kwargs = {}
     if args.qd:
@@ -82,6 +84,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
+    from .experiments import EXPERIMENTS, run as run_experiment
+
     _setup_execution(args)
     for eid in EXPERIMENTS:
         artifact = run_experiment(eid, scale=args.scale, seed=args.seed)
@@ -92,6 +96,9 @@ def _cmd_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from .experiments.cache import ResultCache, default_cache_dir
+    from .metrics.report import format_table
+
     cache = ResultCache(args.cache_dir or default_cache_dir())
     if args.clear:
         removed = cache.clear()
@@ -104,11 +111,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .experiments.runner import default_context, new_context
+    from .frontend import FrontendConfig
+    from .frontend.config import DEFAULT_QUEUE_DEPTH
+    from .metrics.report import format_table
+
     _setup_execution(args)
     if args.frontend:
-        from .experiments.runner import new_context
-        from .frontend import FrontendConfig
-        from .frontend.config import DEFAULT_QUEUE_DEPTH
         qd = args.qd or DEFAULT_QUEUE_DEPTH
         ctx = new_context(args.scale, args.seed)
         ctx.frontend = FrontendConfig.from_qd(qd)
@@ -153,6 +162,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
         save_baseline,
     )
+    from .metrics.report import format_table
 
     traces = tuple(args.traces.split(","))
     schemes = tuple(args.schemes.split(","))
@@ -207,8 +217,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    # Lazy: the campaign module pulls in the whole experiments layer.
+    from .experiments.cache import ResultCache, default_cache_dir
+    from .experiments.parallel import resolve_jobs
+    from .experiments.runner import configure_execution
     from .faults.campaign import campaign_json, run_campaign
+    from .metrics.report import format_table
 
     # One cache handle shared with the process-wide defaults, so the
     # summary line sees the campaign's hits/misses.
@@ -266,9 +279,12 @@ def _parse_tenants(text: str):
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    # Lazy: the fleet layer pulls in the whole experiments stack.
+    from .experiments.cache import default_cache_dir
+    from .experiments.parallel import resolve_jobs
     from .fleet import FleetConfig, run_campaign
     from .fleet.campaign import campaign_json
+    from .metrics.report import format_table
+    from .units import KIB
 
     cfg = FleetConfig(
         n_devices=args.devices,
@@ -317,6 +333,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
+    from .metrics.report import format_table
+    from .traces.profiles import PROFILES
+    from .units import KIB
+
     rows = [
         {
             "trace": p.name,
@@ -332,8 +352,200 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser (exposed for shell-completion tooling)."""
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from .analysis.cli import cmd_lint
+
+    return cmd_lint(args)
+
+
+def _add_execution_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="worker processes for the simulation fan-out "
+                        "(default: REPRO_JOBS or CPU count; 0 = auto)")
+    p.add_argument("--cache-dir", metavar="DIR",
+                   help="on-disk result cache location "
+                        "(default: REPRO_CACHE_DIR or ~/.cache/repro)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="simulate every cell, ignore the result cache")
+
+
+def _add_run_arguments(p: argparse.ArgumentParser) -> None:
+    from .experiments import EXPERIMENTS
+
+    p.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    p.add_argument("--scale", default="small",
+                   choices=("smoke", "small", "medium", "paper"))
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--json", metavar="PATH",
+                   help="also write the artifact rows as JSON")
+    p.add_argument("--qd", metavar="Q1,Q2", default=None,
+                   help="queue depths for the ext-qd sweep "
+                        "(comma-separated; default 1,4,16,64)")
+    p.add_argument("--frontend", action=argparse.BooleanOptionalAction,
+                   default=None,
+                   help="include/skip the device front-end rows in the "
+                        "ext-qd sweep (default: include)")
+    _add_execution_flags(p)
+
+
+def _add_all_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scale", default="small",
+                   choices=("smoke", "small", "medium", "paper"))
+    p.add_argument("--seed", type=int, default=1)
+    _add_execution_flags(p)
+
+
+def _add_simulate_arguments(p: argparse.ArgumentParser) -> None:
+    from .schemes import SCHEMES
+    from .traces.profiles import PROFILES
+
+    p.add_argument("--trace", default="ts0", choices=sorted(PROFILES))
+    p.add_argument("--scheme", default="ipu", choices=sorted(SCHEMES))
+    p.add_argument("--scale", default="smoke",
+                   choices=("smoke", "small", "medium", "paper"))
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--qd", type=int, default=0, metavar="DEPTH",
+                   help="closed-loop replay at this queue depth "
+                        "(0 = open-loop timestamp replay); with "
+                        "--frontend, the scheduler's queue depth")
+    p.add_argument("--frontend", action="store_true",
+                   help="replay through the device front-end (write "
+                        "buffer + multi-queue scheduler)")
+    p.add_argument("--json", metavar="PATH",
+                   help="write the deterministic result dict as "
+                        "canonical JSON (byte-stable across replays)")
+    _add_execution_flags(p)
+
+
+def _add_bench_arguments(p: argparse.ArgumentParser) -> None:
+    from .bench import DEFAULT_SCHEMES, DEFAULT_TRACES
+
+    p.add_argument("--scale", default="smoke",
+                   choices=("smoke", "small", "medium", "paper"))
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--traces", default=",".join(DEFAULT_TRACES),
+                   metavar="T1,T2", help="comma-separated trace names")
+    p.add_argument("--schemes", default=",".join(DEFAULT_SCHEMES),
+                   metavar="S1,S2", help="comma-separated scheme names")
+    p.add_argument("--repeats", type=int, default=3,
+                   help="measurement repeats per cell (best wins)")
+    p.add_argument("--profile", type=int, default=0, metavar="N",
+                   help="also cProfile each cell and dump the top N "
+                        "functions by tottime")
+    p.add_argument("--json", metavar="PATH",
+                   help="write the measurement payload as JSON")
+    p.add_argument("--baseline", default="BENCH_hotpath.json",
+                   metavar="PATH", help="committed reference file")
+    p.add_argument("--check", action="store_true",
+                   help="fail when a cell regresses vs the baseline")
+    p.add_argument("--update", action="store_true",
+                   help="rewrite the baseline with this run")
+    p.add_argument("--max-regression", type=float, default=0.30,
+                   metavar="FRAC",
+                   help="allowed per-cell ops/sec drop for --check "
+                        "(default 0.30)")
+
+
+def _add_faults_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rates", default="0,0.5,1.0", metavar="R1,R2",
+                   help="comma-separated fault-rate sweep points "
+                        "(0 = fault-free reference point)")
+    p.add_argument("--scale", default="smoke",
+                   choices=("smoke", "small", "medium", "paper"))
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--traces", default=None, metavar="T1,T2",
+                   help="comma-separated trace names (default: all)")
+    p.add_argument("--schemes", default="baseline,mga,ipu",
+                   metavar="S1,S2", help="comma-separated scheme names")
+    p.add_argument("--json", metavar="PATH",
+                   help="write the degradation curves as canonical "
+                        "JSON (byte-stable for a given seed)")
+    _add_execution_flags(p)
+
+
+def _add_fleet_arguments(p: argparse.ArgumentParser) -> None:
+    from .schemes import SCHEMES
+
+    p.add_argument("--devices", type=int, default=2, metavar="N",
+                   help="devices in the array (default: 2)")
+    p.add_argument("--tenants", default="ts0", metavar="P[:W],...",
+                   help="tenant mix as profile[:weight] entries, "
+                        "e.g. ts0,usr0:0.5 (default: ts0)")
+    p.add_argument("--scheme", default="ipu", choices=sorted(SCHEMES))
+    p.add_argument("--scale", default="smoke",
+                   choices=("smoke", "small", "medium"))
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--epochs", type=int, default=4, metavar="N",
+                   help="campaign epochs (the aging axis)")
+    p.add_argument("--epoch-requests", type=int, default=4096,
+                   metavar="N", help="fleet-wide requests per epoch")
+    p.add_argument("--stripe-kib", type=int, default=256, metavar="K",
+                   help="sharding stripe size in KiB (default: 256)")
+    p.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
+                   help="fault-injection rate multiplier (0 = off)")
+    p.add_argument("--checkpoint-dir", metavar="DIR",
+                   help="snapshot device replays here and resume "
+                        "from the newest snapshots on rerun")
+    p.add_argument("--checkpoint-every", type=int, default=1,
+                   metavar="N", help="snapshot every N epochs "
+                                     "(default: 1; 0 = only on stop)")
+    p.add_argument("--stop-after-epoch", type=int, default=None,
+                   metavar="E", help="save snapshots and pause the "
+                                     "campaign before epoch E")
+    p.add_argument("--json", metavar="PATH",
+                   help="write the fleet aggregate as canonical JSON "
+                        "(byte-stable for a given config)")
+    _add_execution_flags(p)
+
+
+def _add_lint_arguments(p: argparse.ArgumentParser) -> None:
+    from .analysis.cli import add_lint_arguments
+
+    add_lint_arguments(p)
+
+
+def _add_cache_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cache-dir", metavar="DIR",
+                   help="cache location (default: REPRO_CACHE_DIR "
+                        "or ~/.cache/repro)")
+    p.add_argument("--clear", action="store_true",
+                   help="delete every cached result")
+
+
+def _no_arguments(p: argparse.ArgumentParser) -> None:
+    pass
+
+
+#: Every subcommand in ``--help`` order: ``(name, aliases, help,
+#: handler, add_arguments)``.  ``add_arguments`` imports whatever its
+#: ``choices`` and defaults read (experiment ids, schemes, profiles).
+_COMMANDS = (
+    ("list", (), "list experiment ids", _cmd_list, _no_arguments),
+    ("run", (), "regenerate one table/figure", _cmd_run, _add_run_arguments),
+    ("all", ("run-all",), "regenerate every table/figure", _cmd_all,
+     _add_all_arguments),
+    ("simulate", (), "replay one trace/scheme pair", _cmd_simulate,
+     _add_simulate_arguments),
+    ("bench", (), "measure hot-path throughput (ops/sec per cell)",
+     _cmd_bench, _add_bench_arguments),
+    ("faults", (), "run a fault-injection reliability campaign",
+     _cmd_faults, _add_faults_arguments),
+    ("fleet", (), "run a sharded multi-device fleet campaign", _cmd_fleet,
+     _add_fleet_arguments),
+    ("lint", (), "run the determinism/schema static analyzer", _cmd_lint,
+     _add_lint_arguments),
+    ("cache", (), "inspect or clear the result cache", _cmd_cache,
+     _add_cache_arguments),
+    ("traces", (), "show trace profiles", _cmd_traces, _no_arguments),
+)
+
+
+def _parser(command: "str | None") -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand registered.
+
+    ``command`` names the one subcommand whose arguments are added (its
+    name or an alias); ``None`` adds every subcommand's arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-ssd",
         description=("Reproduction of 'Intra-page Cache Update in SLC-mode "
@@ -342,164 +554,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_execution_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for the simulation fan-out "
-                            "(default: REPRO_JOBS or CPU count; 0 = auto)")
-        p.add_argument("--cache-dir", metavar="DIR",
-                       help="on-disk result cache location "
-                            "(default: REPRO_CACHE_DIR or ~/.cache/repro)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="simulate every cell, ignore the result cache")
-
-    sub.add_parser("list", help="list experiment ids").set_defaults(fn=_cmd_list)
-
-    p_run = sub.add_parser("run", help="regenerate one table/figure")
-    p_run.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    p_run.add_argument("--scale", default="small",
-                       choices=("smoke", "small", "medium", "paper"))
-    p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--json", metavar="PATH",
-                       help="also write the artifact rows as JSON")
-    p_run.add_argument("--qd", metavar="Q1,Q2", default=None,
-                       help="queue depths for the ext-qd sweep "
-                            "(comma-separated; default 1,4,16,64)")
-    p_run.add_argument("--frontend", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="include/skip the device front-end rows in the "
-                            "ext-qd sweep (default: include)")
-    add_execution_flags(p_run)
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_all = sub.add_parser("all", aliases=["run-all"],
-                           help="regenerate every table/figure")
-    p_all.add_argument("--scale", default="small",
-                       choices=("smoke", "small", "medium", "paper"))
-    p_all.add_argument("--seed", type=int, default=1)
-    add_execution_flags(p_all)
-    p_all.set_defaults(fn=_cmd_all)
-
-    p_sim = sub.add_parser("simulate", help="replay one trace/scheme pair")
-    p_sim.add_argument("--trace", default="ts0", choices=sorted(PROFILES))
-    p_sim.add_argument("--scheme", default="ipu", choices=sorted(SCHEMES))
-    p_sim.add_argument("--scale", default="smoke",
-                       choices=("smoke", "small", "medium", "paper"))
-    p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--qd", type=int, default=0, metavar="DEPTH",
-                       help="closed-loop replay at this queue depth "
-                            "(0 = open-loop timestamp replay); with "
-                            "--frontend, the scheduler's queue depth")
-    p_sim.add_argument("--frontend", action="store_true",
-                       help="replay through the device front-end (write "
-                            "buffer + multi-queue scheduler)")
-    p_sim.add_argument("--json", metavar="PATH",
-                       help="write the deterministic result dict as "
-                            "canonical JSON (byte-stable across replays)")
-    add_execution_flags(p_sim)
-    p_sim.set_defaults(fn=_cmd_simulate)
-
-    p_bench = sub.add_parser(
-        "bench", help="measure hot-path throughput (ops/sec per cell)")
-    p_bench.add_argument("--scale", default="smoke",
-                         choices=("smoke", "small", "medium", "paper"))
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--traces", default=",".join(DEFAULT_TRACES),
-                         metavar="T1,T2", help="comma-separated trace names")
-    p_bench.add_argument("--schemes", default=",".join(DEFAULT_SCHEMES),
-                         metavar="S1,S2", help="comma-separated scheme names")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="measurement repeats per cell (best wins)")
-    p_bench.add_argument("--profile", type=int, default=0, metavar="N",
-                         help="also cProfile each cell and dump the top N "
-                              "functions by tottime")
-    p_bench.add_argument("--json", metavar="PATH",
-                         help="write the measurement payload as JSON")
-    p_bench.add_argument("--baseline", default="BENCH_hotpath.json",
-                         metavar="PATH", help="committed reference file")
-    p_bench.add_argument("--check", action="store_true",
-                         help="fail when a cell regresses vs the baseline")
-    p_bench.add_argument("--update", action="store_true",
-                         help="rewrite the baseline with this run")
-    p_bench.add_argument("--max-regression", type=float, default=0.30,
-                         metavar="FRAC",
-                         help="allowed per-cell ops/sec drop for --check "
-                              "(default 0.30)")
-    p_bench.set_defaults(fn=_cmd_bench)
-
-    p_faults = sub.add_parser(
-        "faults", help="run a fault-injection reliability campaign")
-    p_faults.add_argument("--rates", default="0,0.5,1.0", metavar="R1,R2",
-                          help="comma-separated fault-rate sweep points "
-                               "(0 = fault-free reference point)")
-    p_faults.add_argument("--scale", default="smoke",
-                          choices=("smoke", "small", "medium", "paper"))
-    p_faults.add_argument("--seed", type=int, default=1)
-    p_faults.add_argument("--traces", default=None, metavar="T1,T2",
-                          help="comma-separated trace names (default: all)")
-    p_faults.add_argument("--schemes", default="baseline,mga,ipu",
-                          metavar="S1,S2", help="comma-separated scheme names")
-    p_faults.add_argument("--json", metavar="PATH",
-                          help="write the degradation curves as canonical "
-                               "JSON (byte-stable for a given seed)")
-    add_execution_flags(p_faults)
-    p_faults.set_defaults(fn=_cmd_faults)
-
-    p_fleet = sub.add_parser(
-        "fleet", help="run a sharded multi-device fleet campaign")
-    p_fleet.add_argument("--devices", type=int, default=2, metavar="N",
-                         help="devices in the array (default: 2)")
-    p_fleet.add_argument("--tenants", default="ts0", metavar="P[:W],...",
-                         help="tenant mix as profile[:weight] entries, "
-                              "e.g. ts0,usr0:0.5 (default: ts0)")
-    p_fleet.add_argument("--scheme", default="ipu",
-                         choices=sorted(SCHEMES))
-    p_fleet.add_argument("--scale", default="smoke",
-                         choices=("smoke", "small", "medium"))
-    p_fleet.add_argument("--seed", type=int, default=1)
-    p_fleet.add_argument("--epochs", type=int, default=4, metavar="N",
-                         help="campaign epochs (the aging axis)")
-    p_fleet.add_argument("--epoch-requests", type=int, default=4096,
-                         metavar="N", help="fleet-wide requests per epoch")
-    p_fleet.add_argument("--stripe-kib", type=int, default=256, metavar="K",
-                         help="sharding stripe size in KiB (default: 256)")
-    p_fleet.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
-                         help="fault-injection rate multiplier (0 = off)")
-    p_fleet.add_argument("--checkpoint-dir", metavar="DIR",
-                         help="snapshot device replays here and resume "
-                              "from the newest snapshots on rerun")
-    p_fleet.add_argument("--checkpoint-every", type=int, default=1,
-                         metavar="N", help="snapshot every N epochs "
-                                           "(default: 1; 0 = only on stop)")
-    p_fleet.add_argument("--stop-after-epoch", type=int, default=None,
-                         metavar="E", help="save snapshots and pause the "
-                                           "campaign before epoch E")
-    p_fleet.add_argument("--json", metavar="PATH",
-                         help="write the fleet aggregate as canonical JSON "
-                              "(byte-stable for a given config)")
-    add_execution_flags(p_fleet)
-    p_fleet.set_defaults(fn=_cmd_fleet)
-
-    p_lint = sub.add_parser(
-        "lint", help="run the determinism/schema static analyzer")
-    add_lint_arguments(p_lint)
-    p_lint.set_defaults(fn=cmd_lint)
-
-    p_cache = sub.add_parser("cache", help="inspect or clear the result cache")
-    p_cache.add_argument("--cache-dir", metavar="DIR",
-                         help="cache location (default: REPRO_CACHE_DIR "
-                              "or ~/.cache/repro)")
-    p_cache.add_argument("--clear", action="store_true",
-                         help="delete every cached result")
-    p_cache.set_defaults(fn=_cmd_cache)
-
-    sub.add_parser("traces", help="show trace profiles").set_defaults(fn=_cmd_traces)
+    for name, aliases, help_text, handler, add_arguments in _COMMANDS:
+        p = sub.add_parser(name, aliases=list(aliases), help=help_text)
+        if command is None or command == name or command in aliases:
+            add_arguments(p)
+        p.set_defaults(fn=handler)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The complete argument parser (exposed for shell-completion tooling)."""
+    return _parser(None)
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    """Entry point."""
-    args = build_parser().parse_args(argv)
+    """Entry point.
+
+    Only the invoked subcommand's arguments are added, so a command
+    imports only the registries its own ``choices`` read.  Top-level
+    options take no value, so the first word that is not an option is
+    the subcommand.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    command = next((word for word in argv if not word.startswith("-")), "")
+    args = _parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -42,6 +42,7 @@ from ..configio import config_to_json
 from ..errors import ExperimentError
 from ..faults import FaultConfig, attach_faults
 from ..frontend import FrontendConfig
+from ..schemes import SCHEMES
 from ..sim.simulator import SimulationResult, Simulator
 from ..traces.model import Trace
 from ..traces.profiles import TRACE_NAMES, TraceProfile, profile
@@ -274,7 +275,6 @@ class RunContext:
             queue_depth=queue_depth)
 
     def _check_cell(self, cell: Cell) -> None:
-        from .. import SCHEMES
         if cell.scheme not in SCHEMES:
             raise ExperimentError(
                 f"unknown scheme {cell.scheme!r}; available: "
@@ -305,7 +305,6 @@ class RunContext:
 
     def _simulate(self, cell: Cell) -> SimulationResult:
         """Replay ``cell`` in this process and store the result."""
-        from .. import SCHEMES
         ftl = SCHEMES[cell.scheme](
             self._cell_config(cell.trace, cell.pe, cell.config))
         attach_faults(ftl, self._active_faults(), seed=self.seed)

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..config import SSDConfig
 from ..errors import ExperimentError
+from ..schemes import SCHEMES
 from ..sim.simulator import OpenLoopReplay
 from ..traces.profiles import TraceProfile, profile
 from ..traces.stream import MergedStream, TraceStream
@@ -61,12 +62,15 @@ def histogram_latencies(latencies: np.ndarray) -> list[int]:
     """Counts of ``latencies`` in the fixed fleet bins.
 
     Layout: ``[underflow, *bins, overflow]`` — length ``_HIST_BINS + 2``.
+    ``np.histogram`` closes its last bin, so a latency exactly on the top
+    edge lands there, not in overflow: every binned latency is at most
+    the upper edge :func:`quantile_from_histogram` reports for it.
     """
     if not len(latencies):
         return [0] * (_HIST_BINS + 2)
     counts, _ = np.histogram(latencies, bins=LAT_HIST_EDGES_MS)
     under = int((latencies < LAT_HIST_EDGES_MS[0]).sum())
-    over = int((latencies >= LAT_HIST_EDGES_MS[-1]).sum())
+    over = int((latencies > LAT_HIST_EDGES_MS[-1]).sum())
     return [under] + [int(c) for c in counts] + [over]
 
 
@@ -266,7 +270,6 @@ def _epoch_record(cfg: FleetConfig, device: int, epoch: int,
 
 def _build_replay(cfg: FleetConfig, device: int,
                   dev_cfg: SSDConfig) -> OpenLoopReplay:
-    from .. import SCHEMES
     from ..faults import FaultConfig, attach_faults
 
     if cfg.scheme not in SCHEMES:

@@ -64,6 +64,11 @@ class Trace:
         n = len(self.times_ms)
         if not (len(self.is_write) == len(self.offsets) == len(self.sizes) == n):
             raise TraceError("trace columns have mismatched lengths")
+        finite = np.isfinite(self.times_ms)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise TraceError(f"trace time at index {bad} is not finite "
+                             f"({self.times_ms[bad]})")
         if n and np.any(np.diff(self.times_ms) < 0):
             raise TraceError("trace times must be non-decreasing")
         if np.any(self.sizes <= 0):

@@ -10,8 +10,10 @@ Definitions follow the paper:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..units import KIB, Bytes
 from .model import Trace
@@ -55,38 +57,40 @@ class TraceStats:
         }
 
 
-def update_size_buckets(sizes_bytes: "list[Bytes]") -> tuple[float, float, float]:
+def update_size_buckets(sizes_bytes: "Sequence[Bytes] | np.ndarray",
+                        ) -> tuple[float, float, float]:
     """Fraction of update sizes in each Table 1 bucket."""
-    if not sizes_bytes:
+    sizes = np.asarray(sizes_bytes, dtype=np.int64)
+    n = len(sizes)
+    if not n:
         return (0.0, 0.0, 0.0)
-    lo = sum(1 for s in sizes_bytes if s <= BUCKET_BOUNDS[0])
-    mid = sum(1 for s in sizes_bytes if BUCKET_BOUNDS[0] < s <= BUCKET_BOUNDS[1])
-    hi = len(sizes_bytes) - lo - mid
-    n = len(sizes_bytes)
+    lo = int(np.count_nonzero(sizes <= BUCKET_BOUNDS[0]))
+    mid = int(np.count_nonzero(sizes <= BUCKET_BOUNDS[1])) - lo
+    hi = n - lo - mid
     return (lo / n, mid / n, hi / n)
 
 
 def characterize(trace: Trace) -> TraceStats:
-    """Compute Table 1 and Table 3 statistics for ``trace``."""
-    access_counts: Counter[int] = Counter()
-    written: set[int] = set()
-    update_sizes: list[int] = []
-    write_bytes = 0
-    n_writes = 0
+    """Compute Table 1 and Table 3 statistics for ``trace``.
 
-    for req in trace:
-        access_counts[req.offset] += 1
-        if req.is_write:
-            n_writes += 1
-            write_bytes += req.size
-            if req.offset in written:
-                update_sizes.append(req.size)
-            else:
-                written.add(req.offset)
-
+    Column-wise: every statistic is a ratio of integer counts, so the
+    result equals a request-by-request pass exactly.
+    """
     n = len(trace)
-    hot = sum(1 for c in access_counts.values() if c >= HOT_THRESHOLD)
+    _, access_counts = np.unique(trace.offsets, return_counts=True)
+    hot = int(np.count_nonzero(access_counts >= HOT_THRESHOLD))
     distinct = len(access_counts)
+
+    write_offsets = trace.offsets[trace.is_write]
+    write_sizes = trace.sizes[trace.is_write]
+    n_writes = len(write_offsets)
+    write_bytes = int(write_sizes.sum())
+    # A write is an update unless it is the first write to its offset.
+    _, first_writes = np.unique(write_offsets, return_index=True)
+    is_update = np.ones(n_writes, dtype=bool)
+    is_update[first_writes] = False
+    update_sizes = write_sizes[is_update]
+
     return TraceStats(
         name=trace.name,
         n_requests=n,

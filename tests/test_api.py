@@ -28,6 +28,20 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_lazy_exports_resolve_to_their_modules(self):
+        import importlib
+
+        for name in repro.__all__:
+            namespace: dict = {}
+            exec(f"from repro import {name}", namespace)
+            if name == "__version__":
+                continue
+            module = importlib.import_module(f"repro.{repro._EXPORTS[name]}")
+            assert namespace[name] is getattr(module, name), name
+        assert set(repro.__all__) <= set(dir(repro))
+        with pytest.raises(AttributeError):
+            getattr(repro, "NoSuchName")
+
     def test_scheme_registry(self):
         assert set(repro.SCHEMES) == {"baseline", "mga", "ipu", "delta"}
         for name, cls in repro.SCHEMES.items():

@@ -1,8 +1,10 @@
 """CLI surface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _parser, build_parser, main
 
 
 class TestParser:
@@ -18,6 +20,22 @@ class TestParser:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig99"])
+
+    def test_per_command_parser_matches_complete_parser(self):
+        """``main`` adds one command's arguments; each must read exactly
+        as in the complete ``build_parser()``."""
+        def subparsers(parser):
+            (action,) = [a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+            return action.choices
+
+        complete = build_parser()
+        for name, sub in subparsers(complete).items():
+            lazy = _parser(name)
+            assert lazy.format_help() == complete.format_help()
+            assert subparsers(lazy)[name].format_help() == sub.format_help()
+        bare = _parser("")
+        assert bare.format_help() == complete.format_help()
 
 
 class TestCommands:

@@ -153,6 +153,18 @@ class TestHistogram:
         assert sum(hist) == 4
         assert hist[0] == 1 and hist[-1] == 1  # under/overflow
 
+    def test_samples_on_both_edges_counted_once(self):
+        import numpy as np
+        edges = LAT_HIST_EDGES_MS
+        lat = np.array([edges[0], edges[-1], edges[-1]])
+        hist = histogram_latencies(lat)
+        assert sum(hist) == len(lat)
+        assert hist[0] == 0 and hist[1] == 1      # lowest edge: first bin
+        assert hist[-1] == 0 and hist[-2] == 2    # top edge: last bin
+        assert quantile_from_histogram(hist, 99.0) == float(edges[-1])
+        single = histogram_latencies(np.array([edges[-1]]))
+        assert sum(single) == 1
+
     def test_quantile_is_upper_edge(self):
         import numpy as np
         lat = np.full(100, 0.5)

@@ -577,6 +577,22 @@ def test_mutation_dropping_key_field_trips_k001_and_k003(tmp_path):
     assert all("weight" in v.message for v in result.violations)
 
 
+def test_mutation_env_read_in_registry_scheme_trips_k002(tmp_path):
+    # IPUFTL is reachable from the cached workers only through the
+    # SCHEMES[...] registry dispatch, so this trips only while K follows
+    # the registry's from-import to its dict literal.
+    pkg = _mutated_tree(
+        tmp_path, "core/ipu_ftl.py",
+        "        lookup = self.subpage_map.lookup\n",
+        "        lookup = self.subpage_map.lookup\n"
+        "        os.environ.get(\"REPRO_IPU_TUNING\")\n")
+    result = run_lint(pkg, select=["K"])
+    k002 = [v for v in result.violations if v.rule == "K002"]
+    assert k002 and all(v.path == "core/ipu_ftl.py" for v in k002)
+    assert any("write()" in v.message and "os.environ" in v.message
+               for v in k002)
+
+
 def test_mutation_removing_rebind_trips_p002(tmp_path):
     pkg = _mutated_tree(
         tmp_path, "nand/block.py",

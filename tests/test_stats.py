@@ -1,9 +1,19 @@
 """Trace characterisation (Tables 1 and 3 regeneration)."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.traces.model import Trace
-from repro.traces.stats import HOT_THRESHOLD, characterize, update_size_buckets
+from repro.traces.stats import (
+    BUCKET_BOUNDS,
+    HOT_THRESHOLD,
+    TraceStats,
+    characterize,
+    update_size_buckets,
+)
 from repro.units import KIB
 
 
@@ -72,3 +82,63 @@ class TestCharacterize:
         assert row1["Trace"] == "x"
         assert row3["# of Req."] == "1"
         assert row3["Write R"] == "100.0%"
+
+
+def characterize_loop(trace: Trace) -> TraceStats:
+    """Request-by-request reference for the column-wise ``characterize``."""
+    access_counts: Counter = Counter()
+    written: set = set()
+    update_sizes: list = []
+    write_bytes = 0
+    n_writes = 0
+    for req in trace:
+        access_counts[req.offset] += 1
+        if req.is_write:
+            n_writes += 1
+            write_bytes += req.size
+            if req.offset in written:
+                update_sizes.append(req.size)
+            else:
+                written.add(req.offset)
+
+    n = len(trace)
+    hot = sum(1 for c in access_counts.values() if c >= HOT_THRESHOLD)
+    distinct = len(access_counts)
+    n_up = len(update_sizes)
+    lo = sum(1 for size in update_sizes if size <= BUCKET_BOUNDS[0])
+    mid = sum(1 for size in update_sizes
+              if BUCKET_BOUNDS[0] < size <= BUCKET_BOUNDS[1])
+    probs = ((lo / n_up, mid / n_up, (n_up - lo - mid) / n_up) if n_up
+             else (0.0, 0.0, 0.0))
+    return TraceStats(
+        name=trace.name,
+        n_requests=n,
+        write_ratio=n_writes / n if n else 0.0,
+        mean_write_bytes=write_bytes / n_writes if n_writes else 0.0,
+        hot_write_ratio=hot / distinct if distinct else 0.0,
+        n_updates=n_up,
+        update_size_probs=probs,
+    )
+
+
+#: Few distinct offsets, so updates and hot addresses are common; sizes
+#: straddle both Table 1 bucket bounds.
+REQUESTS = st.lists(
+    st.tuples(st.booleans(),
+              st.sampled_from([0, 4096, 8192, 65536, 1 << 30]),
+              st.sampled_from([512, 4095, 4096, 4097, 8192, 8193, 65536])),
+    max_size=60)
+
+
+class TestColumnWiseMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(REQUESTS)
+    @example([])
+    @example([(False, 0, 4096)] * 5)
+    def test_equal_to_request_loop(self, requests):
+        trace = Trace([float(i) for i in range(len(requests))],
+                      [w for w, _, _ in requests],
+                      [o for _, o, _ in requests],
+                      [s for _, _, s in requests], name="h")
+        assert characterize(trace) == characterize_loop(trace)
+

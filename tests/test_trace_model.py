@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import tiny_config
 
+from repro import IPUFTL, Simulator
 from repro.errors import TraceError
 from repro.traces.model import OpType, Trace, TraceRequest
 
@@ -65,6 +67,24 @@ class TestValidation:
     def test_decreasing_times(self):
         with pytest.raises(TraceError):
             Trace([1.0, 0.5], [True, True], [0, 0], [1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_names_first_bad_index(self, bad):
+        # NaN slips past the non-decreasing check (every comparison with
+        # it is False), so it needs its own.
+        with pytest.raises(TraceError, match="index 2 is not finite"):
+            Trace([0.0, 1.0, bad, 3.0, bad], [True] * 5, [0] * 5, [1] * 5)
+
+    def test_non_finite_time_in_streamed_chunk(self):
+        class Stream:
+            name = "bad-chunk"
+
+            def chunks(self):
+                yield Trace([0.0, 1.0], [True, False], [0, 0], [4096] * 2)
+                yield Trace([2.0, np.nan], [True, True], [0, 0], [4096] * 2)
+
+        with pytest.raises(TraceError, match="index 1 is not finite"):
+            Simulator(IPUFTL(tiny_config())).run(Stream())
 
     def test_zero_size(self):
         with pytest.raises(TraceError):
