@@ -18,14 +18,10 @@ region once they drop below Work level.
 
 from __future__ import annotations
 
-from ..config import SSDConfig
 from ..nand.block import Block
-from ..nand.flash import FlashArray
-from ..nand.geometry import PPA
 from ..sim.ops import Cause, OpRecord
 from ..ftl.base import BaseFTL
 from ..ftl.levels import BlockLevel
-from ..ftl.mapping import SubpageMap
 from ..units import Lsn, Ms
 from ..ftl.victim import IsrVictimPolicy, VictimPolicy
 from .intra_page import plan_intra_page_update
@@ -37,30 +33,12 @@ class IPUFTL(BaseFTL):
     scheme_name = "ipu"
     uses_partial_programming = True
 
-    def __init__(self, config: SSDConfig, flash: FlashArray | None = None):
-        super().__init__(config, flash)
-        self.subpage_map = SubpageMap()
-
     def _make_slc_policy(self) -> VictimPolicy:
         return IsrVictimPolicy(refresh_ms=self.config.reliability.isr_refresh_ms)
 
     def _promotion_target(self, current_level: int) -> BlockLevel:
         """Level an overflowing update moves to (hook for ablations)."""
         return BlockLevel(current_level).promoted()
-
-    # -- mapping ----------------------------------------------------------
-
-    def lookup(self, lsn: Lsn) -> PPA | None:
-        return self.subpage_map.lookup(lsn)
-
-    def iter_bindings(self):
-        yield from self.subpage_map.items()
-
-    def _invalidate_lsn(self, lsn: Lsn) -> None:
-        ppa = self.subpage_map.lookup(lsn)
-        if ppa is not None:
-            self.flash.invalidate(ppa.block, ppa.page, ppa.slot)
-            self.subpage_map.unbind(lsn)
 
     # -- write path -------------------------------------------------------------
 
@@ -69,6 +47,7 @@ class IPUFTL(BaseFTL):
         lookup = self.subpage_map.lookup
         get_block = self.flash.blocks.__getitem__
         max_pp = self.config.reliability.max_page_programs
+        stats = self.stats
         for chunk in self.chunks_by_lpn(lsns):
             mappings = [lookup(lsn) for lsn in chunk]
             plan = plan_intra_page_update(
@@ -76,83 +55,34 @@ class IPUFTL(BaseFTL):
                 get_block=get_block,
                 max_page_programs=max_pp,
             )
+            # Invalidate first: an in-page pass then disturbs no live data
+            # inside the page.
+            self.drop_stale(chunk, mappings)
             if plan is not None:
-                ops.append(self._intra_page_update(chunk, plan, now))
+                # Algorithm 1 lines 6-9: update inside the same page.
+                op, block, page = self.place(
+                    get_block(plan.block_id), plan.page,
+                    list(plan.target_slots), chunk, now, Cause.HOST)
+                # The hotness mark belongs to the actual destination (a
+                # program failure may have remapped the update).
+                block.mark_page_updated(page)
+                stats.intra_page_updates += 1
+                stats.update_writes += 1
+                ops.append(op)
                 continue
-            ops.extend(self._out_of_place_write(chunk, mappings, now))
-        return ops
-
-    def _intra_page_update(self, chunk: list[int], plan, now: Ms) -> OpRecord:
-        """Algorithm 1 lines 6-9: update inside the same page."""
-        block = self.flash.block(plan.block_id)
-        unbind = self.subpage_map.unbind
-        bind = self.subpage_map.bind
-        block_id, page = plan.block_id, plan.page
-        # Invalidate first: the partial pass then disturbs no live data
-        # inside the page.  All old slots live in the plan's page, so one
-        # batched call covers them.
-        self.flash.invalidate_many(block_id, page, list(plan.old_slots))
-        for lsn in chunk:
-            unbind(lsn)
-        op = self.program_subpages(block, page, list(plan.target_slots),
-                                   chunk, now, Cause.HOST)
-        if op.block_id != block_id or op.page != page:
-            # Program failure remapped the update out of place; the
-            # hotness mark belongs to the actual destination.
-            block = self.flash.block(op.block_id)
-            block_id, page = op.block_id, op.page
-        make = PPA._make  # skips the NamedTuple __new__ frame
-        for lsn, slot in zip(chunk, plan.target_slots):
-            bind(lsn, make((block_id, page, slot)))
-        block.mark_page_updated(page)
-        self.stats.intra_page_updates += 1
-        self.stats.update_writes += 1
-        level = block.level if block.level is not None else 0
-        self.stats.note_level_write(level)
-        return op
-
-    def _out_of_place_write(self, chunk: list[int], mappings: list[PPA | None],
-                            now: Ms) -> list[OpRecord]:
-        """Algorithm 1 lines 4-5 and 10-11: fresh page, possibly upgraded."""
-        ops: list[OpRecord] = []
-        mapped = [m for m in mappings if m is not None]
-        if mapped:
-            self.stats.update_writes += 1
-            current = max(
-                (self.flash.block(m.block).level or 0) for m in mapped)
-            target = self._promotion_target(current)
-            self.stats.upgrade_moves += 1
-        else:
-            self.stats.new_data_writes += 1
-            target = BlockLevel.WORK
-
-        unbind = self.subpage_map.unbind
-        stale: dict[tuple[int, int], list[int]] = {}
-        for lsn, m in zip(chunk, mappings):
-            if m is not None:
-                stale.setdefault((m.block, m.page), []).append(m.slot)
-                unbind(lsn)
-        for (old_block, old_page), old_slots in stale.items():
-            self.flash.invalidate_many(old_block, old_page, old_slots)
-
-        res = self.alloc_slc_page(target, now, ops)
-        if res is None:
-            res = self.alloc_mlc_page(now, ops)
-            self.stats.slc_overflow_chunks += 1
-        block, page = res
-        slots = list(range(len(chunk)))
-        op = self.program_subpages(block, page, slots, chunk, now, Cause.HOST)
-        ops.append(op)
-        if op.block_id != block.block_id or op.page != page:
-            block = self.flash.block(op.block_id)
-            page = op.page
-        bind = self.subpage_map.bind
-        block_id = block.block_id
-        make = PPA._make
-        for lsn, slot in zip(chunk, slots):
-            bind(lsn, make((block_id, page, slot)))
-        level = block.level if block.level is not None else 0
-        self.stats.note_level_write(level)
+            # Lines 4-5 and 10-11: a fresh page, one level up for an update.
+            mapped = [m for m in mappings if m is not None]
+            if mapped:
+                stats.update_writes += 1
+                current = max((get_block(m.block).level or 0) for m in mapped)
+                target = self._promotion_target(current)
+                stats.upgrade_moves += 1
+            else:
+                stats.new_data_writes += 1
+                target = BlockLevel.WORK
+            block, page = self.alloc_host_page(target, now, ops)
+            ops.append(self.place(block, page, list(range(len(chunk))), chunk,
+                                  now, Cause.HOST)[0])
         return ops
 
     # -- GC movement (degraded data movement, lines 14-19) -----------------------------
@@ -196,11 +126,5 @@ class IPUFTL(BaseFTL):
         """
         block, npage = dest
         self.flash.invalidate_many(victim.block_id, page, slots)
-        new_slots = list(range(len(lsns)))
-        op = self.program_subpages(block, npage, new_slots, lsns, now, cause)
-        if op.block_id != block.block_id or op.page != npage:
-            block = self.flash.block(op.block_id)
-            npage = op.page
-        for lsn, slot in zip(lsns, new_slots):
-            self.subpage_map.bind(lsn, PPA(block.block_id, npage, slot))
-        return [op]
+        return [self.place(block, npage, list(range(len(lsns))), lsns, now,
+                           cause)[0]]

@@ -35,7 +35,7 @@ from ..units import Ms
 
 #: Bump whenever simulator behaviour or the result schema changes, so a
 #: code change can never be masked by a stale cache entry.
-CACHE_SCHEMA_VERSION = 6
+CACHE_SCHEMA_VERSION = 7
 
 
 def default_cache_dir() -> Path:

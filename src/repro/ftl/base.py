@@ -1,18 +1,19 @@
 """Shared FTL plumbing.
 
 :class:`BaseFTL` owns the flash array, the per-region allocators and
-garbage collectors, the ECC model, and implements everything the three
-schemes have in common: request dispatch, the read path (including *pseudo
-reads* of never-written data, assumed pre-existing in the high-density
-region), allocation helpers with GC fallback, and statistics.
+garbage collectors, the ECC model and the LSN -> PPA subpage map, and
+implements everything the four schemes have in common: request dispatch,
+the read path (including *pseudo reads* of never-written data, assumed
+pre-existing in the high-density region), allocation helpers with GC
+fallback, statistics, and :meth:`BaseFTL.place` — the one write
+primitive every host write, GC move and fault move goes through.
 
-Subclasses implement::
+Subclasses choose slot layouts and destinations::
 
-    lookup(lsn)                  logical subpage -> PPA or None
     write(lsns, now)             the scheme's write path
     _relocate_slc_page(...)      where SLC GC moves a page's valid data
     _relocate_mlc_page(...)      where MLC GC moves a page's valid data
-    _make_slc_policy()           the SLC victim-selection policy
+    _make_slc_policy()           the SLC victim-selection policy (optional)
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from ..units import Lsn, Ms
 from .allocator import RegionAllocator
 from .gc import GarbageCollector
 from .levels import BlockLevel
+from .mapping import SubpageMap
 from .translation import CachedMappingTable
 from .victim import GreedyPageVictimPolicy, GreedyVictimPolicy, VictimPolicy
 
@@ -81,7 +83,7 @@ class FtlStats:
 
 
 class BaseFTL(abc.ABC):
-    """Common machinery for the Baseline, MGA and IPU schemes."""
+    """Common machinery for the Baseline, MGA, Delta and IPU schemes."""
 
     scheme_name: str = "base"
     uses_partial_programming: bool = False
@@ -125,12 +127,37 @@ class BaseFTL(abc.ABC):
         #: keeps every path below bit-identical to a device without
         #: fault injection.
         self.faults: "FaultPlan | None" = None
+        #: LSN -> PPA for every live logical subpage; only :meth:`place`
+        #: binds, and the schemes unbind when they drop old copies.
+        self.subpage_map = SubpageMap()
 
-    # -- scheme hooks -----------------------------------------------------
+    # -- mapping ----------------------------------------------------------
 
-    @abc.abstractmethod
     def lookup(self, lsn: Lsn) -> PPA | None:
         """Current physical location of ``lsn`` (None if never written)."""
+        return self.subpage_map.lookup(lsn)
+
+    def iter_bindings(self):
+        """Yield ``(lsn, PPA)`` for every live logical subpage."""
+        yield from self.subpage_map.items()
+
+    def drop_stale(self, lsns: list[Lsn], mappings: list[PPA | None]) -> None:
+        """Unbind ``lsns`` and invalidate their old copies (``mappings``).
+
+        Old versions of a chunk usually share one physical page, so the
+        invalidation runs once per page, not once per subpage.
+        """
+        unbind = self.subpage_map.unbind
+        stale: dict[tuple[int, int], list[int]] = {}
+        for lsn, ppa in zip(lsns, mappings):
+            if ppa is not None:
+                stale.setdefault((ppa.block, ppa.page), []).append(ppa.slot)
+                unbind(lsn)
+        invalidate_many = self.flash.invalidate_many
+        for (block_id, page), slots in stale.items():
+            invalidate_many(block_id, page, slots)
+
+    # -- scheme hooks -----------------------------------------------------
 
     @abc.abstractmethod
     def write(self, lsns: list[Lsn], now: Ms) -> list[OpRecord]:
@@ -342,62 +369,74 @@ class BaseFTL(abc.ABC):
 
     # -- allocation helpers -----------------------------------------------------
 
-    def alloc_slc_page(self, level: BlockLevel, now: Ms,
-                       ops: list[OpRecord] | None = None) -> tuple[Block, int] | None:
+    def alloc_slc_page(self, level: BlockLevel,
+                       now: Ms) -> tuple[Block, int] | None:
         """SLC page at ``level``, or None when the cache has no room.
 
         Deliberately does *not* collect garbage inline: foreground GC is
         bounded and runs per request, so a dry pool means the cache is
         under pressure and the write belongs in the high-density region.
-        The ``ops`` parameter is kept for signature stability.
         """
         return self.slc_alloc.alloc_page(int(level), now)
 
-    def alloc_mlc_page(self, now: Ms, ops: list[OpRecord] | None = None,
-                       required: bool = True,
-                       for_gc: bool = False) -> tuple[Block, int] | None:
+    def alloc_host_page(self, level: BlockLevel, now: Ms,
+                        ops: list[OpRecord]) -> tuple[Block, int]:
+        """SLC page at ``level`` for a host chunk, else a high-density page
+        (counted as an SLC overflow)."""
+        res = self.alloc_slc_page(level, now)
+        if res is None:
+            res = self.alloc_mlc_page(now, ops)
+            self.stats.slc_overflow_chunks += 1
+        return res
+
+    def alloc_mlc_page(self, now: Ms, ops: list[OpRecord],
+                       for_gc: bool = False) -> tuple[Block, int]:
         """MLC page; escalates through emergency GC before giving up.
 
         Host allocations respect the GC reserve; when even that fails the
         region is force-collected in full (the host pays the blocking
-        cost, as on a real device running near-full).
+        cost, as on a real device running near-full).  Emergency GC ops
+        are appended to ``ops``.
         """
         level = int(BlockLevel.HIGH_DENSITY)
         res = self.mlc_alloc.alloc_page(level, now, for_gc=for_gc)
         if res is None:
-            emergency = self.mlc_gc.collect_emergency(now)
-            if ops is not None:
-                ops.extend(emergency)
+            ops.extend(self.mlc_gc.collect_emergency(now))
             res = self.mlc_alloc.alloc_page(level, now, for_gc=for_gc)
         if res is None and not for_gc:
             # Free blocks exist but sit in the GC reserve: drain one more
             # victim so the host write can proceed.
-            emergency = self.mlc_gc.collect_emergency(now)
-            if ops is not None:
-                ops.extend(emergency)
+            ops.extend(self.mlc_gc.collect_emergency(now))
             res = self.mlc_alloc.alloc_page(level, now, for_gc=for_gc)
             if res is None:
                 res = self.mlc_alloc.alloc_page(level, now, for_gc=True)
-        if res is None and required:
+        if res is None:
             raise OutOfSpaceError(
                 f"{self.scheme_name}: high-density region exhausted")
         return res
 
-    # -- programming helper ----------------------------------------------------
+    # -- the write primitive ---------------------------------------------------
 
-    def program_subpages(self, block: Block, page: int, slots: list[int],
-                         lsns: list[Lsn], now: Ms, cause: Cause) -> OpRecord:
-        """Program and account one flash program operation.
+    def place(self, block: Block, page: int, slots: list[int],
+              lsns: list[Lsn], now: Ms, cause: Cause,
+              ) -> tuple[OpRecord, Block, int]:
+        """Program ``lsns`` into ``slots`` of one page and map them there.
 
-        Mirrors ``FlashArray.program`` inline (same bookkeeping, same
-        order) — this helper runs once per host/GC program, and the extra
-        call frame is measurable on the simulation hot path.
+        Every host write, GC move and fault move of every scheme lands
+        through here; the schemes differ only in the slots and the page
+        they pass, and drop the old copies themselves (before or after
+        allocating, as each scheme's order requires).  Host programs also
+        count toward the level they landed at (Figure 7).
 
         With a fault plan attached the pulse may fail: the data is then
-        remapped to a fresh page (same slot indices) and the returned
-        record carries the *actual* destination — callers re-bind their
-        mapping from ``op.block_id``/``op.page`` when they differ from
-        the requested target.
+        remapped to a fresh page (same slot indices) and bound *there*.
+        The returned ``(op, block, page)`` names the actual destination,
+        for callers that keep per-page state (pack cursors, hotness
+        marks).
+
+        Mirrors ``FlashArray.program`` inline (same bookkeeping, same
+        order) — this runs once per program, and the extra call frame is
+        measurable on the simulation hot path.
         """
         faults = self.faults
         if faults is not None and faults.program_fails():
@@ -421,6 +460,8 @@ class BaseFTL(abc.ABC):
             else:
                 self.stats.host_programs_mlc += 1
                 self.stats.host_subpages_mlc += len(slots)
+            self.stats.note_level_write(
+                block.level if block.level is not None else 0)
         else:
             if slc:
                 self.stats.gc_programs_slc += 1
@@ -428,13 +469,19 @@ class BaseFTL(abc.ABC):
             else:
                 self.stats.gc_programs_mlc += 1
                 self.stats.gc_subpages_mlc += len(slots)
+        block_id = block.block_id
+        bind = self.subpage_map.bind
+        make = PPA._make  # skips the NamedTuple __new__ frame
+        for lsn, slot in zip(lsns, slots):
+            bind(lsn, make((block_id, page, slot)))
         # Without partial programming the whole page buffer is driven per
         # program pass; partial programming masks untouched bit lines and
         # transfers only the written subpages (Figure 1).
         transfer = (len(slots) if self.uses_partial_programming
                     else self.geometry.subpages_per_page)
-        return OpRecord(OpKind.PROGRAM, block.block_id, page,
-                        len(slots), slc, cause, transfer)
+        op = OpRecord(OpKind.PROGRAM, block_id, page, len(slots), slc,
+                      cause, transfer)
+        return op, block, page
 
     # -- fault handling ----------------------------------------------------
 
@@ -496,9 +543,7 @@ class BaseFTL(abc.ABC):
                 res = self.slc_alloc.alloc_page(level, now, for_gc=True)
             if res is not None:
                 return res
-        res = self.alloc_mlc_page(now, faults.pending, for_gc=True)
-        assert res is not None
-        return res
+        return self.alloc_mlc_page(now, faults.pending, for_gc=True)
 
     def _fault_reclaim_page(self, block: Block, page: int, now: Ms,
                             slots: list[int] | None = None) -> list[OpRecord]:
@@ -578,7 +623,3 @@ class BaseFTL(abc.ABC):
         self.flash.verify_region_counters()
         self.slc_alloc.victim_index.verify()
         self.mlc_alloc.victim_index.verify()
-
-    @abc.abstractmethod
-    def iter_bindings(self):
-        """Yield ``(lsn, PPA)`` for every live logical subpage."""

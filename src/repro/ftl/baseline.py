@@ -23,11 +23,9 @@ from __future__ import annotations
 from ..config import SSDConfig
 from ..nand.block import Block
 from ..nand.flash import FlashArray
-from ..nand.geometry import PPA
 from ..sim.ops import Cause, OpKind, OpRecord
 from .base import BaseFTL
 from .levels import BlockLevel
-from .mapping import SubpageMap
 from ..units import Lpn, Lsn, Ms
 
 
@@ -39,17 +37,8 @@ class BaselineFTL(BaseFTL):
 
     def __init__(self, config: SSDConfig, flash: FlashArray | None = None,
                  merge_siblings: bool = False):
-        self.subpage_map = SubpageMap()
         self.merge_siblings = merge_siblings
         super().__init__(config, flash)
-
-    # -- mapping -----------------------------------------------------------
-
-    def lookup(self, lsn: Lsn) -> PPA | None:
-        return self.subpage_map.lookup(lsn)
-
-    def iter_bindings(self):
-        yield from self.subpage_map.items()
 
     # -- write path ------------------------------------------------------------
 
@@ -57,9 +46,6 @@ class BaselineFTL(BaseFTL):
         ops: list[OpRecord] = []
         spp = self.geometry.subpages_per_page
         lookup = self.subpage_map.lookup
-        unbind = self.subpage_map.unbind
-        bind = self.subpage_map.bind
-        invalidate_many = self.flash.invalidate_many
         stats = self.stats
         for chunk in self.chunks_by_lpn(lsns):
             write_lsns = chunk
@@ -77,37 +63,11 @@ class BaselineFTL(BaseFTL):
             else:
                 stats.new_data_writes += 1
 
-            res = self.alloc_slc_page(BlockLevel.WORK, now, ops)
-            if res is None:
-                res = self.alloc_mlc_page(now, ops)
-                stats.slc_overflow_chunks += 1
-            block, page = res
-
-            # Old versions of a positionally-written chunk usually share
-            # one physical page — invalidate them per page, not per slot.
-            stale: dict[tuple[int, int], list[int]] = {}
-            for lsn, ppa in zip(write_lsns, mapped_old):
-                if ppa is not None:
-                    stale.setdefault((ppa.block, ppa.page), []).append(ppa.slot)
-                    unbind(lsn)
-            for (old_block, old_page), old_slots in stale.items():
-                invalidate_many(old_block, old_page, old_slots)
-
+            block, page = self.alloc_host_page(BlockLevel.WORK, now, ops)
+            self.drop_stale(write_lsns, mapped_old)
             slots = [lsn % spp for lsn in write_lsns]
-            op = self.program_subpages(block, page, slots, write_lsns,
-                                       now, Cause.HOST)
-            ops.append(op)
-            if op.block_id != block.block_id or op.page != page:
-                # A program failure remapped the data; bind the actual
-                # destination (same slot indices).
-                block = self.flash.block(op.block_id)
-                page = op.page
-            block_id = block.block_id
-            make = PPA._make  # skips the NamedTuple __new__ frame
-            for lsn, slot in zip(write_lsns, slots):
-                bind(lsn, make((block_id, page, slot)))
-            level = block.level if block.level is not None else 0
-            stats.note_level_write(level)
+            ops.append(self.place(block, page, slots, write_lsns, now,
+                                  Cause.HOST)[0])
         return ops
 
     def _collect_siblings(self, lpn: Lpn, chunk: list[int], now: Ms,
@@ -152,13 +112,7 @@ class BaselineFTL(BaseFTL):
         ops: list[OpRecord] = []
         block, npage = self.alloc_mlc_page(now, ops, for_gc=True)
         self.flash.invalidate_many(victim.block_id, page, slots)
-        op = self.program_subpages(block, npage, slots, lsns, now, cause)
-        ops.append(op)
-        if op.block_id != block.block_id or op.page != npage:
-            block = self.flash.block(op.block_id)
-            npage = op.page
-        for lsn, slot in zip(lsns, slots):
-            self.subpage_map.bind(lsn, PPA(block.block_id, npage, slot))
+        ops.append(self.place(block, npage, slots, lsns, now, cause)[0])
         return ops
 
     def _relocate_slc_page(self, victim, page, slots, lsns, now, cause):

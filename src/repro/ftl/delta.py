@@ -32,12 +32,10 @@ import math
 from ..config import SSDConfig
 from ..nand.block import Block
 from ..nand.flash import FlashArray
-from ..nand.geometry import PPA
 from ..sim.ops import Cause, OpKind, OpRecord
 from .base import BaseFTL
 from .levels import BlockLevel
 from ..units import Lsn, Ms
-from .mapping import SubpageMap
 
 #: Sentinel stored in slots holding packed delta bytes.
 DELTA_LSN: int = -2
@@ -54,18 +52,9 @@ class DeltaFTL(BaseFTL):
         if not 0.0 < delta_ratio <= 1.0:
             raise ValueError(f"delta_ratio must lie in (0, 1], got {delta_ratio}")
         super().__init__(config, flash)
-        self.subpage_map = SubpageMap()
         self.delta_ratio = delta_ratio
         #: (block_id, page) -> (delta_bytes_used, delta_slots, chain_len)
         self._delta_state: dict[tuple[int, int], tuple[int, int, int]] = {}
-
-    # -- mapping -----------------------------------------------------------
-
-    def lookup(self, lsn: Lsn) -> PPA | None:
-        return self.subpage_map.lookup(lsn)
-
-    def iter_bindings(self):
-        yield from self.subpage_map.items()
 
     def chain_length(self, lsn: Lsn) -> int:
         """Deltas stacked on ``lsn``'s page (0 = original only)."""
@@ -78,12 +67,24 @@ class DeltaFTL(BaseFTL):
 
     def write(self, lsns: list[Lsn], now: Ms) -> list[OpRecord]:
         ops: list[OpRecord] = []
+        lookup = self.subpage_map.lookup
         for chunk in self.chunks_by_lpn(lsns):
-            mappings = [self.subpage_map.lookup(lsn) for lsn in chunk]
-            appended = self._try_delta_append(chunk, mappings, now, ops)
-            if appended:
+            mappings = [lookup(lsn) for lsn in chunk]
+            if self._try_delta_append(chunk, mappings, now, ops):
                 continue
-            ops.extend(self._fresh_write(chunk, mappings, now))
+            # Out of place: new data, or a delta that did not fit.  The
+            # stale page (original + deltas) becomes garbage.
+            if any(m is not None for m in mappings):
+                self.stats.update_writes += 1
+            else:
+                self.stats.new_data_writes += 1
+            self.drop_stale(chunk, mappings)
+            for m in mappings:
+                if m is not None:
+                    self._delta_state.pop((m.block, m.page), None)
+            block, page = self.alloc_host_page(BlockLevel.WORK, now, ops)
+            ops.append(self.place(block, page, list(range(len(chunk))),
+                                  chunk, now, Cause.HOST)[0])
         return ops
 
     def _try_delta_append(self, chunk, mappings, now, ops) -> bool:
@@ -144,33 +145,6 @@ class DeltaFTL(BaseFTL):
         self.stats.note_level_write(level)
         return True
 
-    def _fresh_write(self, chunk, mappings, now) -> list[OpRecord]:
-        """Out-of-place write (new data, or a delta that did not fit)."""
-        ops: list[OpRecord] = []
-        if any(m is not None for m in mappings):
-            self.stats.update_writes += 1
-        else:
-            self.stats.new_data_writes += 1
-        for lsn, m in zip(chunk, mappings):
-            if m is not None:
-                self.flash.invalidate(m.block, m.page, m.slot)
-                self.subpage_map.unbind(lsn)
-                self._delta_state.pop((m.block, m.page), None)
-
-        res = self.alloc_slc_page(BlockLevel.WORK, now, ops)
-        if res is None:
-            res = self.alloc_mlc_page(now, ops)
-            self.stats.slc_overflow_chunks += 1
-        block, page = res
-        slots = list(range(len(chunk)))
-        ops.append(self.program_subpages(block, page, slots, chunk, now,
-                                         Cause.HOST))
-        for lsn, slot in zip(chunk, slots):
-            self.subpage_map.bind(lsn, PPA(block.block_id, page, slot))
-        level = block.level if block.level is not None else 0
-        self.stats.note_level_write(level)
-        return ops
-
     # -- read path (originals + deltas) ----------------------------------------
 
     def handle_read(self, lsns: list[Lsn], now: Ms) -> list[OpRecord]:
@@ -199,38 +173,23 @@ class DeltaFTL(BaseFTL):
 
     def _relocate_page(self, victim: Block, page: int, slots: list[int],
                        lsns: list[Lsn], now: Ms, cause: Cause,
-                       to_mlc: bool) -> list[OpRecord]:
-        """Move consolidated data (deltas applied) to a fresh page."""
+                       ) -> list[OpRecord]:
+        """Move consolidated data (deltas applied) to a fresh MLC page."""
         ops: list[OpRecord] = []
-        real = [(s, l) for s, l in zip(slots, lsns) if l != DELTA_LSN]
-        for s in slots:
-            self.flash.invalidate(victim.block_id, page, s)
+        self.flash.invalidate_many(victim.block_id, page, slots)
         self._delta_state.pop((victim.block_id, page), None)
+        real = [lsn for lsn in lsns if lsn != DELTA_LSN]
         if not real:
             return ops
-        if to_mlc:
-            block, npage = self.alloc_mlc_page(now, ops, for_gc=True)
-        else:
-            res = self.slc_alloc.alloc_page(int(BlockLevel.WORK), now,
-                                            for_gc=True)
-            if res is None:
-                self.stats.evicted_subpages_to_mlc += len(real)
-                block, npage = self.alloc_mlc_page(now, ops, for_gc=True)
-            else:
-                block, npage = res
-        new_slots = list(range(len(real)))
-        ops.append(self.program_subpages(
-            block, npage, new_slots, [l for _, l in real], now, cause))
-        for (old_slot, lsn), slot in zip(real, new_slots):
-            self.subpage_map.bind(lsn, PPA(block.block_id, npage, slot))
+        block, npage = self.alloc_mlc_page(now, ops, for_gc=True)
+        ops.append(self.place(block, npage, list(range(len(real))), real,
+                              now, cause)[0])
         return ops
 
     def _relocate_slc_page(self, victim, page, slots, lsns, now, cause):
         self.stats.evicted_subpages_to_mlc += sum(
             1 for l in lsns if l != DELTA_LSN)
-        return self._relocate_page(victim, page, slots, lsns, now, cause,
-                                   to_mlc=True)
+        return self._relocate_page(victim, page, slots, lsns, now, cause)
 
     def _relocate_mlc_page(self, victim, page, slots, lsns, now, cause):
-        return self._relocate_page(victim, page, slots, lsns, now, cause,
-                                   to_mlc=True)
+        return self._relocate_page(victim, page, slots, lsns, now, cause)

@@ -1,15 +1,13 @@
-"""Logical-to-physical mapping tables.
+"""Logical-to-physical mapping table.
 
-Two granularities are provided:
+:class:`SubpageMap` — LSN -> (block, page, slot) — is the one table every
+scheme keeps: :class:`~repro.ftl.base.BaseFTL` owns it, and its write
+primitive :meth:`~repro.ftl.base.BaseFTL.place` does every binding.
+Subpage granularity covers each scheme's layout: Baseline's positional
+slots (logical subpage ``k`` of an LPN in slot ``k``), MGA's
+cross-request packing, and IPU's and Delta's one-chunk-per-page layout.
 
-* :class:`PageMap` — LPN -> (block, page), the classic dynamic page-level
-  table the *Baseline* scheme uses (subpages sit positionally inside the
-  page: logical subpage ``k`` of the LPN occupies slot ``k``),
-* :class:`SubpageMap` — LSN -> (block, page, slot), the second-level table
-  partial-programming schemes need (MGA's packing, IPU's intra-page
-  offsets).
-
-Both structures count their own entries so the memory-overhead experiment
+The table counts its own entries so the memory-overhead experiment
 (Figure 11) can be driven by real occupancy; the byte-cost *model* per
 scheme lives in :mod:`repro.metrics.memory`.
 """
@@ -18,44 +16,7 @@ from __future__ import annotations
 
 from ..errors import MappingError
 from ..nand.geometry import PPA
-from ..units import Lpn, Lsn
-
-
-class PageMap:
-    """Dynamic page-level mapping: LPN -> (block, page)."""
-
-    def __init__(self):
-        self._map: dict[Lpn, tuple[int, int]] = {}
-        # Bind the lookup straight to dict.get: the method body below is
-        # documentation; the instance attribute skips one Python frame on
-        # the hottest call in the FTL.
-        self.lookup = self._map.get
-
-    def lookup(self, lpn: Lpn) -> tuple[int, int] | None:
-        """Physical page of ``lpn``, or None if unmapped."""
-        return self._map.get(lpn)
-
-    def bind(self, lpn: Lpn, block: int, page: int) -> None:
-        """Map ``lpn`` to a physical page (replacing any previous binding)."""
-        if lpn < 0:
-            raise MappingError(f"negative LPN {lpn}")
-        self._map[lpn] = (block, page)
-
-    def unbind(self, lpn: Lpn) -> None:
-        """Drop the binding of ``lpn``."""
-        if lpn not in self._map:
-            raise MappingError(f"LPN {lpn} not mapped")
-        del self._map[lpn]
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, lpn: Lpn) -> bool:
-        return lpn in self._map
-
-    def items(self):
-        """Iterate ``(lpn, (block, page))`` bindings."""
-        return self._map.items()
+from ..units import Lsn
 
 
 class SubpageMap:
@@ -63,7 +24,9 @@ class SubpageMap:
 
     def __init__(self):
         self._map: dict[Lsn, PPA] = {}
-        # Same one-frame shortcut as PageMap.lookup.
+        # Bind the lookup straight to dict.get: the method body below is
+        # documentation; the instance attribute skips one Python frame on
+        # the hottest call in the FTL.
         self.lookup = self._map.get
 
     def lookup(self, lsn: Lsn) -> PPA | None:

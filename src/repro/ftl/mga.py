@@ -17,13 +17,11 @@ from __future__ import annotations
 from ..config import SSDConfig
 from ..nand.block import Block, BlockState
 from ..nand.flash import FlashArray
-from ..nand.geometry import PPA
 from ..sim.ops import Cause, OpRecord
 from .base import BaseFTL
 from .gc import GarbageCollector
 from .levels import BlockLevel
 from ..units import Lsn, Ms
-from .mapping import SubpageMap
 from .victim import GreedyVictimPolicy, VictimPolicy
 
 
@@ -35,7 +33,6 @@ class MGAFTL(BaseFTL):
 
     def __init__(self, config: SSDConfig, flash: FlashArray | None = None):
         super().__init__(config, flash)
-        self.subpage_map = SubpageMap()
         #: Current pack target: (block_id, page) accepting more subpages.
         self._pack: tuple[int, int] | None = None
         #: Subpages awaiting eviction packing during GC (list keeps
@@ -68,12 +65,6 @@ class MGAFTL(BaseFTL):
         keys = super().translation_keys(lsns)
         keys.extend(SECOND_LEVEL_KEY_BASE + lsn for lsn in lsns)
         return keys
-
-    def lookup(self, lsn: Lsn) -> PPA | None:
-        return self.subpage_map.lookup(lsn)
-
-    def iter_bindings(self):
-        yield from self.subpage_map.items()
 
     def _invalidate_lsn(self, lsn: Lsn) -> None:
         ppa = self.subpage_map.lookup(lsn)
@@ -121,44 +112,32 @@ class MGAFTL(BaseFTL):
         for lsn in lsns:
             self._invalidate_lsn(lsn)
 
+        max_pp = self.config.reliability.max_page_programs
         remaining = list(lsns)
         while remaining:
             cap = self._pack_capacity()
             if cap is None:
-                res = self.alloc_slc_page(BlockLevel.WORK, now, ops)
+                res = self.alloc_slc_page(BlockLevel.WORK, now)
                 if res is None:
                     # Cache exhausted even after GC: spill to high-density.
                     ops.extend(self._write_mlc_chunk(remaining, now))
                     self.stats.slc_overflow_chunks += 1
                     return ops
                 block, page = res
-                self._pack = (block.block_id, page)
                 free = list(range(self.geometry.subpages_per_page))
             else:
                 block, page, free = cap
 
             take = min(len(free), len(remaining))
             chunk, remaining = remaining[:take], remaining[take:]
-            slots = free[:take]
-            op = self.program_subpages(block, page, slots, chunk,
-                                       now, Cause.HOST)
+            op, block, page = self.place(block, page, free[:take], chunk,
+                                         now, Cause.HOST)
             ops.append(op)
-            if op.block_id != block.block_id or op.page != page:
-                # Program failure remapped the pulse (same slot indices);
-                # pack state below re-derives from the actual target.
-                block = self.flash.block(op.block_id)
-                page = op.page
-            for lsn, slot in zip(chunk, slots):
-                self.subpage_map.bind(lsn, PPA(block.block_id, page, slot))
-            level = block.level if block.level is not None else 0
-            self.stats.note_level_write(level)
-            if not block.is_slc:
-                # Remap spilled to the high-density region: packing (a
-                # partial-programming feature) cannot continue there.
-                self._pack = None
-            elif block.page_programmed[page] == block.spp or (
-                    block.pass_counts[page]
-                    >= self.config.reliability.max_page_programs):
+            # A program failure may have remapped the pulse to the
+            # high-density region, where packing (a partial-programming
+            # feature) cannot continue.
+            if (not block.is_slc or block.page_programmed[page] == block.spp
+                    or block.pass_counts[page] >= max_pp):
                 self._pack = None
             else:
                 self._pack = (block.block_id, page)
@@ -171,16 +150,8 @@ class MGAFTL(BaseFTL):
         for i in range(0, len(lsns), spp):
             group = lsns[i:i + spp]
             block, page = self.alloc_mlc_page(now, ops)
-            slots = list(range(len(group)))
-            op = self.program_subpages(block, page, slots, group,
-                                       now, Cause.HOST)
-            ops.append(op)
-            if op.block_id != block.block_id or op.page != page:
-                block = self.flash.block(op.block_id)
-                page = op.page
-            for lsn, slot in zip(group, slots):
-                self.subpage_map.bind(lsn, PPA(block.block_id, page, slot))
-            self.stats.note_level_write(int(BlockLevel.HIGH_DENSITY))
+            ops.append(self.place(block, page, list(range(len(group))),
+                                  group, now, Cause.HOST)[0])
         return ops
 
     # -- GC movement -------------------------------------------------------------
@@ -208,13 +179,7 @@ class MGAFTL(BaseFTL):
             group = self._evict_buffer[:spp]
             del self._evict_buffer[:spp]
             block, page = self.alloc_mlc_page(now, ops, for_gc=True)
-            slots = list(range(len(group)))
-            op = self.program_subpages(block, page, slots, group, now, cause)
-            ops.append(op)
-            if op.block_id != block.block_id or op.page != page:
-                block = self.flash.block(op.block_id)
-                page = op.page
-            for lsn, slot in zip(group, slots):
-                self._evict_pending.discard(lsn)
-                self.subpage_map.bind(lsn, PPA(block.block_id, page, slot))
+            ops.append(self.place(block, page, list(range(len(group))),
+                                  group, now, cause)[0])
+            self._evict_pending.difference_update(group)
         return ops

@@ -542,7 +542,8 @@ class OpenLoopReplay:
 class ClosedLoopReplay:
     """Resumable closed-loop replay (fixed queue depth, no timestamps).
 
-    Same checkpoint contract as :class:`OpenLoopReplay`; the extra carry
+    Same checkpoint contract as :class:`OpenLoopReplay` (power losses
+    strike at issue times, which stand in for arrivals); the extra carry
     state is the completion ring of the last ``queue_depth`` requests
     (request ``i`` issues when ``i - queue_depth`` completes) and the
     running maximum completion time (completions are not monotonic, so
@@ -572,6 +573,9 @@ class ClosedLoopReplay:
         self.max_completion = 0.0
         self.read_raw_errors = 0.0
         self.read_bits = 0
+        faults_plan = getattr(ftl, "faults", None)
+        self.next_power_loss = (faults_plan.next_power_loss(0.0)
+                                if faults_plan is not None else math.inf)
         #: Completions of the last ``queue_depth`` requests, oldest first.
         self.ring: list[float] = []
         self._window_lat: list[np.ndarray] = []
@@ -591,12 +595,15 @@ class ClosedLoopReplay:
         max_completion = self.max_completion
 
         ftl = self.ftl
-        reserve = self.timing.pricer(self.resources).reserve
+        timing = self.timing
+        reserve = timing.pricer(self.resources).reserve
         handle_write = ftl.handle_write
         handle_read = ftl.handle_read
         hostlike = (Cause.HOST, Cause.TRANSLATION)
         subpage_bits = self._subpage_bits
         observer = self.observer
+        faults_plan = getattr(ftl, "faults", None)
+        next_power_loss = self.next_power_loss
         base_index = self.n
         now = self.now
 
@@ -607,6 +614,9 @@ class ClosedLoopReplay:
                 head = ring.pop(0)
                 if head > now:
                     now = head
+            while now >= next_power_loss:
+                faults_plan.power_loss(ftl, next_power_loss, timing)
+                next_power_loss = faults_plan.next_power_loss(next_power_loss)
             lsns = list(range(firsts[i], lasts[i]))
             write = writes[i]
             if write:
@@ -638,6 +648,7 @@ class ClosedLoopReplay:
         self.n = base_index + n
         self.now = now
         self.max_completion = max_completion
+        self.next_power_loss = next_power_loss
         self.read_raw_errors = read_raw_errors
         self.read_bits = read_bits
         if n:

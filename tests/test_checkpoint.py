@@ -40,7 +40,7 @@ from conftest import tiny_config
 SETTINGS = settings(max_examples=12, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
-SCHEME_NAMES = ("baseline", "mga", "ipu")
+SCHEME_NAMES = ("baseline", "mga", "ipu", "delta")
 
 
 def short_trace(seed=11, n_requests=600):
@@ -88,16 +88,19 @@ class TestResumeBitIdentity:
         assert resumed.result(trace.name).deterministic_dict() == expected
 
     @SETTINGS
-    @given(seed=st.integers(0, 2**16), frac=st.floats(0.1, 0.9))
-    def test_closed_loop_resume(self, seed, frac):
+    @given(seed=st.integers(0, 2**16), frac=st.floats(0.1, 0.9),
+           fault_rate=st.sampled_from([0.0, 1.5]))
+    def test_closed_loop_resume(self, seed, frac, fault_rate):
         trace = short_trace(seed=seed % 100 + 1, n_requests=400)
         first, rest = split(trace, int(len(trace) * frac))
 
-        ref = build_replay("ipu", seed=seed, closed=True)
+        ref = build_replay("ipu", seed=seed, fault_rate=fault_rate,
+                           closed=True)
         ref.feed(trace)
         expected = ref.result(trace.name).deterministic_dict()
 
-        paused = build_replay("ipu", seed=seed, closed=True)
+        paused = build_replay("ipu", seed=seed, fault_rate=fault_rate,
+                              closed=True)
         paused.feed(first)
         resumed = pickle.loads(pickle.dumps(paused, protocol=5))
         resumed.feed(rest)

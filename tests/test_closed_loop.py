@@ -5,6 +5,8 @@ import pytest
 
 from repro import SCHEMES, Simulator
 from repro.errors import SimulationError
+from repro.experiments.runner import RunContext
+from repro.faults import FaultConfig, attach_faults
 from repro.traces import generate, profile
 
 from conftest import tiny_config
@@ -80,3 +82,25 @@ class TestClosedLoop:
             small_trace(300), queue_depth=16)
         assert (result.write_latencies > 0).all()
         assert (result.read_latencies > 0).all()
+
+
+class TestClosedLoopPowerLoss:
+    """Power loss strikes at issue times, as it strikes an open loop at
+    arrivals."""
+
+    POWER_LOSS = FaultConfig(power_loss_per_ms=0.05)
+
+    def test_run_closed_injects_power_loss(self):
+        trace = generate(profile("ts0"), n_requests=2000, seed=11,
+                         mean_interarrival_ms=0.6)
+        ftl = SCHEMES["ipu"](tiny_config())
+        attach_faults(ftl, self.POWER_LOSS)
+        result = Simulator(ftl).run_closed(trace, queue_depth=8)
+        assert result.power_loss_events > 0
+        assert result.recovery_ms > 0
+        ftl.check_consistency()
+
+    def test_run_context_closed_cell_injects_power_loss(self):
+        ctx = RunContext(scale="smoke", seed=7, length_factor=0.25,
+                         faults=self.POWER_LOSS)
+        assert ctx.run("ts0", "ipu", queue_depth=8).power_loss_events > 0

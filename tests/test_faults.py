@@ -4,7 +4,7 @@ campaigns and the cache/determinism contracts.
 The two load-bearing properties:
 
 * **rate 0 is bit-identical** — attaching a disabled config (or none)
-  must reproduce every simulation field exactly, for all three schemes
+  must reproduce every simulation field exactly, for all four schemes
   and arbitrary seeds (hypothesis sweeps them);
 * **injector counts are monotone in the rate** — the single-draw
   injectors compare one shared uniform sequence against the threshold,
@@ -31,7 +31,7 @@ from repro.traces.synth import generate
 
 from conftest import tiny_config
 
-SCHEMES = ("baseline", "mga", "ipu")
+SCHEMES = ("baseline", "mga", "ipu", "delta")
 
 #: Short cells keep full-simulation tests affordable.
 FAST = dict(scale="smoke", seed=7, length_factor=0.25)

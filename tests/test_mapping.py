@@ -1,48 +1,10 @@
-"""Mapping tables."""
+"""The subpage mapping table."""
 
 import pytest
 
 from repro.errors import MappingError
-from repro.ftl.mapping import PageMap, SubpageMap
+from repro.ftl.mapping import SubpageMap
 from repro.nand.geometry import PPA
-
-
-class TestPageMap:
-    def test_lookup_missing(self):
-        assert PageMap().lookup(0) is None
-
-    def test_bind_lookup(self):
-        pm = PageMap()
-        pm.bind(5, 3, 7)
-        assert pm.lookup(5) == (3, 7)
-
-    def test_rebind_replaces(self):
-        pm = PageMap()
-        pm.bind(5, 3, 7)
-        pm.bind(5, 4, 0)
-        assert pm.lookup(5) == (4, 0)
-        assert len(pm) == 1
-
-    def test_unbind(self):
-        pm = PageMap()
-        pm.bind(5, 3, 7)
-        pm.unbind(5)
-        assert pm.lookup(5) is None
-
-    def test_unbind_missing_rejected(self):
-        with pytest.raises(MappingError):
-            PageMap().unbind(5)
-
-    def test_negative_lpn_rejected(self):
-        with pytest.raises(MappingError):
-            PageMap().bind(-1, 0, 0)
-
-    def test_contains_and_items(self):
-        pm = PageMap()
-        pm.bind(1, 2, 3)
-        assert 1 in pm
-        assert 2 not in pm
-        assert dict(pm.items()) == {1: (2, 3)}
 
 
 class TestSubpageMap:
