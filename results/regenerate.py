@@ -3,8 +3,8 @@
 
 With no flags, everything regenerates in **one pass** — figure/table
 JSONs, the smoke-scale golden metric files under ``golden/`` (the
-direct-path ``*_smoke.json`` pins and the front-end ``frontend_qd.json``
-pins), and
+direct-path ``*_smoke.json`` pins, the front-end ``frontend_qd.json``
+pins and the per-driver ``drivers_faults.json`` pins), and
 ``schema_snapshot.json`` — so a behaviour change can never leave one
 artifact class stale while the others move (PR 4 shipped a stale
 ``fig12.json`` exactly that way).  ``--figures`` / ``--golden`` /
@@ -18,9 +18,13 @@ guard armed against a stale snapshot.
 """
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from repro.experiments import EXPERIMENTS, run
 from repro.experiments.runner import RunContext, SCHEME_ORDER
@@ -47,6 +51,18 @@ FRONTEND_GOLDEN_METRICS = (
     "avg_latency_ms", "lat_p50_ms", "lat_p90_ms", "lat_p99_ms", "flushes",
     "cache_read_hits", "merged_writes", "coalesced_writes", "erases_slc",
     "programs_slc")
+#: Replay-driver pins: every driver (open loop, closed loop, front-end)
+#: under power loss, program failures and read faults, plus fault-free
+#: closed-loop cells.  Each cell pins every scalar of
+#: ``deterministic_dict()`` and a sha256 of each latency array.  The
+#: file name avoids the ``*_smoke.json`` pattern.
+DRIVER_GOLDEN_TRACES = ("ts0", "lun2")
+DRIVER_GOLDEN_SCHEMES = ("baseline", "ipu")
+DRIVER_GOLDEN_QD = 8
+DRIVER_GOLDEN_POWER_LOSS_PER_MS = 0.02
+#: ``(driver, fault-injected)`` per pinned cell family.
+DRIVER_GOLDEN_CELLS = (("open", True), ("closed", True), ("frontend", True),
+                       ("closed", False))
 
 
 def regenerate_figures() -> None:
@@ -83,6 +99,15 @@ def regenerate_golden() -> None:
          "seed": GOLDEN_SEED, "cells": frontend_golden_cells()},
         indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
+    path = golden_dir / "drivers_faults.json"
+    faults = driver_golden_faults()
+    path.write_text(json.dumps(
+        {"experiment": "drivers-faults", "scale": GOLDEN_SCALE,
+         "seed": GOLDEN_SEED, "queue_depth": DRIVER_GOLDEN_QD,
+         "faults": faults.to_dict(),
+         "cells": driver_golden_cells(faults)},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
 
 
 def frontend_golden_cells() -> "dict[str, dict]":
@@ -98,6 +123,46 @@ def frontend_golden_cells() -> "dict[str, dict]":
                 result = ctx.run(trace, scheme)
                 cells[f"{trace}/{scheme}/qd{qd}"] = {
                     m: getattr(result, m) for m in FRONTEND_GOLDEN_METRICS}
+    return cells
+
+
+def driver_golden_faults():
+    """``FaultConfig.from_rate(1.0)`` with a denser power-loss process."""
+    from repro.faults import FaultConfig
+
+    return dataclasses.replace(
+        FaultConfig.from_rate(1.0),
+        power_loss_per_ms=DRIVER_GOLDEN_POWER_LOSS_PER_MS)
+
+
+def pinned_result(result) -> dict:
+    """Every scalar of ``deterministic_dict()``; latency arrays as sha256."""
+    out = result.deterministic_dict()
+    for name in ("read_latencies", "write_latencies"):
+        array = np.ascontiguousarray(getattr(result, name), dtype="<f8")
+        out.pop(name)
+        out[f"{name}_sha256"] = hashlib.sha256(array.tobytes()).hexdigest()
+    return out
+
+
+def driver_golden_cells(faults) -> "dict[str, dict]":
+    """Driver pins keyed ``trace/scheme/driver/faults|clean`` (uncached)."""
+    from repro.frontend import FrontendConfig
+
+    cells = {}
+    for driver, faulty in DRIVER_GOLDEN_CELLS:
+        frontend = (FrontendConfig.from_qd(DRIVER_GOLDEN_QD)
+                    if driver == "frontend" else None)
+        queue_depth = DRIVER_GOLDEN_QD if driver == "closed" else None
+        ctx = RunContext(scale=GOLDEN_SCALE, seed=GOLDEN_SEED,
+                         faults=faults if faulty else None,
+                         frontend=frontend)
+        for trace in DRIVER_GOLDEN_TRACES:
+            for scheme in DRIVER_GOLDEN_SCHEMES:
+                result = ctx.run(trace, scheme, queue_depth=queue_depth)
+                tag = "faults" if faulty else "clean"
+                cells[f"{trace}/{scheme}/{driver}/{tag}"] = \
+                    pinned_result(result)
     return cells
 
 

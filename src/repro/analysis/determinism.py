@@ -157,11 +157,10 @@ class WallClockRule(Rule):
     title = "wall clock outside the diagnostic allowlist"
 
     #: Modules with sanctioned wall-time diagnostics: the bench harness,
-    #: the simulators' ``wall_seconds`` bookkeeping (direct and front-end
-    #: replay paths), and the GC victim policies' ``scan_seconds``
+    #: the replay drivers' shared ``wall_seconds`` bookkeeping
+    #: (``ReplayCore.run``), and the GC victim policies' ``scan_seconds``
     #: host-cost counter.
-    ALLOWED = frozenset({"bench.py", "sim/simulator.py",
-                         "frontend/simulate.py", "ftl/victim.py"})
+    ALLOWED = frozenset({"bench.py", "sim/simulator.py", "ftl/victim.py"})
 
     def check_file(self, src: SourceFile) -> Iterator[Violation]:
         if src.relpath in self.ALLOWED:

@@ -4,10 +4,11 @@ The fleet layer's resume contract — a device replay pickled into a
 checkpoint resumes *bit-identically* — leans on two fragile
 conventions:
 
-* every piece of **loop-carry state** a replay driver accumulates in
-  ``feed``/``drain_window``/``finish`` must round-trip through the
-  class's pickle protocol (a ``__getstate__`` that drops one attribute
-  resumes from a silently reset counter);
+* every piece of **loop-carry state** a replay driver accumulates —
+  in ``feed`` or in any helper it calls, its own or a base class's —
+  must round-trip through the class's pickle protocol (a
+  ``__getstate__`` that drops one attribute resumes from a silently
+  reset counter);
 * every class holding **numpy views into**
   :class:`~repro.nand.state.RegionState` must rebind those views in
   ``__setstate__`` the way :class:`~repro.nand.block.Block` does
@@ -20,11 +21,11 @@ resume-identity suites); this module makes them lint-time facts, plus a
 third guard on the process-pool boundary:
 
 ======== ============================================================
-``P001`` a replay-driver attribute assigned in ``feed``/
-         ``drain_window``/``finish`` is dropped by the class's
-         ``__getstate__`` and never restored in ``__setstate__``, or
-         is bound to an unpicklable value (lambda, generator, open
-         handle)
+``P001`` a replay-driver attribute assigned outside the
+         constructor and the pickle protocol (in the class or a base)
+         is dropped by the class's ``__getstate__`` and never
+         restored in ``__setstate__``, or is bound to an unpicklable
+         value (lambda, generator, open handle)
 ``P002`` a class assigns attributes that are views into RegionState
          columns but its ``__setstate__`` does not rebind them (or is
          missing entirely)
@@ -48,11 +49,13 @@ from .core import (ProjectContext, ProjectPass, Rule, SourceFile,
                    Violation, walk)
 from .effects import REGION_COLUMNS, _AliasMap, _own_statements
 
-#: A class defining this method is a chunk-fed replay driver.
+#: A class defining or inheriting this method is a chunk-fed replay driver.
 DRIVER_MARKER = "feed"
 
-#: Methods whose ``self.<attr>`` assignments are loop-carry state.
-DRIVER_METHODS = ("feed", "drain_window", "finish")
+#: Methods whose ``self.<attr>`` assignments are *not* loop-carry state:
+#: every other method of a driver class or its bases may run between
+#: two checkpoints.
+NON_CARRY_METHODS = frozenset({"__init__", "__getstate__", "__setstate__"})
 
 #: Pool constructors whose payloads must pickle.
 _POOL_CLASSES = frozenset({"ProcessPoolExecutor"})
@@ -126,31 +129,26 @@ class PickleAnalysis(ProjectPass):
             for name in sorted(mod.classes):
                 yield mod.classes[name]
 
-    def _aliased_methods(self, cls: ClassInfo) -> dict[str, FunctionInfo]:
-        """``name = OtherClass.method`` class-body method aliases."""
-        out: dict[str, FunctionInfo] = {}
-        module = self.index.modules.get(cls.relpath)
-        if module is None:
-            return out
-        for stmt in cls.node.body:
-            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and isinstance(stmt.value, ast.Attribute)
-                    and isinstance(stmt.value.value, ast.Name)):
+    def _driver_methods(self, cls: ClassInfo) -> list[FunctionInfo]:
+        """Every method a ``cls`` instance runs, bases included (the
+        nearest definition of each name wins, as in the MRO)."""
+        seen: dict[str, FunctionInfo] = {}
+        visited: set[int] = set()
+        pending = [cls]
+        while pending:
+            klass = pending.pop(0)
+            if id(klass) in visited:
                 continue
-            owner = self.index.resolve_class_name(stmt.value.value.id, module)
-            if owner is None:
-                continue
-            aliased = self.index.class_method(owner, stmt.value.attr)
-            if aliased is not None:
-                out[stmt.targets[0].id] = aliased
-        return out
-
-    def _method(self, cls: ClassInfo, name: str) -> FunctionInfo | None:
-        found = self.index.class_method(cls, name)
-        if found is not None:
-            return found
-        return self._aliased_methods(cls).get(name)
+            visited.add(id(klass))
+            for name in sorted(klass.methods):
+                seen.setdefault(name, klass.methods[name])
+            module = self.index.modules.get(klass.relpath)
+            if module is not None:
+                for base_name in klass.base_names:
+                    base = self.index.resolve_class_name(base_name, module)
+                    if base is not None:
+                        pending.append(base)
+        return [seen[name] for name in sorted(seen)]
 
     def _restored_attrs(self, cls: ClassInfo,
                         setstate: FunctionInfo | None) -> set[str]:
@@ -164,7 +162,7 @@ class PickleAnalysis(ProjectPass):
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id == "self"):
                 continue
-            helper = self._method(cls, node.func.attr)
+            helper = self.index.class_method(cls, node.func.attr)
             if helper is not None:
                 restored.update(_self_assigned_attrs(helper.node))
         return restored
@@ -223,15 +221,15 @@ class PickleAnalysis(ProjectPass):
 
     def _check_p001(self) -> None:
         for cls in self._iter_classes():
-            if DRIVER_MARKER not in cls.methods:
+            if self.index.class_method(cls, DRIVER_MARKER) is None:
                 continue
-            carried: dict[str, ast.AST] = {}
-            for name in DRIVER_METHODS:
-                fn = self._method(cls, name)
-                if fn is None:
+            #: attr -> (relpath, node) of its first carry assignment.
+            carried: dict[str, tuple[str, ast.AST]] = {}
+            for fn in self._driver_methods(cls):
+                if fn.name in NON_CARRY_METHODS:
                     continue
                 for attr, node in _self_assigned_attrs(fn.node).items():
-                    carried.setdefault(attr, node)
+                    carried.setdefault(attr, (fn.relpath, node))
                 # Unpicklable values are a violation regardless of the
                 # pickle protocol: no __getstate__ can serialise them.
                 for stmt in _own_statements(fn.node):
@@ -243,26 +241,28 @@ class PickleAnalysis(ProjectPass):
                         continue
                     why = _unpicklable_value(stmt.value)
                     if why is not None:
+                        owner = fn.cls.name if fn.cls is not None else cls.name
                         self.emit(
-                            "P001", cls.relpath, stmt,
-                            f"loop-carry state of {cls.name}.{fn.name}() "
+                            "P001", fn.relpath, stmt,
+                            f"loop-carry state of {owner}.{fn.name}() "
                             f"is bound to {why}, which cannot round-trip "
                             f"through the checkpoint pickle")
-            getstate = self._method(cls, "__getstate__")
+            getstate = self.index.class_method(cls, "__getstate__")
             if getstate is None or not carried:
                 continue
-            included, excluded = self._getstate_drops(cls, getstate)
-            setstate = self._method(cls, "__setstate__")
+            included, excluded = self._getstate_drops(
+                getstate.cls or cls, getstate)
+            setstate = self.index.class_method(cls, "__setstate__")
             restored = self._restored_attrs(cls, setstate)
             for attr in sorted(carried):
                 dropped = (attr in excluded if included is None
                            else attr not in included)
                 if dropped and attr not in restored:
+                    relpath, node = carried[attr]
                     self.emit(
-                        "P001", cls.relpath, carried[attr],
+                        "P001", relpath, node,
                         f"loop-carry attribute '{attr}' of {cls.name} "
-                        f"(assigned in "
-                        f"{'/'.join(DRIVER_METHODS)}) is dropped by "
+                        f"(assigned outside __init__) is dropped by "
                         f"__getstate__ and never restored in "
                         f"__setstate__ — a resumed checkpoint would "
                         f"silently reset it")
@@ -312,7 +312,7 @@ class PickleAnalysis(ProjectPass):
             views = self._class_view_attrs(cls)
             if not views:
                 continue
-            setstate = self._method(cls, "__setstate__")
+            setstate = self.index.class_method(cls, "__setstate__")
             if setstate is None:
                 for attr in sorted(views):
                     self.emit(

@@ -13,10 +13,12 @@ through the :class:`~repro.frontend.cache.WriteBuffer` and the
   pressure-flush spans it forced out (write backpressure is what makes
   queue depth matter);
 * a **read** splits into buffer hits (DRAM cost) and misses (the FTL
-  read path, chip/channel time reserved as usual);
+  read path, served by the same request path as the direct replays,
+  :meth:`~repro.sim.simulator.ReplayCore._serve`);
 * the periodic writeback sweep and the end-of-run drain destage in the
   background: their flash ops occupy the chips and delay later
-  requests, but complete no host request;
+  requests, but complete no host request (a destage reserves every op
+  in FTL order and waits on all of them, so it is not ``_serve``);
 * a power loss drops the dirty buffer contents (DRAM does not survive)
   *before* the mount scan runs — destaged-but-torn subpages follow the
   ordinary torn-page recovery, so a buffered write is either replayed
@@ -30,62 +32,47 @@ across the parallel fan-out — are bit-identical.
 
 from __future__ import annotations
 
-import math
-import time
-
 import numpy as np
 
 from ..config import SSDConfig
-from ..sim.ops import Cause, OpKind
-from ..sim.resources import ResourceSet
-from ..sim.simulator import (SimulationResult, _chunk_extents, _source_chunks,
-                             collect_result)
-from ..sim.timing import TimingModel
+from ..errors import SimulationError
+from ..sim.simulator import ReplayCore, SimulationResult, _chunk_extents
 from ..traces.model import Trace
 from ..units import Lsn, Ms
 from .cache import WriteBuffer
 from .config import FrontendConfig
 from .scheduler import FrontRequest, MultiQueueScheduler
 
-#: Op causes that complete a host request (same set the direct path uses).
-_HOSTLIKE = (Cause.HOST, Cause.TRANSLATION)
+
+def _refuse_issue(request: FrontRequest, issue_ms: Ms) -> Ms:
+    """The scheduler's issue callback once its replay has finished."""
+    raise SimulationError("the front-end replay has finished; no request "
+                          "can issue")
 
 
-class FrontendSimulator:
+class FrontendSimulator(ReplayCore):
     """Replays traces through the write buffer and multi-queue scheduler."""
 
     def __init__(self, ftl, frontend: FrontendConfig,
                  config: SSDConfig | None = None):
         frontend.validate()
-        self.ftl = ftl
-        self.config = config if config is not None else ftl.config
+        super().__init__(ftl, config)
         self.frontend = frontend
         self.geometry = ftl.geometry
-        self.timing = TimingModel(self.config, ecc=ftl.ecc, rber=ftl.rber)
-        self.resources = ResourceSet(self.geometry)
-        self.pricer = self.timing.pricer(self.resources)
         self.buffer = WriteBuffer(frontend)
         #: The scheduler lives for the simulator's whole life (not per
         #: run) so a checkpoint pickled between chunks carries the
         #: in-flight heap and queue cursors with it.
         self.scheduler = MultiQueueScheduler(
             self.geometry.chips, frontend.queue_depth, self._issue)
-        self._subpage_bits = self.geometry.subpage_size * 8
         #: Per-request response times, indexed by global request index.
-        #: A growing python list (not a preallocated array): a request
+        #: A growing python list (not a per-chunk array): a request
         #: submitted in one chunk may complete during a later chunk's
         #: scheduler advance, so the storage must already cover every
-        #: submitted index while growing chunk by chunk.
+        #: submitted index while growing chunk by chunk.  ``finish()``
+        #: moves it into the latency window.
         self._latencies: list[float] = []
         self._is_write: list[bool] = []
-        self._read_raw_errors = 0.0
-        self._read_bits = 0
-        #: Loop-carry state across feed() calls.
-        self.n = 0
-        self.now = 0.0
-        faults_plan = getattr(ftl, "faults", None)
-        self.next_power_loss = (faults_plan.next_power_loss(0.0)
-                                if faults_plan is not None else math.inf)
         self._finished = False
 
     # -- destage ------------------------------------------------------------
@@ -101,6 +88,11 @@ class FrontendSimulator:
             if op_end > end:
                 end = op_end
         return end
+
+    def _power_off(self) -> None:
+        """DRAM dies first: dirty buffer contents are gone before the
+        mount scan repairs whatever reached the flash."""
+        self.buffer.drop_all()
 
     # -- scheduler issue callback --------------------------------------------
 
@@ -118,20 +110,8 @@ class FrontendSimulator:
             hits, misses = self.buffer.split_read(lsns)
             complete = issue_ms + self.frontend.read_hit_ms if hits else issue_ms
             if misses:
-                reserve = self.pricer.reserve
-                ops = self.ftl.handle_read(misses, issue_ms)
-                for op in ops:
-                    if op.cause not in _HOSTLIKE:
-                        continue
-                    end = reserve(op, issue_ms)
-                    if end > complete:
-                        complete = end
-                    if op.kind is OpKind.READ and op.cause is Cause.HOST:
-                        self._read_raw_errors += op.raw_errors
-                        self._read_bits += op.n_slots * self._subpage_bits
-                for op in ops:
-                    if op.cause not in _HOSTLIKE:
-                        reserve(op, issue_ms)
+                complete = self._serve(self.ftl.handle_read(misses, issue_ms),
+                                       issue_ms, complete, True)
         self._latencies[index] = complete - arrival_ms
         return complete
 
@@ -144,8 +124,13 @@ class FrontendSimulator:
         in-flight at a boundary simply complete during a later chunk's
         scheduler advance (their latency slots already exist), so any
         chunking of a trace replays byte-identically to one whole-trace
-        feed.  Call :meth:`finish` after the last chunk.
+        feed.  Call :meth:`finish` after the last chunk; a finished
+        replay refuses more input.
         """
+        if self._finished:
+            raise SimulationError(
+                "the front-end replay has finished; build a new "
+                "FrontendSimulator to replay more requests")
         n = len(trace)
         base_index = self.n
         times = trace.times_ms.tolist()
@@ -154,7 +139,6 @@ class FrontendSimulator:
         self._latencies.extend([0.0] * n)
         self._is_write.extend(writes)
 
-        ftl = self.ftl
         buffer = self.buffer
         # The buffer's dirty map, oldest entry first: the writeback sweep
         # is only called once its head has been dirty past the delay.
@@ -163,17 +147,12 @@ class FrontendSimulator:
         subpages_per_page = self.geometry.subpages_per_page
         n_chips = self.geometry.chips
         submit = self.scheduler.submit
-        faults_plan = getattr(ftl, "faults", None)
         next_power_loss = self.next_power_loss
         now = self.now
         for i in range(n):
             now = times[i]
-            while now >= next_power_loss:
-                # DRAM dies first: dirty buffer contents are gone before
-                # the mount scan repairs whatever reached the flash.
-                buffer.drop_all()
-                faults_plan.power_loss(ftl, next_power_loss, self.timing)
-                next_power_loss = faults_plan.next_power_loss(next_power_loss)
+            if now >= next_power_loss:
+                next_power_loss = self._power_loss(now)
             # Periodic writeback: destage entries past their delay in the
             # background (they occupy chips but complete no request).
             if entries and now - next(iter(entries.values())) >= delay:
@@ -185,36 +164,31 @@ class FrontendSimulator:
                    (first // subpages_per_page) % n_chips, now)
         self.n = base_index + n
         self.now = now
-        self.next_power_loss = next_power_loss
 
     def finish(self) -> None:
         """End of trace: run the queues dry, then destage what is left in
-        the buffer so the flash holds the final image.  Idempotent."""
+        the buffer so the flash holds the final image.  Idempotent; the
+        scheduler's reference back to this replay is dropped."""
         if self._finished:
             return
         self._finished = True
         last_completion = self.scheduler.drain()
+        self.scheduler.issue = _refuse_issue
         drain_ms = last_completion if last_completion > self.now else self.now
         for span in self.buffer.drain():
             self._flush_span(span, drain_ms)
+        self._record_window(np.asarray(self._latencies, dtype=np.float64),
+                            np.asarray(self._is_write, dtype=bool))
+        self._latencies = []
+        self._is_write = []
 
     def result(self, trace_name: str, wall_seconds: float = 0.0,
                ) -> SimulationResult:
         """Harvest the finished replay into a :class:`SimulationResult`."""
-        latencies = np.asarray(self._latencies, dtype=np.float64)
-        is_write = np.asarray(self._is_write, dtype=bool)
-        n = self.n
-        result = collect_result(
-            self.ftl, self.config,
-            trace_name=trace_name,
-            n_requests=n,
-            sim_time_ms=self.now,
-            wall_seconds=wall_seconds,
-            read_latencies=latencies[~is_write],
-            write_latencies=latencies[is_write],
-            read_raw_errors=self._read_raw_errors,
-            read_bits=self._read_bits,
-        )
+        if not self._finished:
+            raise SimulationError("call finish() before result(): requests "
+                                  "may still be queued or in flight")
+        result = self._result(trace_name, wall_seconds, self.now)
         stats = self.buffer.stats
         result.cache_read_hits = stats.read_hits
         result.cache_read_misses = stats.read_misses
@@ -224,7 +198,10 @@ class FrontendSimulator:
         result.flushed_subpages = stats.flushed_subpages
         result.dropped_subpages = stats.dropped_subpages
         result.frontend_queue_depth = self.frontend.queue_depth
-        if n:
+        if self.n:
+            # Percentiles depend only on the values, not their order.
+            latencies = np.concatenate((result.read_latencies,
+                                        result.write_latencies))
             result.lat_p50_ms = float(np.percentile(latencies, 50))
             result.lat_p90_ms = float(np.percentile(latencies, 90))
             result.lat_p99_ms = float(np.percentile(latencies, 99))
@@ -232,9 +209,4 @@ class FrontendSimulator:
 
     def run(self, trace) -> SimulationResult:
         """Replay a :class:`Trace` or ``TraceStream`` end to end."""
-        wall_start = time.perf_counter()
-        name, chunks = _source_chunks(trace)
-        for chunk in chunks:
-            self.feed(chunk)
-        self.finish()
-        return self.result(name, wall_seconds=time.perf_counter() - wall_start)
+        return super().run(trace)

@@ -1,13 +1,12 @@
-"""Discrete-event simulation substrate.
+"""Trace-replay substrate.
 
-A small event-driven kernel (:mod:`repro.sim.engine`), FCFS hardware
-resources with busy-time bookkeeping (:mod:`repro.sim.resources`), the
-operation/latency model (:mod:`repro.sim.ops`, :mod:`repro.sim.timing`),
-and the trace replayer (:mod:`repro.sim.simulator`) that drives an FTL
-scheme over a trace and collects the paper's metrics.
+FCFS hardware resources with busy-time bookkeeping
+(:mod:`repro.sim.resources`), the operation/latency model
+(:mod:`repro.sim.ops`, :mod:`repro.sim.timing`), and the trace replay
+drivers (:mod:`repro.sim.simulator`) that drive an FTL scheme over a
+trace and collect the paper's metrics.
 """
 
-from .engine import Engine, Event
 from .resources import Resource, ResourceSet
 from .ops import OpKind, Cause, OpRecord
 from .timing import TimingModel
@@ -20,8 +19,6 @@ from .simulator import (
 )
 
 __all__ = [
-    "Engine",
-    "Event",
     "Resource",
     "ResourceSet",
     "OpKind",

@@ -1,12 +1,16 @@
 """Trace replay: drive an FTL scheme over a trace and collect metrics.
 
-One arrival event is scheduled per request.  The arrival handler runs the
-FTL synchronously (state changes in arrival order, like a device command
-queue), prices the returned operations, reserves chip/channel resources in
-issue order, and records the request's response time as the completion of
-its last host-serving operation.  GC and wear-levelling operations occupy
-the resources — delaying later requests — but do not count toward the
-triggering request's own host ops.
+Three drivers share one request path (:class:`ReplayCore`) and differ
+only in when a request issues: at its trace timestamp
+(:class:`OpenLoopReplay`), when the request ``queue_depth`` before it
+completes (:class:`ClosedLoopReplay`), or when the device front-end's
+scheduler dispatches it (:class:`repro.frontend.simulate.FrontendSimulator`).
+At issue the FTL runs synchronously (state changes in issue order, like a
+device command queue), the returned operations are priced and reserve
+chip/channel resources in issue order, and the request's response time is
+the completion of its last host-serving operation.  GC and wear-levelling
+operations occupy the resources — delaying later requests — but do not
+count toward the triggering request's own host ops.
 """
 
 from __future__ import annotations
@@ -239,96 +243,6 @@ class SimulationResult:
         return out
 
 
-def collect_result(ftl, config: SSDConfig, *, trace_name: str,
-                   n_requests: int, sim_time_ms: Ms, wall_seconds: float,
-                   read_latencies: np.ndarray, write_latencies: np.ndarray,
-                   read_raw_errors: float, read_bits: int,
-                   ) -> SimulationResult:
-    """Assemble a :class:`SimulationResult` from a finished FTL.
-
-    The single place the FTL/flash/GC counters are harvested — the
-    open-loop, closed-loop and front-end replays all end here, so the
-    three paths can never drift in which statistics they report.
-    """
-    flash = ftl.flash
-    stats = ftl.stats
-    result = SimulationResult(
-        scheme=ftl.scheme_name,
-        trace_name=trace_name,
-        n_requests=n_requests,
-        sim_time_ms=sim_time_ms,
-        wall_seconds=wall_seconds,
-        read_latencies=read_latencies,
-        write_latencies=write_latencies,
-        read_raw_errors=read_raw_errors,
-        read_bits=read_bits,
-        erases_slc=flash.erases_slc,
-        erases_mlc=flash.erases_mlc,
-        programs_slc=flash.programs_slc,
-        programs_mlc=flash.programs_mlc,
-        partial_programs=flash.partial_programs,
-        disturbed_valid_subpages=flash.disturbed_valid_subpages,
-        host_programs_slc=stats.host_programs_slc,
-        host_programs_mlc=stats.host_programs_mlc,
-        gc_programs_slc=stats.gc_programs_slc,
-        gc_programs_mlc=stats.gc_programs_mlc,
-        host_subpages_slc=stats.host_subpages_slc,
-        host_subpages_mlc=stats.host_subpages_mlc,
-        gc_subpages_slc=stats.gc_subpages_slc,
-        gc_subpages_mlc=stats.gc_subpages_mlc,
-        level_writes=dict(stats.level_writes),
-        intra_page_updates=stats.intra_page_updates,
-        upgrade_moves=stats.upgrade_moves,
-        new_data_writes=stats.new_data_writes,
-        update_writes=stats.update_writes,
-        slc_overflow_chunks=stats.slc_overflow_chunks,
-        evicted_subpages_to_mlc=stats.evicted_subpages_to_mlc,
-        slc_gc_collections=ftl.slc_gc.stats.collections,
-        slc_page_utilization=ftl.slc_gc.stats.page_utilization,
-        mlc_gc_collections=ftl.mlc_gc.stats.collections,
-        gc_scan_seconds=ftl.slc_gc.policy.scan_seconds,
-        gc_scans=ftl.slc_gc.policy.scans,
-        gc_scan_blocks=getattr(ftl.slc_gc.policy, "scanned_blocks", 0),
-        slc_wear_spread=ftl.slc_wear.spread,
-        mlc_wear_spread=ftl.mlc_wear.spread,
-    )
-    from ..metrics.memory import mapping_breakdown
-    breakdown = mapping_breakdown(ftl.scheme_name, config)
-    result.mapping_table_bytes = breakdown.mapping_bytes
-    result.metadata_bytes = breakdown.metadata_bytes
-    cmt = getattr(ftl, "cmt", None)
-    if cmt is not None:
-        result.cmt_lookups = cmt.stats.lookups
-        result.cmt_hits = cmt.stats.hits
-        result.cmt_misses = cmt.stats.misses
-        result.cmt_writebacks = cmt.stats.writebacks
-    _apply_fault_stats(result, ftl)
-    return result
-
-
-def _apply_fault_stats(result: SimulationResult, ftl) -> None:
-    """Copy a FaultPlan's degradation counters into the result.
-
-    No-op (fields stay at their zero defaults) when the FTL carries no
-    plan, which keeps fault-free results bit-identical to the pre-fault
-    schema's."""
-    plan = getattr(ftl, "faults", None)
-    if plan is None:
-        return
-    s = plan.stats
-    result.read_faults = s.read_faults
-    result.read_retries = s.read_retries
-    result.uncorrectable_reads = s.uncorrectable_reads
-    result.fault_relocations = s.fault_relocations
-    result.program_failures = s.program_failures
-    result.erase_failures = s.erase_failures
-    result.retired_blocks = s.retired_blocks
-    result.power_loss_events = s.power_loss_events
-    result.torn_subpages = s.torn_subpages
-    result.recovered_subpages = s.recovered_subpages
-    result.recovery_ms = s.recovery_ms
-
-
 def _chunk_extents(trace: Trace, geometry) -> "tuple[list[int], list[int]]":
     """Per-request ``[first, last)`` LSN bounds of one whole chunk.
 
@@ -366,51 +280,55 @@ def _source_chunks(source) -> "tuple[str, object]":
     return source.name, chunks()
 
 
-class OpenLoopReplay:
-    """Resumable open-loop replay: feed trace chunks, harvest a result.
+#: Op causes that complete the request that issued them; GC and
+#: wear-levelling ops run behind these.
+_HOSTLIKE = (Cause.HOST, Cause.TRANSLATION)
+
+
+class ReplayCore:
+    """What the replay drivers share; each subclass adds an admission rule.
 
     The checkpointable unit of :mod:`repro.fleet`: everything a paused
-    replay needs to continue bit-identically lives on this object — the
+    replay needs to continue bit-identically lives on the driver — the
     FTL (and through it the flash arrays and any fault plan), the
-    chip/channel resource clocks, and the explicit loop-carry state
-    (simulated clock, power-loss horizon, the running raw-bit-error
-    accumulator whose float addition order must not change).  Pickling
-    the driver therefore *is* the checkpoint payload.
+    chip/channel resource clocks and the pricer bound to them, and the
+    explicit loop-carry state (request count, simulated clock, power-loss
+    horizon, the running raw-bit-error accumulator whose float addition
+    order must not change).  Pickling the driver therefore *is* the
+    checkpoint payload.
 
-    ``feed()`` replays one chunk; chunk boundaries are invisible to the
-    simulation (every per-request quantity is computed elementwise), so
-    any chunking of a trace yields byte-identical results to a single
-    whole-trace feed.  Latencies accumulate per chunk and can be drained
-    between feeds (:meth:`drain_window`) for epoch-windowed metrics.
+    A subclass's ``feed()`` admits one chunk's requests and sends each
+    through :meth:`_serve`.  Chunk boundaries are invisible to the
+    simulation, so any chunking of a trace yields byte-identical results
+    to one whole-trace feed.  Latencies accumulate per chunk and can be
+    drained between feeds (:meth:`drain_window`) for epoch-windowed
+    metrics.
     """
 
     def __init__(self, ftl, config: SSDConfig | None = None,
                  timing: TimingModel | None = None,
-                 resources: ResourceSet | None = None,
-                 observer=None, idle_gc: bool = False,
-                 idle_threshold_ms: Ms = 2.0):
+                 resources: ResourceSet | None = None, observer=None):
         self.ftl = ftl
         self.config = config if config is not None else ftl.config
         self.timing = timing if timing is not None else TimingModel(
             self.config, ecc=ftl.ecc, rber=ftl.rber)
         self.resources = (resources if resources is not None
                           else ResourceSet(ftl.geometry))
+        self.pricer = self.timing.pricer(self.resources)
+        #: Optional callable ``(request_index, now_ms)`` invoked after each
+        #: request is serviced (e.g. a metrics TimelineRecorder).
         self.observer = observer
-        self.idle_gc = idle_gc
-        self.idle_threshold_ms = idle_threshold_ms
         self._subpage_bits = ftl.geometry.subpage_size * 8
 
-        # Loop-carry state (everything the historical monolithic loop
-        # kept in locals across iterations).
+        # Loop-carry state.
         self.n = 0
         self.now = 0.0
-        self.last_arrival = 0.0
         self.read_raw_errors = 0.0
         self.read_bits = 0
-        faults_plan = getattr(ftl, "faults", None)
+        plan = getattr(ftl, "faults", None)
         # One float compare per request when power loss is disabled.
-        self.next_power_loss = (faults_plan.next_power_loss(0.0)
-                                if faults_plan is not None else math.inf)
+        self.next_power_loss = (plan.next_power_loss(0.0)
+                                if plan is not None else math.inf)
         # Per-chunk latency/direction arrays since the last drain.
         self._window_lat: list[np.ndarray] = []
         self._window_iw: list[np.ndarray] = []
@@ -418,80 +336,55 @@ class OpenLoopReplay:
         self._done_lat: list[np.ndarray] = []
         self._done_iw: list[np.ndarray] = []
 
-    def feed(self, trace: Trace) -> None:
-        """Replay one chunk (absolute timestamps, arrival order)."""
-        n = len(trace)
-        latencies = np.zeros(n, dtype=np.float64)
-        is_write = trace.is_write
-        read_raw_errors = self.read_raw_errors
-        read_bits = self.read_bits
+    def _serve(self, ops, now: Ms, complete: Ms, host_read: bool) -> Ms:
+        """Reserve one request's ops from ``now``; returns its completion.
 
-        ftl = self.ftl
-        timing = self.timing
-        reserve = timing.pricer(self.resources).reserve
-        observer = self.observer
-        idle_gc = self.idle_gc
-        idle_threshold = self.idle_threshold_ms
-        subpage_bits = self._subpage_bits
-        handle_write = ftl.handle_write
-        handle_read = ftl.handle_read
-        hostlike = (Cause.HOST, Cause.TRANSLATION)
-        faults_plan = getattr(ftl, "faults", None)
-        next_power_loss = self.next_power_loss
-        base_index = self.n
-
-        times = trace.times_ms.tolist()
-        writes = is_write.tolist()
-        firsts, lasts = _chunk_extents(trace, ftl.geometry)
-        last_arrival = self.last_arrival
-        now = self.now
-        for i in range(n):
-            now = times[i]
-            while now >= next_power_loss:
-                # Power loss + mount recovery happen while the device is
-                # off: they advance the fault stats (and recovery_ms) but
-                # reserve no chip time against in-flight requests.
-                faults_plan.power_loss(ftl, next_power_loss, timing)
-                next_power_loss = faults_plan.next_power_loss(next_power_loss)
-            if idle_gc and now - last_arrival >= idle_threshold:
-                for op in ftl.idle_collect(now):
-                    reserve(op, now)
-            last_arrival = now
-            lsns = list(range(firsts[i], lasts[i]))
-            write = writes[i]
-            if write:
-                ops = handle_write(lsns, now)
-            else:
-                ops = handle_read(lsns, now)
-            # Host-serving ops reserve the chips first; GC and
-            # wear-levelling traffic runs behind them (background GC),
-            # delaying future requests rather than the triggering one.
-            complete = now
-            for op in ops:
-                if op.cause not in hostlike:
-                    continue
-                end = reserve(op, now)
-                if end > complete:
-                    complete = end
-                if (not write and op.kind is OpKind.READ
-                        and op.cause is Cause.HOST):
-                    read_raw_errors += op.raw_errors
-                    read_bits += op.n_slots * subpage_bits
-            for op in ops:
-                if op.cause in hostlike:
-                    continue
+        Host-serving ops reserve the chips first and the request completes
+        with the last of them (no earlier than ``complete``); GC and
+        wear-levelling traffic runs behind them (background GC), delaying
+        later requests rather than this one.  With ``host_read`` the host
+        reads count toward the read-error metric.
+        """
+        reserve = self.pricer.reserve
+        for op in ops:
+            if op.cause not in _HOSTLIKE:
+                continue
+            end = reserve(op, now)
+            if end > complete:
+                complete = end
+            if (host_read and op.kind is OpKind.READ
+                    and op.cause is Cause.HOST):
+                self.read_raw_errors += op.raw_errors
+                self.read_bits += op.n_slots * self._subpage_bits
+        for op in ops:
+            if op.cause not in _HOSTLIKE:
                 reserve(op, now)
-            latencies[i] = complete - now
-            if observer is not None:
-                observer(base_index + i, now)
+        return complete
 
-        self.n = base_index + n
-        self.now = now
-        self.last_arrival = last_arrival
-        self.next_power_loss = next_power_loss
-        self.read_raw_errors = read_raw_errors
-        self.read_bits = read_bits
-        if n:
+    def _power_loss(self, now: Ms) -> Ms:
+        """Strike every power loss due by ``now``; returns the next one.
+
+        Power loss and mount recovery happen while the device is off: they
+        advance the fault stats (and ``recovery_ms``) but reserve no chip
+        time against in-flight requests.
+        """
+        ftl = self.ftl
+        plan = ftl.faults
+        horizon = self.next_power_loss
+        while now >= horizon:
+            self._power_off()
+            plan.power_loss(ftl, horizon, self.timing)
+            horizon = plan.next_power_loss(horizon)
+        self.next_power_loss = horizon
+        return horizon
+
+    def _power_off(self) -> None:
+        """Drop what does not survive a power loss, before the mount scan
+        runs (nothing here: the drivers hold no volatile data)."""
+
+    def _record_window(self, latencies: np.ndarray, is_write) -> None:
+        """Add one chunk's latency/direction arrays to the open window."""
+        if len(latencies):
             self._window_lat.append(latencies)
             self._window_iw.append(np.asarray(is_write))
 
@@ -500,7 +393,7 @@ class OpenLoopReplay:
 
         Epoch-windowed campaigns call this between feeds so per-epoch
         latency distributions come out without holding the whole run's
-        arrays; the popped windows still count toward :meth:`result`.
+        arrays; the popped windows still count toward the result.
         """
         lat = (np.concatenate(self._window_lat) if self._window_lat
                else np.zeros(0, dtype=np.float64))
@@ -512,22 +405,26 @@ class OpenLoopReplay:
         self._window_iw = []
         return lat, iw
 
-    def result(self, trace_name: str, wall_seconds: float = 0.0,
-               ) -> SimulationResult:
-        """Harvest the run-so-far into a :class:`SimulationResult`."""
-        return self._result(trace_name, wall_seconds, self.now)
-
     def _result(self, trace_name: str, wall_seconds: float,
                 sim_time_ms: Ms) -> SimulationResult:
-        # Shared with the closed loop, whose clock is its last completion.
+        """Harvest the run so far; ``sim_time_ms`` is the driver's clock.
+
+        The one place the FTL/flash/GC counters are collected, so the
+        drivers can never drift in which statistics they report.  Fault
+        counters stay at their zero defaults without a fault plan, which
+        keeps fault-free results bit-identical to the pre-fault schema's.
+        """
         parts_lat = self._done_lat + self._window_lat
         parts_iw = self._done_iw + self._window_iw
         latencies = (np.concatenate(parts_lat) if parts_lat
                      else np.zeros(0, dtype=np.float64))
         is_write = (np.concatenate(parts_iw) if parts_iw
                     else np.zeros(0, dtype=bool))
-        return collect_result(
-            self.ftl, self.config,
+        ftl = self.ftl
+        flash = ftl.flash
+        stats = ftl.stats
+        result = SimulationResult(
+            scheme=ftl.scheme_name,
             trace_name=trace_name,
             n_requests=self.n,
             sim_time_ms=sim_time_ms,
@@ -536,18 +433,163 @@ class OpenLoopReplay:
             write_latencies=latencies[is_write],
             read_raw_errors=self.read_raw_errors,
             read_bits=self.read_bits,
+            erases_slc=flash.erases_slc,
+            erases_mlc=flash.erases_mlc,
+            programs_slc=flash.programs_slc,
+            programs_mlc=flash.programs_mlc,
+            partial_programs=flash.partial_programs,
+            disturbed_valid_subpages=flash.disturbed_valid_subpages,
+            host_programs_slc=stats.host_programs_slc,
+            host_programs_mlc=stats.host_programs_mlc,
+            gc_programs_slc=stats.gc_programs_slc,
+            gc_programs_mlc=stats.gc_programs_mlc,
+            host_subpages_slc=stats.host_subpages_slc,
+            host_subpages_mlc=stats.host_subpages_mlc,
+            gc_subpages_slc=stats.gc_subpages_slc,
+            gc_subpages_mlc=stats.gc_subpages_mlc,
+            level_writes=dict(stats.level_writes),
+            intra_page_updates=stats.intra_page_updates,
+            upgrade_moves=stats.upgrade_moves,
+            new_data_writes=stats.new_data_writes,
+            update_writes=stats.update_writes,
+            slc_overflow_chunks=stats.slc_overflow_chunks,
+            evicted_subpages_to_mlc=stats.evicted_subpages_to_mlc,
+            slc_gc_collections=ftl.slc_gc.stats.collections,
+            slc_page_utilization=ftl.slc_gc.stats.page_utilization,
+            mlc_gc_collections=ftl.mlc_gc.stats.collections,
+            gc_scan_seconds=ftl.slc_gc.policy.scan_seconds,
+            gc_scans=ftl.slc_gc.policy.scans,
+            gc_scan_blocks=getattr(ftl.slc_gc.policy, "scanned_blocks", 0),
+            slc_wear_spread=ftl.slc_wear.spread,
+            mlc_wear_spread=ftl.mlc_wear.spread,
         )
+        from ..metrics.memory import mapping_breakdown
+        breakdown = mapping_breakdown(ftl.scheme_name, self.config)
+        result.mapping_table_bytes = breakdown.mapping_bytes
+        result.metadata_bytes = breakdown.metadata_bytes
+        cmt = getattr(ftl, "cmt", None)
+        if cmt is not None:
+            result.cmt_lookups = cmt.stats.lookups
+            result.cmt_hits = cmt.stats.hits
+            result.cmt_misses = cmt.stats.misses
+            result.cmt_writebacks = cmt.stats.writebacks
+        plan = getattr(ftl, "faults", None)
+        if plan is not None:
+            s = plan.stats
+            result.read_faults = s.read_faults
+            result.read_retries = s.read_retries
+            result.uncorrectable_reads = s.uncorrectable_reads
+            result.fault_relocations = s.fault_relocations
+            result.program_failures = s.program_failures
+            result.erase_failures = s.erase_failures
+            result.retired_blocks = s.retired_blocks
+            result.power_loss_events = s.power_loss_events
+            result.torn_subpages = s.torn_subpages
+            result.recovered_subpages = s.recovered_subpages
+            result.recovery_ms = s.recovery_ms
+        return result
+
+    def feed(self, trace: Trace) -> None:
+        """Admit and serve one chunk (the subclass's admission rule)."""
+        raise NotImplementedError
+
+    def finish(self) -> None:
+        """End of input: complete what is still in flight.  The open and
+        closed loops serve each request inside its own ``feed()``."""
+
+    def result(self, trace_name: str, wall_seconds: float = 0.0,
+               ) -> SimulationResult:
+        """Harvest the run so far into a :class:`SimulationResult`."""
+        raise NotImplementedError
+
+    def run(self, trace) -> SimulationResult:
+        """Replay a :class:`Trace` or ``TraceStream`` end to end.
+
+        One :meth:`feed` per chunk, then :meth:`finish` and the harvest;
+        this is the one place a replay reads the host clock.
+        """
+        wall_start = time.perf_counter()
+        name, chunks = _source_chunks(trace)
+        for chunk in chunks:
+            self.feed(chunk)
+        self.finish()
+        return self.result(name, wall_seconds=time.perf_counter() - wall_start)
 
 
-class ClosedLoopReplay:
-    """Resumable closed-loop replay (fixed queue depth, no timestamps).
+class OpenLoopReplay(ReplayCore):
+    """Open-loop replay: each request issues at its trace timestamp.
 
-    Same checkpoint contract as :class:`OpenLoopReplay` (power losses
-    strike at issue times, which stand in for arrivals); the extra carry
-    state is the completion ring of the last ``queue_depth`` requests
-    (request ``i`` issues when ``i - queue_depth`` completes) and the
-    running maximum completion time (completions are not monotonic, so
-    the final ``sim_time_ms`` must be carried, not recomputed).
+    Optionally runs GC to its restore watermark inside arrival gaps
+    longer than ``idle_threshold_ms`` (background idle-time collection).
+    """
+
+    def __init__(self, ftl, config: SSDConfig | None = None,
+                 timing: TimingModel | None = None,
+                 resources: ResourceSet | None = None,
+                 observer=None, idle_gc: bool = False,
+                 idle_threshold_ms: Ms = 2.0):
+        super().__init__(ftl, config, timing, resources, observer)
+        self.idle_gc = idle_gc
+        self.idle_threshold_ms = idle_threshold_ms
+        self.last_arrival = 0.0
+
+    def feed(self, trace: Trace) -> None:
+        """Replay one chunk (absolute timestamps, arrival order)."""
+        n = len(trace)
+        latencies = np.zeros(n, dtype=np.float64)
+        ftl = self.ftl
+        serve = self._serve
+        handle_write = ftl.handle_write
+        handle_read = ftl.handle_read
+        reserve = self.pricer.reserve
+        observer = self.observer
+        idle_gc = self.idle_gc
+        idle_threshold = self.idle_threshold_ms
+        next_power_loss = self.next_power_loss
+        base_index = self.n
+
+        times = trace.times_ms.tolist()
+        writes = trace.is_write.tolist()
+        firsts, lasts = _chunk_extents(trace, ftl.geometry)
+        last_arrival = self.last_arrival
+        now = self.now
+        for i in range(n):
+            now = times[i]
+            if now >= next_power_loss:
+                next_power_loss = self._power_loss(now)
+            if idle_gc and now - last_arrival >= idle_threshold:
+                for op in ftl.idle_collect(now):
+                    reserve(op, now)
+            last_arrival = now
+            lsns = list(range(firsts[i], lasts[i]))
+            if writes[i]:
+                complete = serve(handle_write(lsns, now), now, now, False)
+            else:
+                complete = serve(handle_read(lsns, now), now, now, True)
+            latencies[i] = complete - now
+            if observer is not None:
+                observer(base_index + i, now)
+
+        self.n = base_index + n
+        self.now = now
+        self.last_arrival = last_arrival
+        self._record_window(latencies, trace.is_write)
+
+    def result(self, trace_name: str, wall_seconds: float = 0.0,
+               ) -> SimulationResult:
+        """Harvest the run so far; its clock is the last arrival."""
+        return self._result(trace_name, wall_seconds, self.now)
+
+
+class ClosedLoopReplay(ReplayCore):
+    """Closed-loop replay: a fixed queue depth, no timestamps.
+
+    Request ``i`` issues when request ``i - queue_depth`` completes, and
+    power losses strike at issue times, which stand in for arrivals.  The
+    extra carry state is the completion ring of the last ``queue_depth``
+    requests and the running maximum completion time (completions are not
+    monotonic, so the final ``sim_time_ms`` must be carried, not
+    recomputed).
     """
 
     def __init__(self, ftl, queue_depth: int = 8,
@@ -558,86 +600,42 @@ class ClosedLoopReplay:
         if queue_depth < 1:
             raise SimulationError(
                 f"queue_depth must be >= 1, got {queue_depth}")
-        self.ftl = ftl
+        super().__init__(ftl, config, timing, resources, observer)
         self.queue_depth = queue_depth
-        self.config = config if config is not None else ftl.config
-        self.timing = timing if timing is not None else TimingModel(
-            self.config, ecc=ftl.ecc, rber=ftl.rber)
-        self.resources = (resources if resources is not None
-                          else ResourceSet(ftl.geometry))
-        self.observer = observer
-        self._subpage_bits = ftl.geometry.subpage_size * 8
-
-        self.n = 0
-        self.now = 0.0
         self.max_completion = 0.0
-        self.read_raw_errors = 0.0
-        self.read_bits = 0
-        faults_plan = getattr(ftl, "faults", None)
-        self.next_power_loss = (faults_plan.next_power_loss(0.0)
-                                if faults_plan is not None else math.inf)
         #: Completions of the last ``queue_depth`` requests, oldest first.
         self.ring: list[float] = []
-        self._window_lat: list[np.ndarray] = []
-        self._window_iw: list[np.ndarray] = []
-        self._done_lat: list[np.ndarray] = []
-        self._done_iw: list[np.ndarray] = []
 
     def feed(self, trace: Trace) -> None:
         """Replay one chunk at the fixed queue depth."""
         n = len(trace)
         latencies = np.zeros(n, dtype=np.float64)
-        is_write = trace.is_write
-        read_raw_errors = self.read_raw_errors
-        read_bits = self.read_bits
         queue_depth = self.queue_depth
         ring = self.ring
         max_completion = self.max_completion
-
         ftl = self.ftl
-        timing = self.timing
-        reserve = timing.pricer(self.resources).reserve
+        serve = self._serve
         handle_write = ftl.handle_write
         handle_read = ftl.handle_read
-        hostlike = (Cause.HOST, Cause.TRANSLATION)
-        subpage_bits = self._subpage_bits
         observer = self.observer
-        faults_plan = getattr(ftl, "faults", None)
         next_power_loss = self.next_power_loss
         base_index = self.n
         now = self.now
 
-        writes = is_write.tolist()
+        writes = trace.is_write.tolist()
         firsts, lasts = _chunk_extents(trace, ftl.geometry)
         for i in range(n):
             if len(ring) >= queue_depth:
                 head = ring.pop(0)
                 if head > now:
                     now = head
-            while now >= next_power_loss:
-                faults_plan.power_loss(ftl, next_power_loss, timing)
-                next_power_loss = faults_plan.next_power_loss(next_power_loss)
+            if now >= next_power_loss:
+                next_power_loss = self._power_loss(now)
             lsns = list(range(firsts[i], lasts[i]))
-            write = writes[i]
-            if write:
-                ops = handle_write(lsns, now)
+            if writes[i]:
+                complete = serve(handle_write(lsns, now), now, now, False)
             else:
-                ops = handle_read(lsns, now)
-            complete = now
-            for op in ops:
-                if op.cause not in hostlike:
-                    continue
-                end = reserve(op, now)
-                if end > complete:
-                    complete = end
-                if (not write and op.kind is OpKind.READ
-                        and op.cause is Cause.HOST):
-                    read_raw_errors += op.raw_errors
-                    read_bits += op.n_slots * subpage_bits
-            for op in ops:
-                if op.cause in hostlike:
-                    continue
-                reserve(op, now)
+                complete = serve(handle_read(lsns, now), now, now, True)
             ring.append(complete)
             if complete > max_completion:
                 max_completion = complete
@@ -648,20 +646,11 @@ class ClosedLoopReplay:
         self.n = base_index + n
         self.now = now
         self.max_completion = max_completion
-        self.next_power_loss = next_power_loss
-        self.read_raw_errors = read_raw_errors
-        self.read_bits = read_bits
-        if n:
-            self._window_lat.append(latencies)
-            self._window_iw.append(np.asarray(is_write))
-
-    # Shared window/result plumbing (identical contract to the open loop).
-    drain_window = OpenLoopReplay.drain_window
-    _result = OpenLoopReplay._result
+        self._record_window(latencies, trace.is_write)
 
     def result(self, trace_name: str, wall_seconds: float = 0.0,
                ) -> SimulationResult:
-        """Harvest the run-so-far into a :class:`SimulationResult`."""
+        """Harvest the run so far; its clock is the last completion."""
         return self._result(trace_name, wall_seconds,
                             self.max_completion if self.n else 0.0)
 
@@ -683,25 +672,17 @@ class Simulator:
         self.idle_threshold_ms = idle_threshold_ms
         self.geometry = ftl.geometry
         self.timing = TimingModel(self.config, ecc=ftl.ecc, rber=ftl.rber)
+        #: The chip/channel clocks every replay of this simulator reserves.
         self.resources = ResourceSet(self.geometry)
 
     def run(self, trace) -> SimulationResult:
-        """Replay a :class:`Trace` or ``TraceStream``, aggregate metrics.
+        """Replay a :class:`Trace` or ``TraceStream`` open-loop.
 
-        :class:`~repro.traces.model.Trace` guarantees nondecreasing
-        ``times_ms`` and an open-loop replay only ever schedules arrival
-        events, so the event heap is pure overhead here: a direct
-        chronological loop visits requests in exactly the order the
-        engine would (time, then insertion order) and produces identical
-        results.  :class:`~repro.sim.engine.Engine` remains the kernel for
-        anything that schedules events dynamically.
-
-        A stream is replayed chunk by chunk through the identical loop
-        (:class:`OpenLoopReplay`): only one chunk's request columns are
-        ever resident, and the results are byte-identical to a
-        materialised replay of the same requests.
+        A stream is replayed chunk by chunk (:class:`OpenLoopReplay`):
+        only one chunk's request columns are ever resident, and the
+        results are byte-identical to a materialised replay of the same
+        requests.
         """
-        wall_start = time.perf_counter()
         # The replay allocates heavily (one record per physical op) but
         # creates no reference cycles; pausing the cyclic collector for
         # the loop avoids its periodic full-heap scans.
@@ -709,16 +690,10 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            name, chunks = _source_chunks(trace)
-            driver = OpenLoopReplay(
-                self.ftl, self.config, timing=self.timing,
-                resources=self.resources, observer=self.observer,
-                idle_gc=self.idle_gc,
-                idle_threshold_ms=self.idle_threshold_ms)
-            for chunk in chunks:
-                driver.feed(chunk)
-            return driver.result(
-                name, wall_seconds=time.perf_counter() - wall_start)
+            return OpenLoopReplay(
+                self.ftl, self.config, self.timing, self.resources,
+                self.observer, self.idle_gc, self.idle_threshold_ms,
+            ).run(trace)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -734,15 +709,9 @@ class Simulator:
         issue order, as on a real command queue).  Accepts streams under
         the same chunking contract as :meth:`run`.
         """
-        wall_start = time.perf_counter()
-        name, chunks = _source_chunks(trace)
-        driver = ClosedLoopReplay(
-            self.ftl, queue_depth, self.config, timing=self.timing,
-            resources=self.resources, observer=self.observer)
-        for chunk in chunks:
-            driver.feed(chunk)
-        return driver.result(
-            name, wall_seconds=time.perf_counter() - wall_start)
+        return ClosedLoopReplay(
+            self.ftl, queue_depth, self.config, self.timing, self.resources,
+            self.observer).run(trace)
 
 
 def replay(ftl, trace: Trace, config: SSDConfig | None = None) -> SimulationResult:

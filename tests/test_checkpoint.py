@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro import SCHEMES as factories
 from repro.faults import FaultConfig, attach_faults
+from repro.fleet import checkpoint as checkpoint_mod
 from repro.fleet.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -30,6 +31,8 @@ from repro.fleet.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.frontend import FrontendConfig
+from repro.frontend.simulate import FrontendSimulator
 from repro.sim import ClosedLoopReplay, OpenLoopReplay
 from repro.traces.model import Trace
 from repro.traces.profiles import profile
@@ -55,11 +58,15 @@ def split(trace: Trace, at: int) -> tuple[Trace, Trace]:
     return cut(0, at), cut(at, len(trace))
 
 
-def build_replay(scheme, seed=0, fault_rate=0.0, closed=False):
+def build_replay(scheme, seed=0, fault_rate=0.0, closed=False,
+                 frontend_qd=None):
     cfg = tiny_config(seed=seed)
     ftl = factories[scheme](cfg)
     if fault_rate > 0:
         attach_faults(ftl, FaultConfig.from_rate(fault_rate), seed=seed)
+    if frontend_qd is not None:
+        return FrontendSimulator(ftl, FrontendConfig.from_qd(frontend_qd),
+                                 cfg)
     if closed:
         return ClosedLoopReplay(ftl, queue_depth=4, config=cfg)
     return OpenLoopReplay(ftl, cfg)
@@ -106,20 +113,25 @@ class TestResumeBitIdentity:
         resumed.feed(rest)
         assert resumed.result(trace.name).deterministic_dict() == expected
 
-    def test_frontend_resume(self):
-        """The front-end replay (write buffer + scheduler) resumes too."""
-        from repro.frontend import FrontendConfig
-        from repro.frontend.simulate import FrontendSimulator
+    @SETTINGS
+    @given(scheme=st.sampled_from(SCHEME_NAMES),
+           seed=st.integers(0, 2**32 - 1),
+           frac=st.floats(0.05, 0.95),
+           fault_rate=st.sampled_from([0.0, 1.5]),
+           queue_depth=st.sampled_from([1, 4, 16]))
+    def test_frontend_resume(self, scheme, seed, frac, fault_rate,
+                             queue_depth):
+        """The front-end replay (write buffer + scheduler, requests in
+        flight at the split) resumes bit-identically too."""
+        trace = short_trace(seed=seed % 1000 + 1, n_requests=500)
+        first, rest = split(trace, int(len(trace) * frac))
 
-        cfg = tiny_config(seed=3)
-        trace = short_trace(seed=5, n_requests=500)
-        first, rest = split(trace, 210)
-        fc = FrontendConfig.from_qd(4)
-
-        ref = FrontendSimulator(factories["ipu"](cfg), fc, cfg)
+        ref = build_replay(scheme, seed=seed, fault_rate=fault_rate,
+                           frontend_qd=queue_depth)
         expected = ref.run(trace).deterministic_dict()
 
-        paused = FrontendSimulator(factories["ipu"](cfg), fc, cfg)
+        paused = build_replay(scheme, seed=seed, fault_rate=fault_rate,
+                              frontend_qd=queue_depth)
         paused.feed(first)
         resumed = pickle.loads(pickle.dumps(paused, protocol=5))
         resumed.feed(rest)
@@ -205,6 +217,17 @@ class TestCheckpointFile:
         import repro.experiments.cache as cache_mod
         monkeypatch.setattr(cache_mod, "CACHE_SCHEMA_VERSION", 9999)
         with pytest.raises(CheckpointError, match="stale snapshot"):
+            load_checkpoint(path, key="k1")
+
+    def test_older_format_version_refused(self, tmp_path, monkeypatch):
+        """A version-1 file (the driver layout before the shared replay
+        core) is refused from its header, before the payload unpickles."""
+        assert CHECKPOINT_VERSION == 2
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 1)
+        path = self._roundtrip(tmp_path, {"a": 1})
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="format v1, this build "
+                                                  "reads v2"):
             load_checkpoint(path, key="k1")
 
     def test_wrong_kind(self, tmp_path):

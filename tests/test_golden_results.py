@@ -1,7 +1,9 @@
 """Golden regression guard: the smoke-scale cells behind the committed
 fig5/fig9 reference artifacts must reproduce their headline metrics
 exactly (within 1e-9), so refactors cannot silently shift paper numbers.
-The front-end cells in ``frontend_qd.json`` must reproduce bit for bit.
+The front-end cells in ``frontend_qd.json`` and the replay-driver cells
+in ``drivers_faults.json`` (open loop, closed loop and front-end under
+injected faults) must reproduce bit for bit.
 
 Regenerate the golden files with ``python results/regenerate.py --golden``
 only for a *deliberate* behaviour change; the diff is the audit trail.
@@ -9,12 +11,15 @@ only for a *deliberate* behaviour change; the diff is the audit trail.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments.runner import RunContext
+from repro.faults import FaultConfig
 from repro.frontend import FrontendConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "results" / "golden"
@@ -92,4 +97,46 @@ def test_frontend_cells_match_golden_exactly():
     assert len(golden["cells"]) == 12
     assert not mismatches, (
         "front-end metrics drifted from the committed golden values:\n"
+        + "\n".join(mismatches))
+
+
+def _pinned(result) -> dict:
+    """``deterministic_dict()`` with each latency array as its sha256."""
+    out = result.deterministic_dict()
+    for name in ("read_latencies", "write_latencies"):
+        array = np.ascontiguousarray(getattr(result, name), dtype="<f8")
+        out.pop(name)
+        out[f"{name}_sha256"] = hashlib.sha256(array.tobytes()).hexdigest()
+    return out
+
+
+def test_driver_cells_match_golden_exactly():
+    """Every replay driver — open loop, closed loop and front-end — under
+    power loss, program failures and read faults (and the closed loop
+    fault-free) reproduces every pinned scalar and latency digest."""
+    golden = json.loads((GOLDEN_DIR / "drivers_faults.json").read_text())
+    assert golden["scale"] == "smoke"
+    faults = FaultConfig.from_dict(golden["faults"])
+    qd = golden["queue_depth"]
+    contexts: dict[tuple, RunContext] = {}
+    mismatches = []
+    for cell, pinned in golden["cells"].items():
+        trace, scheme, driver, tag = cell.split("/")
+        key = (driver, tag)
+        if key not in contexts:
+            contexts[key] = RunContext(
+                scale="smoke", seed=golden["seed"],
+                faults=faults if tag == "faults" else None,
+                frontend=(FrontendConfig.from_qd(qd)
+                          if driver == "frontend" else None))
+        result = contexts[key].run(
+            trace, scheme, queue_depth=qd if driver == "closed" else None)
+        got = _pinned(result)
+        for name in sorted(got.keys() | pinned.keys()):
+            if got.get(name) != pinned.get(name):
+                mismatches.append(f"{cell}.{name}: golden "
+                                  f"{pinned.get(name)!r} != {got.get(name)!r}")
+    assert len(golden["cells"]) == 16
+    assert not mismatches, (
+        "replay-driver results drifted from the committed golden values:\n"
         + "\n".join(mismatches))

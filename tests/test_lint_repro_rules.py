@@ -11,7 +11,9 @@ Three layers of coverage:
   baseline-rot guard (exit 2 on entries that can never match again);
 * mutation demos against a copy of the committed tree: deleting a
   field from a canonical-key emitter trips K001+K003, removing the
-  ``_rebind_views()`` call from ``Block.__setstate__`` trips P002.
+  ``_rebind_views()`` call from ``Block.__setstate__`` trips P002, and a
+  front-end ``__getstate__`` dropping state the shared replay core
+  carries trips P001.
 """
 
 from __future__ import annotations
@@ -224,6 +226,36 @@ def test_p001_flags_getstate_dropping_loop_carry_attr(tmp_path):
 def test_p001_quiet_when_state_round_trips(tmp_path):
     rules, _ = lint_tree(tmp_path, {"fleet/replay.py": P001_GOOD})
     assert "P001" not in rules
+
+
+def test_p001_follows_carry_state_into_base_class_helpers(tmp_path):
+    # The error sum is assigned only in a base-class helper (in another
+    # module) that the subclass's feed() calls; dropping it from the
+    # subclass's pickle still loses loop-carry state.
+    rules, result = lint_tree(tmp_path, {
+        "sim/core.py": """
+            class ReplayCore:
+                def _serve(self, op):
+                    self.errors += op.raw_errors
+            """,
+        "fleet/replay.py": """
+            from ..sim.core import ReplayCore
+
+            class OpenLoopReplay(ReplayCore):
+                def feed(self, chunk):
+                    for op in chunk:
+                        self._serve(op)
+                    self.n = len(chunk)
+
+                def __getstate__(self):
+                    return {"n": self.n}
+
+                def __setstate__(self, state):
+                    self.n = state["n"]
+            """})
+    (v,) = [v for v in result.violations if v.rule == "P001"]
+    assert "'errors'" in v.message and "OpenLoopReplay" in v.message
+    assert v.path == "sim/core.py"
 
 
 def test_p001_quiet_without_custom_getstate(tmp_path):
@@ -601,6 +633,23 @@ def test_mutation_removing_rebind_trips_p002(tmp_path):
     p002 = [v for v in result.violations if v.rule == "P002"]
     assert p002 and all(v.path == "nand/block.py" for v in p002)
     assert any("_rebind_views" in v.message for v in p002)
+
+
+def test_mutation_front_end_getstate_dropping_core_state_trips_p001(tmp_path):
+    # The raw-bit-error sum is assigned only in the shared replay core
+    # (sim/simulator.py); a front-end __getstate__ that drops it must be
+    # caught through the cross-module base class.
+    anchor = ('    """Replays traces through the write buffer and multi-queue '
+              'scheduler."""\n')
+    pkg = _mutated_tree(
+        tmp_path, "frontend/simulate.py", anchor,
+        anchor + "\n    def __getstate__(self) -> dict:\n"
+                 "        return {k: v for k, v in self.__dict__.items()\n"
+                 "                if k not in (\"read_raw_errors\",)}\n")
+    result = run_lint(pkg, select=["P"])
+    (p001,) = [v for v in result.violations if v.rule == "P001"]
+    assert p001.path == "sim/simulator.py"
+    assert "'read_raw_errors' of FrontendSimulator" in p001.message
 
 
 def test_committed_tree_unmutated_is_clean(tmp_path):

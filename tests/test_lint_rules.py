@@ -200,6 +200,18 @@ def test_d002_flags_from_time_import(tmp_path):
     assert "D002" in rules
 
 
+def test_d002_flags_front_end_replay(tmp_path):
+    # The front-end replay's wall clock lives in the shared run template
+    # in sim/simulator.py; its own module is no longer allowlisted.
+    rules, _ = lint_snippet(tmp_path, "frontend/simulate.py", """
+        import time
+
+        def run():
+            return time.perf_counter()
+        """)
+    assert "D002" in rules
+
+
 def test_d002_flags_datetime_now(tmp_path):
     rules, _ = lint_snippet(tmp_path, "experiments/runner.py", """
         import datetime

@@ -1,10 +1,13 @@
 """Trace replay: latency accounting and result aggregation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import SCHEMES, Simulator, replay
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.frontend import FrontendConfig
 from repro.frontend.simulate import FrontendSimulator
 from repro.traces import generate, profile
@@ -127,3 +130,42 @@ def test_bad_extent_raises_the_scalar_error(driver, column, value):
             FrontendSimulator(ftl, FrontendConfig.from_qd(4)).run(trace)
     assert ftl.stats.host_write_requests == 0
     assert ftl.stats.host_read_requests == 0
+
+
+class TestFinishedFrontendReplay:
+    """``finish()`` ends a front-end replay: only then is there a result,
+    nothing more can be fed, and nothing in the scheduler points back at
+    the replay."""
+
+    def test_refuses_more_input(self):
+        sim = FrontendSimulator(SCHEMES["ipu"](tiny_config()),
+                                FrontendConfig.from_qd(2))
+        trace = small_trace()
+        first = sim.run(trace).deterministic_dict()
+        assert first["n_requests"] == len(trace)
+        with pytest.raises(SimulationError, match="finished"):
+            sim.run(trace)
+        with pytest.raises(SimulationError, match="finished"):
+            sim.feed(trace)
+        assert sim.result(trace.name).deterministic_dict() == first
+
+    def test_unfinished_replay_has_no_result(self):
+        sim = FrontendSimulator(SCHEMES["ipu"](tiny_config()),
+                                FrontendConfig.from_qd(2))
+        sim.feed(small_trace(n=100))
+        with pytest.raises(SimulationError, match="finish"):
+            sim.result("partial")
+
+    def test_finished_replay_is_freed_without_the_collector(self):
+        sim = FrontendSimulator(SCHEMES["ipu"](tiny_config()),
+                                FrontendConfig.from_qd(2))
+        sim.run(small_trace(n=100))
+        ref = weakref.ref(sim)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del sim
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
