@@ -30,13 +30,19 @@ Machine-checks the repository's simulation contracts (see
 ``P003``  unpicklable payload passed to ``ProcessPoolExecutor``
 ========  ==========================================================
 
-The U- and M-families are interprocedural: a project-wide call graph
-(:mod:`repro.analysis.callgraph`) feeds a unit-inference engine
-(:mod:`repro.analysis.units_flow`) that propagates dimension facts from
-the ``repro.units`` ``Annotated`` vocabulary through assignments,
-arithmetic, returns, and call edges, and an effect/exception pass
-(:mod:`repro.analysis.effects`) that propagates which state each
-function writes and which paths can raise.  The N-family
+The U-, M-, K- and P-families are interprocedural: one project-wide
+index (:mod:`repro.analysis.callgraph`) — call graph, base-class
+chains, annotation tables and local-variable typing — feeds a
+unit-inference engine (:mod:`repro.analysis.units_flow`) that
+propagates dimension facts from the ``repro.units`` ``Annotated``
+vocabulary through assignments, arithmetic, returns, and call edges;
+an effect/exception pass (:mod:`repro.analysis.effects`) that
+propagates which state each function writes and which paths can
+raise; a cache-key soundness pass
+(:mod:`repro.analysis.repro_soundness`) that follows the cached
+cells' call trees; and a checkpoint-safety pass
+(:mod:`repro.analysis.pickle_rules`) that follows replay drivers into
+their base classes.  The N-family
 (:mod:`repro.analysis.numpy_rules`) is per-file but gated to the
 modules whose outputs the golden pins diff byte-for-byte.
 

@@ -182,8 +182,9 @@ class ProjectContext:
     def index(self) -> "ProjectIndex":
         """The run's symbol table and call graph, built on first use.
 
-        Passes read it and never write to it, so one build serves all
-        of them; a run whose rules need no index builds none.
+        Passes only read it (its typing memos fill on first use), so one
+        build serves all of them; a run whose rules need no index builds
+        none.
         """
         return self.shared(_build_index)
 

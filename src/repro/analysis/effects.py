@@ -18,7 +18,7 @@ This module turns both contracts into checked facts on top of the
   array columns it writes (``self.x = …``, ``self.arr[i] = …``, writes
   through local aliases of region columns) and whether any path can
   raise — and the raise/write bits propagate across resolved call edges
-  to a fixpoint, exactly like :mod:`repro.analysis.units_flow` does for
+  to a fixpoint, as :mod:`repro.analysis.units_flow` does for return
   units;
 * a function that *raises but never writes* (``config.validate()``,
   ``Block.verify_array_state``) is a **pure validator**: calling it is a
@@ -49,7 +49,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .callgraph import ClassInfo, FunctionInfo, ModuleInfo
+from .callgraph import FunctionInfo, ModuleInfo
 from .core import (TRY_STATEMENTS, ProjectContext, ProjectPass, Rule,
                    Violation, walk)
 
@@ -138,7 +138,7 @@ class EffectSummary:
         return self.raises and not self.writes_any
 
 
-class _AliasMap:
+class RegionAliases:
     """Local aliases of region stores inside one function.
 
     The kernel's hot paths hoist array attribute loads into locals
@@ -174,7 +174,8 @@ class _AliasMap:
         return False
 
 
-def classify_write(target: ast.expr, aliases: _AliasMap) -> WriteSite | None:
+def classify_write(target: ast.expr,
+                   aliases: RegionAliases) -> WriteSite | None:
     """Classify one write target as a state write, if it is one."""
     if isinstance(target, ast.Subscript):
         inner = target.value
@@ -217,41 +218,13 @@ def _flatten_targets(targets: Iterator[ast.expr]) -> Iterator[ast.expr]:
             yield target
 
 
-def _own_statements(fn_node: ast.FunctionDef | ast.AsyncFunctionDef,
-                    ) -> list[ast.stmt]:
-    """Statements of ``fn_node``'s own body, nested defs excluded.
-
-    Depth-first, last statement first.  Expressions hold no statements,
-    so only statement children and the bodies of ``except`` handlers and
-    ``match`` cases are followed.
-    """
-    out: list[ast.stmt] = []
-    pending: list[ast.stmt] = list(fn_node.body)
-    while pending:
-        stmt = pending.pop()
-        if isinstance(stmt, _DEFS):
-            continue
-        out.append(stmt)
-        for name in stmt._fields:
-            value = getattr(stmt, name, None)
-            if not isinstance(value, list):
-                continue
-            for child in value:
-                if isinstance(child, ast.stmt):
-                    pending.append(child)
-                elif isinstance(child, (ast.ExceptHandler, ast.match_case)):
-                    pending.extend(child.body)
-    return out
-
-
 class EffectsAnalysis(ProjectPass):
     """One whole-tree effect/exception dataflow shared by the M-rules."""
 
     def __init__(self, ctx: ProjectContext) -> None:
         super().__init__(ctx)
         self.summaries: dict[str, EffectSummary] = {}
-        self._aliases: dict[str, _AliasMap] = {}
-        self._local_types: dict[str, dict[str, ClassInfo]] = {}
+        self._aliases: dict[str, RegionAliases] = {}
         self._build_summaries()
         self._propagate()
         self._check_m001()
@@ -259,30 +232,14 @@ class EffectsAnalysis(ProjectPass):
 
     # -- summaries ---------------------------------------------------------
 
-    def _function_types(self, fn: FunctionInfo, module: ModuleInfo,
-                        stmts: list[ast.stmt]) -> dict[str, ClassInfo]:
-        """Instance classes of locals/params, for call resolution."""
-        types: dict[str, ClassInfo] = dict(
-            self.index.param_types(fn, module))
-        for stmt in stmts:
-            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)):
-                continue
-            cls = self.index.constructed_class(stmt.value, module)
-            if cls is not None:
-                types[stmt.targets[0].id] = cls
-        return types
-
     def _build_summaries(self) -> None:
         for fn in self.index.iter_functions():
             module = self.index.modules[fn.relpath]
-            aliases = _AliasMap(fn.node)
+            aliases = RegionAliases(fn.node)
             self._aliases[fn.qualname] = aliases
-            stmts = _own_statements(fn.node)
-            types = self._function_types(fn, module, stmts)
-            self._local_types[fn.qualname] = types
+            types = self.index.local_types(fn)
             summ = EffectSummary()
-            for stmt in sorted(stmts, key=lambda s: (s.lineno, s.col_offset)):
+            for stmt in fn.statements:
                 if isinstance(stmt, ast.Raise):
                     summ.raises_direct = True
                 for target in _flatten_targets(_write_targets(stmt)):
@@ -390,7 +347,7 @@ class _TornStateFlow:
         self.fn = fn
         self.module = module
         self.aliases = analysis._aliases[fn.qualname]
-        self.types = analysis._local_types[fn.qualname]
+        self.types = analysis.index.local_types(fn)
         #: attr name -> first write node on some path reaching here.
         self.writes: dict[str, ast.AST] = {}
         self.try_depth = 0

@@ -47,7 +47,7 @@ from typing import Iterator
 from .callgraph import ClassInfo, FunctionInfo
 from .core import (ProjectContext, ProjectPass, Rule, SourceFile,
                    Violation, walk)
-from .effects import REGION_COLUMNS, _AliasMap, _own_statements
+from .effects import REGION_COLUMNS, RegionAliases
 
 #: A class defining or inheriting this method is a chunk-fed replay driver.
 DRIVER_MARKER = "feed"
@@ -64,11 +64,10 @@ _POOL_CLASSES = frozenset({"ProcessPoolExecutor"})
 _VIEW_WRAPPERS = frozenset({"reshape", "view"})
 
 
-def _self_assigned_attrs(fn_node: ast.FunctionDef | ast.AsyncFunctionDef,
-                         ) -> dict[str, ast.AST]:
-    """``self.<attr>`` assignment targets in one method body."""
+def _self_assigned_attrs(fn: FunctionInfo) -> dict[str, ast.AST]:
+    """First ``self.<attr>`` assignment target of each attr in one method."""
     out: dict[str, ast.AST] = {}
-    for stmt in _own_statements(fn_node):
+    for stmt in fn.statements:
         targets: list[ast.expr] = []
         if isinstance(stmt, ast.Assign):
             targets = list(stmt.targets)
@@ -131,23 +130,11 @@ class PickleAnalysis(ProjectPass):
 
     def _driver_methods(self, cls: ClassInfo) -> list[FunctionInfo]:
         """Every method a ``cls`` instance runs, bases included (the
-        nearest definition of each name wins, as in the MRO)."""
+        nearest definition of each name wins)."""
         seen: dict[str, FunctionInfo] = {}
-        visited: set[int] = set()
-        pending = [cls]
-        while pending:
-            klass = pending.pop(0)
-            if id(klass) in visited:
-                continue
-            visited.add(id(klass))
-            for name in sorted(klass.methods):
-                seen.setdefault(name, klass.methods[name])
-            module = self.index.modules.get(klass.relpath)
-            if module is not None:
-                for base_name in klass.base_names:
-                    base = self.index.resolve_class_name(base_name, module)
-                    if base is not None:
-                        pending.append(base)
+        for klass in self.index.base_chain(cls):
+            for name, method in klass.methods.items():
+                seen.setdefault(name, method)
         return [seen[name] for name in sorted(seen)]
 
     def _restored_attrs(self, cls: ClassInfo,
@@ -155,7 +142,7 @@ class PickleAnalysis(ProjectPass):
         """Attrs ``__setstate__`` assigns, directly or one call deep."""
         if setstate is None:
             return set()
-        restored = set(_self_assigned_attrs(setstate.node))
+        restored = set(_self_assigned_attrs(setstate))
         for node in walk(setstate.node):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -164,27 +151,13 @@ class PickleAnalysis(ProjectPass):
                 continue
             helper = self.index.class_method(cls, node.func.attr)
             if helper is not None:
-                restored.update(_self_assigned_attrs(helper.node))
+                restored.update(_self_assigned_attrs(helper))
         return restored
 
     # -- P001: loop-carry state vs the pickle protocol ----------------------
 
-    def _class_level_str_sets(self, cls: ClassInfo) -> dict[str, set[str]]:
-        """Class-body ``NAME = ("a", "b")`` string-tuple constants."""
-        out: dict[str, set[str]] = {}
-        src = self.sources.get(cls.relpath)
-        module_body = list(src.tree.body) if src is not None else []
-        for stmt in list(cls.node.body) + module_body:
-            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)):
-                continue
-            elts = _constant_str_elts(stmt.value)
-            if elts is not None:
-                out[stmt.targets[0].id] = elts
-        return out
-
-    def _getstate_drops(self, cls: ClassInfo,
-                        getstate: FunctionInfo) -> "tuple[set[str] | None, set[str]]":
+    def _getstate_drops(self, getstate: FunctionInfo,
+                        ) -> "tuple[set[str] | None, set[str]]":
         """``(included, excluded)`` attr sets of one ``__getstate__``.
 
         ``included is None`` means "everything except ``excluded``"
@@ -192,8 +165,8 @@ class PickleAnalysis(ProjectPass):
         with ``included`` a set means an unreadable body, which fires
         nothing.
         """
-        consts = self._class_level_str_sets(cls)
-        for stmt in _own_statements(getstate.node):
+        module = self.index.modules[getstate.relpath]
+        for stmt in getstate.statements:
             if not isinstance(stmt, ast.Return) or stmt.value is None:
                 continue
             value = stmt.value
@@ -213,7 +186,10 @@ class PickleAnalysis(ProjectPass):
                     skip = cond.comparators[0]
                     elts = _constant_str_elts(skip)
                     if elts is None and isinstance(skip, ast.Name):
-                        elts = consts.get(skip.id)
+                        # ``if k not in _SKIP``: a module-level constant
+                        found = self.index.module_value(skip.id, module)
+                        if found is not None:
+                            elts = _constant_str_elts(found[1])
                     if elts is not None:
                         excluded.update(elts)
                 return None, excluded
@@ -228,11 +204,11 @@ class PickleAnalysis(ProjectPass):
             for fn in self._driver_methods(cls):
                 if fn.name in NON_CARRY_METHODS:
                     continue
-                for attr, node in _self_assigned_attrs(fn.node).items():
+                for attr, node in _self_assigned_attrs(fn).items():
                     carried.setdefault(attr, (fn.relpath, node))
                 # Unpicklable values are a violation regardless of the
                 # pickle protocol: no __getstate__ can serialise them.
-                for stmt in _own_statements(fn.node):
+                for stmt in fn.statements:
                     if not (isinstance(stmt, ast.Assign)
                             and any(isinstance(t, ast.Attribute)
                                     and isinstance(t.value, ast.Name)
@@ -250,8 +226,7 @@ class PickleAnalysis(ProjectPass):
             getstate = self.index.class_method(cls, "__getstate__")
             if getstate is None or not carried:
                 continue
-            included, excluded = self._getstate_drops(
-                getstate.cls or cls, getstate)
+            included, excluded = self._getstate_drops(getstate)
             setstate = self.index.class_method(cls, "__setstate__")
             restored = self._restored_attrs(cls, setstate)
             for attr in sorted(carried):
@@ -269,7 +244,8 @@ class PickleAnalysis(ProjectPass):
 
     # -- P002: RegionState views need a __setstate__ rebind ------------------
 
-    def _view_column(self, value: ast.expr, aliases: _AliasMap) -> str | None:
+    def _view_column(self, value: ast.expr,
+                     aliases: RegionAliases) -> str | None:
         """RegionState column ``value`` is a view of, if it is one."""
         expr = value
         while True:
@@ -293,8 +269,8 @@ class PickleAnalysis(ProjectPass):
         views: dict[str, ast.AST] = {}
         for name in sorted(cls.methods):
             fn = cls.methods[name]
-            aliases = _AliasMap(fn.node)
-            for stmt in _own_statements(fn.node):
+            aliases = RegionAliases(fn.node)
+            for stmt in fn.statements:
                 if not isinstance(stmt, ast.Assign):
                     continue
                 column = self._view_column(stmt.value, aliases)

@@ -48,15 +48,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Mapping
 
-from .callgraph import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    annotation_class_name,
-)
+from .callgraph import ClassInfo, FunctionInfo, ModuleInfo
 from .core import (ProjectContext, ProjectPass, Rule, Violation,
                    dotted_name, walk)
-from .effects import _own_statements
 
 #: Config classes whose fields feed the canonical cache keys.  The five
 #: top-level ones are named by the cell/device key payloads; the section
@@ -97,49 +91,6 @@ K002_ALLOWED_FILES = frozenset({
 #: applied to the object being serialised.
 _STRUCTURAL_CALLS = frozenset({"fields", "asdict"})
 
-#: Container heads whose element annotation types loop variables
-#: (``tenants: tuple[TenantSpec, ...]`` types ``for t in self.tenants``).
-_CONTAINER_HEADS = frozenset({
-    "tuple", "Tuple", "list", "List", "set", "Set", "frozenset",
-    "FrozenSet", "Sequence", "Iterable", "Iterator",
-})
-
-
-def annotation_element_class(node: ast.expr | None) -> str | None:
-    """Element class name of a container annotation, if pinned.
-
-    ``tuple[TenantSpec, ...]`` / ``list[Block]`` / ``Sequence["Block"]``
-    yield the element class; heterogeneous tuples and anything fancier
-    yield ``None``.
-    """
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return None
-    if not isinstance(node, ast.Subscript):
-        return None
-    if annotation_class_name(node.value) not in _CONTAINER_HEADS:
-        return None
-    sl = node.slice
-    if isinstance(sl, ast.Tuple):
-        names = {annotation_class_name(e) for e in sl.elts
-                 if not (isinstance(e, ast.Constant)
-                         and e.value is Ellipsis)}
-        names.discard(None)
-        if len(names) == 1:
-            (only,) = names
-            return only
-        return None
-    return annotation_class_name(sl)
-
-
-def _is_classvar(ann: ast.expr) -> bool:
-    head = ann.value if isinstance(ann, ast.Subscript) else ann
-    return annotation_class_name(head) == "ClassVar"
-
 
 class SoundnessAnalysis(ProjectPass):
     """One whole-tree cache-key soundness pass shared by the K-rules."""
@@ -148,156 +99,13 @@ class SoundnessAnalysis(ProjectPass):
         super().__init__(ctx)
         #: qualname -> entry-point name that first reached the function.
         self.reachable: dict[str, str] = {}
-        self._live: set[str] = set()
-        self._types: dict[str, dict[str, ClassInfo]] = {}
-        self._fields_memo: dict[str, dict[str, ast.expr | None]] = {}
+        self._live: set[ClassInfo] = set()
         self._coverage_memo: dict[
-            str, tuple[frozenset[str] | None, FunctionInfo | None]] = {}
-        self._registry_memo: dict[tuple[str, str], tuple[ClassInfo, ...]] = {}
+            ClassInfo, tuple[frozenset[str] | None, FunctionInfo | None]] = {}
+        self._registry_memo: dict[ast.expr, tuple[ClassInfo, ...]] = {}
         self._compute_reachability()
         self._check_k003()
         self._check_reads()
-
-    # -- class facts -------------------------------------------------------
-
-    def _class_key(self, cls: ClassInfo) -> str:
-        return f"{cls.relpath}::{cls.name}"
-
-    def _class_fields(self, cls: ClassInfo) -> dict[str, ast.expr | None]:
-        """Dataclass-style fields: class-body ``name: ann`` entries."""
-        key = self._class_key(cls)
-        memo = self._fields_memo.get(key)
-        if memo is not None:
-            return memo
-        out: dict[str, ast.expr | None] = {}
-        for stmt in cls.node.body:
-            if (isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and not _is_classvar(stmt.annotation)):
-                out[stmt.target.id] = stmt.annotation
-        self._fields_memo[key] = out
-        return out
-
-    def _class_bases(self, cls: ClassInfo) -> list[ClassInfo]:
-        """``cls`` plus its resolvable base chain, breadth-first."""
-        seen: list[ClassInfo] = [cls]
-        queue = [cls]
-        for _ in range(8):
-            if not queue:
-                break
-            nxt: list[ClassInfo] = []
-            for cur in queue:
-                module = self.index.modules.get(cur.relpath)
-                if module is None:
-                    continue
-                for base_name in cur.base_names:
-                    base = self.index.resolve_class_name(base_name, module)
-                    if base is not None and base not in seen:
-                        seen.append(base)
-                        nxt.append(base)
-            queue = nxt
-        return seen
-
-    def _attr_class(self, cls: ClassInfo, attr: str) -> ClassInfo | None:
-        """Class of ``obj.<attr>`` for an ``obj`` of class ``cls``."""
-        for cur in self._class_bases(cls):
-            module = self.index.modules.get(cur.relpath)
-            if module is None:
-                continue
-            ann = self._class_fields(cur).get(attr)
-            name = annotation_class_name(ann)
-            if name is not None:
-                found = self.index.resolve_class_name(name, module)
-                if found is not None:
-                    return found
-        return self.index.class_attr_type(cls, attr)
-
-    def _attr_elem_class(self, cls: ClassInfo, attr: str) -> ClassInfo | None:
-        """Element class of a container-typed ``obj.<attr>``."""
-        for cur in self._class_bases(cls):
-            module = self.index.modules.get(cur.relpath)
-            if module is None:
-                continue
-            name = annotation_element_class(self._class_fields(cur).get(attr))
-            if name is not None:
-                found = self.index.resolve_class_name(name, module)
-                if found is not None:
-                    return found
-        return None
-
-    # -- expression typing -------------------------------------------------
-
-    def _expr_class(self, expr: ast.expr, fn: FunctionInfo,
-                    module: ModuleInfo,
-                    types: Mapping[str, ClassInfo]) -> ClassInfo | None:
-        if isinstance(expr, ast.Name):
-            if expr.id in ("self", "cls") and fn.cls is not None:
-                return fn.cls
-            return types.get(expr.id)
-        if isinstance(expr, ast.Attribute):
-            base = self._expr_class(expr.value, fn, module, types)
-            if base is not None:
-                return self._attr_class(base, expr.attr)
-            return None
-        if isinstance(expr, ast.Subscript):
-            inner = expr.value
-            if isinstance(inner, ast.Attribute):
-                base = self._expr_class(inner.value, fn, module, types)
-                if base is not None:
-                    return self._attr_elem_class(base, inner.attr)
-            return None
-        if isinstance(expr, ast.Call):
-            constructed = self.index.constructed_class(expr, module)
-            if constructed is not None:
-                return constructed
-            resolved = self.index.resolve_call(expr, module, fn.cls, types)
-            if resolved is not None:
-                ret = annotation_class_name(resolved.node.returns)
-                if ret is not None:
-                    ret_module = self.index.modules.get(resolved.relpath)
-                    if ret_module is not None:
-                        return self.index.resolve_class_name(ret, ret_module)
-            return None
-        return None
-
-    def _iter_elem_class(self, expr: ast.expr, fn: FunctionInfo,
-                         module: ModuleInfo,
-                         types: Mapping[str, ClassInfo]) -> ClassInfo | None:
-        if isinstance(expr, ast.Attribute):
-            base = self._expr_class(expr.value, fn, module, types)
-            if base is not None:
-                return self._attr_elem_class(base, expr.attr)
-        return None
-
-    def _function_types(self, fn: FunctionInfo,
-                        module: ModuleInfo) -> dict[str, ClassInfo]:
-        """Instance classes of params and locals, one forward pass."""
-        cached = self._types.get(fn.qualname)
-        if cached is not None:
-            return cached
-        types: dict[str, ClassInfo] = dict(self.index.param_types(fn, module))
-        stmts = sorted(_own_statements(fn.node),
-                       key=lambda s: (s.lineno, s.col_offset))
-        for stmt in stmts:
-            if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)):
-                cls = self._expr_class(stmt.value, fn, module, types)
-                if cls is not None:
-                    types[stmt.targets[0].id] = cls
-            elif (isinstance(stmt, ast.AnnAssign)
-                  and isinstance(stmt.target, ast.Name)):
-                name = annotation_class_name(stmt.annotation)
-                if name is not None:
-                    cls2 = self.index.resolve_class_name(name, module)
-                    if cls2 is not None:
-                        types[stmt.target.id] = cls2
-            elif (isinstance(stmt, (ast.For, ast.AsyncFor))
-                  and isinstance(stmt.target, ast.Name)):
-                elem = self._iter_elem_class(stmt.iter, fn, module, types)
-                if elem is not None:
-                    types[stmt.target.id] = elem
-        self._types[fn.qualname] = types
-        return types
 
     # -- reachability ------------------------------------------------------
 
@@ -318,11 +126,10 @@ class SoundnessAnalysis(ProjectPass):
     def _mark_live(self, cls: ClassInfo, entry: str,
                    worklist: list[tuple[FunctionInfo, str]]) -> None:
         """A live class runs inside the cell: all its methods do too."""
-        key = self._class_key(cls)
-        if key in self._live:
+        if cls in self._live:
             return
-        self._live.add(key)
-        for cur in self._class_bases(cls):
+        self._live.add(cls)
+        for cur in self.index.base_chain(cls):
             for name in sorted(cur.methods):
                 worklist.append((cur.methods[name], entry))
 
@@ -332,47 +139,30 @@ class SoundnessAnalysis(ProjectPass):
 
         Resolves ``SCHEMES[cfg.scheme](dev_cfg)``-style dispatch: the
         name is followed through its from-import to the module-level
-        ``dict``/``list``/``tuple`` literal, and every class referenced
-        inside the literal is returned.
+        ``dict``/``list``/``tuple``/``set`` literal, and every class
+        referenced inside the literal is returned.
         """
-        origin_mod = module
-        origin_name = name
-        imp = module.from_imports.get(name)
-        if imp is not None:
-            target = self.index.modules_by_key.get(imp[0])
-            if target is None:
-                return ()
-            origin_mod, origin_name = target, imp[1]
-        memo_key = (origin_mod.relpath, origin_name)
-        cached = self._registry_memo.get(memo_key)
+        found = self.index.module_value(name, module)
+        if found is None or not isinstance(
+                found[1], (ast.Dict, ast.List, ast.Tuple, ast.Set)):
+            return ()
+        origin, literal = found
+        cached = self._registry_memo.get(literal)
         if cached is not None:
             return cached
         out: list[ClassInfo] = []
-        src = self.sources.get(origin_mod.relpath)
-        if src is not None:
-            for stmt in src.tree.body:
-                if not (isinstance(stmt, ast.Assign)
-                        and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and stmt.targets[0].id == origin_name
-                        and isinstance(stmt.value,
-                                       (ast.Dict, ast.List, ast.Tuple,
-                                        ast.Set))):
-                    continue
-                for sub in walk(stmt.value):
-                    if isinstance(sub, ast.Name):
-                        cls = self.index.resolve_class_name(sub.id,
-                                                            origin_mod)
-                        if cls is not None:
-                            out.append(cls)
-        result = tuple(out)
-        self._registry_memo[memo_key] = result
+        for sub in walk(literal):
+            if isinstance(sub, ast.Name):
+                cls = self.index.resolve_class_name(sub.id, origin)
+                if cls is not None:
+                    out.append(cls)
+        result = self._registry_memo[literal] = tuple(out)
         return result
 
     def _scan_function(self, fn: FunctionInfo, entry: str,
                        worklist: list[tuple[FunctionInfo, str]]) -> None:
         module = self.index.modules[fn.relpath]
-        types = self._function_types(fn, module)
+        types = self.index.local_types(fn)
         for node in walk(fn.node):
             if isinstance(node, ast.Call):
                 resolved = self.index.resolve_call(node, module, fn.cls,
@@ -403,7 +193,7 @@ class SoundnessAnalysis(ProjectPass):
             if len(candidates) == 1:
                 return candidates[0]
             return None
-        for cur in self._class_bases(cls):
+        for cur in self.index.base_chain(cls):
             if "to_dict" in cur.methods:
                 return cur.methods["to_dict"]
         return None
@@ -418,31 +208,16 @@ class SoundnessAnalysis(ProjectPass):
                 and gen.target.id == node.key.id
                 and isinstance(gen.iter, ast.Name)):
             return set()
-        origin_mod = module
-        origin_name = gen.iter.id
-        imp = module.from_imports.get(origin_name)
-        if imp is not None:
-            target = self.index.modules_by_key.get(imp[0])
-            if target is None:
-                return set()
-            origin_mod, origin_name = target, imp[1]
-        src = self.sources.get(origin_mod.relpath)
-        if src is None:
-            return set()
-        for stmt in src.tree.body:
-            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and stmt.targets[0].id == origin_name):
-                continue
-            value = stmt.value
-            if isinstance(value, ast.Dict):
-                return {k.value for k in value.keys
-                        if isinstance(k, ast.Constant)
-                        and isinstance(k.value, str)}
-            if isinstance(value, (ast.List, ast.Tuple, ast.Set)):
-                return {e.value for e in value.elts
-                        if isinstance(e, ast.Constant)
-                        and isinstance(e.value, str)}
+        found = self.index.module_value(gen.iter.id, module)
+        value = found[1] if found is not None else None
+        if isinstance(value, ast.Dict):
+            return {k.value for k in value.keys
+                    if isinstance(k, ast.Constant)
+                    and isinstance(k.value, str)}
+        if isinstance(value, (ast.List, ast.Tuple, ast.Set)):
+            return {e.value for e in value.elts
+                    if isinstance(e, ast.Constant)
+                    and isinstance(e.value, str)}
         return set()
 
     def _emitted_keys(self, emitter: FunctionInfo,
@@ -477,14 +252,13 @@ class SoundnessAnalysis(ProjectPass):
     def _coverage(self, cls: ClassInfo,
                   ) -> tuple[frozenset[str] | None, FunctionInfo | None]:
         """``(emitted keys | None for all-covered, emitter fn | None)``."""
-        key = self._class_key(cls)
-        cached = self._coverage_memo.get(key)
+        cached = self._coverage_memo.get(cls)
         if cached is not None:
             return cached
         emitter = self._find_emitter(cls)
         emitted = self._emitted_keys(emitter) if emitter is not None else None
         result = (emitted, emitter)
-        self._coverage_memo[key] = result
+        self._coverage_memo[cls] = result
         return result
 
     def _emitter_label(self, cls: ClassInfo,
@@ -503,7 +277,7 @@ class SoundnessAnalysis(ProjectPass):
                 emitted, emitter = self._coverage(cls)
                 if emitted is None or emitter is None:
                     continue
-                for field_name in sorted(self._class_fields(cls)):
+                for field_name in sorted(cls.fields):
                     if field_name in emitted:
                         continue
                     self.emit(
@@ -523,7 +297,7 @@ class SoundnessAnalysis(ProjectPass):
                 continue
             entry = self.reachable[qual]
             module = self.index.modules[fn.relpath]
-            types = self._function_types(fn, module)
+            types = self.index.local_types(fn)
             self._check_k001(fn, entry, module, types)
             if fn.relpath not in K002_ALLOWED_FILES:
                 self._check_k002(fn, entry)
@@ -534,10 +308,10 @@ class SoundnessAnalysis(ProjectPass):
             if not (isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load)):
                 continue
-            base = self._expr_class(node.value, fn, module, types)
+            base = self.index.expr_type(node.value, module, fn.cls, types)
             if base is None or base.name not in KEY_CLASSES:
                 continue
-            if node.attr not in self._class_fields(base):
+            if node.attr not in base.fields:
                 continue  # property/method access, not a stored field
             emitted, emitter = self._coverage(base)
             if emitted is None or node.attr in emitted:

@@ -46,9 +46,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .callgraph import ClassInfo, FunctionInfo, ModuleInfo
+from .callgraph import CONTAINER_HEADS, ClassInfo, FunctionInfo, ModuleInfo
 from .core import (TRY_STATEMENTS, ProjectContext, ProjectPass, Rule,
-                   SourceFile, Violation, walk)
+                   SourceFile, Violation)
 
 #: ``repro.units`` alias name -> unit fact.
 VOCAB_UNITS: dict[str, str] = {
@@ -75,15 +75,18 @@ VOCAB_ELEMS: dict[str, str] = {
 
 ADDRESS_SPACES = frozenset({"lsn", "lpn", "ppn"})
 
+#: Bound on the rounds of return-unit inference.  Each round carries a
+#: return unit at least one call further up an unannotated helper
+#: chain; the committed tree settles in three.
+MAX_ROUNDS = 20
+
 #: Unit pairs related by a known scale factor: mixing them is a missed
 #: conversion (U003), not meaningless arithmetic (U001).
 CONVERTIBLE = (frozenset({"kib", "bytes"}), frozenset({"us", "ms"}))
 
 _SCALAR_ANNOTATIONS = frozenset({"int", "float", "bool"})
-_CONTAINER_ANNOTATIONS = frozenset({
-    "list", "List", "set", "Set", "frozenset", "FrozenSet", "tuple",
-    "Sequence", "Iterable", "Iterator", "Collection", "deque",
-})
+#: Tuples are records, not element containers: ``tuple[...]`` pins unknown.
+_TUPLE_ANNOTATIONS = frozenset({"tuple", "Tuple"})
 _MAPPING_ANNOTATIONS = frozenset({
     "dict", "Dict", "Mapping", "MutableMapping", "defaultdict",
     "DefaultDict", "Counter", "OrderedDict",
@@ -164,11 +167,6 @@ def _ann_name(node: ast.expr) -> str | None:
     return None
 
 
-def _is_none_ann(node: ast.expr) -> bool:
-    return (isinstance(node, ast.Constant) and node.value is None) or (
-        isinstance(node, ast.Name) and node.id == "None")
-
-
 @dataclass(frozen=True)
 class AnnInfo:
     """What an annotation expression says about units.
@@ -184,49 +182,6 @@ class AnnInfo:
     unit: str | None = None
     elem: str | None = None
     key_domain: str | None = None
-
-
-def parse_annotation(node: ast.expr | None) -> AnnInfo:
-    """Classify one annotation AST node (handles string annotations)."""
-    if node is None:
-        return AnnInfo("none")
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return AnnInfo("other")
-    name = _ann_name(node)
-    if name in VOCAB_UNITS:
-        return AnnInfo("unit", unit=VOCAB_UNITS[name])
-    if name in VOCAB_ELEMS:
-        return AnnInfo("container", elem=VOCAB_ELEMS[name])
-    if name in _SCALAR_ANNOTATIONS:
-        return AnnInfo("scalar")
-    if name == "range":
-        return AnnInfo("container")
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        sides = [side for side in (node.left, node.right)
-                 if not _is_none_ann(side)]
-        if len(sides) == 1:
-            return parse_annotation(sides[0])  # ``X | None`` -> X
-        return AnnInfo("other")
-    if isinstance(node, ast.Subscript):
-        base = _ann_name(node.value)
-        inner = (list(node.slice.elts) if isinstance(node.slice, ast.Tuple)
-                 else [node.slice])
-        if base == "Optional" and len(inner) == 1:
-            return parse_annotation(inner[0])
-        if base in _CONTAINER_ANNOTATIONS and base != "tuple":
-            if len(inner) == 1:
-                return AnnInfo("container", elem=parse_annotation(inner[0]).unit)
-            return AnnInfo("container")
-        if base in _MAPPING_ANNOTATIONS and len(inner) == 2:
-            key = parse_annotation(inner[0]).unit
-            value = parse_annotation(inner[1]).unit
-            return AnnInfo("container", elem=value,
-                           key_domain=key if key in ADDRESS_SPACES else None)
-        return AnnInfo("other")
-    return AnnInfo("other")
 
 
 def _factor_kind(node: ast.expr) -> str | None:
@@ -267,61 +222,55 @@ class UnitsAnalysis(ProjectPass):
     def __init__(self, ctx: ProjectContext) -> None:
         super().__init__(ctx)
         self.summaries: dict[str, Summary] = {}
-        #: ``(relpath, class name) -> {attr: AnnInfo}`` from class-level
-        #: and ``self.x: T`` annotated assignments.
-        self.attr_info: dict[tuple[str, str], dict[str, AnnInfo]] = {}
-        self._build_attr_info()
         self._seed_summaries()
-        # Body-inferred return units depend on other summaries; two
-        # quiet passes reach a fixpoint on this call-graph's depth,
-        # the third pass reports.
-        self._run_pass(emit=False)
-        self._run_pass(emit=False)
-        self._run_pass(emit=True)
+        # Body-inferred return units depend on other summaries, so rounds
+        # repeat until one changes no summary; that round saw the final
+        # summaries throughout, and its findings are the ones reported.
+        for _ in range(MAX_ROUNDS):
+            self.violations.clear()
+            self._emitted.clear()
+            if not self._run_round():
+                break
 
     # -- fact seeding ------------------------------------------------------
 
-    def _build_attr_info(self) -> None:
-        for relpath in sorted(self.sources):
-            for node in self.sources[relpath].nodes:
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                attrs: dict[str, AnnInfo] = {}
-                for sub in walk(node):
-                    if not isinstance(sub, ast.AnnAssign):
-                        continue
-                    target = sub.target
-                    attr: str | None = None
-                    if isinstance(target, ast.Name):
-                        attr = target.id
-                    elif (isinstance(target, ast.Attribute)
-                          and isinstance(target.value, ast.Name)
-                          and target.value.id == "self"):
-                        attr = target.attr
-                    if attr is None:
-                        continue
-                    info = parse_annotation(sub.annotation)
-                    if info.kind in ("unit", "container"):
-                        attrs[attr] = info
-                if attrs:
-                    self.attr_info[(relpath, node.name)] = attrs
+    def ann_info(self, node: ast.expr | None) -> AnnInfo:
+        """Classify one annotation, read through the index's normaliser."""
+        node = self.index.annotation(node)
+        if node is None:
+            return AnnInfo("none")
+        name = _ann_name(node)
+        if name in VOCAB_UNITS:
+            return AnnInfo("unit", unit=VOCAB_UNITS[name])
+        if name in VOCAB_ELEMS:
+            return AnnInfo("container", elem=VOCAB_ELEMS[name])
+        if name in _SCALAR_ANNOTATIONS:
+            return AnnInfo("scalar")
+        if name == "range":
+            return AnnInfo("container")
+        if isinstance(node, ast.Subscript):
+            base = _ann_name(node.value)
+            inner = (list(node.slice.elts) if isinstance(node.slice, ast.Tuple)
+                     else [node.slice])
+            if base in CONTAINER_HEADS and base not in _TUPLE_ANNOTATIONS:
+                if len(inner) == 1:
+                    return AnnInfo("container",
+                                   elem=self.ann_info(inner[0]).unit)
+                return AnnInfo("container")
+            if base in _MAPPING_ANNOTATIONS and len(inner) == 2:
+                key = self.ann_info(inner[0]).unit
+                value = self.ann_info(inner[1]).unit
+                return AnnInfo("container", elem=value,
+                               key_domain=key if key in ADDRESS_SPACES else None)
+        return AnnInfo("other")
 
-    def attr_ann(self, cls: ClassInfo, attr: str,
-                 _depth: int = 0) -> AnnInfo | None:
-        """Annotation fact for ``instance.attr``, walking base classes."""
-        if _depth > 8:
-            return None
-        info = self.attr_info.get((cls.relpath, cls.name), {}).get(attr)
-        if info is not None:
-            return info
-        module = self.index.modules.get(cls.relpath)
-        if module is None:
-            return None
-        for base_name in cls.base_names:
-            base = self.index.resolve_class_name(base_name, module)
-            if base is not None and base is not cls:
-                info = self.attr_ann(base, attr, _depth + 1)
-                if info is not None:
+    def attr_ann(self, cls: ClassInfo, attr: str) -> AnnInfo | None:
+        """Unit or container fact of ``instance.attr``, nearest class first."""
+        for cur in self.index.base_chain(cls):
+            ann = cur.annotations.get(attr)
+            if ann is not None:
+                info = self.ann_info(ann)
+                if info.kind in ("unit", "container"):
                     return info
         return None
 
@@ -329,7 +278,7 @@ class UnitsAnalysis(ProjectPass):
         for fn in self.index.iter_functions():
             summ = Summary()
             for pname, ann in zip(fn.params, fn.param_annotations):
-                info = parse_annotation(ann)
+                info = self.ann_info(ann)
                 if info.kind == "unit":
                     summ.param_units[pname] = info.unit or ""
                 elif info.kind == "container":
@@ -350,7 +299,7 @@ class UnitsAnalysis(ProjectPass):
                     if domain:
                         summ.param_domains[pname] = domain
                 # "other": deliberately no facts.
-            rinfo = parse_annotation(fn.node.returns)
+            rinfo = self.ann_info(fn.node.returns)
             if rinfo.kind == "unit":
                 summ.return_unit, summ.return_pinned = rinfo.unit, True
             elif rinfo.kind == "container":
@@ -365,9 +314,11 @@ class UnitsAnalysis(ProjectPass):
                 summ.return_elem = name_elem(fn.name)
             self.summaries[fn.qualname] = summ
 
-    # -- passes ------------------------------------------------------------
+    # -- rounds ------------------------------------------------------------
 
-    def _run_pass(self, emit: bool) -> None:
+    def _run_round(self) -> bool:
+        """One pass over every module; True when a summary changed."""
+        changed = False
         for relpath in sorted(self.sources):
             if relpath in self.SKIP_FILES:
                 continue
@@ -375,22 +326,25 @@ class UnitsAnalysis(ProjectPass):
             module = self.index.modules.get(relpath)
             if module is None:
                 continue
-            flow = _FunctionFlow(self, src, module, None, None, emit)
+            flow = _FunctionFlow(self, src, module, None, None)
             flow.run(src.tree.body)
             for fname in sorted(module.functions):
-                self._analyze_function(src, module,
-                                       module.functions[fname], emit)
+                changed |= self._analyze_function(
+                    src, module, module.functions[fname])
             for cname in sorted(module.classes):
                 cls = module.classes[cname]
                 for mname in sorted(cls.methods):
-                    self._analyze_function(src, module,
-                                           cls.methods[mname], emit)
+                    changed |= self._analyze_function(
+                        src, module, cls.methods[mname])
+        return changed
 
     def _analyze_function(self, src: SourceFile, module: ModuleInfo,
-                          fn: FunctionInfo, emit: bool) -> None:
-        flow = _FunctionFlow(self, src, module, fn.cls, fn, emit)
+                          fn: FunctionInfo) -> bool:
+        """Flow one function; True when its return facts changed."""
+        flow = _FunctionFlow(self, src, module, fn.cls, fn)
         flow.run(fn.node.body)
         summ = self.summaries[fn.qualname]
+        before = (summ.return_unit, summ.return_elem)
         if not summ.return_pinned:
             known = {u for u in flow.returns if u}
             summ.return_unit = known.pop() if len(known) == 1 else None
@@ -398,6 +352,7 @@ class UnitsAnalysis(ProjectPass):
             known = {e for e in flow.return_elems if e}
             if len(known) == 1:
                 summ.return_elem = known.pop()
+        return (summ.return_unit, summ.return_elem) != before
 
 
 class _FunctionFlow:
@@ -407,18 +362,19 @@ class _FunctionFlow:
     to naming conventions on read, while an explicit ``None`` entry is
     pinned-unknown (a non-scalar annotation silenced the convention).
     ``elems``/``domains`` carry container element units and mapping key
-    spaces; ``local_types`` tracks ``x = Cls(...)`` instances so method
-    calls resolve through the call graph.
+    spaces; ``local_types`` tracks instance classes (annotated
+    parameters, then each assignment typed by the index's
+    :meth:`~repro.analysis.callgraph.ProjectIndex.expr_type`) so method
+    calls and attribute facts resolve through the call graph.
     """
 
     def __init__(self, analysis: UnitsAnalysis, src: SourceFile,
                  module: ModuleInfo, enclosing_class: ClassInfo | None,
-                 fn: FunctionInfo | None, emit: bool) -> None:
+                 fn: FunctionInfo | None) -> None:
         self.analysis = analysis
         self.src = src
         self.module = module
         self.enclosing_class = enclosing_class
-        self.emit_enabled = emit
         self.env: dict[str, str | None] = {}
         self.elems: dict[str, str] = {}
         self.domains: dict[str, str] = {}
@@ -426,9 +382,10 @@ class _FunctionFlow:
         self.returns: list[str | None] = []
         self.return_elems: list[str | None] = []
         if fn is not None:
+            self.local_types = analysis.index.param_types(fn)
             summ = analysis.summaries[fn.qualname]
             for pname, ann in zip(fn.params, fn.param_annotations):
-                info = parse_annotation(ann)
+                info = analysis.ann_info(ann)
                 if info.kind == "unit":
                     self.env[pname] = info.unit
                 elif info.kind in ("container", "other"):
@@ -493,7 +450,7 @@ class _FunctionFlow:
     def do_assign(self, node: ast.Assign) -> None:
         unit = self.infer(node.value)
         elem = self.infer_elem(node.value)
-        cls = self.analysis.index.constructed_class(node.value, self.module)
+        cls = self.type_of(node.value)
         for target in node.targets:
             self.bind(target, unit, elem, cls, node.value)
 
@@ -518,8 +475,7 @@ class _FunctionFlow:
                 for sub_target, sub_value in zip(target.elts, value.elts):
                     self.bind(sub_target, self.infer(sub_value),
                               self.infer_elem(sub_value),
-                              self.analysis.index.constructed_class(
-                                  sub_value, self.module), sub_value)
+                              self.type_of(sub_value), sub_value)
             else:
                 for sub_target in target.elts:
                     self.bind(sub_target, None, None, None, None)
@@ -534,7 +490,7 @@ class _FunctionFlow:
             value_unit = self.infer(node.value)
         else:
             value_unit = None
-        info = parse_annotation(node.annotation)
+        info = self.analysis.ann_info(node.annotation)
         if not isinstance(node.target, ast.Name):
             return
         name = node.target.id
@@ -589,6 +545,16 @@ class _FunctionFlow:
         self.run(node.orelse)
 
     # -- expression inference ----------------------------------------------
+
+    def type_of(self, expr: ast.expr) -> ClassInfo | None:
+        """Instance class of ``expr`` under the current local types."""
+        return self.analysis.index.expr_type(
+            expr, self.module, self.enclosing_class, self.local_types)
+
+    def attr_fact(self, node: ast.Attribute) -> AnnInfo | None:
+        """Annotation fact of ``owner.attr``, when the owner is typed."""
+        cls = self.type_of(node.value)
+        return None if cls is None else self.analysis.attr_ann(cls, node.attr)
 
     def lookup(self, name: str) -> str | None:
         if name in self.env:
@@ -667,28 +633,12 @@ class _FunctionFlow:
     def infer_attribute(self, node: ast.Attribute) -> str | None:
         if not isinstance(node.value, ast.Name):
             self.infer(node.value)
-        cls = self.attr_owner_class(node)
-        if cls is not None:
-            info = self.analysis.attr_ann(cls, node.attr)
-            if info is not None:
-                if info.kind == "unit":
-                    return info.unit
-                return None  # annotated container/other: pinned unknown
+        info = self.attr_fact(node)
+        if info is not None:
+            if info.kind == "unit":
+                return info.unit
+            return None  # annotated container/other: pinned unknown
         return name_unit(node.attr)
-
-    def attr_owner_class(self, node: ast.Attribute) -> ClassInfo | None:
-        owner = node.value
-        if isinstance(owner, ast.Name):
-            if owner.id in ("self", "cls"):
-                return self.enclosing_class
-            return self.local_types.get(owner.id)
-        if (isinstance(owner, ast.Attribute)
-                and isinstance(owner.value, ast.Name)
-                and owner.value.id == "self"
-                and self.enclosing_class is not None):
-            return self.analysis.index.class_attr_type(
-                self.enclosing_class, owner.attr)
-        return None
 
     def infer_binop(self, node: ast.BinOp) -> str | None:
         left_unit = self.infer(node.left)
@@ -901,11 +851,9 @@ class _FunctionFlow:
         if isinstance(node, ast.Name):
             return self.domains.get(node.id) or name_domain(node.id)
         if isinstance(node, ast.Attribute):
-            cls = self.attr_owner_class(node)
-            if cls is not None:
-                info = self.analysis.attr_ann(cls, node.attr)
-                if info is not None and info.key_domain:
-                    return info.key_domain
+            info = self.attr_fact(node)
+            if info is not None and info.key_domain:
+                return info.key_domain
             return name_domain(node.attr)
         return None
 
@@ -915,11 +863,9 @@ class _FunctionFlow:
                 return self.elems[node.id]
             return name_elem(node.id)
         if isinstance(node, ast.Attribute):
-            cls = self.attr_owner_class(node)
-            if cls is not None:
-                info = self.analysis.attr_ann(cls, node.attr)
-                if info is not None:
-                    return info.elem
+            info = self.attr_fact(node)
+            if info is not None:
+                return info.elem
             return name_elem(node.attr)
         if isinstance(node, (ast.List, ast.Set, ast.Tuple)):
             known = {self.infer(elt) for elt in node.elts}
@@ -991,8 +937,7 @@ class _FunctionFlow:
                 "U001", node, f"mixed-unit arithmetic: {a} {verb} {b}")
 
     def analysis_emit(self, rule: str, node: ast.AST, message: str) -> None:
-        if self.emit_enabled:
-            self.analysis.emit(rule, self.src.relpath, node, message)
+        self.analysis.emit(rule, self.src.relpath, node, message)
 
 
 class _UnitsRule(Rule):

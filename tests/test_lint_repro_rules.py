@@ -652,10 +652,40 @@ def test_mutation_front_end_getstate_dropping_core_state_trips_p001(tmp_path):
     assert "'read_raw_errors' of FrontendSimulator" in p001.message
 
 
+def test_mutation_lpn_passed_as_lsn_trips_u002(tmp_path):
+    # ``self.subpage_map`` is bound in the base class BaseFTL, so the
+    # callee's ``lsn: Lsn`` parameter is reached only through an
+    # inherited attribute type.
+    pkg = _mutated_tree(
+        tmp_path, "ftl/baseline.py",
+        "ppa = self.subpage_map.lookup(lsn)",
+        "ppa = self.subpage_map.lookup(lpn)")
+    result = run_lint(pkg, select=["U"])
+    (u002,) = result.violations
+    assert (u002.rule, u002.path) == ("U002", "ftl/baseline.py")
+    assert u002.message == ("lpn value passed to parameter 'lsn' of "
+                            "lookup() which expects lsn")
+
+
+def test_mutation_write_before_ecc_validation_trips_m001(tmp_path):
+    # The pure validator is reached through ``self.ecc``, an attribute
+    # whose class the index infers.
+    anchor = "        self.stats.host_read_requests += 1\n"
+    pkg = _mutated_tree(
+        tmp_path, "ftl/base.py", anchor,
+        "        self.last_read_ms = now\n" + anchor)
+    result = run_lint(pkg, select=["M"])
+    (m001,) = result.violations
+    assert (m001.rule, m001.path) == ("M001", "ftl/base.py")
+    assert "'last_read_ms'" in m001.message
+    assert "uncorrectable_probability_for_subpages()" in m001.message
+    assert "handle_read()" in m001.message
+
+
 def test_committed_tree_unmutated_is_clean(tmp_path):
     pkg = tmp_path / "repro"
     shutil.copytree(REPO_ROOT / "src" / "repro", pkg,
                     ignore=shutil.ignore_patterns("__pycache__",
                                                   "*.egg-info"))
-    result = run_lint(pkg, select=["K", "P"])
+    result = run_lint(pkg, select=["U", "M", "K", "P"])
     assert result.violations == []

@@ -681,6 +681,24 @@ def test_unit_fact_propagates_across_call_edge(tmp_path):
     assert "U001" in rules
 
 
+@pytest.mark.parametrize("depth", [3, 4, 8])
+def test_unit_fact_propagates_up_unannotated_helper_chain(tmp_path, depth):
+    # ``check`` -> ``a`` -> ``b`` -> … -> the last helper, which returns
+    # ``settle_ms``.  The helpers are analysed in name order, each caller
+    # before its callee, so each round of return-unit inference carries
+    # the ms fact one helper further up; rounds must repeat until none
+    # changes a summary before ``check`` sees ms meet bytes.
+    names = [chr(ord("a") + i) for i in range(depth)]
+    helpers = [f"def {caller}():\n    return {callee}()\n"
+               for caller, callee in zip(names, names[1:])]
+    helpers.append(f"def {names[-1]}(settle_ms=0.5):\n    return settle_ms\n")
+    rules, _ = lint_snippet(tmp_path, "sim/mod.py", "\n".join(helpers) + """
+def check(size_bytes):
+    return a() + size_bytes
+""", select=["U"])
+    assert rules == ["U001"]
+
+
 def test_unit_fact_propagates_across_modules(tmp_path):
     # The ms fact crosses a file boundary through the import graph.
     geom = tmp_path / "sim" / "timing.py"

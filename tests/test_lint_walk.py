@@ -259,6 +259,33 @@ def test_analysis_modules_do_not_call_ast_walk():
     assert offenders == []
 
 
+def test_analysis_passes_share_one_typed_index():
+    """Class and type facts live in ``callgraph.py`` alone (checked on
+    the AST): only it reads ``ClassInfo.base_names``, only the engine,
+    the index and the schema reader call ``ast.parse``, and no analysis
+    module imports another's private names."""
+    parsers = {"core.py", "callgraph.py", "schema.py"}
+    offenders = []
+    for path in iter_python_files(ANALYSIS_DIR):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if (isinstance(node, ast.Attribute) and node.attr == "base_names"
+                    and path.name != "callgraph.py"):
+                offenders.append(f"{where} reads .base_names")
+            elif (isinstance(node, ast.Call)
+                    and dotted_name(node.func) == "ast.parse"
+                    and path.name not in parsers):
+                offenders.append(f"{where} calls ast.parse")
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level > 0
+                    or (node.module or "").startswith("repro.analysis")):
+                offenders.extend(f"{where} imports {alias.name}"
+                                 for alias in node.names
+                                 if alias.name.startswith("_"))
+    assert offenders == []
+
+
 # --------------------------------------------------------------------------
 # one index per run
 
