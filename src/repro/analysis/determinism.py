@@ -156,11 +156,10 @@ class WallClockRule(Rule):
     id = "D002"
     title = "wall clock outside the diagnostic allowlist"
 
-    #: Modules with sanctioned wall-time diagnostics: the bench harness,
-    #: the replay drivers' shared ``wall_seconds`` bookkeeping
-    #: (``ReplayCore.run``), and the GC victim policies' ``scan_seconds``
-    #: host-cost counter.
-    ALLOWED = frozenset({"bench.py", "sim/simulator.py", "ftl/victim.py"})
+    #: Modules with sanctioned wall-time diagnostics: the replay
+    #: drivers' shared ``wall_seconds`` bookkeeping (``ReplayCore.run``)
+    #: and the GC victim policies' ``scan_seconds`` host-cost counter.
+    ALLOWED = frozenset({"sim/simulator.py", "ftl/victim.py"})
 
     def check_file(self, src: SourceFile) -> Iterator[Violation]:
         if src.relpath in self.ALLOWED:

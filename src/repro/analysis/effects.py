@@ -5,7 +5,7 @@ kernel: a rejected program had already advanced ``next_page``, and an
 empty ``invalidate_many`` corrupted ``pages_with_valid``.  Both are the
 same shape — **a state write reachable before a raise-capable
 validation** — and both silently break the byte-identity guarantee the
-cache/bench/golden stack depends on.  The structure-of-arrays refactor
+cache/golden stack depends on.  The structure-of-arrays refactor
 added a second invariant: every ``Block`` fact is split into a scalar
 mirror (``pass_counts``, ``state``, the page bitmasks …) and an
 authoritative :class:`~repro.nand.state.RegionState` column, and the two
@@ -33,7 +33,6 @@ This module turns both contracts into checked facts on top of the
            exception path)
   ``M002`` a ``Block`` scalar mirror is written without the paired
            ``RegionState`` column in the same method (or vice versa)
-           outside the allowlisted spec twin
   ======== ========================================================
 
 ``__init__`` methods are exempt from both rules: a constructor that
@@ -97,11 +96,6 @@ M001_PREFIXES = ("nand/", "ftl/")
 
 #: Files whose functions M002 checks (mirrors only exist on ``Block``).
 M002_PREFIX = "nand/"
-
-#: The pure-python spec twin keeps no mirrors by design — its derived
-#: quantities are recomputed properties, which is exactly what makes the
-#: kernel's mirror maintenance falsifiable.
-M002_ALLOWED_FILES = frozenset({"nand/reference.py"})
 
 
 #: Statements that open a scope of their own.
@@ -294,7 +288,7 @@ class EffectsAnalysis(ProjectPass):
         for fn in self.index.iter_functions():
             if not fn.relpath.startswith(M002_PREFIX):
                 continue
-            if fn.relpath in M002_ALLOWED_FILES or fn.name == "__init__":
+            if fn.name == "__init__":
                 continue
             summ = self.summaries[fn.qualname]
             mirrors: dict[str, WriteSite] = {}

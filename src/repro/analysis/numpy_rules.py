@@ -32,7 +32,7 @@ from typing import Iterator
 from .core import Rule, SourceFile, Violation
 from .determinism import numpy_bindings
 
-#: Modules whose outputs the golden/bench stack pins byte-for-byte.
+#: Modules whose outputs the golden stack pins byte-for-byte.
 GATED_FILES = frozenset({
     "nand/state.py",
     "nand/flash.py",

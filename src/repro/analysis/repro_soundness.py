@@ -80,11 +80,11 @@ ENTRY_POINTS = frozenset({"simulate_cell", "simulate_fleet_device"})
 #:   pure function of the keyed :class:`~repro.fleet.FleetConfig` (the
 #:   store is addressed by ``device_key`` and version-checked on load;
 #:   ``tests/test_checkpoint.py`` pins resume bit-identity);
-#: * ``bench.py`` / ``cli.py`` — host-side harness and argument
-#:   plumbing around the cells, not the cells themselves.
+#: * ``cli.py`` — argument plumbing around the cells, not the cells
+#:   themselves.
 K002_ALLOWED_FILES = frozenset({
     "experiments/cache.py", "experiments/parallel.py",
-    "fleet/checkpoint.py", "bench.py", "cli.py",
+    "fleet/checkpoint.py", "cli.py",
 })
 
 #: Callable names that make an emitter structurally complete when

@@ -260,13 +260,8 @@ class BlockCounterWriteRule(Rule):
     id = "S002"
     title = "Block counter/subpage-state write outside the nand state kernel"
 
-    #: The modules that own the state and notify the watchers, plus the
-    #: pure-python specification twin (``nand/reference.py``): it keeps
-    #: the same attribute names by design so the differential suite can
-    #: drive both implementations with one interpreter, and it has no
-    #: watchers to desynchronize.
-    ALLOWED = frozenset({"nand/block.py", "nand/state.py",
-                         "nand/reference.py"})
+    #: The modules that own the state and notify the watchers.
+    ALLOWED = frozenset({"nand/block.py", "nand/state.py"})
 
     def check_file(self, src: SourceFile) -> Iterator[Violation]:
         if src.relpath in self.ALLOWED:

@@ -154,68 +154,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        compare_to_baseline,
-        load_baseline,
-        profile_cell,
-        run_bench,
-        save_baseline,
-    )
-    from .metrics.report import format_table
-
-    traces = tuple(args.traces.split(","))
-    schemes = tuple(args.schemes.split(","))
-    payload = run_bench(scale=args.scale, seed=args.seed, traces=traces,
-                        schemes=schemes, repeats=args.repeats)
-    rows = [{"trace": c["trace"], "scheme": c["scheme"],
-             "requests": c["n_requests"],
-             "wall s": f"{c['wall_seconds']:.3f}",
-             "ops/sec": f"{c['ops_per_sec']:,.0f}"}
-            for c in payload["cells"]]
-    agg = payload["aggregate"]
-    rows.append({"trace": "(aggregate)", "scheme": "-",
-                 "requests": agg["n_requests"],
-                 "wall s": f"{agg['wall_seconds']:.3f}",
-                 "ops/sec": f"{agg['ops_per_sec']:,.0f}"})
-    print(format_table(rows, title=f"Hot-path throughput (scale={args.scale}, "
-                                   f"best of {args.repeats})"))
-    if args.profile:
-        for c in payload["cells"]:
-            print(f"\n--- cProfile: {c['trace']}/{c['scheme']} "
-                  f"(top {args.profile} by tottime) ---")
-            print(profile_cell(c["trace"], c["scheme"], args.scale,
-                               args.seed, top=args.profile))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            import json as _json
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"(results written to {args.json})")
-    if args.update:
-        save_baseline(payload, args.baseline)
-        print(f"(baseline updated: {args.baseline})")
-        return 0
-    if args.check:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            print(f"bench: baseline {args.baseline} not found "
-                  f"(create it with --update)")
-            return 1
-        failures = compare_to_baseline(payload, baseline,
-                                       max_regression=args.max_regression)
-        if failures:
-            print(f"bench: {len(failures)} cell(s) regressed beyond "
-                  f"{args.max_regression:.0%}:")
-            for line in failures:
-                print(f"  {line}")
-            return 1
-        print(f"bench: all cells within {args.max_regression:.0%} of "
-              f"{args.baseline}")
-    return 0
-
-
 def _cmd_faults(args: argparse.Namespace) -> int:
     from .experiments.cache import ResultCache, default_cache_dir
     from .experiments.parallel import resolve_jobs
@@ -417,35 +355,6 @@ def _add_simulate_arguments(p: argparse.ArgumentParser) -> None:
     _add_execution_flags(p)
 
 
-def _add_bench_arguments(p: argparse.ArgumentParser) -> None:
-    from .bench import DEFAULT_SCHEMES, DEFAULT_TRACES
-
-    p.add_argument("--scale", default="smoke",
-                   choices=("smoke", "small", "medium", "paper"))
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--traces", default=",".join(DEFAULT_TRACES),
-                   metavar="T1,T2", help="comma-separated trace names")
-    p.add_argument("--schemes", default=",".join(DEFAULT_SCHEMES),
-                   metavar="S1,S2", help="comma-separated scheme names")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="measurement repeats per cell (best wins)")
-    p.add_argument("--profile", type=int, default=0, metavar="N",
-                   help="also cProfile each cell and dump the top N "
-                        "functions by tottime")
-    p.add_argument("--json", metavar="PATH",
-                   help="write the measurement payload as JSON")
-    p.add_argument("--baseline", default="BENCH_hotpath.json",
-                   metavar="PATH", help="committed reference file")
-    p.add_argument("--check", action="store_true",
-                   help="fail when a cell regresses vs the baseline")
-    p.add_argument("--update", action="store_true",
-                   help="rewrite the baseline with this run")
-    p.add_argument("--max-regression", type=float, default=0.30,
-                   metavar="FRAC",
-                   help="allowed per-cell ops/sec drop for --check "
-                        "(default 0.30)")
-
-
 def _add_faults_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rates", default="0,0.5,1.0", metavar="R1,R2",
                    help="comma-separated fault-rate sweep points "
@@ -526,8 +435,6 @@ _COMMANDS = (
      _add_all_arguments),
     ("simulate", (), "replay one trace/scheme pair", _cmd_simulate,
      _add_simulate_arguments),
-    ("bench", (), "measure hot-path throughput (ops/sec per cell)",
-     _cmd_bench, _add_bench_arguments),
     ("faults", (), "run a fault-injection reliability campaign",
      _cmd_faults, _add_faults_arguments),
     ("fleet", (), "run a sharded multi-device fleet campaign", _cmd_fleet,

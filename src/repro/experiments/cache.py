@@ -27,9 +27,11 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from ..config import SSDConfig
 from ..configio import config_to_dict
+from ..errors import ReproError
 from ..traces.profiles import TraceProfile
 from ..units import Ms
 
@@ -128,18 +130,25 @@ class ResultCache:
         """On-disk location of one entry."""
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> dict | None:
-        """The stored payload dict, or None on a miss (counted)."""
+    def get(self, key: str,
+            decode: "Callable[[Any], Any] | None" = None) -> Any:
+        """The stored payload, or None on a miss (counted).
+
+        ``decode`` turns the payload into the caller's value; an entry it
+        rejects with a :class:`~repro.errors.ReproError` is a miss.
+        """
         path = self.path_for(key)
         try:
             with path.open("r", encoding="utf-8") as fh:
                 payload = json.load(fh)
+            if decode is not None:
+                payload = decode(payload)
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (OSError, json.JSONDecodeError):
-            # A torn or corrupt entry is a miss; drop it so the fresh
-            # result replaces it.
+        except (OSError, json.JSONDecodeError, ReproError):
+            # A torn, corrupt or rejected entry is a miss; drop it so the
+            # fresh result replaces it.
             self.stats.misses += 1
             try:
                 path.unlink()
@@ -182,9 +191,3 @@ class ResultCache:
             except OSError:
                 pass
         return removed
-
-    def summary_line(self) -> str:
-        """One-line hit/miss report for the CLI."""
-        s = self.stats
-        return (f"cache {self.root}: {s.hits} hits / {s.misses} misses / "
-                f"{s.stores} stores")

@@ -289,9 +289,10 @@ class RunContext:
         """The memoised or cached result of ``cell``, else ``None``."""
         result = self._results.get(cell)
         if result is None and self.cache is not None:
-            payload = self.cache.get(self.cell_key(*cell))
-            if payload is not None:
-                result = self._results[cell] = SimulationResult.from_dict(payload)
+            result = self.cache.get(self.cell_key(*cell),
+                                    SimulationResult.from_dict)
+            if result is not None:
+                self._results[cell] = result
         return result
 
     def _record(self, cell: Cell, result: SimulationResult) -> SimulationResult:

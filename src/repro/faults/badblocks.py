@@ -54,12 +54,3 @@ class BadBlockTable:
         self._retired_in[slc] += 1
         self._condemned.discard(block_id)
         self.retired.append(block_id)
-
-    @property
-    def retired_count(self) -> int:
-        """Total grown bad blocks across both regions."""
-        return len(self.retired)
-
-    def retired_in_region(self, slc: bool) -> int:
-        """Grown bad blocks of one region."""
-        return self._retired_in[slc]

@@ -280,10 +280,6 @@ class RegionAllocator:
         self.allocated_pages += 1
         return block, block.next_page
 
-    def peek_active(self, level: int, stripe: int = 0) -> Block | None:
-        """Current active block of ``(level, stripe)`` (may be stale)."""
-        return self.active.get((level, stripe))
-
     # -- GC support ----------------------------------------------------------
 
     def victim_candidates(self) -> list[Block]:

@@ -25,8 +25,6 @@ can be called cold.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from ..nand.block import Block
@@ -48,17 +46,6 @@ def block_age_sum(block: Block, now: Ms) -> tuple[float, int]:
         return 0.0, 0
     times = block.slot_time[block.valid]
     return float(block.n_valid * now - times.sum()), block.n_valid
-
-
-def region_mean_age(blocks: Iterable[Block], now: Ms) -> float:
-    """Mean age of valid subpages across candidate blocks (the ``T``)."""
-    total = 0.0
-    count = 0
-    for block in blocks:
-        s, n = block_age_sum(block, now)
-        total += s
-        count += n
-    return total / count if count else 0.0
 
 
 def block_coldness(block: Block, now: Ms, t_mean: float | None = None) -> float:

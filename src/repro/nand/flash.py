@@ -73,12 +73,6 @@ class RegionCounters:
         self.valid_subpages -= 1
         self.invalid_subpages += 1
 
-    def note_invalidate_many(self, n: int) -> None:
-        # Batched form of ``note_invalidate`` (integer adds commute, so
-        # one call for n slots is exactly n single-slot calls).
-        self.valid_subpages -= n
-        self.invalid_subpages += n
-
     def note_erase(self, block: Block) -> None:
         self.free_blocks += 1
         self.valid_subpages -= block.n_valid
@@ -406,10 +400,6 @@ class FlashArray:
         return block.erase_count
 
     # -- statistics -----------------------------------------------------------
-
-    def erase_counts(self, slc: bool) -> np.ndarray:
-        """Per-block erase counters of one region."""
-        return np.array([b.erase_count for b in self.region_blocks(slc)], dtype=np.int64)
 
     def region_summary(self, slc: bool) -> dict[str, float]:
         """Aggregate occupancy snapshot of one region (O(1): served from

@@ -15,10 +15,13 @@ count toward the triggering request's own host ops.
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
+import reprlib
 import time
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -212,22 +215,49 @@ class SimulationResult:
     def from_dict(cls, data: dict) -> "SimulationResult":
         """Rebuild a result from :meth:`to_dict` output.
 
-        Unknown keys raise :class:`SimulationError` — a payload written by
-        a different result schema must not deserialise silently (the
-        on-disk cache guards against this with a schema version too).
+        A payload that is not an object, has an unknown key, lacks a
+        field without a default, or holds a value its field's annotation
+        does not admit raises :class:`SimulationError` naming the field:
+        a payload from another result schema, or damaged on disk, must
+        not deserialise silently (the on-disk cache counts it as a miss).
+        An ``int`` field takes an int but not a bool; a ``float`` field
+        takes an int or a float.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise SimulationError(f"a SimulationResult payload is a JSON "
+                                  f"object, not {type(data).__name__}")
+        table = _field_table(cls)
+        unknown = set(data) - set(table)
         if unknown:
             raise SimulationError(
                 f"unknown SimulationResult fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        for name in ("read_latencies", "write_latencies"):
-            if name in kwargs:
-                kwargs[name] = np.asarray(kwargs[name], dtype=np.float64)
-        if "level_writes" in kwargs:
-            kwargs["level_writes"] = {
-                int(k): int(v) for k, v in kwargs["level_writes"].items()}
+        kwargs = {}
+        for name, (kind, required) in table.items():
+            if name not in data:
+                if required:
+                    raise SimulationError(
+                        f"SimulationResult field {name!r} is missing")
+                continue
+            value = data[name]
+            try:
+                if kind is np.ndarray:
+                    value = np.asarray(value, dtype=np.float64)
+                    ok = value.ndim == 1
+                elif name == "level_writes":
+                    value = {int(k): int(v) for k, v in value.items()}
+                    ok = True
+                else:
+                    ok = (isinstance(value, _SCALARS[kind])
+                          and not isinstance(value, bool))
+            except (AttributeError, TypeError, ValueError):
+                ok = False
+            if not ok:
+                expected = ("a list of numbers" if kind is np.ndarray
+                            else getattr(kind, "__name__", kind))
+                raise SimulationError(
+                    f"SimulationResult field {name!r} holds "
+                    f"{reprlib.repr(data[name])}, not {expected}")
+            kwargs[name] = value
         return cls(**kwargs)
 
     def deterministic_dict(self) -> dict:
@@ -241,6 +271,20 @@ class SimulationResult:
         for name in self.NONDETERMINISTIC_FIELDS:
             out.pop(name, None)
         return out
+
+
+#: The JSON types each scalar field annotation admits.
+_SCALARS = {str: (str,), int: (int,), float: (int, float)}
+
+
+@functools.cache
+def _field_table(cls: type) -> "dict[str, tuple[object, bool]]":
+    """Each field's resolved annotation and whether a payload must carry
+    it (no default), resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING
+                     and f.default_factory is MISSING)
+            for f in fields(cls)}
 
 
 def _chunk_extents(trace: Trace, geometry) -> "tuple[list[int], list[int]]":

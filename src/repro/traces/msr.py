@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -207,8 +207,3 @@ def write_msr_csv(trace: Trace, destination: "str | Path | io.TextIOBase") -> No
     finally:
         if close:
             handle.close()
-
-
-def load_traces(paths: Iterable["str | Path"], max_requests: int | None = None) -> list[Trace]:
-    """Parse several MSR CSV files."""
-    return [parse_msr_csv(p, max_requests=max_requests) for p in paths]

@@ -4,7 +4,7 @@ The structure-of-arrays kernel (:mod:`repro.nand.block` over
 :class:`repro.nand.state.RegionState`) earns its optimisations — flat
 scalar stores, python-int bitmasks, derived counters — only if it is
 observationally identical to the obvious implementation.
-:class:`repro.nand.reference.ReferenceBlock` *is* the obvious
+:class:`reference_block.ReferenceBlock` *is* the obvious
 implementation; hypothesis drives randomized operation sequences through
 both and asserts, after every single step:
 
@@ -31,7 +31,7 @@ from repro.error.ecc import EccModel
 from repro.error.rber import RberModel
 from repro.nand.block import Block, BlockState
 from repro.nand.cell import CellMode
-from repro.nand.reference import ReferenceBlock
+from reference_block import ReferenceBlock
 
 # Small geometry: enough pages for neighbour disturb and ordering rules,
 # small enough that random sequences exercise full/erase transitions.

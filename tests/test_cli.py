@@ -98,78 +98,3 @@ class TestCommands:
         assert main(["simulate", "--trace", "ads", "--scheme", "delta",
                      "--scale", "smoke", "--seed", "3"]) == 0
         assert "delta" in capsys.readouterr().out
-
-
-class TestBench:
-    """The hot-path throughput harness (one tiny cell keeps it fast)."""
-
-    CELL = ["bench", "--traces", "lun2", "--schemes", "baseline",
-            "--repeats", "1", "--scale", "smoke"]
-
-    def test_bench_reports_cells(self, capsys):
-        assert main(self.CELL) == 0
-        out = capsys.readouterr().out
-        assert "lun2" in out
-        assert "ops/sec" in out
-        assert "(aggregate)" in out
-
-    def test_bench_profile(self, capsys):
-        assert main(self.CELL + ["--profile", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "cProfile: lun2/baseline" in out
-        assert "tottime" in out
-
-    def test_bench_update_then_check(self, tmp_path, capsys):
-        baseline = tmp_path / "bench.json"
-        assert main(self.CELL + ["--update", "--baseline", str(baseline)]) == 0
-        assert baseline.is_file()
-        assert main(self.CELL + ["--check", "--baseline", str(baseline)]) == 0
-        assert "within 30%" in capsys.readouterr().out
-
-    def test_bench_check_detects_regression(self, tmp_path, capsys):
-        import json
-
-        baseline = tmp_path / "bench.json"
-        assert main(self.CELL + ["--update", "--baseline", str(baseline)]) == 0
-        payload = json.loads(baseline.read_text())
-        for cell in payload["cells"]:  # pretend the past was 100x faster
-            cell["ops_per_sec"] *= 100.0
-        baseline.write_text(json.dumps(payload))
-        assert main(self.CELL + ["--check", "--baseline", str(baseline)]) == 1
-        assert "regressed" in capsys.readouterr().out
-
-    def test_bench_check_missing_baseline(self, tmp_path, capsys):
-        missing = tmp_path / "nope.json"
-        assert main(self.CELL + ["--check", "--baseline", str(missing)]) == 1
-        assert "not found" in capsys.readouterr().out
-
-    def test_bench_check_detects_aggregate_regression(self, tmp_path, capsys):
-        import json
-
-        baseline = tmp_path / "bench.json"
-        assert main(self.CELL + ["--update", "--baseline", str(baseline)]) == 0
-        payload = json.loads(baseline.read_text())
-        # Cells stay honest; only the recorded aggregate was faster — a
-        # broad small slowdown shows up exactly like this.
-        payload["aggregate"]["ops_per_sec"] *= 100.0
-        baseline.write_text(json.dumps(payload))
-        assert main(self.CELL + ["--check", "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "regressed" in out and "aggregate" in out
-
-    def test_bench_payload_environment_and_frontend_cells(self):
-        import platform
-
-        from repro.bench import run_bench
-
-        payload = run_bench(scale="smoke", seed=1, traces=("lun2",),
-                            schemes=("ipu",), repeats=1)
-        env = payload["environment"]
-        assert env["python"] == platform.python_version()
-        assert set(env) >= {"python", "numpy", "platform", "machine"}
-        schemes = [c["scheme"] for c in payload["cells"]]
-        assert schemes == ["ipu", "ipu+frontend"]
-        # The aggregate covers direct cells only, so its trajectory is
-        # comparable with pre-frontend baselines.
-        direct = next(c for c in payload["cells"] if c["scheme"] == "ipu")
-        assert payload["aggregate"]["n_requests"] == direct["n_requests"]

@@ -135,8 +135,8 @@ def test_k002_flags_env_read_in_cached_cell(tmp_path):
 
 
 def test_k002_allowlists_harness_files(tmp_path):
-    # The same read inside bench.py (host-side harness) is accepted.
-    rules, _ = lint_tree(tmp_path, {"bench.py": K002_BODY})
+    # The same read inside cli.py (argument plumbing) is accepted.
+    rules, _ = lint_tree(tmp_path, {"cli.py": K002_BODY})
     assert "K002" not in rules
 
 

@@ -223,7 +223,7 @@ def test_d002_flags_datetime_now(tmp_path):
 
 
 @pytest.mark.parametrize("relpath", [
-    "bench.py", "sim/simulator.py", "ftl/victim.py",
+    "sim/simulator.py", "ftl/victim.py",
 ])
 def test_d002_allowlisted_diagnostic_modules(tmp_path, relpath):
     rules, _ = lint_snippet(tmp_path, relpath, """
@@ -1034,18 +1034,6 @@ def test_m002_good_unmirrored_column(tmp_path):
             def touch(self, region, j, now):
                 time_f = region.slot_time
                 time_f[j] = now
-        """, select=["M"])
-    assert rules == []
-
-
-def test_m002_allowlists_reference_twin(tmp_path):
-    """The pure-python spec twin keeps no mirrors on purpose."""
-    rules, _ = lint_snippet(tmp_path, "nand/reference.py", """
-        class ReferenceBlock:
-            def erase(self):
-                self.erase_count += 1
-                self.state = "free"
-                self.level = None
         """, select=["M"])
     assert rules == []
 

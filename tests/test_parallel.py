@@ -4,6 +4,7 @@ sequential path, and the on-disk cache must short-circuit re-runs."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 
 import pytest
@@ -16,6 +17,7 @@ from repro.experiments.parallel import CellSpec, resolve_jobs, run_cells, simula
 from repro.experiments.runner import Cell, RunContext
 from repro.frontend import FrontendConfig
 from repro.sim import Simulator
+from repro.sim.simulator import SimulationResult
 
 #: Short cells keep the fan-out affordable: the smoke scale floors the
 #: trace at 1000 requests under this length factor.
@@ -106,6 +108,28 @@ class TestCacheIntegration:
         assert r.n_requests > 0
         # The torn entry was replaced by a good one.
         assert ResultCache(tmp_path).get(key) is not None
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: {**p, "sim_time_ms": "oops", "n_requests": "200"},
+        lambda p: {k: v for k, v in p.items() if k != "scheme"},
+        lambda p: [1, 2],
+    ], ids=["mistyped", "no-scheme", "list"])
+    def test_bad_payload_is_a_replaced_miss(self, tmp_path, damage):
+        """A parseable entry that is not a well-typed result is never
+        served: it counts as a miss and the fresh replay replaces it."""
+        fresh = RunContext(**FAST).run("ts0", "ipu")
+        cache = ResultCache(tmp_path)
+        ctx = RunContext(cache=cache, **FAST)
+        path = cache.path_for(ctx.cell_key("ts0", "ipu"))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(damage(fresh.to_dict())))
+        r = ctx.run("ts0", "ipu")
+        assert ctx.executed_cells == 1
+        assert r.deterministic_dict() == fresh.deterministic_dict()
+        assert (cache.stats.hits, cache.stats.misses,
+                cache.stats.stores) == (0, 1, 1)
+        stored = SimulationResult.from_dict(json.loads(path.read_text()))
+        assert stored.deterministic_dict() == fresh.deterministic_dict()
 
 
 def cmt_config(ctx: RunContext):
