@@ -16,13 +16,14 @@ the contract a lint-time fact on top of the
   reachable, which is how the ``SCHEMES[...]`` dispatch is followed) —
   runs *inside* a cached cell;
 * every **key-bearing config class** (:data:`KEY_CLASSES`) has a
-  canonical-JSON emitter — ``to_dict`` on the class,
-  ``config_to_dict`` for :class:`~repro.config.SSDConfig`, or plain
-  ``dataclasses.asdict`` when neither exists — whose emitted key set is
-  recovered from the AST (dict literals, ``out["k"] = …`` stores, dict
-  comprehensions over module-level literal registries); an emitter that
-  iterates ``dataclasses.fields(self)`` / ``asdict(self)`` is
-  *structurally complete* and covers every field by construction;
+  canonical-JSON emitter — the nearest ``to_dict`` on the class or its
+  bases (the :class:`~repro.record.Record` codec's, unless a class
+  overrides it), or plain ``dataclasses.asdict`` when none exists —
+  whose emitted key set is recovered from the AST (dict literals,
+  ``out["k"] = …`` stores, dict comprehensions over module-level literal
+  registries); an emitter that iterates ``dataclasses.fields(self)`` /
+  ``asdict(self)`` is *structurally complete* and covers every field by
+  construction;
 * three rules fire on those facts:
 
   ======== ==========================================================
@@ -60,10 +61,6 @@ KEY_CLASSES = frozenset({
     "CacheConfig", "TranslationConfig", "TraceProfile", "FaultConfig",
     "FrontendConfig", "FleetConfig", "TenantSpec",
 })
-
-#: Key classes serialised by a module-level function instead of a
-#: ``to_dict`` method (class name -> emitter function name).
-CANONICAL_EMITTERS: dict[str, str] = {"SSDConfig": "config_to_dict"}
 
 #: Module-level functions whose call trees run inside a cached cell
 #: (the process-pool worker entry points of ``experiments/parallel.py``).
@@ -182,17 +179,6 @@ class SoundnessAnalysis(ProjectPass):
 
     def _find_emitter(self, cls: ClassInfo) -> FunctionInfo | None:
         """The canonical-JSON emitter of a key class, if it has one."""
-        external = CANONICAL_EMITTERS.get(cls.name)
-        if external is not None:
-            candidates = [
-                mod.functions[external]
-                for relpath in sorted(self.index.modules)
-                for mod in (self.index.modules[relpath],)
-                if external in mod.functions
-            ]
-            if len(candidates) == 1:
-                return candidates[0]
-            return None
         for cur in self.index.base_chain(cls):
             if "to_dict" in cur.methods:
                 return cur.methods["to_dict"]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
+from .record import Record
 from .units import KIB
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GeometryConfig:
+class GeometryConfig(Record):
     """Physical organisation of the flash array.
 
     The hierarchy is ``channel -> chip -> plane -> block -> page ->
@@ -98,7 +99,7 @@ class GeometryConfig:
 
 
 @dataclass(frozen=True)
-class TimingConfig:
+class TimingConfig(Record):
     """Operation latencies in milliseconds (Table 2)."""
 
     slc_read_ms: float = 0.025
@@ -142,7 +143,7 @@ class TimingConfig:
 
 
 @dataclass(frozen=True)
-class ReliabilityConfig:
+class ReliabilityConfig(Record):
     """Raw-bit-error-rate and ECC model parameters.
 
     The RBER curves are calibrated to the two measured points quoted in
@@ -221,7 +222,7 @@ class ReliabilityConfig:
 
 
 @dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(Record):
     """SLC-mode cache sizing and garbage-collection policy knobs."""
 
     #: Fraction of blocks operated in SLC mode (Table 2: 5%).
@@ -263,7 +264,7 @@ class CacheConfig:
 
 
 @dataclass(frozen=True)
-class TranslationConfig:
+class TranslationConfig(Record):
     """Demand-paged address translation (DFTL-style CMT; an extension the
     paper motivates but does not evaluate — disabled by default).
 
@@ -288,7 +289,7 @@ class TranslationConfig:
 
 
 @dataclass(frozen=True)
-class SSDConfig:
+class SSDConfig(Record):
     """Complete simulator configuration."""
 
     geometry: GeometryConfig = field(default_factory=GeometryConfig)

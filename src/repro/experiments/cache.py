@@ -20,7 +20,6 @@ Stale entries are never *wrong*, only unreachable; ``repro-ssd cache
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -30,7 +29,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..config import SSDConfig
-from ..configio import config_to_dict
 from ..errors import ReproError
 from ..traces.profiles import TraceProfile
 from ..units import Ms
@@ -81,8 +79,8 @@ def cell_key(config: SSDConfig, profile: TraceProfile, n_requests: int,
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
-        "config": config_to_dict(config),
-        "profile": dataclasses.asdict(profile),
+        "config": config.to_dict(),
+        "profile": profile.to_dict(),
         "n_requests": int(n_requests),
         "interarrival_ms": interarrival_ms,
         "scheme": scheme,

@@ -19,12 +19,20 @@ atomic), so a warm cache short-circuits inside the worker too.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:
+    from ..config import SSDConfig
+    from ..faults.config import FaultConfig
+    from ..fleet.config import FleetConfig
+    from ..frontend.config import FrontendConfig
 
 __all__ = ["CellSpec", "FleetDeviceSpec", "resolve_jobs", "run_cells",
-           "run_fleet_devices", "simulate_cell", "simulate_fleet_device"]
+           "simulate_cell", "simulate_fleet_device"]
 
 
 def resolve_jobs(jobs: "int | str | None" = None) -> int:
@@ -47,9 +55,9 @@ def resolve_jobs(jobs: "int | str | None" = None) -> int:
 class CellSpec:
     """Everything a worker needs to replay one cell from scratch.
 
-    Only primitives, so the spec pickles cheaply and the worker-side
-    reconstruction goes through exactly the same code path a sequential
-    run uses.
+    Primitives and frozen :class:`~repro.record.Record` configs, which
+    pickle exactly, so the worker-side reconstruction goes through
+    exactly the same code path a sequential run uses.
     """
 
     scale: str
@@ -60,65 +68,55 @@ class CellSpec:
     length_factor: float = 1.0
     #: Root of the shared on-disk result cache (None = no cache).
     cache_dir: str | None = None
-    #: Serialised :class:`repro.faults.FaultConfig` of a fault campaign
-    #: (None = no injection) — a string so the spec stays primitives-only.
-    faults_json: str | None = None
-    #: Serialised :class:`repro.frontend.FrontendConfig` of a front-end
-    #: replay (None = direct path), under the same primitives-only rule.
-    frontend_json: str | None = None
-    #: Device config override as :func:`repro.configio.config_to_json`
-    #: (None = the trace-sized config).
-    config_json: str | None = None
+    #: Fault config of a fault campaign (None = no injection).
+    faults: FaultConfig | None = None
+    #: Front-end config of a front-end replay (None = direct path).
+    frontend: FrontendConfig | None = None
+    #: Device config override (None = the trace-sized config).
+    config: SSDConfig | None = None
     #: Closed-loop queue depth (None = open-loop timestamp replay).
     queue_depth: int | None = None
 
 
 def simulate_cell(spec: CellSpec) -> dict:
     """Worker entry point: replay one cell, return its serialised result."""
-    from ..configio import config_from_json
-    from ..faults import FaultConfig
-    from ..frontend import FrontendConfig
     from .cache import ResultCache
     from .runner import RunContext
 
     cache = ResultCache(spec.cache_dir) if spec.cache_dir else None
-    faults = (FaultConfig.from_json(spec.faults_json)
-              if spec.faults_json else None)
-    frontend = (FrontendConfig.from_json(spec.frontend_json)
-                if spec.frontend_json else None)
     ctx = RunContext(scale=spec.scale, seed=spec.seed,
                      length_factor=spec.length_factor, cache=cache,
-                     faults=faults, frontend=frontend)
-    config = (config_from_json(spec.config_json)
-              if spec.config_json else None)
-    return ctx.run(spec.trace, spec.scheme, pe=spec.pe, config=config,
+                     faults=spec.faults, frontend=spec.frontend)
+    return ctx.run(spec.trace, spec.scheme, pe=spec.pe, config=spec.config,
                    queue_depth=spec.queue_depth).to_dict()
 
 
-def run_cells(specs: "list[CellSpec]", jobs: "int | None" = None) -> list[dict]:
-    """Replay many cells, fanning out over worker processes.
+def run_cells(specs: "list[Any]", jobs: "int | None" = None,
+              worker: "Callable[[Any], Any]" = simulate_cell) -> list:
+    """Run ``worker`` over many specs, fanning out over worker processes.
 
-    Results come back in spec order.  With one worker (or one cell) the
-    replays run inline — no pool, no pickling — which keeps the
+    Results come back in spec order.  With one worker process (or one
+    spec) the calls run inline — no pool, no pickling — which keeps the
     single-CPU path identical to the historical sequential runner.
+    ``worker`` is :func:`simulate_cell` for a list of :class:`CellSpec`
+    and :func:`simulate_fleet_device` for a list of
+    :class:`FleetDeviceSpec`.
     """
     specs = list(specs)
     n_workers = min(resolve_jobs(jobs), len(specs))
     if n_workers <= 1:
-        return [simulate_cell(spec) for spec in specs]
+        return [worker(spec) for spec in specs]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(simulate_cell, specs))
+        return list(pool.map(worker, specs))
 
 
 @dataclass(frozen=True)
 class FleetDeviceSpec:
-    """One fleet device cell, under the same primitives-only rule as
-    :class:`CellSpec` — the worker rebuilds the
-    :class:`~repro.fleet.FleetConfig` from its canonical JSON and runs
-    the device exactly as the sequential path would."""
+    """One fleet device cell, under the same rule as :class:`CellSpec`:
+    the worker runs the device exactly as the sequential path would."""
 
-    #: Canonical JSON of the :class:`~repro.fleet.FleetConfig`.
-    fleet_json: str
+    #: The campaign the device belongs to.
+    fleet: FleetConfig
     #: Device index within the fleet.
     device: int
     #: Root of the shared on-disk result cache (None = no cache).
@@ -136,18 +134,19 @@ def simulate_fleet_device(spec: FleetDeviceSpec) -> "dict | None":
 
     The cache is consulted before — and populated after — the replay, so
     a warm cache short-circuits inside the worker just like
-    :func:`simulate_cell` does.  Returns ``None`` when the run stopped
-    early at ``stop_after_epoch`` (the snapshot holds the progress).
+    :func:`simulate_cell` does; an entry that is not this device's
+    payload is a miss.  Returns ``None`` when the run stopped early at
+    ``stop_after_epoch`` (the snapshot holds the progress).
     """
-    from ..fleet.config import FleetConfig
-    from ..fleet.runner import run_device
+    from ..fleet.runner import check_device_payload, run_device
     from .cache import ResultCache
 
-    cfg = FleetConfig.from_json(spec.fleet_json)
+    cfg = spec.fleet
     cache = ResultCache(spec.cache_dir) if spec.cache_dir else None
     key = cfg.device_key(spec.device)
     if cache is not None and spec.stop_after_epoch is None:
-        hit = cache.get(key)
+        hit = cache.get(key, functools.partial(
+            check_device_payload, cfg, spec.device))
         if hit is not None:
             return hit
     payload = run_device(cfg, spec.device,
@@ -157,18 +156,3 @@ def simulate_fleet_device(spec: FleetDeviceSpec) -> "dict | None":
     if cache is not None and payload is not None:
         cache.put(key, payload)
     return payload
-
-
-def run_fleet_devices(specs: "list[FleetDeviceSpec]",
-                      jobs: "int | None" = None) -> "list[dict | None]":
-    """Run many fleet device cells, fanning out over worker processes.
-
-    Same contract as :func:`run_cells`: results in spec order, inline
-    when one worker suffices, bit-identical either way.
-    """
-    specs = list(specs)
-    n_workers = min(resolve_jobs(jobs), len(specs))
-    if n_workers <= 1:
-        return [simulate_fleet_device(spec) for spec in specs]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(simulate_fleet_device, specs))

@@ -38,7 +38,6 @@ from ..config import (
     ScaleSpec,
     scaled_config,
 )
-from ..configio import config_to_json
 from ..errors import ExperimentError
 from ..faults import FaultConfig, attach_faults
 from ..frontend import FrontendConfig
@@ -85,6 +84,52 @@ def estimate_interarrival_ms(prof: TraceProfile, config: SSDConfig,
     per_req = prof.write_ratio * chip_ms_write + (1 - prof.write_ratio) * chip_ms_read
     chips = config.geometry.chips
     return max(0.02, per_req / (chips * utilization))
+
+
+def pilot_footprints(prof: TraceProfile, n_requests: int,
+                     seed: int) -> tuple[float, float]:
+    """``(hot-set bytes, page-footprint bytes)`` of ``n_requests``
+    requests of ``prof``, estimated by the sizing pilot: a short
+    generation whose extent table measures both, scaled to the full
+    request count."""
+    pilot_n = max(1, min(PILOT_REQUESTS, n_requests))
+    gen = SyntheticTraceGenerator(prof, n_requests=pilot_n, seed=seed)
+    gen.generate()
+    ext = gen.extents
+    assert ext is not None
+    scale_factor = n_requests / pilot_n
+    page_size = GeometryConfig().page_size
+    return (float(ext.sizes[ext.is_hot].sum()) * scale_factor,
+            float(ext.page_footprint_bytes(page_size)) * scale_factor)
+
+
+def sized_config(spec: ScaleSpec, hotset_bytes: float, page_fp: float,
+                 seed: int) -> SSDConfig:
+    """The validated device config of ``spec``'s parallelism whose SLC
+    cache is ~``CACHE_OVER_HOTSET`` x ``hotset_bytes`` and whose
+    high-density region is ~``MLC_OVER_FOOTPRINT`` x ``page_fp``."""
+    base = GeometryConfig()
+    slc_block_bytes = base.slc_pages_per_block * base.page_size
+    mlc_block_bytes = base.mlc_pages_per_block * base.page_size
+    planes = spec.channels * spec.chips_per_channel * spec.planes_per_chip
+    slc_per_plane = max(
+        MIN_SLC_PER_PLANE,
+        math.ceil(max(MIN_SLC_BLOCKS, CACHE_OVER_HOTSET * hotset_bytes
+                      / slc_block_bytes) / planes),
+    )
+    mlc_per_plane = max(
+        MIN_MLC_PER_PLANE,
+        math.ceil(MLC_OVER_FOOTPRINT * page_fp / mlc_block_bytes / planes),
+    )
+    blocks_per_plane = slc_per_plane + mlc_per_plane
+    geometry = GeometryConfig(
+        channels=spec.channels,
+        chips_per_channel=spec.chips_per_channel,
+        planes_per_chip=spec.planes_per_chip,
+        total_blocks=blocks_per_plane * planes,
+    )
+    cache = replace(CacheConfig(), slc_ratio=slc_per_plane / blocks_per_plane)
+    return SSDConfig(geometry=geometry, cache=cache, seed=seed).validate()
 
 
 class Cell(NamedTuple):
@@ -177,41 +222,9 @@ class RunContext:
             self._configs[key] = cfg
             return cfg
 
-        spec = self.spec
-        prof = profile(trace_name)
-        n = self.trace_requests(trace_name)
-        pilot_n = min(PILOT_REQUESTS, n)
-        gen = SyntheticTraceGenerator(prof, n_requests=pilot_n, seed=self.seed)
-        gen.generate()
-        ext = gen.extents
-        scale_factor = n / pilot_n
-
-        base = SSDConfig()
-        page_size = base.geometry.page_size
-        slc_block_bytes = base.geometry.slc_pages_per_block * page_size
-        mlc_block_bytes = base.geometry.mlc_pages_per_block * page_size
-        hotset_bytes = float(ext.sizes[ext.is_hot].sum()) * scale_factor
-        page_fp = ext.page_footprint_bytes(page_size) * scale_factor
-
-        planes = spec.channels * spec.chips_per_channel * spec.planes_per_chip
-        slc_per_plane = max(
-            MIN_SLC_PER_PLANE,
-            math.ceil(max(MIN_SLC_BLOCKS, CACHE_OVER_HOTSET * hotset_bytes
-                          / slc_block_bytes) / planes),
-        )
-        mlc_per_plane = max(
-            MIN_MLC_PER_PLANE,
-            math.ceil(MLC_OVER_FOOTPRINT * page_fp / mlc_block_bytes / planes),
-        )
-        blocks_per_plane = slc_per_plane + mlc_per_plane
-        geometry = GeometryConfig(
-            channels=spec.channels,
-            chips_per_channel=spec.chips_per_channel,
-            planes_per_chip=spec.planes_per_chip,
-            total_blocks=blocks_per_plane * planes,
-        )
-        cache = replace(CacheConfig(), slc_ratio=slc_per_plane / blocks_per_plane)
-        cfg = SSDConfig(geometry=geometry, cache=cache, seed=self.seed).validate()
+        hotset_bytes, page_fp = pilot_footprints(
+            profile(trace_name), self.trace_requests(trace_name), self.seed)
+        cfg = sized_config(self.spec, hotset_bytes, page_fp, self.seed)
         if pe is not None:
             cfg = cfg.with_pe_cycles(pe)
         self._configs[key] = cfg
@@ -361,18 +374,13 @@ class RunContext:
             return
         cache_dir = str(self.cache.root) if self.cache is not None else None
         faults = self._active_faults()
-        faults_json = faults.to_json() if faults is not None else None
         frontend = self._active_frontend()
-        frontend_json = frontend.to_json() if frontend is not None else None
         specs = [
             parallel.CellSpec(scale=self.scale, seed=self.seed,
                               trace=c.trace, scheme=c.scheme, pe=c.pe,
                               length_factor=self.length_factor,
-                              cache_dir=cache_dir,
-                              faults_json=faults_json,
-                              frontend_json=frontend_json,
-                              config_json=(config_to_json(c.config)
-                                           if c.config is not None else None),
+                              cache_dir=cache_dir, faults=faults,
+                              frontend=frontend, config=c.config,
                               queue_depth=c.queue_depth)
             for c in pending
         ]
@@ -393,16 +401,12 @@ class RunContext:
         }
 
 
-#: Default shared context: the benchmark suite regenerates every figure
-#: from one simulation sweep.
-_DEFAULT_CONTEXTS: dict[tuple[str, int], RunContext] = {}
+#: Shared contexts per ``(scale, seed, length_factor)``: the benchmark
+#: suite regenerates every figure from one simulation sweep, and the P/E
+#: sweep shares its shortened-trace context the same way.
+_DEFAULT_CONTEXTS: dict[tuple[str, int, float], RunContext] = {}
 
-#: Every pool of long-lived contexts :func:`configure_execution` manages
-#: (the sweep module registers its own; ad-hoc ``RunContext``s are not
-#: tracked).
-_CONTEXT_POOLS: list[dict] = [_DEFAULT_CONTEXTS]
-
-#: Cells simulated in this process by any context, pooled or not, since
+#: Cells simulated in this process by any context, shared or not, since
 #: the last :func:`configure_execution`, and their replay wall seconds.
 _EXECUTED: dict = {"cells": 0, "seconds": 0.0}
 
@@ -411,13 +415,6 @@ _EXECUTED: dict = {"cells": 0, "seconds": 0.0}
 _EXEC_DEFAULTS: dict = {"jobs": None, "cache": None}
 
 _UNSET = object()
-
-
-def register_context_pool(pool: dict) -> dict:
-    """Let :func:`configure_execution` manage another memoised-context
-    dict (returns it for assignment convenience)."""
-    _CONTEXT_POOLS.append(pool)
-    return pool
 
 
 def configure_execution(jobs=_UNSET, cache=_UNSET) -> None:
@@ -430,12 +427,11 @@ def configure_execution(jobs=_UNSET, cache=_UNSET) -> None:
     its own.
     """
     _EXECUTED.update(cells=0, seconds=0.0)
-    for pool in _CONTEXT_POOLS:
-        for ctx in pool.values():
-            if jobs is not _UNSET:
-                ctx.jobs = jobs
-            if cache is not _UNSET:
-                ctx.cache = cache
+    for ctx in _DEFAULT_CONTEXTS.values():
+        if jobs is not _UNSET:
+            ctx.jobs = jobs
+        if cache is not _UNSET:
+            ctx.cache = cache
     if jobs is not _UNSET:
         _EXEC_DEFAULTS["jobs"] = jobs
     if cache is not _UNSET:
@@ -450,11 +446,12 @@ def new_context(scale: str = "small", seed: int = 1,
                       cache=_EXEC_DEFAULTS["cache"])
 
 
-def default_context(scale: str = "small", seed: int = 1) -> RunContext:
-    """Process-wide memoised context per (scale, seed)."""
-    key = (scale, seed)
+def default_context(scale: str = "small", seed: int = 1,
+                    length_factor: float = 1.0) -> RunContext:
+    """Process-wide memoised context per ``(scale, seed, length_factor)``."""
+    key = (scale, seed, length_factor)
     if key not in _DEFAULT_CONTEXTS:
-        _DEFAULT_CONTEXTS[key] = new_context(scale=scale, seed=seed)
+        _DEFAULT_CONTEXTS[key] = new_context(scale, seed, length_factor)
     return _DEFAULT_CONTEXTS[key]
 
 

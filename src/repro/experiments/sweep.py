@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..traces.profiles import TRACE_NAMES
 from .artifact import Artifact
-from .runner import SCHEME_ORDER, RunContext, new_context, register_context_pool
+from .runner import SCHEME_ORDER, default_context
 
 #: Wear levels swept (the paper's default is 4000).
 PE_LEVELS = (1000, 2000, 4000, 8000)
@@ -20,22 +20,10 @@ SWEEP_LENGTH_FACTOR = 0.35
 #: Traces used in the sweep (all six, as in the paper).
 SWEEP_TRACES = TRACE_NAMES
 
-_sweep_contexts: dict[tuple[str, int], RunContext] = register_context_pool({})
-
-
-def sweep_context(scale: str, seed: int) -> RunContext:
-    """Memoised context with shortened traces for the P/E sweep."""
-    key = (scale, seed)
-    if key not in _sweep_contexts:
-        ctx = new_context(scale=scale, seed=seed,
-                          length_factor=SWEEP_LENGTH_FACTOR)
-        _sweep_contexts[key] = ctx
-    return _sweep_contexts[key]
-
 
 def _build(scale: str, seed: int, metric: str, fig_id: str, title: str,
            fmt: str, paper_note: str) -> Artifact:
-    ctx = sweep_context(scale, seed)
+    ctx = default_context(scale, seed, SWEEP_LENGTH_FACTOR)
     # One fan-out covers the full wear-level matrix; the loops below then
     # read from the memo.
     ctx.run_cells([(t, s, pe) for pe in PE_LEVELS for t in SWEEP_TRACES

@@ -18,11 +18,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Sequence
 
-from ..experiments.runner import (
-    SCHEME_ORDER,
-    RunContext,
-    register_context_pool,
-)
+from ..experiments.runner import SCHEME_ORDER, RunContext
 from ..traces.profiles import TRACE_NAMES
 from .config import FaultConfig
 
@@ -43,12 +39,6 @@ CURVE_FIELDS = (
     "recovered_subpages", "recovery_ms",
 )
 
-#: Campaign contexts, registered so the CLI execution-summary line counts
-#: their cells too.  Keyed by creation order: each :func:`run_campaign`
-#: call gets fresh contexts, so back-to-back campaigns are independent
-#: end-to-end determinism checks rather than memo replays.
-_campaign_contexts: dict[int, RunContext] = register_context_pool({})
-
 
 def run_campaign(rates: Sequence[float] = DEFAULT_RATES,
                  scale: str = "smoke", seed: int = 1,
@@ -61,6 +51,10 @@ def run_campaign(rates: Sequence[float] = DEFAULT_RATES,
     One fresh :class:`~repro.experiments.runner.RunContext` per rate
     (fault configs are part of a context's identity, like seed or
     scale), each replaying the full ``traces`` x ``schemes`` matrix.
+    No context outlives the call, so back-to-back campaigns are
+    independent end-to-end determinism checks rather than memo replays;
+    the CLI summary line still counts their cells (every context adds
+    to the process-wide tally).
     """
     names = tuple(traces) if traces is not None else TRACE_NAMES
     rates = tuple(float(r) for r in rates)
@@ -69,7 +63,6 @@ def run_campaign(rates: Sequence[float] = DEFAULT_RATES,
         faults = FaultConfig.from_rate(rate)
         ctx = RunContext(scale=scale, seed=seed, jobs=jobs, cache=cache,
                          faults=faults if faults.enabled else None)
-        _campaign_contexts[len(_campaign_contexts)] = ctx
         results = ctx.run_matrix(names, schemes)
         for scheme in schemes:
             point: dict = {"rate": rate}

@@ -2,9 +2,9 @@
 
 A :class:`FaultConfig` fixes *how often* each fault mechanism fires and
 how the device responds (retry ladder depth, torn-page window, bad-block
-budget).  It is deliberately dependency-free — the experiment cache keys
-on its serialized form, and the CLI builds one from a single sweep rate —
-so it imports nothing from the simulator layers.
+budget).  It is a :class:`~repro.record.Record` — the experiment cache
+keys on its dict form, and the CLI builds one from a single sweep rate —
+and imports nothing from the simulator layers.
 
 All rates default to zero: a default-constructed config is *disabled* and
 a simulation carrying it is bit-identical to one without the subsystem.
@@ -12,15 +12,15 @@ a simulation carrying it is bit-identical to one without the subsystem.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..record import Record
 from ..units import Ms
 
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(Record):
     """Rates and response parameters for the three fault mechanisms."""
 
     #: Multiplier applied to the ECC model's uncorrectable-read
@@ -112,29 +112,3 @@ class FaultConfig:
             erase_fault_rate=min(1.0, 0.2 * rate),
             power_loss_per_ms=0.001 * rate,
         )
-
-    # -- serialisation (cache keys, CLI output) -----------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready form; exact inverse of :meth:`from_dict`."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultConfig":
-        """Rebuild from :meth:`to_dict` output; unknown keys raise."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown FaultConfig fields: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys) — stable across processes, so it
-        is safe inside cache keys."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultConfig":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))

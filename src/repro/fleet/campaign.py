@@ -100,16 +100,16 @@ def run_campaign(cfg: FleetConfig, *, jobs: "int | None" = None,
     finishes the campaign byte-identically to an uninterrupted run.
     """
     cfg.validate()
-    from ..experiments.parallel import FleetDeviceSpec, run_fleet_devices
+    from ..experiments.parallel import (
+        FleetDeviceSpec, run_cells, simulate_fleet_device)
 
-    fleet_json = cfg.to_json()
-    specs = [FleetDeviceSpec(fleet_json=fleet_json, device=device,
+    specs = [FleetDeviceSpec(fleet=cfg, device=device,
                              cache_dir=cache_dir,
                              checkpoint_dir=checkpoint_dir,
                              checkpoint_every=checkpoint_every,
                              stop_after_epoch=stop_after_epoch)
              for device in range(cfg.n_devices)]
-    payloads = run_fleet_devices(specs, jobs)
+    payloads = run_cells(specs, jobs, simulate_fleet_device)
     if stop_after_epoch is not None:
         return None
     missing = [spec.device for spec, payload in zip(specs, payloads)

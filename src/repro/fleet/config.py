@@ -5,20 +5,21 @@ campaign's outcome: the device count, the per-tenant trace mixes
 (profiles + traffic weights layered on the calibrated
 :mod:`repro.traces.profiles`), the scheme/scale/seed cell identity, the
 epoch grid, the static sharding stripe and the fault-injection rate.
-Like :class:`repro.frontend.FrontendConfig` it is deliberately
-dependency-light and fully serialisable — the result cache keys on its
-canonical JSON and the parallel fan-out ships it to workers as a
-string — and every derived quantity (tenant request counts, tenant
-seeds, device cache keys) is a pure function of it.
+Like :class:`repro.frontend.FrontendConfig` it is a dependency-light
+:class:`~repro.record.Record` — the result cache keys on its dict form
+and the parallel fan-out ships it inside the worker spec — and every
+derived quantity (tenant request counts, tenant seeds, device cache
+keys) is a pure function of it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..errors import ConfigError
+from ..record import Record
 from ..rng import derive_seed
 from ..units import KIB
 
@@ -42,7 +43,7 @@ TENANT_ADDRESS_STRIDE = 2 ** 40
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Record):
     """One tenant of the fleet workload: a trace profile plus a traffic
     weight (its share of the fleet-wide request budget)."""
 
@@ -62,22 +63,9 @@ class TenantSpec:
             raise ConfigError(
                 f"tenant weight must be positive, got {self.weight}")
 
-    def to_dict(self) -> dict:
-        """JSON-ready form; exact inverse of :meth:`from_dict`."""
-        return {"profile": self.profile, "weight": self.weight}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantSpec":
-        """Rebuild from :meth:`to_dict` output; unknown keys raise."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown TenantSpec fields: {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(Record):
     """Everything that determines a fleet campaign's outcome."""
 
     #: Devices in the array.
@@ -178,39 +166,3 @@ class FleetConfig:
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    # -- serialisation (cache keys, worker specs) ---------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready form; exact inverse of :meth:`from_dict`."""
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "tenants":
-                value = [t.to_dict() for t in value]
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetConfig":
-        """Rebuild from :meth:`to_dict` output; unknown keys raise."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown FleetConfig fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "tenants" in kwargs:
-            kwargs["tenants"] = tuple(
-                TenantSpec.from_dict(t) for t in kwargs["tenants"])
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys) — stable across processes, so it
-        is safe inside cache keys and worker specs."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FleetConfig":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))

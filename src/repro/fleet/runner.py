@@ -32,15 +32,15 @@ from ..schemes import SCHEMES
 from ..sim.simulator import OpenLoopReplay
 from ..traces.profiles import TraceProfile, profile
 from ..traces.stream import MergedStream, TraceStream
-from ..traces.synth import SyntheticStream, SyntheticTraceGenerator
+from ..traces.synth import SyntheticStream
 from ..units import Ms
 from .checkpoint import CheckpointStore
 from .config import FleetConfig
 from .shard import OffsetStream, ShardedStream
 
 __all__ = [
-    "LAT_HIST_EDGES_MS", "device_config", "device_stream", "fleet_stream",
-    "histogram_latencies", "run_device",
+    "LAT_HIST_EDGES_MS", "check_device_payload", "device_config",
+    "device_stream", "fleet_stream", "histogram_latencies", "run_device",
 ]
 
 #: Log-spaced latency histogram edges (ms): 96 bins over 1 µs..10 s plus
@@ -101,81 +101,30 @@ def quantile_from_histogram(hist: "list[int]", q: float) -> float:
 # -- device sizing ----------------------------------------------------------
 
 
-def _tenant_footprints(cfg: FleetConfig) -> tuple[float, float]:
-    """Fleet-wide ``(hot-set bytes, page-footprint bytes)`` estimates.
-
-    Each tenant runs the standard sizing pilot (a short generation whose
-    :class:`~repro.traces.synth.ExtentTable` measures per-request hot and
-    page footprints), scaled to the tenant's full request count and
-    summed over the mix.
-    """
-    from ..experiments.runner import PILOT_REQUESTS
-    hotset = 0.0
-    page_fp = 0.0
-    page_size = SSDConfig().geometry.page_size
-    for index, (tenant, n_requests) in enumerate(
-            zip(cfg.tenants, cfg.tenant_requests())):
-        prof = profile(tenant.profile)
-        pilot_n = max(1, min(PILOT_REQUESTS, n_requests))
-        gen = SyntheticTraceGenerator(
-            prof, n_requests=pilot_n, seed=cfg.tenant_seed(index))
-        gen.generate()
-        ext = gen.extents
-        assert ext is not None
-        scale_factor = n_requests / pilot_n
-        hotset += float(ext.sizes[ext.is_hot].sum()) * scale_factor
-        page_fp += float(ext.page_footprint_bytes(page_size)) * scale_factor
-    return hotset, page_fp
-
-
 def device_config(cfg: FleetConfig) -> SSDConfig:
     """Per-device configuration sized for this fleet's workload share.
 
-    The fleet-wide footprints divide evenly across the array (striping
-    spreads every tenant over every device), then flow through the same
-    cache/over-provisioning formulas the single-device experiment
-    runner uses, so a one-device fleet sizes like an ordinary cell.
+    Each tenant runs the standard sizing pilot, scaled to the tenant's
+    full request count; the fleet-wide footprints summed over the mix
+    divide evenly across the array (striping spreads every tenant over
+    every device), then flow through the single-device experiment
+    runner's sizing, so a one-device fleet sizes like an ordinary cell.
     """
-    from dataclasses import replace as _replace
-
-    from ..config import CacheConfig, GeometryConfig, SCALES
-    from ..experiments.runner import (
-        CACHE_OVER_HOTSET, MIN_MLC_PER_PLANE, MIN_SLC_BLOCKS,
-        MIN_SLC_PER_PLANE, MLC_OVER_FOOTPRINT)
+    from ..config import SCALES
+    from ..experiments.runner import pilot_footprints, sized_config
 
     if cfg.scale not in SCALES:
         raise ExperimentError(
             f"unknown scale {cfg.scale!r}; available: {', '.join(SCALES)}")
-    spec = SCALES[cfg.scale]
-    hotset_bytes, page_fp = _tenant_footprints(cfg)
-    hotset_bytes /= cfg.n_devices
-    page_fp /= cfg.n_devices
-
-    base = SSDConfig()
-    page_size = base.geometry.page_size
-    slc_block_bytes = base.geometry.slc_pages_per_block * page_size
-    mlc_block_bytes = base.geometry.mlc_pages_per_block * page_size
-    planes = spec.channels * spec.chips_per_channel * spec.planes_per_chip
-    slc_per_plane = max(
-        MIN_SLC_PER_PLANE,
-        math.ceil(max(MIN_SLC_BLOCKS, CACHE_OVER_HOTSET * hotset_bytes
-                      / slc_block_bytes) / planes),
-    )
-    mlc_per_plane = max(
-        MIN_MLC_PER_PLANE,
-        math.ceil(MLC_OVER_FOOTPRINT * page_fp / mlc_block_bytes / planes),
-    )
-    blocks_per_plane = slc_per_plane + mlc_per_plane
-    geometry = GeometryConfig(
-        channels=spec.channels,
-        chips_per_channel=spec.chips_per_channel,
-        planes_per_chip=spec.planes_per_chip,
-        total_blocks=blocks_per_plane * planes,
-    )
-    cache = _replace(CacheConfig(),
-                     slc_ratio=slc_per_plane / blocks_per_plane)
-    return SSDConfig(geometry=geometry, cache=cache,
-                     seed=cfg.seed).validate()
+    hotset_bytes = page_fp = 0.0
+    for index, (tenant, n_requests) in enumerate(
+            zip(cfg.tenants, cfg.tenant_requests())):
+        tenant_hotset, tenant_fp = pilot_footprints(
+            profile(tenant.profile), n_requests, cfg.tenant_seed(index))
+        hotset_bytes += tenant_hotset
+        page_fp += tenant_fp
+    return sized_config(SCALES[cfg.scale], hotset_bytes / cfg.n_devices,
+                        page_fp / cfg.n_devices, cfg.seed)
 
 
 def _tenant_interarrival_ms(cfg: FleetConfig, index: int,
@@ -280,6 +229,27 @@ def _build_replay(cfg: FleetConfig, device: int,
               if cfg.fault_rate > 0 else None)
     attach_faults(ftl, faults, seed=cfg.device_seed(device))
     return OpenLoopReplay(ftl, dev_cfg)
+
+
+def check_device_payload(cfg: FleetConfig, device: int,
+                         payload: object) -> dict:
+    """``payload`` if it can be device ``device``'s :func:`run_device`
+    record of ``cfg``, else raise :class:`ExperimentError`.
+
+    The result cache's decoder for device entries: an entry that is not
+    an object, belongs to another device or config, or lacks one record
+    per epoch is a miss, not a crash in the campaign aggregation.
+    """
+    if isinstance(payload, dict):
+        epochs = payload.get("epochs")
+        if (payload.get("device") == device
+                and payload.get("key") == cfg.device_key(device)
+                and isinstance(epochs, list) and len(epochs) == cfg.n_epochs
+                and all(isinstance(record, dict) for record in epochs)):
+            return payload
+    raise ExperimentError(
+        f"cache entry is not fleet device {device}'s payload with "
+        f"{cfg.n_epochs} epoch records")
 
 
 def run_device(cfg: FleetConfig, device: int, *,

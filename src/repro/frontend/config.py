@@ -4,9 +4,9 @@ A :class:`FrontendConfig` fixes the shape of the host-side layer the
 simulator can interpose between the request stream and the FTL: the
 write-back DRAM buffer (capacity, flush watermark, writeback delay,
 coalescing span) and the multi-queue scheduler (queue depth, DRAM
-service costs).  It is deliberately dependency-free — the experiment
-cache keys on its serialized form and the parallel fan-out ships it as
-JSON — so it imports nothing from the simulator layers.
+service costs).  It is a :class:`~repro.record.Record` — the experiment
+cache keys on its dict form and the parallel fan-out ships it inside the
+worker spec — and imports nothing from the simulator layers.
 
 A default-constructed config is *disabled*: carrying it through a run
 context is bit-identical to not having the front-end at all (the
@@ -16,10 +16,10 @@ as :class:`repro.faults.FaultConfig` does).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from ..errors import ConfigError
+from ..record import Record
 from ..units import Ms, SubpageCount
 
 #: Queue depth used when a sweep only says "frontend on".
@@ -27,7 +27,7 @@ DEFAULT_QUEUE_DEPTH = 8
 
 
 @dataclass(frozen=True)
-class FrontendConfig:
+class FrontendConfig(Record):
     """Write-buffer and scheduler parameters for the device front-end."""
 
     #: Master switch.  ``False`` means requests go straight to the FTL
@@ -88,29 +88,3 @@ class FrontendConfig:
         cfg = replace(cls(), enabled=True, queue_depth=queue_depth)
         cfg.validate()
         return cfg
-
-    # -- serialisation (cache keys, worker specs) ---------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready form; exact inverse of :meth:`from_dict`."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FrontendConfig":
-        """Rebuild from :meth:`to_dict` output; unknown keys raise."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown FrontendConfig fields: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys) — stable across processes, so it
-        is safe inside cache keys and worker specs."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FrontendConfig":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))

@@ -15,18 +15,16 @@ count toward the triggering request's own host ops.
 
 from __future__ import annotations
 
-import functools
 import gc
 import math
-import reprlib
 import time
-import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import SSDConfig
 from ..errors import SimulationError
+from ..record import Record
 from ..traces.model import Trace
 from ..units import Ms
 from .ops import Cause, OpKind
@@ -35,8 +33,17 @@ from .timing import TimingModel
 
 
 @dataclass
-class SimulationResult:
-    """Everything a replay produces; feeds every figure of the evaluation."""
+class SimulationResult(Record):
+    """Everything a replay produces; feeds every figure of the evaluation.
+
+    The :class:`~repro.record.Record` codec carries it through the result
+    cache: latency arrays become float lists and the ``level_writes``
+    keys strings, and a payload from another result schema, or damaged
+    on disk, raises :class:`SimulationError` naming the field (the cache
+    counts it as a miss).
+    """
+
+    error_type = SimulationError
 
     #: Fields that depend on host wall-clock time rather than on the
     #: simulated device, and therefore differ between two replays of the
@@ -194,72 +201,6 @@ class SimulationResult:
 
     # -- serialisation ----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON-ready form; exact inverse of :meth:`from_dict`.
-
-        Latency arrays become float lists and the ``level_writes`` keys
-        become strings (JSON objects only key on strings), so the dict
-        survives a ``json.dumps``/``json.loads`` round trip unchanged.
-        """
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("read_latencies", "write_latencies"):
-                value = [] if value is None else [float(v) for v in value]
-            elif f.name == "level_writes":
-                value = {str(k): int(v) for k, v in sorted(value.items())}
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulationResult":
-        """Rebuild a result from :meth:`to_dict` output.
-
-        A payload that is not an object, has an unknown key, lacks a
-        field without a default, or holds a value its field's annotation
-        does not admit raises :class:`SimulationError` naming the field:
-        a payload from another result schema, or damaged on disk, must
-        not deserialise silently (the on-disk cache counts it as a miss).
-        An ``int`` field takes an int but not a bool; a ``float`` field
-        takes an int or a float.
-        """
-        if not isinstance(data, dict):
-            raise SimulationError(f"a SimulationResult payload is a JSON "
-                                  f"object, not {type(data).__name__}")
-        table = _field_table(cls)
-        unknown = set(data) - set(table)
-        if unknown:
-            raise SimulationError(
-                f"unknown SimulationResult fields: {sorted(unknown)}")
-        kwargs = {}
-        for name, (kind, required) in table.items():
-            if name not in data:
-                if required:
-                    raise SimulationError(
-                        f"SimulationResult field {name!r} is missing")
-                continue
-            value = data[name]
-            try:
-                if kind is np.ndarray:
-                    value = np.asarray(value, dtype=np.float64)
-                    ok = value.ndim == 1
-                elif name == "level_writes":
-                    value = {int(k): int(v) for k, v in value.items()}
-                    ok = True
-                else:
-                    ok = (isinstance(value, _SCALARS[kind])
-                          and not isinstance(value, bool))
-            except (AttributeError, TypeError, ValueError):
-                ok = False
-            if not ok:
-                expected = ("a list of numbers" if kind is np.ndarray
-                            else getattr(kind, "__name__", kind))
-                raise SimulationError(
-                    f"SimulationResult field {name!r} holds "
-                    f"{reprlib.repr(data[name])}, not {expected}")
-            kwargs[name] = value
-        return cls(**kwargs)
-
     def deterministic_dict(self) -> dict:
         """:meth:`to_dict` minus host-wall-clock fields.
 
@@ -271,20 +212,6 @@ class SimulationResult:
         for name in self.NONDETERMINISTIC_FIELDS:
             out.pop(name, None)
         return out
-
-
-#: The JSON types each scalar field annotation admits.
-_SCALARS = {str: (str,), int: (int,), float: (int, float)}
-
-
-@functools.cache
-def _field_table(cls: type) -> "dict[str, tuple[object, bool]]":
-    """Each field's resolved annotation and whether a payload must carry
-    it (no default), resolved once per class."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default is MISSING
-                     and f.default_factory is MISSING)
-            for f in fields(cls)}
 
 
 def _chunk_extents(trace: Trace, geometry) -> "tuple[list[int], list[int]]":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +25,36 @@ from .stream import DEFAULT_CHUNK_REQUESTS as _DEFAULT_CHUNK_REQUESTS
 
 #: Windows filetime ticks per millisecond.
 _TICKS_PER_MS = 10_000
+
+
+def _rows(handle: "Iterable[str]",
+          name: str) -> "Iterator[tuple[int, int, bool, int, int]]":
+    """``(lineno, ticks, is_write, offset, size)`` of each request row.
+
+    Blank lines and ``#`` comments are skipped; a short row, a
+    non-integer field, an unknown op or a bad extent raises
+    :class:`TraceError` naming the line.
+    """
+    for lineno, row in enumerate(csv.reader(handle), start=1):
+        if not row or row[0].startswith("#"):
+            continue
+        if len(row) < 6:
+            raise TraceError(
+                f"{name}:{lineno}: expected >=6 fields, got {len(row)}")
+        try:
+            ticks = int(row[0])
+            op = row[3].strip().lower()
+            offset = int(row[4])
+            size = int(row[5])
+        except ValueError as exc:
+            raise TraceError(
+                f"{name}:{lineno}: malformed field ({exc})") from None
+        if op not in ("read", "write", "r", "w"):
+            raise TraceError(f"{name}:{lineno}: unknown op {row[3]!r}")
+        if size <= 0 or offset < 0:
+            raise TraceError(
+                f"{name}:{lineno}: invalid extent {offset}+{size}")
+        yield lineno, ticks, op.startswith("w"), offset, size
 
 
 def parse_msr_csv(
@@ -53,25 +83,9 @@ def parse_msr_csv(
     offsets: list[int] = []
     sizes: list[int] = []
     try:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) < 6:
-                raise TraceError(f"{trace_name}:{lineno}: expected >=6 fields, got {len(row)}")
-            try:
-                ts = int(row[0])
-                op = row[3].strip().lower()
-                offset = int(row[4])
-                size = int(row[5])
-            except ValueError as exc:
-                raise TraceError(f"{trace_name}:{lineno}: malformed field ({exc})") from None
-            if op not in ("read", "write", "r", "w"):
-                raise TraceError(f"{trace_name}:{lineno}: unknown op {row[3]!r}")
-            if size <= 0 or offset < 0:
-                raise TraceError(f"{trace_name}:{lineno}: invalid extent {offset}+{size}")
+        for _, ts, is_write, offset, size in _rows(handle, trace_name):
             times.append(ts)
-            writes.append(op.startswith("w"))
+            writes.append(is_write)
             offsets.append(offset)
             sizes.append(size)
             if max_requests is not None and len(times) >= max_requests:
@@ -139,26 +153,7 @@ class MsrStream:
         sizes: list[int] = []
         emitted = False
         with open(self.path, "r", newline="") as handle:
-            reader = csv.reader(handle)
-            for lineno, row in enumerate(reader, start=1):
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) < 6:
-                    raise TraceError(
-                        f"{name}:{lineno}: expected >=6 fields, got {len(row)}")
-                try:
-                    ts = int(row[0])
-                    op = row[3].strip().lower()
-                    offset = int(row[4])
-                    size = int(row[5])
-                except ValueError as exc:
-                    raise TraceError(
-                        f"{name}:{lineno}: malformed field ({exc})") from None
-                if op not in ("read", "write", "r", "w"):
-                    raise TraceError(f"{name}:{lineno}: unknown op {row[3]!r}")
-                if size <= 0 or offset < 0:
-                    raise TraceError(
-                        f"{name}:{lineno}: invalid extent {offset}+{size}")
+            for lineno, ts, is_write, offset, size in _rows(handle, name):
                 if t0 is None:
                     t0 = ts
                 elif ts < prev:
@@ -168,7 +163,7 @@ class MsrStream:
                         f"time-sorted file — use parse_msr_csv to sort")
                 prev = ts
                 times.append((ts - t0) / _TICKS_PER_MS)
-                writes.append(op.startswith("w"))
+                writes.append(is_write)
                 offsets.append(offset)
                 sizes.append(size)
                 parsed += 1

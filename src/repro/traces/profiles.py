@@ -22,12 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import TraceError
+from ..record import Record
 from ..units import KIB, Bytes
 
 
 @dataclass(frozen=True)
-class TraceProfile:
+class TraceProfile(Record):
     """Published aggregate statistics of one block I/O trace."""
+
+    error_type = TraceError
 
     name: str
     #: Total request count reported in Table 3.

@@ -62,24 +62,18 @@ def ipu(config):
 
 @pytest.fixture
 def fresh_execution():
-    """Empty every memoised-context pool for one test, so an in-process
-    CLI run starts cold; calling the fixture value empties them again
-    (a second run must then read the result cache, not the memo).  The
-    pools and the process-wide execution defaults are restored after."""
+    """Empty the memoised-context pool for one test, so an in-process
+    CLI run starts cold; calling the fixture value empties it again (a
+    second run must then read the result cache, not the memo).  The
+    pool and the process-wide execution defaults are restored after."""
     from repro.experiments import runner
 
-    saved = [dict(pool) for pool in runner._CONTEXT_POOLS]
+    saved = dict(runner._DEFAULT_CONTEXTS)
     defaults = dict(runner._EXEC_DEFAULTS)
-
-    def clear():
-        for pool in runner._CONTEXT_POOLS:
-            pool.clear()
-
-    clear()
-    yield clear
-    for pool, contexts in zip(runner._CONTEXT_POOLS, saved):
-        pool.clear()
-        pool.update(contexts)
+    runner._DEFAULT_CONTEXTS.clear()
+    yield runner._DEFAULT_CONTEXTS.clear
+    runner._DEFAULT_CONTEXTS.clear()
+    runner._DEFAULT_CONTEXTS.update(saved)
     runner.configure_execution(**defaults)
 
 

@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro.config import SSDConfig, scaled_config
-from repro.configio import (
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
+from repro.configio import load_config, save_config
 from repro.errors import ConfigError
 from repro.experiments.artifact import Artifact
 
@@ -20,7 +15,7 @@ from conftest import tiny_config
 class TestConfigRoundTrip:
     def test_dict_round_trip(self):
         cfg = tiny_config(gc_pages_per_trigger=3)
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert SSDConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_file_round_trip(self, tmp_path):
         cfg = scaled_config("smoke", seed=7)
@@ -29,31 +24,31 @@ class TestConfigRoundTrip:
         assert load_config(path) == cfg
 
     def test_defaults_fill_missing_sections(self):
-        cfg = config_from_dict({"seed": 3})
+        cfg = SSDConfig.from_dict({"seed": 3})
         assert cfg == SSDConfig(seed=3)
 
     def test_partial_section(self):
-        cfg = config_from_dict({"timing": {"erase_ms": 5.0}})
+        cfg = SSDConfig.from_dict({"timing": {"erase_ms": 5.0}})
         assert cfg.timing.erase_ms == 5.0
         assert cfg.timing.slc_read_ms == 0.025
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"tuning": {}})
+            SSDConfig.from_dict({"tuning": {}})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"timing": {"warp_factor": 9}})
+            SSDConfig.from_dict({"timing": {"warp_factor": 9}})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"cache": {"slc_ratio": 2.0}})
+            SSDConfig.from_dict({"cache": {"slc_ratio": 2.0}})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
-            config_from_dict([1, 2])
+            SSDConfig.from_dict([1, 2])
         with pytest.raises(ConfigError):
-            config_from_dict({"timing": 5})
+            SSDConfig.from_dict({"timing": 5})
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -13,6 +13,9 @@ The two load-bearing properties:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -375,6 +378,25 @@ class TestCampaign:
         seq = self.run()
         par = self.run(jobs=2)
         assert campaign_json(seq) == campaign_json(par)
+
+    def test_finished_campaign_keeps_no_context_alive(self, monkeypatch):
+        """A campaign's contexts (and their traces and results) are
+        garbage once it returns."""
+        from repro.faults import campaign
+
+        made = []
+
+        def tracked(**kwargs):
+            ctx = RunContext(**kwargs)
+            made.append(weakref.ref(ctx))
+            return ctx
+
+        monkeypatch.setattr(campaign, "RunContext", tracked)
+        run_campaign(rates=self.RATES, scale="smoke", seed=9,
+                     traces=("ts0",), schemes=("baseline",))
+        gc.collect()
+        assert len(made) == len(self.RATES)
+        assert [ref() for ref in made] == [None] * len(made)
 
     def test_rate_zero_point_matches_ordinary_run(self):
         payload = self.run()

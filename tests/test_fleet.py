@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, ExperimentError
+from repro.experiments.cache import ResultCache
 from repro.fleet import FleetConfig, TenantSpec, run_campaign, shard_of
 from repro.fleet.campaign import aggregate_fleet, campaign_json
 from repro.fleet.runner import (
@@ -243,6 +244,28 @@ class TestCampaign:
         assert cum_requests[-1] == dev["final"]["n_requests"]
         assert dev["final"]["fleet_device"] == 0
         assert dev["final"]["fleet_epoch"] == cfg.n_epochs - 1
+
+
+class TestDeviceCacheEntries:
+    @pytest.mark.parametrize("damage", [
+        lambda payload: [1, 2],
+        lambda payload: {k: v for k, v in payload.items() if k != "epochs"},
+        lambda payload: {**payload, "epochs": payload["epochs"][:1]},
+    ], ids=["list", "no-epochs", "short-epochs"])
+    def test_damaged_entry_is_a_replaced_miss(self, tmp_path, damage):
+        """A device entry that is not the device's payload is never
+        served: the device replays and its fresh payload replaces it."""
+        cfg = FleetConfig(n_devices=1, tenants=(TenantSpec("ts0"),),
+                          scheme="ipu", scale="smoke", seed=3, n_epochs=2,
+                          epoch_requests=300)
+        ref = campaign_json(run_campaign(cfg, jobs=1,
+                                         cache_dir=str(tmp_path)))
+        path = ResultCache(tmp_path).path_for(cfg.device_key(0))
+        stored = path.read_text()
+        path.write_text(json.dumps(damage(json.loads(stored))))
+        rerun = run_campaign(cfg, jobs=1, cache_dir=str(tmp_path))
+        assert campaign_json(rerun) == ref
+        assert path.read_text() == stored
 
 
 class TestFaultyCampaign:

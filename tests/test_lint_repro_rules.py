@@ -595,10 +595,13 @@ def _mutated_tree(tmp_path: Path, relpath: str, old: str, new: str) -> Path:
 
 
 def test_mutation_dropping_key_field_trips_k001_and_k003(tmp_path):
+    # Every key class inherits the Record codec's structurally complete
+    # to_dict; a TenantSpec override that drops a field must be caught.
+    anchor = "    weight: float = 1.0\n"
     pkg = _mutated_tree(
-        tmp_path, "fleet/config.py",
-        'return {"profile": self.profile, "weight": self.weight}',
-        'return {"profile": self.profile}')
+        tmp_path, "fleet/config.py", anchor,
+        anchor + "\n    def to_dict(self) -> dict:\n"
+                 "        return {\"profile\": self.profile}\n")
     result = run_lint(pkg, select=["K"])
     rules = {v.rule for v in result.violations}
     assert {"K001", "K003"} <= rules

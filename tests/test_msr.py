@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.traces import generate, parse_msr_csv, profile
-from repro.traces.msr import write_msr_csv
+from repro.traces.msr import MsrStream, write_msr_csv
 
 SAMPLE = """128166372003061629,hm,0,Read,383496192,32768,1331
 128166372016853566,hm,0,Write,310378496,4096,2326
@@ -62,22 +62,34 @@ class TestParse:
         assert len(trace) == 2
 
 
+def rejects_in_both_readers(text, tmp_path, match):
+    """The eager parser and the streaming reader both reject ``text``,
+    with the same message."""
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(TraceError, match=match) as eager:
+        parse_msr_csv(io.StringIO(text), name="t")
+    with pytest.raises(TraceError, match=match) as streamed:
+        list(MsrStream(path).chunks())
+    assert str(eager.value) == str(streamed.value)
+
+
 class TestErrors:
-    def test_short_row(self):
-        with pytest.raises(TraceError):
-            parse_msr_csv(io.StringIO("1,2,3\n"))
+    def test_short_row(self, tmp_path):
+        rejects_in_both_readers("1,2,3\n", tmp_path,
+                                "t:1: expected >=6 fields, got 3")
 
-    def test_bad_op(self):
-        with pytest.raises(TraceError):
-            parse_msr_csv(io.StringIO("1,h,0,Flush,0,4096,0\n"))
+    def test_bad_op(self, tmp_path):
+        rejects_in_both_readers("1,h,0,Flush,0,4096,0\n", tmp_path,
+                                "t:1: unknown op 'Flush'")
 
-    def test_bad_int(self):
-        with pytest.raises(TraceError):
-            parse_msr_csv(io.StringIO("x,h,0,Read,0,4096,0\n"))
+    def test_bad_int(self, tmp_path):
+        rejects_in_both_readers("# header\nx,h,0,Read,0,4096,0\n", tmp_path,
+                                "t:2: malformed field")
 
-    def test_zero_size(self):
-        with pytest.raises(TraceError):
-            parse_msr_csv(io.StringIO("1,h,0,Read,0,0,0\n"))
+    def test_zero_size(self, tmp_path):
+        rejects_in_both_readers("1,h,0,Read,0,4096,0\n2,h,0,Read,0,0,0\n",
+                                tmp_path, r"t:2: invalid extent 0\+0")
 
     def test_empty_input(self):
         with pytest.raises(TraceError):

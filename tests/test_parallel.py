@@ -218,4 +218,4 @@ class TestExecutionDefaults:
             assert ctx.jobs is None and ctx.cache is None
         finally:
             runner.configure_execution(jobs=before_jobs, cache=before_cache)
-            runner._DEFAULT_CONTEXTS.pop(("smoke", 99), None)
+            runner._DEFAULT_CONTEXTS.pop(("smoke", 99, 1.0), None)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments import run
-from repro.experiments.sweep import PE_LEVELS, SWEEP_TRACES, sweep_context
+from repro.experiments.runner import default_context
+from repro.experiments.sweep import PE_LEVELS, SWEEP_LENGTH_FACTOR, SWEEP_TRACES
 
 
 class TestSweepStructure:
@@ -15,11 +16,14 @@ class TestSweepStructure:
         assert len(SWEEP_TRACES) == 6
 
     def test_context_memoised_per_scale(self):
-        assert sweep_context("smoke", 3) is sweep_context("smoke", 3)
-        assert sweep_context("smoke", 3) is not sweep_context("smoke", 4)
+        sweep = default_context("smoke", 3, SWEEP_LENGTH_FACTOR)
+        assert sweep is default_context("smoke", 3, SWEEP_LENGTH_FACTOR)
+        assert sweep is not default_context("smoke", 4, SWEEP_LENGTH_FACTOR)
+        # The full-length context of the same scale and seed is another.
+        assert sweep is not default_context("smoke", 3)
 
     def test_sweep_uses_shorter_traces(self):
-        ctx = sweep_context("smoke", 3)
+        ctx = default_context("smoke", 3, SWEEP_LENGTH_FACTOR)
         assert ctx.length_factor < 1.0
 
 
