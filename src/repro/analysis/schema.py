@@ -9,12 +9,13 @@ field set from the *source* (AST, no import needed), compares it against
 the committed snapshot ``results/schema_snapshot.json``, and fails on any
 mismatch — with a message that says which side to fix.
 
-S002 guards the incremental-scoring contract of ``docs/PERFORMANCE.md``:
-``Block.page_valid``/``page_programmed``/subpage arrays are maintained by
-``nand/block.py`` alongside watcher callbacks (``RegionCounters``,
-``VictimIndex``).  A direct write from anywhere else updates the counter
-but not the watchers, desynchronizing O(1) region stats and victim
-scores from the flash state they summarize.
+S002 guards the mirror contract of ``docs/PERFORMANCE.md``: a block's
+python mirrors (``page_valid``/``page_programmed``/slot bitmasks and
+counters) and its region's arrays (subpage state, ``state_code``) are
+written together by ``nand/block.py`` only.  A direct write from
+anywhere else moves one side but not the other, so victim scores and
+the candidate set a victim scan reads off ``state_code`` drift from the
+flash state they summarize.
 """
 
 from __future__ import annotations
@@ -221,9 +222,9 @@ class SchemaDriftRule(Rule):
 # S002 — Block counter / subpage-state writes outside nand/block.py
 
 
-#: Watcher-maintained Block attributes (see ``Block.__slots__`` and the
-#: PR-2 incremental scoring design).  Writing any of these bypasses
-#: ``note_program``/``note_invalidate``/``note_change`` bookkeeping.
+#: Block attributes the nand kernel keeps in step with the region arrays
+#: (see ``Block.__slots__``).  Writing any of these elsewhere moves one
+#: side of a mirror without the other.
 _WATCHED_ATTRS = frozenset({
     "page_valid", "page_programmed", "pages_with_valid",
     "n_valid", "n_invalid", "n_programmed", "content_epoch",
@@ -260,7 +261,7 @@ class BlockCounterWriteRule(Rule):
     id = "S002"
     title = "Block counter/subpage-state write outside the nand state kernel"
 
-    #: The modules that own the state and notify the watchers.
+    #: The modules that own the state and keep its mirrors in step.
     ALLOWED = frozenset({"nand/block.py", "nand/state.py"})
 
     def check_file(self, src: SourceFile) -> Iterator[Violation]:
@@ -306,6 +307,6 @@ class BlockCounterWriteRule(Rule):
            how: str) -> Violation:
         return Violation(
             self.id, src.relpath, node.lineno, node.col_offset,
-            f"{how} watcher-maintained Block state {attr!r} outside the "
-            f"nand state kernel — RegionCounters/VictimIndex would not see "
-            f"the change; go through Block.program/invalidate/erase")
+            f"{how} mirrored Block state {attr!r} outside the nand state "
+            f"kernel — its partner in the region arrays would not move "
+            f"with it; go through Block.program/invalidate/erase")

@@ -12,8 +12,10 @@ Two cost channels are reported per policy:
   candidate block examined during selection is charged a per-block
   constant (ISR pays 2.5x greedy for the stored IS' record read).  This
   is the reproduction target; it cannot be distorted by how fast the
-  *simulator* happens to evaluate a scan, so the incremental victim
-  index (an optimisation of host wall time) leaves it untouched.
+  *simulator* happens to evaluate a scan.  There is no incremental
+  victim index: every scan walks the region's FULL blocks, read off its
+  ``state_code`` column, so host ms/scan may move between versions
+  while the modelled columns do not.
 * **host ms/scan** — measured Python wall time, a nondeterministic
   diagnostic retained for context.
 """

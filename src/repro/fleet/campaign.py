@@ -23,21 +23,9 @@ import json
 
 from ..errors import ExperimentError
 from .config import FleetConfig
-from .runner import TAIL_QUANTILES, quantile_from_histogram
+from .runner import TAIL_QUANTILES, TOTAL_FIELDS, quantile_from_histogram
 
 __all__ = ["aggregate_fleet", "campaign_json", "run_campaign"]
-
-#: Cumulative device counters summed into the campaign totals.  Integers
-#: only (exact under any summation order); float accumulators such as
-#: ``read_raw_errors`` stay per-device in the payloads.
-TOTAL_FIELDS = (
-    "n_requests", "erases_slc", "erases_mlc", "programs_slc",
-    "programs_mlc", "partial_programs", "intra_page_updates",
-    "read_faults", "read_retries", "uncorrectable_reads",
-    "fault_relocations", "program_failures", "erase_failures",
-    "retired_blocks", "power_loss_events", "torn_subpages",
-    "recovered_subpages",
-)
 
 
 def aggregate_fleet(cfg: FleetConfig, devices: "list[dict]") -> dict:

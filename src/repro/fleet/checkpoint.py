@@ -44,8 +44,10 @@ __all__ = ["CHECKPOINT_VERSION", "CheckpointError", "CheckpointStore",
 #: Leading bytes of every checkpoint file.
 MAGIC = b"repro-ckpt\n"
 #: Bump on any incompatible change to the file layout or payload shape
-#: (2: the replay drivers share ``ReplayCore``, which carries the pricer).
-CHECKPOINT_VERSION = 2
+#: (2: the replay drivers share ``ReplayCore``, which carries the pricer;
+#: 3: ``Block`` and ``RegionAllocator`` carry no victim or counter
+#: watchers).
+CHECKPOINT_VERSION = 3
 #: Kind tag of fleet device snapshots (the only kind today).
 DEVICE_KIND = "fleet-device"
 _LEN = struct.Struct(">I")

@@ -57,6 +57,18 @@ LAT_HIST_EDGES_MS: np.ndarray = np.logspace(
 TAIL_QUANTILES: tuple[tuple[str, float], ...] = (
     ("lat_p50_ms", 50.0), ("lat_p99_ms", 99.0), ("lat_p999_ms", 99.9))
 
+#: Cumulative device counters the campaign sums into its totals.
+#: Integers only (exact under any summation order); float accumulators
+#: such as ``read_raw_errors`` stay per-device in the payloads.
+TOTAL_FIELDS = (
+    "n_requests", "erases_slc", "erases_mlc", "programs_slc",
+    "programs_mlc", "partial_programs", "intra_page_updates",
+    "read_faults", "read_retries", "uncorrectable_reads",
+    "fault_relocations", "program_failures", "erase_failures",
+    "retired_blocks", "power_loss_events", "torn_subpages",
+    "recovered_subpages",
+)
+
 
 def histogram_latencies(latencies: np.ndarray) -> list[int]:
     """Counts of ``latencies`` in the fixed fleet bins.
@@ -231,25 +243,44 @@ def _build_replay(cfg: FleetConfig, device: int,
     return OpenLoopReplay(ftl, dev_cfg)
 
 
+def _ints(values: object) -> bool:
+    return all(type(value) is int for value in values)
+
+
+def _aggregable_epoch(record: object) -> bool:
+    """Whether ``record`` holds every epoch value the campaign reads."""
+    if not isinstance(record, dict):
+        return False
+    hist, cum = record.get("lat_hist"), record.get("cum")
+    return (isinstance(hist, list) and len(hist) == _HIST_BINS + 2
+            and _ints(hist)
+            and _ints(record.get(k) for k in ("n_requests", "reads", "writes"))
+            and isinstance(cum, dict) and type(cum.get("retired_blocks")) is int)
+
+
 def check_device_payload(cfg: FleetConfig, device: int,
                          payload: object) -> dict:
     """``payload`` if it can be device ``device``'s :func:`run_device`
     record of ``cfg``, else raise :class:`ExperimentError`.
 
     The result cache's decoder for device entries: an entry that is not
-    an object, belongs to another device or config, or lacks one record
-    per epoch is a miss, not a crash in the campaign aggregation.
+    an object, belongs to another device or config, or lacks a value the
+    campaign aggregation reads — one complete record per epoch, the
+    block count and the ``final`` totals — is a miss, not a crash there.
     """
     if isinstance(payload, dict):
-        epochs = payload.get("epochs")
+        epochs, final = payload.get("epochs"), payload.get("final")
         if (payload.get("device") == device
                 and payload.get("key") == cfg.device_key(device)
+                and type(payload.get("total_blocks")) is int
                 and isinstance(epochs, list) and len(epochs) == cfg.n_epochs
-                and all(isinstance(record, dict) for record in epochs)):
+                and all(_aggregable_epoch(record) for record in epochs)
+                and isinstance(final, dict)
+                and _ints(final.get(name) for name in TOTAL_FIELDS)):
             return payload
     raise ExperimentError(
         f"cache entry is not fleet device {device}'s payload with "
-        f"{cfg.n_epochs} epoch records")
+        f"{cfg.n_epochs} complete epoch records")
 
 
 def run_device(cfg: FleetConfig, device: int, *,

@@ -606,9 +606,8 @@ class BaseFTL(abc.ABC):
     # -- invariants (test support) ----------------------------------------------------
 
     def check_consistency(self) -> None:
-        """Assert map <-> flash agreement for every binding, and that the
-        incremental bookkeeping (region counters, victim indices) agrees
-        with a naive rescan of the device (test hook)."""
+        """Assert map <-> flash agreement for every binding, and that every
+        block's mirrors agree with the region arrays (test hook)."""
         for lsn, ppa in self.iter_bindings():
             block = self.flash.block(ppa.block)
             if not block.valid[ppa.page, ppa.slot]:
@@ -620,6 +619,4 @@ class BaseFTL(abc.ABC):
                 raise AssertionError(
                     f"{self.scheme_name}: LSN {lsn} maps to {ppa} which "
                     f"stores LSN {stored}")
-        self.flash.verify_region_counters()
-        self.slc_alloc.victim_index.verify()
-        self.mlc_alloc.victim_index.verify()
+        self.flash.verify_array_state()

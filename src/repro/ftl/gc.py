@@ -89,7 +89,9 @@ class GarbageCollector:
         self._drain_page = 0
         # Both thresholds depend only on the (fixed) region size and
         # config percentages — precompute once, the trigger check runs on
-        # every host op.
+        # every host op.  The floor sits above the allocator's host
+        # reserve, or the pool would park at the reserve with the trigger
+        # never firing.
         from .allocator import GC_RESERVE_BLOCKS
         total = allocator.total_blocks
         self._threshold = max(GC_RESERVE_BLOCKS + 2,
@@ -98,14 +100,6 @@ class GarbageCollector:
                             math.ceil(total * cache.gc_restore))
 
     # -- triggers -----------------------------------------------------------
-
-    def _threshold_blocks(self) -> int:
-        # The floor must sit above the allocator's host reserve, or the
-        # pool parks exactly at the reserve with the trigger never firing.
-        return self._threshold
-
-    def _restore_blocks(self) -> int:
-        return self._restore
 
     def needs_collection(self) -> bool:
         """Whether the free pool dropped below the GC threshold.
@@ -156,12 +150,6 @@ class GarbageCollector:
     # -- mechanics ----------------------------------------------------------------
 
     def _select(self, now: Ms) -> Block | None:
-        """Victim selection through the allocator's incremental index when
-        both sides support it; naive candidate scan otherwise."""
-        index = getattr(self.allocator, "victim_index", None)
-        select_indexed = getattr(self.policy, "select_indexed", None)
-        if index is not None and select_indexed is not None:
-            return select_indexed(index, now)
         return self.policy.select(self.allocator.victim_candidates(), now)
 
     def _begin(self, victim: Block) -> None:

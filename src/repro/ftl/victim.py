@@ -10,24 +10,18 @@
   blocks full of cold valid data are preferred and their data gets sifted
   down the level hierarchy.
 
-Every policy offers two equivalent selection paths:
-
-* ``select(candidates, now)`` — the naive reference scan over an explicit
-  candidate list.  Kept deliberately simple; the property tests
-  (``tests/test_victim_properties.py``) use it as the ground truth.
-* ``select_indexed(index, now)`` — the fast path over a
-  :class:`~repro.ftl.allocator.VictimIndex`, whose incrementally-maintained
-  score arrays turn a selection into O(dirty) patches plus one vectorised
-  ``argmax``.  Both paths return the same block for the same device state.
+Every policy has one selection path, ``select(candidates, now)``, a
+scan over the region's FULL blocks in ascending ``block_id`` order (see
+:meth:`~repro.ftl.allocator.RegionAllocator.victim_candidates`).  The
+property tests (``tests/test_victim_properties.py``) check it against
+from-scratch reference scans.
 
 **Tie-breaking rule (all policies):** among candidates with the same best
 score, the lowest ``block_id`` wins, regardless of candidate iteration
-order.  The indexed path gets this for free — ``np.argmax`` returns the
-*first* maximum of the ascending-``block_id`` score array — and the naive
-scan implements it explicitly.
+order.
 
-**Scan-cost accounting** is split into two channels so the host-side
-optimisation cannot distort the paper's Figure 12:
+**Scan-cost accounting** is split into two channels so the speed of the
+host's scan cannot distort the paper's Figure 12:
 
 * ``scan_seconds`` — measured host wall time (:func:`time.perf_counter`),
   a nondeterministic diagnostic;
@@ -42,16 +36,11 @@ optimisation cannot distort the paper's Figure 12:
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Protocol
-
-import numpy as np
+from typing import Protocol
 
 from ..nand.block import Block
 from .hotcold import block_age_sum, block_coldness
 from ..units import Ms
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (allocator imports us)
-    from .allocator import VictimIndex
 
 #: Modelled firmware cost of examining one candidate in a greedy scan
 #: (read one on-chip counter, one compare).
@@ -72,10 +61,6 @@ class VictimPolicy(Protocol):
 
     def select(self, candidates: list[Block], now: Ms) -> Block | None:
         """Return the victim, or None when no candidate is worth collecting."""
-        ...  # pragma: no cover
-
-    def select_indexed(self, index: "VictimIndex", now: Ms) -> Block | None:
-        """Same selection served from the incremental victim index."""
         ...  # pragma: no cover
 
 
@@ -119,20 +104,6 @@ class GreedyVictimPolicy(_ScanAccounting):
         self.scan_seconds += time.perf_counter() - start
         return best if best_score > 0 else None
 
-    def select_indexed(self, index: "VictimIndex", now: Ms) -> Block | None:
-        start = time.perf_counter()
-        blocks = index.refresh()
-        best: Block | None = None
-        if blocks:
-            scores = index.total_sp_arr - index.n_valid_arr
-            i = int(np.argmax(scores))  # first max == lowest block_id
-            if scores[i] > 0:
-                best = blocks[i]
-        self.scans += 1
-        self.scanned_blocks += len(blocks)
-        self.scan_seconds += time.perf_counter() - start
-        return best
-
 
 class GreedyPageVictimPolicy(_ScanAccounting):
     """Pick the block that frees the most whole pages.
@@ -160,20 +131,6 @@ class GreedyPageVictimPolicy(_ScanAccounting):
         self.scanned_blocks += len(candidates)
         self.scan_seconds += time.perf_counter() - start
         return best if best_score > 0 else None
-
-    def select_indexed(self, index: "VictimIndex", now: Ms) -> Block | None:
-        start = time.perf_counter()
-        blocks = index.refresh()
-        best: Block | None = None
-        if blocks:
-            scores = index.pages_free_arr
-            i = int(np.argmax(scores))  # first max == lowest block_id
-            if scores[i] > 0:
-                best = blocks[i]
-        self.scans += 1
-        self.scanned_blocks += len(blocks)
-        self.scan_seconds += time.perf_counter() - start
-        return best
 
 
 class IsrVictimPolicy(_ScanAccounting):
@@ -250,10 +207,3 @@ class IsrVictimPolicy(_ScanAccounting):
         self.scanned_blocks += len(candidates)
         self.scan_seconds += time.perf_counter() - start
         return best if best_score > 0.0 else None
-
-    def select_indexed(self, index: "VictimIndex", now: Ms) -> Block | None:
-        # The index supplies the candidate set without an O(region) state
-        # scan; the ISR accumulation itself must stay the sequential
-        # scalar loop (identical float-summation order) and already runs
-        # in O(candidates) dictionary hits thanks to the stored-IS' cache.
-        return self.select(index.candidates(), now)

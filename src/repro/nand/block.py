@@ -26,13 +26,15 @@ ops at ``spp`` = 4 granularity — and maintain, next to the arrays:
 * python-int **per-page bitmasks** (``prog_mask``/``valid_mask``) that
   drive every hot membership/enumeration check without touching numpy,
 * scalar occupancy counters (``n_valid``/``page_valid``/...) feeding the
-  O(1) region stats and victim scores,
+  victim scores,
 * the region's per-block ``state_code``/``level``/``erase_count``
-  columns, mirrored at (rare) lifecycle transitions.
+  columns, mirrored at (rare) lifecycle transitions.  A victim scan
+  reads ``state_code`` to find the FULL blocks.
 
 :meth:`Block.verify_array_state` cross-checks every derived quantity
-against the authoritative arrays; ``FlashArray.verify_region_counters``
-calls it from the ``--verify`` consistency hook.
+against the authoritative arrays; ``FlashArray.verify_array_state`` runs
+it over every block, and ``BaseFTL.check_consistency`` (the invariant
+and property tests' hook) calls that.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class Block:
         "prog_mask", "valid_mask", "_set_slots", "_popcount", "_full_mask",
         "n_valid", "n_invalid", "n_programmed", "content_epoch",
         "read_count", "page_valid", "page_programmed", "pass_counts",
-        "pages_with_valid", "counters", "index",
+        "pages_with_valid",
     )
 
     def __init__(self, block_id: int, mode: CellMode, pages: int,
@@ -194,14 +196,6 @@ class Block:
         #: beats a numpy scalar load several times over.
         self.pass_counts = [0] * pages
         self.pages_with_valid = 0
-        #: Optional region-counter watcher (see
-        #: :class:`repro.nand.flash.RegionCounters`); notified on
-        #: program/invalidate/erase/open so region occupancy is O(1).
-        self.counters = None
-        #: Optional victim-score watcher (see
-        #: :class:`repro.ftl.allocator.VictimIndex`); notified on content
-        #: mutations and candidate-set transitions.
-        self.index = None
 
     # -- pickling ------------------------------------------------------
     #
@@ -419,25 +413,10 @@ class Block:
         self.page_valid[page] = before + n
         if before == 0:
             self.pages_with_valid += 1
-        became_full = self.next_page >= self.pages and self.state is BlockState.OPEN
-        if became_full:
+        if self.next_page >= self.pages and self.state is BlockState.OPEN:
             self.state = BlockState.FULL
             region.state_code[self.region_slot] = 2  # BLOCK_STATE_CODES[FULL]
         self.content_epoch += 1
-        # Watcher updates inlined (RegionCounters.note_program and
-        # VictimIndex.note_change/note_enter): one flash program per host
-        # chunk lands here, and the two method frames are measurable.
-        counters = self.counters
-        if counters is not None:
-            counters.programmed_subpages += n
-            counters.valid_subpages += n
-        index = self.index
-        if index is not None:
-            if became_full:
-                index.members[self.block_id] = self
-                index.version += 1
-            elif self.block_id in index.members:
-                index.dirty.add(self.block_id)
         disturbed = 0
         if partial and apply_disturb:
             disturbed = self._apply_disturb(page, wmask)
@@ -464,9 +443,6 @@ class Block:
         self.pass_counts[page] = n_passes
         self.region.program_count[self._page_base + page] = n_passes
         self.content_epoch += 1
-        index = self.index
-        if index is not None:
-            index.note_change(self.block_id)
         return self._apply_disturb(page, 0)
 
     def invalidate(self, page: int, slot: int) -> None:
@@ -485,20 +461,12 @@ class Block:
         if remaining == 0:
             self.pages_with_valid -= 1
         self.content_epoch += 1
-        # Watcher updates inlined, as in program_disturb.
-        counters = self.counters
-        if counters is not None:
-            counters.valid_subpages -= 1
-            counters.invalid_subpages += 1
-        index = self.index
-        if index is not None and self.block_id in index.members:
-            index.dirty.add(self.block_id)
 
     def invalidate_many(self, page: int, slots: list[int]) -> None:
         """Invalidate several live subpages of one page in one pass.
 
         Equivalent to ``invalidate(page, s)`` per slot (same counter and
-        epoch arithmetic, one watcher notification instead of ``len``).
+        epoch arithmetic).
         """
         k = len(slots)
         if k == 1:
@@ -528,13 +496,6 @@ class Block:
         if remaining == 0:
             self.pages_with_valid -= 1
         self.content_epoch += k
-        counters = self.counters
-        if counters is not None:
-            counters.valid_subpages -= k
-            counters.invalid_subpages += k
-        index = self.index
-        if index is not None and self.block_id in index.members:
-            index.dirty.add(self.block_id)
 
     def mark_page_updated(self, page: int) -> None:
         """Record that the data resident in ``page`` was updated while the
@@ -543,9 +504,6 @@ class Block:
         if region.page_updated is not None:
             region.page_updated[self._page_base + page] = True
             self.content_epoch += 1
-            index = self.index
-            if index is not None:
-                index.note_change(self.block_id)
 
     def touch(self, page: int, slots: list[int], now: Ms) -> None:
         """Refresh the last-access time of subpages (reads count as access
@@ -604,12 +562,6 @@ class Block:
                 f"block {self.block_id}: erase with {self.n_valid} valid subpages")
         if self.state is BlockState.FREE:
             raise EraseError(f"block {self.block_id}: erase of a free block")
-        counters = self.counters
-        if counters is not None:
-            counters.note_erase(self)
-        index = self.index
-        if index is not None:
-            index.note_leave(self.block_id)
         self.erase_count += 1
         self.next_page = 0
         self.state = BlockState.FREE
@@ -648,19 +600,16 @@ class Block:
         """Permanently remove a grown-bad block from service.
 
         Retirement happens after the (possibly failed) erase pulse has run
-        — :meth:`erase` already moved the block to FREE, reset its content
-        and notified the watchers — so this transition only takes the
-        block out of the free population.  A retired block never re-enters
-        an allocator pool (capacity degradation is exactly this loss)."""
+        — :meth:`erase` already moved the block to FREE and reset its
+        content — so this transition only takes the block out of the free
+        population.  A retired block never re-enters an allocator pool
+        (capacity degradation is exactly this loss)."""
         if self.state is not BlockState.FREE:
             raise SubpageStateError(
                 f"block {self.block_id}: retire while {self.state.value} "
                 f"(blocks retire from the just-erased FREE state)")
         self.state = BlockState.RETIRED
         self.region.state_code[self.region_slot] = 4  # BLOCK_STATE_CODES[RETIRED]
-        counters = self.counters
-        if counters is not None:
-            counters.note_retire()
 
     def open_as(self, level: int, now: Ms) -> None:
         """Transition a free block to OPEN with a block-level label."""
@@ -673,16 +622,10 @@ class Block:
         region = self.region
         region.state_code[self.region_slot] = 1  # BLOCK_STATE_CODES[OPEN]
         region.level[self.region_slot] = level
-        counters = self.counters
-        if counters is not None:
-            counters.note_open()
 
     def mark_victim(self) -> None:
-        """Transition FULL → VICTIM (GC drain started).  Removes the block
-        from the victim index so it cannot be selected twice."""
-        index = self.index
-        if index is not None:
-            index.note_leave(self.block_id)
+        """Transition FULL → VICTIM (GC drain started).  The block leaves
+        the victim candidates, so it cannot be selected twice."""
         self.state = BlockState.VICTIM
         self.region.state_code[self.region_slot] = 3  # BLOCK_STATE_CODES[VICTIM]
 

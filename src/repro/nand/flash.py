@@ -19,7 +19,7 @@ import numpy as np
 from ..config import SSDConfig
 from ..error import RberModel
 from ..errors import FlashError
-from .block import Block, BlockState
+from .block import Block
 from .cell import CellMode
 from .geometry import Geometry
 from .state import RegionState
@@ -34,55 +34,6 @@ class ProgramResult(NamedTuple):
 
     partial: bool            #: True if the pass re-programmed a used page
     disturbed_valid: int     #: valid in-page subpages hit by disturb
-
-
-class RegionCounters:
-    """O(1) occupancy counters for one region.
-
-    Maintained by :class:`~repro.nand.block.Block` watcher callbacks on
-    program/invalidate/erase/open, so :meth:`FlashArray.region_summary`
-    never re-sums every block.  ``note_erase`` runs *before* the block
-    resets its own counters, so the departing occupancy is still visible.
-    """
-
-    __slots__ = ("blocks", "free_blocks", "valid_subpages",
-                 "invalid_subpages", "programmed_subpages")
-
-    def __init__(self, region_blocks: list[Block]):
-        self.blocks = len(region_blocks)
-        self.free_blocks = 0
-        self.valid_subpages = 0
-        self.invalid_subpages = 0
-        self.programmed_subpages = 0
-        for block in region_blocks:
-            block.counters = self
-            if block.state is BlockState.FREE:
-                self.free_blocks += 1
-            self.valid_subpages += block.n_valid
-            self.invalid_subpages += block.n_invalid
-            self.programmed_subpages += block.n_programmed
-
-    def note_open(self) -> None:
-        self.free_blocks -= 1
-
-    def note_program(self, n: int) -> None:
-        self.programmed_subpages += n
-        self.valid_subpages += n
-
-    def note_invalidate(self) -> None:
-        self.valid_subpages -= 1
-        self.invalid_subpages += 1
-
-    def note_erase(self, block: Block) -> None:
-        self.free_blocks += 1
-        self.valid_subpages -= block.n_valid
-        self.invalid_subpages -= block.n_invalid
-        self.programmed_subpages -= block.n_programmed
-
-    def note_retire(self) -> None:
-        # A block retires from the just-erased FREE state, so it leaves
-        # the free population; its content counters are already zero.
-        self.free_blocks -= 1
 
 
 class FlashArray:
@@ -127,9 +78,6 @@ class FlashArray:
             self.blocks.append(Block(
                 block_id, mode, g.pages_per_block(mode.is_slc),
                 g.subpages_per_page, region=region, region_slot=slot))
-
-        self.slc_counters = RegionCounters([self.blocks[i] for i in self.slc_block_ids])
-        self.mlc_counters = RegionCounters([self.blocks[i] for i in self.mlc_block_ids])
 
         self.erases_slc = 0
         self.erases_mlc = 0
@@ -399,40 +347,11 @@ class FlashArray:
             block.retire()
         return block.erase_count
 
-    # -- statistics -----------------------------------------------------------
+    # -- integrity --------------------------------------------------------------
 
-    def region_summary(self, slc: bool) -> dict[str, float]:
-        """Aggregate occupancy snapshot of one region (O(1): served from
-        :class:`RegionCounters`, which the blocks keep current)."""
-        counters = self.slc_counters if slc else self.mlc_counters
-        return {
-            "blocks": counters.blocks,
-            "free_blocks": counters.free_blocks,
-            "valid_subpages": counters.valid_subpages,
-            "invalid_subpages": counters.invalid_subpages,
-            "programmed_subpages": counters.programmed_subpages,
-            "erases": self.erases_slc if slc else self.erases_mlc,
-        }
-
-    def verify_region_counters(self) -> None:
-        """Assert the incremental region counters agree with a naive
-        re-scan of every block (consistency-hook support)."""
-        for slc, counters in ((True, self.slc_counters), (False, self.mlc_counters)):
-            blocks = self.region_blocks(slc)
-            naive = {
-                "blocks": len(blocks),
-                "free_blocks": sum(1 for b in blocks if b.state is BlockState.FREE),
-                "valid_subpages": sum(b.n_valid for b in blocks),
-                "invalid_subpages": sum(b.n_invalid for b in blocks),
-                "programmed_subpages": sum(b.n_programmed for b in blocks),
-            }
-            kept = {key: getattr(counters, key) for key in naive}
-            if kept != naive:
-                raise FlashError(
-                    f"region counters drifted ({'SLC' if slc else 'MLC'}): "
-                    f"incremental {kept} != rescan {naive}")
-            for b in blocks:
-                # Per-block mirrors (page counters, slot bitmasks, the
-                # per-block columns of the region arrays) are checked by
-                # the block itself against its authoritative arrays.
-                b.verify_array_state()
+    def verify_array_state(self) -> None:
+        """Assert every block's mirrors (page counters, slot bitmasks, the
+        per-block columns of the region arrays) agree with its arrays
+        (consistency-hook support)."""
+        for block in self.blocks:
+            block.verify_array_state()

@@ -24,7 +24,10 @@ subpage slots (``block_stride = pages * spp``)::
     flat page index  = block_slot * pages + page
 
 ``block_slot`` is the block's position inside its region (block ids are
-striped across planes, so they are not contiguous per region).
+striped across planes, so they are not contiguous per region, but slots
+follow ascending block id).  ``state_code`` doubles as the GC candidate
+set: a region's victim scan takes its FULL slots with one
+``np.flatnonzero``, already in ascending block id order.
 
 dtype choices and bit-identity: ``slot_time``/``slot_program_time`` are
 ``float64`` — the same IEEE doubles python floats are, so storing a
@@ -94,8 +97,8 @@ class RegionState:
 
     Mutated only through :class:`~repro.nand.block.Block` methods (the
     S002 lint rule confines writes to ``nand/block.py``/``nand/state.py``
-    so the watcher callbacks — ``RegionCounters``, ``VictimIndex`` — and
-    the derived per-page masks always see every change).
+    so each block's python mirrors — per-page masks and counters, and the
+    ``state_code`` victim scans read — move in step with these arrays).
     """
 
     __slots__ = (

@@ -66,14 +66,6 @@ class WearTracker:
             return None
         return min(candidates, key=lambda b: (b.erase_count, b.block_id))
 
-    def most_worn_free(self) -> Block | None:
-        """Pick the relocation target: the most-worn free block, which the
-        cold data will park on."""
-        candidates = [b for b in self.blocks if b.state is BlockState.FREE]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda b: (b.erase_count, -b.block_id))
-
     def summary(self) -> dict[str, int]:
         """Wear statistics snapshot."""
         return {

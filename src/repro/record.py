@@ -210,8 +210,6 @@ def _int_dict(values: _Field) -> _Field:
 
 
 def _encode_array(value: Any) -> Any:
-    if value is None:
-        return []
     return np.asarray(value, dtype=np.float64).tolist()
 
 

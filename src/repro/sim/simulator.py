@@ -18,7 +18,7 @@ from __future__ import annotations
 import gc
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,10 @@ from ..units import Ms
 from .ops import Cause, OpKind
 from .resources import ResourceSet
 from .timing import TimingModel
+
+
+def _no_latencies() -> np.ndarray:
+    return np.empty(0, dtype=np.float64)
 
 
 @dataclass
@@ -58,8 +62,8 @@ class SimulationResult(Record):
     wall_seconds: float
 
     #: Per-request response times (ms), split by direction.
-    read_latencies: np.ndarray = field(repr=False, default=None)
-    write_latencies: np.ndarray = field(repr=False, default=None)
+    read_latencies: np.ndarray = field(repr=False, default_factory=_no_latencies)
+    write_latencies: np.ndarray = field(repr=False, default_factory=_no_latencies)
 
     #: Read-error metric: expected raw bit errors / bits, over host reads.
     read_raw_errors: float = 0.0
@@ -150,6 +154,19 @@ class SimulationResult(Record):
     # last fleet epoch it covers.
     fleet_device: int = -1
     fleet_epoch: int = -1
+
+    def __eq__(self, other: object) -> bool:
+        """Field-wise equality, comparing the latency arrays by value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
 
     # -- headline metrics -------------------------------------------------
 

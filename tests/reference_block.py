@@ -2,10 +2,11 @@
 
 The array-backed block (:mod:`repro.nand.block` over
 :class:`~repro.nand.state.RegionState`) is a performance kernel: flat
-numpy stores, python-int bitmasks, inlined watcher updates.  This module
-keeps the *specification* alive as executable code: one slot at a time,
-nested python lists, no numpy, no derived mirrors — the simplest state
-machine that satisfies the documented block semantics.
+numpy stores, python-int bitmasks and counters, and the region's
+per-block state columns kept in step.  This module keeps the
+*specification* alive as executable code: one slot at a time, nested
+python lists, no numpy, no derived mirrors — the simplest state machine
+that satisfies the documented block semantics.
 
 ``tests/test_array_state.py`` drives randomized operation sequences
 (hypothesis) through both implementations and asserts identical

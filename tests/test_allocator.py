@@ -36,6 +36,11 @@ class TestPoolState:
         with pytest.raises(AllocationError):
             RegionAllocator(flash, [], "empty")
 
+    def test_partial_region_rejected(self, flash):
+        # The victim scan reads the whole region's state column.
+        with pytest.raises(AllocationError, match="whole flash region"):
+            RegionAllocator(flash, flash.slc_block_ids[1:], "slc")
+
 
 class TestStriping:
     def test_rotates_over_stripes(self, flash, alloc):
@@ -142,7 +147,3 @@ class TestCandidates:
         while not block.is_full:
             block.program(block.next_page, [0], [9], 0.0, 4)
         assert block in alloc.victim_candidates()
-
-    def test_occupancy_snapshot(self, alloc):
-        occ = alloc.occupancy()
-        assert occ["free"] == alloc.total_blocks

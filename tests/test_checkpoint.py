@@ -155,7 +155,7 @@ class TestViewAliasing:
             assert block.region is region
             assert np.shares_memory(block.programmed, region.programmed)
             assert np.shares_memory(block.valid, region.valid)
-        flash.verify_region_counters()
+        flash.verify_array_state()
 
     def test_unpickled_state_equals_original(self):
         replay = build_replay("mga", seed=9)
@@ -220,14 +220,15 @@ class TestCheckpointFile:
             load_checkpoint(path, key="k1")
 
     def test_older_format_version_refused(self, tmp_path, monkeypatch):
-        """A version-1 file (the driver layout before the shared replay
-        core) is refused from its header, before the payload unpickles."""
-        assert CHECKPOINT_VERSION == 2
-        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 1)
+        """A version-2 file (blocks that still pickled their victim and
+        counter watchers) is refused from its header, before the payload
+        unpickles."""
+        assert CHECKPOINT_VERSION == 3
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 2)
         path = self._roundtrip(tmp_path, {"a": 1})
         monkeypatch.undo()
-        with pytest.raises(CheckpointError, match="format v1, this build "
-                                                  "reads v2"):
+        with pytest.raises(CheckpointError, match="format v2, this build "
+                                                  "reads v3"):
             load_checkpoint(path, key="k1")
 
     def test_wrong_kind(self, tmp_path):

@@ -285,12 +285,12 @@ class TestFaultIntegration:
         assert result.retired_blocks > 0
         assert result.power_loss_events > 0
         assert result.recovery_ms > 0
-        # Retired capacity is visible to the allocators.
-        retired = (ftl.slc_alloc.retired_blocks + ftl.mlc_alloc.retired_blocks)
-        assert retired == result.retired_blocks
-        for block in ftl.flash.blocks:
-            if block.state is BlockState.RETIRED:
-                assert not any(block.valid.flat)
+        # Retired capacity is visible in the block states.
+        retired = [block for block in ftl.flash.blocks
+                   if block.state is BlockState.RETIRED]
+        assert len(retired) == result.retired_blocks
+        for block in retired:
+            assert not any(block.valid.flat)
 
     def test_same_seed_same_faults(self):
         outcomes = []

@@ -138,21 +138,3 @@ class TestRberQueries:
         flash.program(block.block_id, 0, [0], [1], 0.0)
         worn = flash.subpage_rbers(block.block_id, 0, [0])[0]
         assert worn > fresh
-
-
-class TestSummary:
-    def test_region_summary_keys(self, flash):
-        summary = flash.region_summary(True)
-        assert summary["blocks"] == len(flash.slc_block_ids)
-        assert summary["free_blocks"] == len(flash.slc_block_ids)
-        assert summary["valid_subpages"] == 0
-
-    def test_summary_tracks_state(self, flash):
-        block = open_slc(flash)
-        flash.program(block.block_id, 0, [0, 1], [1, 2], 0.0)
-        flash.invalidate(block.block_id, 0, 0)
-        summary = flash.region_summary(True)
-        assert summary["valid_subpages"] == 1
-        assert summary["invalid_subpages"] == 1
-        assert summary["programmed_subpages"] == 2
-        assert summary["free_blocks"] == len(flash.slc_block_ids) - 1

@@ -251,7 +251,8 @@ class TestDeviceCacheEntries:
         lambda payload: [1, 2],
         lambda payload: {k: v for k, v in payload.items() if k != "epochs"},
         lambda payload: {**payload, "epochs": payload["epochs"][:1]},
-    ], ids=["list", "no-epochs", "short-epochs"])
+        lambda payload: {**payload, "epochs": [{} for _ in payload["epochs"]]},
+    ], ids=["list", "no-epochs", "short-epochs", "empty-epochs"])
     def test_damaged_entry_is_a_replaced_miss(self, tmp_path, damage):
         """A device entry that is not the device's payload is never
         served: the device replays and its fresh payload replaces it."""

@@ -37,11 +37,11 @@ class TestTrigger:
     def test_threshold_above_reserve(self):
         ftl = BaselineFTL(tiny_config())
         from repro.ftl.allocator import GC_RESERVE_BLOCKS
-        assert ftl.slc_gc._threshold_blocks() > GC_RESERVE_BLOCKS
+        assert ftl.slc_gc._threshold > GC_RESERVE_BLOCKS
 
     def test_restore_above_threshold(self):
         ftl = BaselineFTL(tiny_config())
-        assert ftl.slc_gc._restore_blocks() > ftl.slc_gc._threshold_blocks()
+        assert ftl.slc_gc._restore > ftl.slc_gc._threshold
 
 
 class TestIncrementalDrain:

@@ -217,19 +217,13 @@ def subclasses(cls: type) -> set[type]:
     return out
 
 
-def same(a: Record, b: Record) -> bool:
-    """Field-wise equality (numpy arrays compared by value)."""
-    if type(a) is not type(b):
-        return False
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
-            if not (isinstance(y, np.ndarray) and y.dtype == np.float64
-                    and np.array_equal(x, y)):
-                return False
-        elif x != y or type(x) is not type(y):
-            return False
-    return True
+def field_types(record: Record) -> list:
+    """Each field's exact type (and dtype, for an array).  ``==`` holds
+    between an int and an equal float, so this is what shows a round
+    trip turned one into the other."""
+    return [(type(value), getattr(value, "dtype", None))
+            for value in (getattr(record, f.name)
+                          for f in dataclasses.fields(record))]
 
 
 def wrong_values(hint: object) -> list:
@@ -278,8 +272,10 @@ def test_every_record_class_has_a_strategy():
 def test_round_trips(cls, data):
     record = data.draw(STRATEGIES[cls])
     payload = record.to_dict()
-    assert same(cls.from_dict(payload), record)
-    assert same(cls.from_json(record.to_json()), record)
+    for decoded in (cls.from_dict(payload), cls.from_json(record.to_json())):
+        assert type(decoded) is cls
+        assert decoded == record
+        assert field_types(decoded) == field_types(record)
     # The dict survives JSON text unchanged, and decoding coerces nothing.
     assert json.loads(json.dumps(payload)) == payload
     assert cls.from_dict(payload).to_dict() == payload
@@ -353,6 +349,19 @@ def test_decoded_config_is_validated():
         SSDConfig.from_dict({"cache": {"slc_ratio": 2.0}})
     with pytest.raises(ConfigError, match="unknown tenant profile"):
         FleetConfig.from_dict({"tenants": [{"profile": "nope"}]})
+
+
+def test_result_defaults_and_array_equality():
+    empty = SimulationResult("ipu", "ts0", 0, 0.0, 0.0)
+    assert empty.avg_latency_ms == 0.0
+    assert empty.read_latencies.dtype == np.float64
+    assert SimulationResult.from_dict(empty.to_dict()) == empty
+    two = dataclasses.replace(empty, n_requests=2,
+                              read_latencies=np.array([1.0, 2.0]))
+    assert two == dataclasses.replace(empty, n_requests=2,
+                                      read_latencies=np.array([1.0, 2.0]))
+    assert two != dataclasses.replace(two, read_latencies=np.array([1.0, 3.0]))
+    assert two != empty
 
 
 def test_errors_are_repro_errors():

@@ -1,12 +1,14 @@
 """Property tests (hypothesis): the optimised hot-path structures agree
 with naive reference implementations over randomized device states.
 
-Three families:
+Four families:
 
-* victim policies — ``select`` (naive scan) and ``select_indexed`` (the
-  incremental :class:`~repro.ftl.allocator.VictimIndex` path) must pick
-  the block a from-scratch reference scan picks, including the
-  lowest-``block_id`` tie-break, before and after further mutations;
+* victim policies — ``select`` must pick the block a from-scratch
+  reference scan picks, including the lowest-``block_id`` tie-break,
+  before and after further mutations;
+* victim candidates — ``RegionAllocator.victim_candidates`` (a scan of
+  the region's ``state_code`` column) must list exactly the FULL blocks,
+  in ascending ``block_id``, after any block lifecycle sequence;
 * vectorised ECC decode latency — ``decode_ms_many`` must equal the
   scalar ``decode_ms`` element by element, bit for bit;
 * fused op pricing — ``OpPricer.reserve`` must equal ``duration_ms``
@@ -15,18 +17,21 @@ Three families:
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config import CacheConfig, GeometryConfig, SSDConfig
 from repro.error import EccModel
-from repro.ftl.allocator import VictimIndex
+from repro.ftl.allocator import RegionAllocator
 from repro.ftl.hotcold import block_age_sum, block_coldness
 from repro.ftl.victim import (
     GreedyPageVictimPolicy,
     GreedyVictimPolicy,
     IsrVictimPolicy,
 )
-from repro.nand.block import Block
+from repro.nand import FlashArray
+from repro.nand.block import Block, BlockState
 from repro.nand.cell import CellMode
 from repro.nand.geometry import Geometry
 from repro.sim.ops import Cause, OpKind, OpRecord
@@ -44,7 +49,7 @@ SETTINGS = settings(max_examples=60, deadline=None,
 
 #: One block's randomized state: per-slot invalidation mask, per-slot
 #: last-access time (before NOW), per-page "resident data was updated"
-#: flag, and a second invalidation wave applied after the index exists.
+#: flag, and a second invalidation wave applied after the first scan.
 block_state = st.tuples(
     st.lists(st.booleans(), min_size=PAGES * SPP, max_size=PAGES * SPP),
     st.lists(st.integers(min_value=0, max_value=90),
@@ -77,26 +82,13 @@ def build_block(block_id, state):
 
 
 def apply_late_invalidations(blocks, states):
-    """Second mutation wave, exercising the index watcher callbacks."""
+    """Second mutation wave: a scan must see content changed since the
+    last one (ISR's stored-IS' cache keys on ``content_epoch``)."""
     for block, (_invalid, _times, _updated, late) in zip(blocks, states):
         for page in range(PAGES):
             for slot in range(SPP):
                 if late[page * SPP + slot] and block.valid[page, slot]:
                     block.invalidate(page, slot)
-
-
-class _RegionStub:
-    """Minimal ``FlashArray`` stand-in: the index only calls ``block``."""
-
-    def __init__(self, blocks):
-        self._by_id = {b.block_id: b for b in blocks}
-
-    def block(self, block_id):
-        return self._by_id[block_id]
-
-
-def make_index(blocks):
-    return VictimIndex(_RegionStub(blocks), [b.block_id for b in blocks])
 
 
 # -- naive references (ascending block_id; strict > keeps lowest id) ----
@@ -142,14 +134,11 @@ class TestVictimPolicyEquivalence:
     def test_greedy_matches_reference(self, states):
         blocks = [build_block(i, s) for i, s in enumerate(states)]
         expected = ref_greedy(blocks)
-        # Naive scan must not depend on candidate order (integer scores).
+        # The scan must not depend on candidate order (integer scores).
         assert GreedyVictimPolicy().select(blocks[::-1], NOW) is expected
-        index = make_index(blocks)
-        assert GreedyVictimPolicy().select_indexed(index, NOW) is expected
+        assert GreedyVictimPolicy().select(blocks, NOW) is expected
         apply_late_invalidations(blocks, states)
-        assert (GreedyVictimPolicy().select_indexed(index, NOW)
-                is ref_greedy(blocks))
-        index.verify()
+        assert GreedyVictimPolicy().select(blocks, NOW) is ref_greedy(blocks)
 
     @SETTINGS
     @given(region)
@@ -157,12 +146,10 @@ class TestVictimPolicyEquivalence:
         blocks = [build_block(i, s) for i, s in enumerate(states)]
         expected = ref_greedy_page(blocks)
         assert GreedyPageVictimPolicy().select(blocks[::-1], NOW) is expected
-        index = make_index(blocks)
-        assert GreedyPageVictimPolicy().select_indexed(index, NOW) is expected
+        assert GreedyPageVictimPolicy().select(blocks, NOW) is expected
         apply_late_invalidations(blocks, states)
-        assert (GreedyPageVictimPolicy().select_indexed(index, NOW)
+        assert (GreedyPageVictimPolicy().select(blocks, NOW)
                 is ref_greedy_page(blocks))
-        index.verify()
 
     @SETTINGS
     @given(region)
@@ -171,26 +158,84 @@ class TestVictimPolicyEquivalence:
         # serves them): the region-mean accumulation is a float sum, so
         # only the documented order is bit-reproducible.
         blocks = [build_block(i, s) for i, s in enumerate(states)]
-        expected = ref_isr(blocks, NOW)
-        assert IsrVictimPolicy().select(blocks, NOW) is expected
-        index = make_index(blocks)
-        assert IsrVictimPolicy().select_indexed(index, NOW) is expected
+        assert IsrVictimPolicy().select(blocks, NOW) is ref_isr(blocks, NOW)
         apply_late_invalidations(blocks, states)
-        assert (IsrVictimPolicy().select_indexed(index, NOW)
-                is ref_isr(blocks, NOW))
-        index.verify()
+        assert IsrVictimPolicy().select(blocks, NOW) is ref_isr(blocks, NOW)
 
     @SETTINGS
     @given(region)
     def test_modelled_scan_cost_counts_candidates(self, states):
         # The Figure 12 cost model charges every candidate examined,
-        # independent of the host-side selection shortcut.
+        # whatever the scan found; ISR pays 2.5x per block for reading
+        # the stored IS' record.
         blocks = [build_block(i, s) for i, s in enumerate(states)]
-        naive, indexed = GreedyVictimPolicy(), GreedyVictimPolicy()
-        naive.select(blocks, NOW)
-        indexed.select_indexed(make_index(blocks), NOW)
-        assert naive.scanned_blocks == indexed.scanned_blocks == len(blocks)
-        assert naive.modelled_scan_ms == indexed.modelled_scan_ms
+        greedy, isr = GreedyVictimPolicy(), IsrVictimPolicy()
+        for policy in (greedy, isr):
+            policy.select(blocks, NOW)
+            policy.select(blocks[:1], NOW)
+            assert policy.scans == 2
+            assert policy.scanned_blocks == len(blocks) + 1
+        assert isr.modelled_scan_ms == pytest.approx(
+            2.5 * greedy.modelled_scan_ms)
+
+
+#: A device small enough for random steps to fill blocks: 4 blocks (2
+#: SLC-mode) of 2 pages.
+TINY_GEOMETRY = GeometryConfig(channels=2, chips_per_channel=1,
+                               planes_per_chip=1, total_blocks=4,
+                               slc_pages_per_block=2, mlc_pages_per_block=2)
+#: Programs weighted up, so blocks reach FULL before they are recycled.
+OPS = ("program",) * 3 + ("invalidate", "mark_victim", "erase", "retire")
+
+#: (operation, block id, slot count or pick) steps.
+lifecycle = st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 3),
+                               st.integers(1, SPP)), min_size=20, max_size=80)
+
+
+def apply_op(flash, op, block_id, k, now):
+    """One lifecycle step on ``block_id``; a step its state forbids is
+    skipped, so every drawn sequence is a legal device history."""
+    block = flash.block(block_id)
+    state = block.state
+    if op == "program":
+        if state is BlockState.FREE:
+            block.open_as(1, now)
+        if block.state is BlockState.OPEN:
+            lsn = int(now) * SPP
+            block.program(block.next_page, list(range(k)),
+                          list(range(lsn, lsn + k)), now, SPP)
+    elif op == "invalidate":
+        valid = [(page, slot) for page in range(block.next_page)
+                 for slot in block.valid_slots_of_page(page)]
+        if valid:
+            block.invalidate(*valid[k % len(valid)])
+    elif op == "mark_victim":
+        if state is BlockState.FULL:
+            block.mark_victim()
+    elif op == "erase":
+        if state not in (BlockState.FREE, BlockState.RETIRED):
+            for page in range(block.next_page):
+                block.invalidate_many(page, block.valid_slots_of_page(page))
+            flash.erase(block_id)
+    elif state is BlockState.FREE and block.erase_count:
+        block.retire()  # blocks retire from the just-erased FREE state
+
+
+class TestVictimCandidates:
+    @SETTINGS
+    @given(lifecycle)
+    def test_candidates_are_the_full_blocks(self, steps):
+        flash = FlashArray(SSDConfig(geometry=TINY_GEOMETRY,
+                                     cache=CacheConfig(slc_ratio=0.25)))
+        allocs = [RegionAllocator(flash, flash.slc_block_ids, "slc"),
+                  RegionAllocator(flash, flash.mlc_block_ids, "mlc")]
+        for now, (op, block_id, k) in enumerate(steps):
+            apply_op(flash, op, block_id, k, float(now))
+            for alloc in allocs:
+                expected = [flash.block(b) for b in sorted(alloc.block_ids)
+                            if flash.block(b).state is BlockState.FULL]
+                assert alloc.victim_candidates() == expected
+        flash.verify_array_state()
 
 
 class TestVectorisedAccounting:

@@ -91,19 +91,6 @@ class TestCandidates:
         tracker = WearTracker(blocks, cache)
         assert tracker.coldest_block() is None
 
-    def test_most_worn_free(self, cache):
-        blocks = make_blocks()
-        blocks[2].erase_count = 9
-        tracker = WearTracker(blocks, cache)
-        assert tracker.most_worn_free() is blocks[2]
-
-    def test_most_worn_free_none_when_all_open(self, cache):
-        blocks = make_blocks(2)
-        fill(blocks[0])
-        fill(blocks[1], lsn0=10)
-        tracker = WearTracker(blocks, cache)
-        assert tracker.most_worn_free() is None
-
     def test_summary_keys(self, cache):
         tracker = WearTracker(make_blocks(), cache)
         summary = tracker.summary()
