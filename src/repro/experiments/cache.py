@@ -20,22 +20,26 @@ Stale entries are never *wrong*, only unreachable; ``repro-ssd cache
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from ..config import SSDConfig
 from ..errors import ReproError
+from ..frame import FrameError, read_frame, write_frame
 from ..traces.profiles import TraceProfile
 from ..units import Ms
 
-#: Bump whenever simulator behaviour or the result schema changes, so a
-#: code change can never be masked by a stale cache entry.
-CACHE_SCHEMA_VERSION = 7
+#: Bump whenever simulator behaviour, the result schema or the entry
+#: layout changes, so a code change can never be masked by a stale
+#: cache entry (8: framed entries, base64 latency arrays).
+CACHE_SCHEMA_VERSION = 8
+#: Leading bytes of every cache entry.
+MAGIC = b"repro-cache\n"
 
 
 def default_cache_dir() -> Path:
@@ -104,20 +108,15 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
 
-    def merge(self, other: "CacheStats") -> None:
-        """Fold another handle's counters into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-
 
 class ResultCache:
     """Content-addressed store of serialised simulation results.
 
-    One JSON file per cell, sharded by the first two hex digits of the
-    key.  Writes go through a temp file + :func:`os.replace`, so
-    concurrent workers (the parallel fan-out) can safely store the same
-    entry: last writer wins with identical bytes.
+    One framed file per cell (:func:`repro.frame.write_frame`), sharded
+    by the first two hex digits of the key.  Writes go through a temp
+    file + :func:`os.replace`, so concurrent workers (the parallel
+    fan-out) can safely store the same entry: last writer wins with
+    identical bytes.
     """
 
     def __init__(self, root: "Path | str | None" = None):
@@ -132,60 +131,54 @@ class ResultCache:
             decode: "Callable[[Any], Any] | None" = None) -> Any:
         """The stored payload, or None on a miss (counted).
 
-        ``decode`` turns the payload into the caller's value; an entry it
-        rejects with a :class:`~repro.errors.ReproError` is a miss.
+        The frame's magic, schema version, key and digest are checked
+        before the payload is parsed; ``decode`` then turns it into the
+        caller's value.  An entry that fails any step, or that ``decode``
+        rejects with a :class:`~repro.errors.ReproError`, is a miss.
         """
         path = self.path_for(key)
         try:
-            with path.open("r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            header, body = read_frame(path.read_bytes(), MAGIC)
+            if (header.get("schema"), header.get("key")) != (
+                    CACHE_SCHEMA_VERSION, key):
+                raise FrameError("entry of another schema or cell")
+            payload = json.loads(body)
             if decode is not None:
                 payload = decode(payload)
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (OSError, json.JSONDecodeError, ReproError):
+        except (OSError, ValueError, RecursionError, ReproError):
             # A torn, corrupt or rejected entry is a miss; drop it so the
             # fresh result replaces it.
             self.stats.misses += 1
-            try:
+            with contextlib.suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
             return None
         self.stats.hits += 1
         return payload
 
     def put(self, key: str, payload: dict) -> None:
         """Store one payload atomically (counted)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        body = json.dumps(payload, separators=(",", ":")).encode()
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            write_frame(self.path_for(key), MAGIC,
+                        {"schema": CACHE_SCHEMA_VERSION, "key": key}, body)
+        except FileNotFoundError:  # a concurrent clear took the temp file
+            return
         self.stats.stores += 1
 
     def __len__(self) -> int:
         """Number of entries on disk."""
-        if not self.root.is_dir():
-            return 0
         return sum(1 for _ in self.root.glob("*/*.json"))
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry, and the temp file of any writer killed
+        before its rename; returns the number of entries removed."""
         removed = 0
-        for entry in self.root.glob("*/*.json"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
+        for path in [*self.root.glob("*/*.json"), *self.root.glob("*/*.tmp")]:
+            with contextlib.suppress(OSError):
+                path.unlink()
+                if path.suffix == ".json":
+                    removed += 1
         return removed

@@ -26,6 +26,7 @@ blocks, 5% SLC) and traces replay at full length instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -86,12 +87,13 @@ def estimate_interarrival_ms(prof: TraceProfile, config: SSDConfig,
     return max(0.02, per_req / (chips * utilization))
 
 
+@functools.cache
 def pilot_footprints(prof: TraceProfile, n_requests: int,
                      seed: int) -> tuple[float, float]:
     """``(hot-set bytes, page-footprint bytes)`` of ``n_requests``
     requests of ``prof``, estimated by the sizing pilot: a short
     generation whose extent table measures both, scaled to the full
-    request count."""
+    request count.  Pure, so memoised per process on its arguments."""
     pilot_n = max(1, min(PILOT_REQUESTS, n_requests))
     gen = SyntheticTraceGenerator(prof, n_requests=pilot_n, seed=seed)
     gen.generate()
@@ -215,20 +217,16 @@ class RunContext:
         paper scale skips auto-sizing and uses Table 2 verbatim.
         """
         key = (trace_name, pe)
-        if key in self._configs:
-            return self._configs[key]
-        if self.scale == "paper":
-            cfg = self.config(pe)
-            self._configs[key] = cfg
-            return cfg
-
-        hotset_bytes, page_fp = pilot_footprints(
-            profile(trace_name), self.trace_requests(trace_name), self.seed)
-        cfg = sized_config(self.spec, hotset_bytes, page_fp, self.seed)
-        if pe is not None:
-            cfg = cfg.with_pe_cycles(pe)
-        self._configs[key] = cfg
-        return cfg
+        if key not in self._configs:
+            if self.scale == "paper":
+                cfg = self.config()
+            else:
+                hotset_bytes, page_fp = pilot_footprints(
+                    profile(trace_name), self.trace_requests(trace_name),
+                    self.seed)
+                cfg = sized_config(self.spec, hotset_bytes, page_fp, self.seed)
+            self._configs[key] = cfg if pe is None else cfg.with_pe_cycles(pe)
+        return self._configs[key]
 
     def trace(self, trace_name: str) -> Trace:
         """The (memoised) synthetic trace for this context."""

@@ -11,8 +11,8 @@ graph has the same shared-memory shape as the original (not silent
 copies), and a resumed replay is bit-identical to an uninterrupted one
 (``tests/test_checkpoint.py`` proves it property-style).
 
-File format (everything before the payload is plain bytes + JSON, so a
-mismatched file fails loudly *before* any unpickling)::
+File format: a :mod:`repro.frame` file, the layout result-cache entries
+share, so a mismatched file fails loudly *before* any unpickling::
 
     magic   b"repro-ckpt\\n"
     u32 BE  header length
@@ -27,16 +27,12 @@ change that would orphan cached results must orphan snapshots too.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import pickle
-import struct
-import tempfile
 from pathlib import Path
 from typing import Any
 
 from ..errors import ReproError
+from ..frame import FrameError, read_frame, write_frame
 
 __all__ = ["CHECKPOINT_VERSION", "CheckpointError", "CheckpointStore",
            "load_checkpoint", "save_checkpoint"]
@@ -50,7 +46,6 @@ MAGIC = b"repro-ckpt\n"
 CHECKPOINT_VERSION = 3
 #: Kind tag of fleet device snapshots (the only kind today).
 DEVICE_KIND = "fleet-device"
-_LEN = struct.Struct(">I")
 
 
 class CheckpointError(ReproError):
@@ -70,62 +65,26 @@ def save_checkpoint(path: "str | Path", payload: Any, *, key: str,
     device cache key); ``epoch`` is the number of completed epochs the
     payload represents.
     """
-    blob = pickle.dumps(payload, protocol=5)
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "schema": _schema_version(),
-        "kind": kind,
-        "key": key,
-        "epoch": int(epoch),
-        "payload_sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    header_bytes = json.dumps(
-        header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(_LEN.pack(len(header_bytes)))
-            handle.write(header_bytes)
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    header = {"version": CHECKPOINT_VERSION, "schema": _schema_version(),
+              "kind": kind, "key": key, "epoch": int(epoch)}
+    write_frame(path, MAGIC, header, pickle.dumps(payload, protocol=5))
 
 
 def load_checkpoint(path: "str | Path", *, key: "str | None" = None,
                     kind: str = DEVICE_KIND) -> tuple[dict, Any]:
     """Validate and load one checkpoint; returns ``(header, payload)``.
 
-    Every mismatch — magic, format version, cache schema version, kind,
-    expected key, payload digest — raises :class:`CheckpointError`
-    before the payload is unpickled (digest aside, which requires
-    reading it, but still precedes unpickling).
+    Every mismatch — magic, torn header, payload digest, format version,
+    cache schema version, kind, expected key — raises
+    :class:`CheckpointError` before the payload is unpickled.
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        header, blob = read_frame(path.read_bytes(), MAGIC)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    if not raw.startswith(MAGIC):
-        raise CheckpointError(f"{path}: not a repro checkpoint (bad magic)")
-    body = raw[len(MAGIC):]
-    if len(body) < _LEN.size:
-        raise CheckpointError(f"{path}: truncated header")
-    (header_len,) = _LEN.unpack_from(body)
-    header_bytes = body[_LEN.size:_LEN.size + header_len]
-    if len(header_bytes) != header_len:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: corrupt header ({exc})") from None
+    except FrameError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: checkpoint format v{header.get('version')}, "
@@ -140,10 +99,6 @@ def load_checkpoint(path: "str | Path", *, key: "str | None" = None,
     if key is not None and header.get("key") != key:
         raise CheckpointError(
             f"{path}: snapshot of another run (key mismatch)")
-    blob = body[_LEN.size + header_len:]
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != header.get("payload_sha256"):
-        raise CheckpointError(f"{path}: payload digest mismatch (corrupt)")
     return header, pickle.loads(blob)
 
 

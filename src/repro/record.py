@@ -4,7 +4,8 @@ A :class:`Record` is a dataclass whose fields are of a kind this module
 can carry through JSON: ``str``, ``int``, ``float`` and ``bool``
 scalars, ``X | None``, nested records, tuples (``tuple[X, ...]`` or a
 fixed ``tuple[X, Y, Z]``), ``dict[int, int]`` and 1-D float64 numpy
-arrays.  :meth:`Record.to_dict` and :meth:`Record.from_dict` walk
+arrays (base64 of their little-endian bytes, exact to the bit).
+:meth:`Record.to_dict` and :meth:`Record.from_dict` walk
 :func:`dataclasses.fields` over a field table resolved once per class,
 so the device config and its sections, the trace profiles, the fault,
 front-end and fleet configs and the simulation result share one encoder
@@ -21,6 +22,7 @@ defines ``validate`` is validated once decoded.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import json
@@ -210,16 +212,20 @@ def _int_dict(values: _Field) -> _Field:
 
 
 def _encode_array(value: Any) -> Any:
-    return np.asarray(value, dtype=np.float64).tolist()
+    return base64.b64encode(np.asarray(value, dtype="<f8").tobytes()).decode()
 
 
 def _decode_array(value: Any, path: str) -> Any:
-    if isinstance(value, list) and set(map(type, value)) <= {float, int}:
+    raw: "bytes | None" = None
+    if isinstance(value, str):
         try:
-            return np.asarray(value, dtype=np.float64)
-        except OverflowError:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError:
             pass
-    raise _mistyped(value, path, "a list of numbers")
+    # Only the canonical spelling decodes, so it re-encodes unchanged.
+    if raw is None or len(raw) % 8 or base64.b64encode(raw).decode() != value:
+        raise _mistyped(value, path, "base64 of little-endian float64s")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def _codec(hint: Any) -> _Field:

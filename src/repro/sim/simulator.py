@@ -41,10 +41,10 @@ class SimulationResult(Record):
     """Everything a replay produces; feeds every figure of the evaluation.
 
     The :class:`~repro.record.Record` codec carries it through the result
-    cache: latency arrays become float lists and the ``level_writes``
-    keys strings, and a payload from another result schema, or damaged
-    on disk, raises :class:`SimulationError` naming the field (the cache
-    counts it as a miss).
+    cache: latency arrays become base64 strings of their float64 bytes
+    and the ``level_writes`` keys strings, and a payload from another
+    result schema raises :class:`SimulationError` naming the field (the
+    cache counts it as a miss).
     """
 
     error_type = SimulationError

@@ -12,7 +12,11 @@ from repro.config import TranslationConfig
 from repro.errors import ExperimentError
 from repro.experiments import EXPERIMENTS, get, run
 from repro.experiments.artifact import Artifact
-from repro.experiments.runner import RunContext, default_context
+from repro.experiments.runner import (
+    RunContext,
+    default_context,
+    pilot_footprints,
+)
 from repro.frontend.simulate import FrontendSimulator
 from repro.sim import SimulationResult, Simulator
 
@@ -236,9 +240,10 @@ class TestWarmRunAll:
         simulated, hits, misses = map(int, _CELLS.search(cold).groups())
         assert simulated == misses > 0 and hits == 0
 
-        # Drop the in-process memo: the warm run must be served by the
+        # Drop the in-process memos: the warm run must be served by the
         # on-disk cache alone, with every replay entry point disabled.
         fresh_execution()
+        pilot_footprints.cache_clear()
 
         def no_replay(*args, **kwargs):
             raise AssertionError("a warm run-all replayed a cell")
@@ -250,3 +255,5 @@ class TestWarmRunAll:
         warm = capsys.readouterr().out
         assert _CELLS.search(warm).groups() == ("0", str(misses), "0")
         assert _without_cells_line(warm) == _without_cells_line(cold)
+        # One sizing pilot per distinct (trace, requests, seed) input.
+        assert pilot_footprints.cache_info().misses == 14

@@ -254,19 +254,20 @@ class TestDeviceCacheEntries:
         lambda payload: {**payload, "epochs": [{} for _ in payload["epochs"]]},
     ], ids=["list", "no-epochs", "short-epochs", "empty-epochs"])
     def test_damaged_entry_is_a_replaced_miss(self, tmp_path, damage):
-        """A device entry that is not the device's payload is never
-        served: the device replays and its fresh payload replaces it."""
+        """A well-framed device entry that is not the device's payload is
+        never served: ``check_device_payload`` rejects it, the device
+        replays and its fresh payload replaces it."""
         cfg = FleetConfig(n_devices=1, tenants=(TenantSpec("ts0"),),
                           scheme="ipu", scale="smoke", seed=3, n_epochs=2,
                           epoch_requests=300)
         ref = campaign_json(run_campaign(cfg, jobs=1,
                                          cache_dir=str(tmp_path)))
-        path = ResultCache(tmp_path).path_for(cfg.device_key(0))
-        stored = path.read_text()
-        path.write_text(json.dumps(damage(json.loads(stored))))
+        cache, key = ResultCache(tmp_path), cfg.device_key(0)
+        stored = cache.path_for(key).read_bytes()
+        cache.put(key, damage(cache.get(key)))
         rerun = run_campaign(cfg, jobs=1, cache_dir=str(tmp_path))
         assert campaign_json(rerun) == ref
-        assert path.read_text() == stored
+        assert cache.path_for(key).read_bytes() == stored
 
 
 class TestFaultyCampaign:

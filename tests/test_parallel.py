@@ -4,17 +4,21 @@ sequential path, and the on-disk cache must short-circuit re-runs."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SCHEMES as FTLS
 from repro.config import TranslationConfig
 from repro.errors import ExperimentError
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import MAGIC, ResultCache
 from repro.experiments.parallel import CellSpec, resolve_jobs, run_cells, simulate_cell
 from repro.experiments.runner import Cell, RunContext
+from repro.frame import read_frame, write_frame
 from repro.frontend import FrontendConfig
 from repro.sim import Simulator
 from repro.sim.simulator import SimulationResult
@@ -70,6 +74,45 @@ class TestDifferentialDeterminism:
         assert [p["scheme"] for p in payloads] == list(SCHEMES)
 
 
+def _reframe(path, body: "bytes | None" = None, **header) -> None:
+    """Rewrite the entry at ``path`` under a correct digest, with its
+    header fields (and payload, if given) replaced."""
+    old, payload = read_frame(path.read_bytes(), MAGIC)
+    del old["payload_sha256"]
+    write_frame(path, MAGIC, {**old, **header},
+                payload if body is None else body)
+
+
+def _flip_payload_byte(path) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[-2] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+#: Ways an on-disk entry of the ts0/ipu cell can be damaged or foreign.
+ENTRY_DAMAGES = {
+    "not-utf8": lambda path: path.write_bytes(b"\xff\xfe\xfd" * 20),
+    "truncated": lambda path: path.write_bytes(
+        path.read_bytes()[:path.stat().st_size // 2]),
+    "flipped-byte": _flip_payload_byte,
+    "schema-7": lambda path: _reframe(path, schema=7),
+    "other-cell": lambda path: _reframe(
+        path, key=RunContext(**FAST).cell_key("ts0", "mga")),
+    "deep-json": lambda path: _reframe(
+        path, body=b"[" * 100_000 + b"]" * 100_000),
+}
+
+
+@pytest.fixture(scope="module")
+def ipu_entry(tmp_path_factory):
+    """``(key, entry bytes, result)`` of the cached ts0/ipu cell."""
+    cache = ResultCache(tmp_path_factory.mktemp("entry"))
+    ctx = RunContext(cache=cache, **FAST)
+    result = ctx.run("ts0", "ipu")
+    key = ctx.cell_key("ts0", "ipu")
+    return key, cache.path_for(key).read_bytes(), result
+
+
 class TestCacheIntegration:
     def test_warm_context_simulates_nothing(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -115,21 +158,106 @@ class TestCacheIntegration:
         lambda p: [1, 2],
     ], ids=["mistyped", "no-scheme", "list"])
     def test_bad_payload_is_a_replaced_miss(self, tmp_path, damage):
-        """A parseable entry that is not a well-typed result is never
-        served: it counts as a miss and the fresh replay replaces it."""
+        """A well-framed entry whose payload is not a well-typed result is
+        never served: the decoder rejects it, it counts as a miss and the
+        fresh replay replaces it."""
         fresh = RunContext(**FAST).run("ts0", "ipu")
         cache = ResultCache(tmp_path)
         ctx = RunContext(cache=cache, **FAST)
-        path = cache.path_for(ctx.cell_key("ts0", "ipu"))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(damage(fresh.to_dict())))
+        key = ctx.cell_key("ts0", "ipu")
+        ResultCache(tmp_path).put(key, damage(fresh.to_dict()))
         r = ctx.run("ts0", "ipu")
         assert ctx.executed_cells == 1
         assert r.deterministic_dict() == fresh.deterministic_dict()
         assert (cache.stats.hits, cache.stats.misses,
                 cache.stats.stores) == (0, 1, 1)
-        stored = SimulationResult.from_dict(json.loads(path.read_text()))
+        stored = ResultCache(tmp_path).get(key, SimulationResult.from_dict)
         assert stored.deterministic_dict() == fresh.deterministic_dict()
+
+    @pytest.mark.parametrize("damage", ENTRY_DAMAGES.values(),
+                             ids=ENTRY_DAMAGES.keys())
+    def test_damaged_entry_is_a_replaced_miss(self, tmp_path, damage,
+                                              ipu_entry):
+        """A damaged entry, or one framed for another schema or cell,
+        neither crashes the read nor is served: it counts as a miss, is
+        deleted, and the fresh replay replaces it."""
+        key, valid, fresh = ipu_entry
+        path = ResultCache(tmp_path).path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(valid)
+        damage(path)
+        probe = ResultCache(tmp_path)
+        assert probe.get(key, SimulationResult.from_dict) is None
+        assert probe.stats.misses == 1 and not path.exists()
+
+        path.write_bytes(valid)
+        damage(path)
+        cache = ResultCache(tmp_path)
+        ctx = RunContext(cache=cache, **FAST)
+        r = ctx.run("ts0", "ipu")
+        assert ctx.executed_cells == 1
+        assert (cache.stats.hits, cache.stats.misses,
+                cache.stats.stores) == (0, 1, 1)
+        assert r.deterministic_dict() == fresh.deterministic_dict()
+        stored = ResultCache(tmp_path).get(key, SimulationResult.from_dict)
+        assert stored.deterministic_dict() == fresh.deterministic_dict()
+
+    def test_clear_removes_orphaned_temp_files(self, tmp_path):
+        """A writer killed between its temp file and the rename leaves a
+        ``.tmp`` file: ``clear`` removes it, and only entries count."""
+        cache = ResultCache(tmp_path)
+        cache.put("ab" * 32, {"x": 1})
+        orphan = tmp_path / "cd" / "tmpk1ll3d.tmp"
+        orphan.parent.mkdir()
+        orphan.write_bytes(b"half a fra")
+        assert len(cache) == 1
+        assert cache.clear() == 1
+        assert not orphan.exists() and len(cache) == 0
+
+    def test_store_racing_a_clear_is_dropped(self, tmp_path, monkeypatch):
+        """A ``clear`` that deletes a live writer's temp file before its
+        rename drops that one store; the writer does not crash."""
+        cache = ResultCache(tmp_path)
+        replace = os.replace
+
+        def clear_then_replace(src, dst):
+            cache.clear()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", clear_then_replace)
+        cache.put("ab" * 32, {"x": 1})
+        assert cache.stats.stores == 0 and len(cache) == 0
+
+
+@st.composite
+def damaged_bytes(draw, raw: bytes) -> bytes:
+    """``raw`` truncated, or with one byte set to any value."""
+    if draw(st.booleans()):
+        return raw[:draw(st.integers(0, len(raw)))]
+    at = draw(st.integers(0, len(raw) - 1))
+    return raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_entry_reads_as_a_miss_or_the_same_result(data):
+    """Any truncation or single-byte change of a valid entry reads as a
+    counted miss that deletes it, or as the identical result; the read
+    never raises and never yields another result."""
+    result = SimulationResult(
+        "ipu", "ts0", 3, 2.5, 0.01, read_latencies=np.array([0.25, -0.0]),
+        write_latencies=np.array([5e-324]), level_writes={1: 2})
+    key = "ab" * 32
+    with tempfile.TemporaryDirectory() as root:
+        cache = ResultCache(root)
+        cache.put(key, result.to_dict())
+        path = cache.path_for(key)
+        path.write_bytes(data.draw(damaged_bytes(path.read_bytes())))
+        got = cache.get(key, SimulationResult.from_dict)
+        if got is None:
+            assert cache.stats.misses == 1 and not path.exists()
+        else:
+            assert got == result and cache.stats.hits == 1
 
 
 def cmt_config(ctx: RunContext):

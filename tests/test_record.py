@@ -10,6 +10,7 @@ builtin exception.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -28,7 +29,7 @@ from repro.config import (
     TimingConfig,
     TranslationConfig,
 )
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, SimulationError
 from repro.faults import FaultConfig
 from repro.fleet import FleetConfig, TenantSpec
 from repro.frontend import FrontendConfig
@@ -238,7 +239,8 @@ def wrong_values(hint: object) -> list:
     if hint is str:
         return [1, None, ["a"]]
     if hint is np.ndarray:
-        return ["1.0", ["1.0"], [True], [[1.0]], {"0": 1.0}, None]
+        return ["1.0", "AAAA", [1.0], ["1.0"], [True], [[1.0]], {"0": 1.0},
+                None]
     if hint == dict[int, int]:
         return [[1], {"x": 1}, {"01": 1}, {"1": True}, {"1": 1.5}]
     if origin is tuple:
@@ -362,6 +364,38 @@ def test_result_defaults_and_array_equality():
                                       read_latencies=np.array([1.0, 2.0]))
     assert two != dataclasses.replace(two, read_latencies=np.array([1.0, 3.0]))
     assert two != empty
+
+
+#: float64 bit patterns: any 64-bit word, so NaN payloads, infinities,
+#: subnormals and both zeros all occur.
+float64_arrays = st.lists(st.integers(0, 2**64 - 1), max_size=32).map(
+    lambda words: np.array(words, dtype=np.uint64).view(np.float64))
+
+
+@SETTINGS
+@given(array=float64_arrays)
+def test_latency_arrays_round_trip_bit_exactly(array):
+    array = np.concatenate([array, [-0.0, 5e-324, 2.2250738585072e-308]])
+    result = SimulationResult("ipu", "ts0", 0, 0.0, 0.0,
+                              read_latencies=array)
+    for back in (SimulationResult.from_dict(result.to_dict()),
+                 SimulationResult.from_json(result.to_json())):
+        decoded = back.read_latencies
+        assert decoded.dtype == np.float64 and decoded.flags.writeable
+        assert decoded.tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("value", [
+    [0.25, 1.0],
+    "not base64!",
+    base64.b64encode(bytes(7)).decode("ascii"),
+    "AAAAAAAAAAB=",
+], ids=["old-list", "not-base64", "odd-byte-count", "non-canonical"])
+def test_bad_latency_encodings_name_the_field(value):
+    payload = {**SimulationResult("ipu", "ts0", 0, 0.0, 0.0).to_dict(),
+               "read_latencies": value}
+    with pytest.raises(SimulationError, match="read_latencies"):
+        SimulationResult.from_dict(payload)
 
 
 def test_errors_are_repro_errors():
