@@ -10,11 +10,12 @@ artifact class stale while the others move (PR 4 shipped a stale
 ``fig12.json`` exactly that way).  ``--figures`` / ``--golden`` /
 ``--schema`` restrict the pass when only one class is affected.
 
-Every invocation ends with a schema-sync check: if the live
-``SimulationResult`` schema or ``CACHE_SCHEMA_VERSION`` disagrees with
-the on-disk ``schema_snapshot.json`` after the pass, the script fails
-loudly (exit 1) instead of leaving the ``repro-ssd lint`` S001 drift
-guard armed against a stale snapshot.
+Every invocation ends with a schema-sync check: if the on-disk
+``schema_snapshot.json`` is not what the live ``SimulationResult``
+schema and ``CACHE_SCHEMA_VERSION`` write
+(:func:`repro.experiments.cache.schema_snapshot_text`) after the pass,
+the script fails loudly (exit 1) instead of leaving
+``tests/test_result_schema.py`` checking against a stale snapshot.
 """
 
 import argparse
@@ -27,11 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments import EXPERIMENTS, run
+from repro.experiments.cache import schema_snapshot_text
 from repro.experiments.runner import RunContext, SCHEME_ORDER
 from repro.traces.profiles import TRACE_NAMES
 
 OUT = Path(__file__).parent
 SCALE, SEED = "small", 1
+SCHEMA_SNAPSHOT = OUT / "schema_snapshot.json"
 
 GOLDEN_SCALE, GOLDEN_SEED = "smoke", 1
 #: Headline metrics pinned per figure: fig5 reads the latency triple,
@@ -167,42 +170,22 @@ def driver_golden_cells(faults) -> "dict[str, dict]":
 
 
 def regenerate_schema() -> None:
-    """Rebuild ``schema_snapshot.json`` from the live source tree."""
-    from repro.analysis.schema import write_schema_snapshot
-
-    path = write_schema_snapshot(OUT.parent)
-    print(f"wrote {path}")
+    """Rebuild ``schema_snapshot.json`` from the live result record."""
+    SCHEMA_SNAPSHOT.write_text(schema_snapshot_text(), encoding="utf-8")
+    print(f"wrote {SCHEMA_SNAPSHOT}")
 
 
-def verify_schema_sync() -> "list[str]":
-    """Compare the live schema against the on-disk snapshot.
+def schema_in_sync() -> bool:
+    """Whether the on-disk snapshot is what the live record writes.
 
-    Returns a list of mismatch descriptions (empty = in sync).  Runs at
-    the end of *every* invocation: ``CACHE_SCHEMA_VERSION`` must never
-    change without the snapshot refreshing in the same pass.
+    Runs at the end of *every* invocation: ``CACHE_SCHEMA_VERSION`` must
+    never change without the snapshot refreshing in the same pass.
     """
-    from repro.analysis.schema import SNAPSHOT_RELPATH, current_schema
-
-    live = current_schema(OUT.parent / "src" / "repro")
-    if live is None:
-        return ["cannot extract the live schema from src/repro"]
-    snap_path = OUT.parent / SNAPSHOT_RELPATH
-    if not snap_path.is_file():
-        return [f"{SNAPSHOT_RELPATH} is missing — rerun with --schema"]
     try:
-        snap = json.loads(snap_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"unreadable {SNAPSHOT_RELPATH}: {exc}"]
-    problems = []
-    if live.get("cache_schema_version") != snap.get("cache_schema_version"):
-        problems.append(
-            f"CACHE_SCHEMA_VERSION is {live.get('cache_schema_version')} but "
-            f"{SNAPSHOT_RELPATH} records {snap.get('cache_schema_version')}")
-    for key in ("fields", "nondeterministic_fields", "summary_keys"):
-        if set(live.get(key) or ()) != set(snap.get(key) or ()):
-            problems.append(f"{key} drifted between the source and the "
-                            f"snapshot")
-    return problems
+        on_disk = SCHEMA_SNAPSHOT.read_text(encoding="utf-8")
+    except OSError:
+        return False
+    return on_disk == schema_snapshot_text()
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -225,14 +208,13 @@ def main(argv: "list[str] | None" = None) -> int:
     if everything or args.figures:
         regenerate_figures()
 
-    problems = verify_schema_sync()
-    if problems:
-        print("schema out of sync after regeneration:", file=sys.stderr)
-        for p in problems:
-            print(f"  - {p}", file=sys.stderr)
+    if not schema_in_sync():
+        print(f"schema out of sync after regeneration: {SCHEMA_SNAPSHOT.name}"
+              " is not what the live result record writes", file=sys.stderr)
         print("  fix: bump CACHE_SCHEMA_VERSION if the schema moved, then "
-              "rerun 'python results/regenerate.py --schema'",
-              file=sys.stderr)
+              "rerun 'python results/regenerate.py --schema'; "
+              "'python -m pytest tests/test_result_schema.py' names what "
+              "drifted", file=sys.stderr)
         return 1
     print("schema snapshot in sync")
     return 0

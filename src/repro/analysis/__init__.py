@@ -1,4 +1,4 @@
-"""``repro-ssd lint`` — AST-based determinism & schema-drift analyzer.
+"""``repro-ssd lint`` — AST-based determinism & soundness analyzer.
 
 Machine-checks the repository's simulation contracts (see
 ``docs/STATIC_ANALYSIS.md``):
@@ -7,8 +7,6 @@ Machine-checks the repository's simulation contracts (see
 ``D001``  randomness outside ``repro/rng.py`` (make_rng/spawn only)
 ``D002``  host wall clock outside the diagnostic allowlist
 ``D003``  unordered set iteration feeding simulation state
-``S001``  ``SimulationResult`` schema drift without a
-          ``CACHE_SCHEMA_VERSION`` bump (vs the committed snapshot)
 ``S002``  Block counter / subpage-state writes outside ``nand/block.py``
 ``C001``  magic size/latency literals outside ``repro.config``/``units``
 ``U001``  mixed-unit arithmetic (ms vs bytes vs counts)
@@ -29,6 +27,9 @@ Machine-checks the repository's simulation contracts (see
 ``P002``  RegionState view pickled without a ``__setstate__`` rebind
 ``P003``  unpicklable payload passed to ``ProcessPoolExecutor``
 ========  ==========================================================
+
+Result-schema drift is not a rule: ``tests/test_result_schema.py``
+checks the live ``SimulationResult`` against the committed snapshot.
 
 The U-, M-, K- and P-families are interprocedural: one project-wide
 index (:mod:`repro.analysis.callgraph`) — call graph, base-class
@@ -83,14 +84,7 @@ from .repro_soundness import (
     CacheKeyTaintRule,
     CanonicalKeyCompletenessRule,
 )
-from .schema import (
-    BlockCounterWriteRule,
-    SchemaDriftRule,
-    current_schema,
-    extract_cache_schema_version,
-    extract_result_schema,
-    write_schema_snapshot,
-)
+from .schema import BlockCounterWriteRule
 from .units_flow import (
     AddressSpaceConfusionRule,
     LossyBoundaryCrossingRule,
@@ -102,7 +96,6 @@ ALL_RULES: tuple[Rule, ...] = (
     RandomnessRule(),
     WallClockRule(),
     SetIterationRule(),
-    SchemaDriftRule(),
     BlockCounterWriteRule(),
     ConfigLiteralRule(),
     MixedUnitArithmeticRule(),
@@ -147,11 +140,7 @@ __all__ = [
     "SourceFile",
     "Violation",
     "apply_baseline",
-    "current_schema",
-    "extract_cache_schema_version",
-    "extract_result_schema",
     "load_baseline",
     "run_lint",
     "write_baseline",
-    "write_schema_snapshot",
 ]

@@ -50,7 +50,7 @@ def resolve_roots(root_arg: "str | None") -> tuple[Path, Path | None]:
     repo = find_repo_root()
     if repo is not None:
         return repo / "src" / "repro", repo
-    # Fall back to the importable package itself (no snapshot/baseline).
+    # Fall back to the importable package itself (no baseline).
     return Path(__file__).resolve().parents[1], None
 
 
@@ -170,8 +170,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             return 0
 
     try:
-        result = run_lint(package_root, repo_root=repo_root, select=select,
-                          only=only)
+        result = run_lint(package_root, select=select, only=only)
     except ValueError as exc:
         print(f"lint: {exc}")
         return 2

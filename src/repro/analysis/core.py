@@ -152,7 +152,7 @@ class SourceFile:
 
 @dataclass(frozen=True, eq=False)
 class ProjectContext:
-    """Inputs for rules that look at the tree as a whole (S001, U-rules).
+    """Inputs for rules that look at the tree as a whole (U-, M-, K-, P-rules).
 
     One context lives for one engine run.  It owns the run's
     :class:`~repro.analysis.callgraph.ProjectIndex` (:attr:`index`) and
@@ -163,9 +163,6 @@ class ProjectContext:
 
     #: Directory being linted — normally ``src/repro``.
     package_root: Path
-    #: Repository root holding ``results/schema_snapshot.json`` and the
-    #: baseline file; ``None`` when linting a bare directory (fixtures).
-    repo_root: Path | None = None
     #: Every successfully parsed module, keyed by relpath — the input to
     #: project-wide dataflow (empty for rules that never look at it).
     sources: dict[str, SourceFile] = field(default_factory=dict)
@@ -187,13 +184,6 @@ class ProjectContext:
         none.
         """
         return self.shared(_build_index)
-
-    @property
-    def snapshot_path(self) -> Path | None:
-        """Location of the committed schema snapshot, if resolvable."""
-        if self.repo_root is None:
-            return None
-        return self.repo_root / "results" / "schema_snapshot.json"
 
 
 def _build_index(ctx: ProjectContext) -> "ProjectIndex":
@@ -242,7 +232,7 @@ class Rule:
         return iter(())
 
     def check_project(self, ctx: ProjectContext) -> Iterator[Violation]:
-        """Whole-tree findings (schema drift)."""
+        """Whole-tree findings (the interprocedural families)."""
         return iter(())
 
 
@@ -311,7 +301,6 @@ def _assign_fingerprints(violations: list[Violation],
 
 
 def run_lint(package_root: "Path | str",
-             repo_root: "Path | str | None" = None,
              rules: "Sequence[Rule] | None" = None,
              select: "Iterable[str] | None" = None,
              only: "set[str] | None" = None) -> LintResult:
@@ -322,9 +311,6 @@ def run_lint(package_root: "Path | str",
     package_root:
         Directory whose ``*.py`` files are checked; violation paths are
         relative to it.
-    repo_root:
-        Repository root (for the schema snapshot).  ``None`` disables
-        project-level rules that need committed state.
     rules:
         Rule instances to run; defaults to :data:`repro.analysis.ALL_RULES`.
     select:
@@ -340,7 +326,6 @@ def run_lint(package_root: "Path | str",
     from . import ALL_RULES  # late import: rules import this module
 
     package_root = Path(package_root)
-    repo = Path(repo_root) if repo_root is not None else None
     active = list(rules) if rules is not None else list(ALL_RULES)
     if select is not None:
         known = {r.id for r in active}
@@ -382,8 +367,7 @@ def run_lint(package_root: "Path | str",
                 if not src.suppressed(v):
                     violations.append(v)
 
-    ctx = ProjectContext(package_root=package_root, repo_root=repo,
-                         sources=sources)
+    ctx = ProjectContext(package_root=package_root, sources=sources)
     for rule in active:
         for v in rule.check_project(ctx):
             if only is not None and v.path not in only:

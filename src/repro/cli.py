@@ -17,6 +17,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -67,7 +68,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _setup_execution(args)
     kwargs = {}
     if args.qd:
-        kwargs["qds"] = tuple(int(q) for q in args.qd.split(","))
+        kwargs["qds"] = args.qd
     if args.frontend is not None:
         kwargs["frontend"] = args.frontend
     if kwargs and args.experiment != "ext-qd":
@@ -168,10 +169,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         cache = ResultCache(args.cache_dir or default_cache_dir())
     jobs = resolve_jobs(args.jobs)
     configure_execution(jobs=jobs, cache=cache)
-    rates = tuple(float(r) for r in args.rates.split(","))
     traces = tuple(args.traces.split(",")) if args.traces else None
     schemes = tuple(args.schemes.split(","))
-    payload = run_campaign(rates=rates, scale=args.scale, seed=args.seed,
+    payload = run_campaign(rates=args.rates, scale=args.scale, seed=args.seed,
                            traces=traces, schemes=schemes,
                            jobs=jobs, cache=cache)
     rows = []
@@ -199,20 +199,37 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_tenants(text: str):
+def _number(text: str, cast: type = float):
+    """One number of a comma-list option; a bad one is a usage error."""
+    try:
+        value = cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise argparse.ArgumentTypeError(f"{text!r} is not {kind}") from None
+    if cast is float and not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
+def _numbers(cast: type):
+    """An argparse ``type=`` for a comma-separated list of numbers."""
+    def parse(text: str) -> tuple:
+        return tuple(_number(item, cast) for item in text.split(","))
+
+    return parse
+
+
+def _tenants(text: str):
     """``profile[:weight]`` comma list -> tuple of TenantSpec."""
     from .fleet import TenantSpec
 
     tenants = []
     for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" in item:
-            name, weight = item.split(":", 1)
-            tenants.append(TenantSpec(name, float(weight)))
-        else:
-            tenants.append(TenantSpec(item))
+        name, colon, weight = item.strip().partition(":")
+        if colon:
+            tenants.append(TenantSpec(name, _number(weight)))
+        elif name:
+            tenants.append(TenantSpec(name))
     return tuple(tenants)
 
 
@@ -226,7 +243,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     cfg = FleetConfig(
         n_devices=args.devices,
-        tenants=_parse_tenants(args.tenants),
+        tenants=args.tenants,
         scheme=args.scheme,
         scale=args.scale,
         seed=args.seed,
@@ -316,7 +333,7 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", metavar="PATH",
                    help="also write the artifact rows as JSON")
-    p.add_argument("--qd", metavar="Q1,Q2", default=None,
+    p.add_argument("--qd", type=_numbers(int), metavar="Q1,Q2", default=None,
                    help="queue depths for the ext-qd sweep "
                         "(comma-separated; default 1,4,16,64)")
     p.add_argument("--frontend", action=argparse.BooleanOptionalAction,
@@ -356,7 +373,8 @@ def _add_simulate_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _add_faults_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rates", default="0,0.5,1.0", metavar="R1,R2",
+    p.add_argument("--rates", type=_numbers(float), default="0,0.5,1.0",
+                   metavar="R1,R2",
                    help="comma-separated fault-rate sweep points "
                         "(0 = fault-free reference point)")
     p.add_argument("--scale", default="smoke",
@@ -377,7 +395,8 @@ def _add_fleet_arguments(p: argparse.ArgumentParser) -> None:
 
     p.add_argument("--devices", type=int, default=2, metavar="N",
                    help="devices in the array (default: 2)")
-    p.add_argument("--tenants", default="ts0", metavar="P[:W],...",
+    p.add_argument("--tenants", type=_tenants, default="ts0",
+                   metavar="P[:W],...",
                    help="tenant mix as profile[:weight] entries, "
                         "e.g. ts0,usr0:0.5 (default: ts0)")
     p.add_argument("--scheme", default="ipu", choices=sorted(SCHEMES))
@@ -491,6 +510,15 @@ def main(argv: "list[str] | None" = None) -> int:
     except BrokenPipeError:
         # Output was piped into something that closed early (| head).
         return 0
+    except Exception as exc:
+        # Imported only here, so lint, --help and --version keep their
+        # standard-library start-up (tests/test_lean_startup.py).
+        from .errors import ReproError
+
+        if not isinstance(exc, ReproError):
+            raise
+        print(f"repro-ssd: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

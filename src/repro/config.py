@@ -117,14 +117,6 @@ class TimingConfig(Record):
     #: instead of the default conservative both-busy model.
     pipelined_bus: bool = False
 
-    def read_ms(self, slc: bool) -> float:
-        """Media read time for one page in the given cell mode."""
-        return self.slc_read_ms if slc else self.mlc_read_ms
-
-    def write_ms(self, slc: bool) -> float:
-        """Media program time for one page in the given cell mode."""
-        return self.slc_write_ms if slc else self.mlc_write_ms
-
     def validate(self) -> None:
         """Raise :class:`ConfigError` on non-physical latencies."""
         values = {

@@ -11,7 +11,8 @@ experiment setups can be versioned and shared::
 The dict form is the :class:`~repro.record.Record` codec's: unknown
 sections or fields raise :class:`~repro.errors.ConfigError` (catching
 typos beats silently ignoring them), missing ones take their defaults,
-and the loaded config is validated.
+and the loaded config is validated.  Any file that cannot be read as
+such a config raises a :class:`~repro.errors.ConfigError` naming it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ def save_config(config: SSDConfig, path: "str | Path") -> None:
 def load_config(path: "str | Path") -> SSDConfig:
     """Read a configuration written by :func:`save_config`."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors.
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return SSDConfig.from_dict(data)
+    try:
+        return SSDConfig.from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -2,9 +2,10 @@
 
 Following the ISSCC'06 embedded-BCH design the paper cites, data is
 protected per 512-byte codeword with a correction capability of ``t`` bits.
-We model the code analytically: expected raw errors per codeword under a
-given RBER, and the probability that a codeword exceeds ``t`` errors
-(decode failure, triggering a read retry).
+We model the code analytically: its codeword size (an RBER times
+:attr:`BCHCode.codeword_bits` is the expected raw errors per codeword),
+and the probability that a codeword exceeds ``t`` errors (decode
+failure, triggering a read retry).
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ class BCHCode:
             raise ConfigError(f"negative payload size {nbytes}")
         return -(-nbytes // self.payload_bytes)
 
-    def expected_errors(self, rber: float) -> float:
-        """Expected raw bit errors in one codeword at the given RBER."""
-        if rber < 0:
-            raise ConfigError(f"negative RBER {rber}")
-        return rber * self.codeword_bits
-
     def failure_probability(self, rber: float) -> float:
         """Probability that raw errors exceed ``t`` (uncorrectable codeword).
 
@@ -80,7 +75,3 @@ class BCHCode:
             )
             total += math.exp(log_term)
         return max(0.0, 1.0 - total)
-
-    def correctable(self, raw_errors: int) -> bool:
-        """Whether a codeword with ``raw_errors`` flipped bits decodes."""
-        return raw_errors <= self.t

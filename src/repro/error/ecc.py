@@ -8,8 +8,8 @@ first-order model for iterative BCH decoding effort — and clamp at the
 maximum, which also covers the retry penalty of a saturated decoder.
 
 The *read error rate* metric the paper reports (Figures 8 and 14) is the
-expected number of raw bit errors per bit read; :class:`EccModel` exposes
-the per-read expectation so the metrics layer can accumulate it.
+expected number of raw bit errors per bit read: the FTL charges each read
+op its subpages' RBER times the bits read, and the replay sums them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from ..config import ReliabilityConfig, TimingConfig
 from ..errors import ConfigError
-from ..units import KIB, Bytes, Ms
+from ..units import KIB, Ms
 from .bch import BCHCode
 
 #: Subpage payload a failure-probability query covers (4 KiB LSN unit).
@@ -51,28 +51,13 @@ class EccModel:
         frac = min(1.0, lam / self._t)
         return self._min + self._span * frac
 
-    def decode_ms_for_subpages(self, rbers: "np.ndarray | list[float]") -> Ms:
+    def decode_ms_list(self, rbers: "list[float]") -> Ms:
         """Decode time for one page read covering several subpages.
 
         Codewords are decoded in a pipeline, so the slowest (highest-RBER)
-        subpage dominates the page's ECC latency.
-        """
-        arr = np.asarray(rbers, dtype=np.float64)
-        size = arr.size
-        if size == 0:
-            return self._min
-        if size == 1:
-            # max() of one element is that element; skip the reduction.
-            return self.decode_ms(float(arr[0]))
-        return self.decode_ms(float(arr.max()))
-
-    def decode_ms_list(self, rbers: "list[float]") -> Ms:
-        """Scalar fast path of :meth:`decode_ms_for_subpages` for python
-        float lists (the no-numpy read-pricing path).
-
-        ``max()`` over python floats returns the same IEEE double
-        ``float(np.asarray(rbers).max())`` would, so the result is
-        bit-identical to the array form for the same inputs.
+        subpage dominates the page's ECC latency: the result is
+        :meth:`decode_ms` of the largest value, and a read of no subpage
+        costs the clean-read minimum.
         """
         n = len(rbers)
         if n == 0:
@@ -96,12 +81,6 @@ class EccModel:
         frac = np.minimum(1.0, lam / self._t)
         return self._min + self._span * frac
 
-    def expected_raw_errors(self, rber: float, nbytes: Bytes) -> float:
-        """Expected raw bit errors when reading ``nbytes`` at ``rber``."""
-        if nbytes < 0:
-            raise ValueError(f"negative read size {nbytes}")
-        return rber * nbytes * 8
-
     def uncorrectable_probability(self, rber: float) -> float:
         """Probability at least one codeword of a 4 KiB subpage fails."""
         per_cw = self.code.failure_probability(rber)
@@ -112,7 +91,7 @@ class EccModel:
             self, rbers: "np.ndarray | list[float]") -> float:
         """Failure probability of a page read covering several subpages.
 
-        Mirrors :meth:`decode_ms_for_subpages`: the worst (highest-RBER)
+        Mirrors :meth:`decode_ms_list`: the worst (highest-RBER)
         subpage dominates, so the read fails when *its* codewords exceed
         the correction capability.  Drives the fault-injection read-retry
         ladder (:mod:`repro.faults`)."""

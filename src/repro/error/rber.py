@@ -88,38 +88,6 @@ class RberModel:
 
     # -- per-subpage evaluation -------------------------------------------
 
-    def subpage_rber(self, pe: PeCycles, slc: bool, n_in: int = 0, n_nb: int = 0) -> float:
-        """RBER of one subpage given its disturb history.
-
-        Parameters
-        ----------
-        pe:
-            Effective P/E count of the hosting block
-            (``initial_pe_cycles + erase_count``).
-        slc:
-            Cell mode of the hosting block.
-        n_in, n_nb:
-            Counts of in-page and neighbouring-page disturb events the
-            subpage absorbed since it was programmed.
-        """
-        unit = self.disturb_unit(pe)
-        extra = n_in * unit + n_nb * unit * self.config.neighbor_disturb_ratio
-        return self.base(pe, slc) + extra
-
-    def subpage_rber_array(
-        self,
-        pe: float,
-        slc: bool,
-        n_in: np.ndarray,
-        n_nb: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorised :meth:`subpage_rber` over disturb-count arrays."""
-        unit = self.disturb_unit(pe)
-        ratio = self.config.neighbor_disturb_ratio
-        return self.base(pe, slc) + unit * (
-            n_in.astype(np.float64) + ratio * n_nb.astype(np.float64)
-        )
-
     def rber_many(
         self,
         pe: float,
@@ -133,8 +101,8 @@ class RberModel:
         The disturb-count arrays come straight off the flat
         :class:`~repro.nand.state.RegionState` counters (a GC drain span,
         a flush span), so a whole relocation prices in one call.  The
-        expression is *operation-for-operation* the scalar fast path of
-        ``FlashArray.subpage_rbers`` — ``base + unit * (n_in + ratio *
+        expression is *operation-for-operation* the scalar loop of
+        ``FlashArray.read_list`` — ``base + unit * (n_in + ratio *
         n_nb)``, then ``+ read_disturb`` — over float64, so every element
         is bit-identical to the per-slot scalar evaluation (int64 disturb
         counts convert to float64 exactly).  ``read_disturb`` is the

@@ -24,7 +24,7 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -40,6 +40,34 @@ from ..units import Ms
 CACHE_SCHEMA_VERSION = 8
 #: Leading bytes of every cache entry.
 MAGIC = b"repro-cache\n"
+
+
+def result_schema() -> dict:
+    """The result schema ``results/schema_snapshot.json`` records.
+
+    ``SimulationResult``'s fields (the keys of every cached payload, in
+    order), its ``NONDETERMINISTIC_FIELDS``, the keys of ``summary()``
+    and :data:`CACHE_SCHEMA_VERSION`, read off the live class.  A change
+    to any of the first three needs a version bump, and every bump a
+    regenerated snapshot (``python results/regenerate.py --schema``).
+    """
+    # Imported here: the ``cache`` subcommand loads this module and must
+    # not pay for the simulator.
+    from ..sim.simulator import SimulationResult
+
+    empty = SimulationResult("", "", 0, 0.0, 0.0)
+    return {
+        "cache_schema_version": CACHE_SCHEMA_VERSION,
+        "fields": [f.name for f in fields(SimulationResult)],
+        "nondeterministic_fields": list(
+            SimulationResult.NONDETERMINISTIC_FIELDS),
+        "summary_keys": list(empty.summary()),
+    }
+
+
+def schema_snapshot_text() -> str:
+    """:func:`result_schema` as ``results/schema_snapshot.json`` holds it."""
+    return json.dumps(result_schema(), indent=2, sort_keys=True) + "\n"
 
 
 def default_cache_dir() -> Path:

@@ -56,13 +56,6 @@ class DeltaFTL(BaseFTL):
         #: (block_id, page) -> (delta_bytes_used, delta_slots, chain_len)
         self._delta_state: dict[tuple[int, int], tuple[int, int, int]] = {}
 
-    def chain_length(self, lsn: Lsn) -> int:
-        """Deltas stacked on ``lsn``'s page (0 = original only)."""
-        ppa = self.subpage_map.lookup(lsn)
-        if ppa is None:
-            return 0
-        return self._delta_state.get((ppa.block, ppa.page), (0, 0, 0))[2]
-
     # -- write path -------------------------------------------------------------
 
     def write(self, lsns: list[Lsn], now: Ms) -> list[OpRecord]:

@@ -101,15 +101,6 @@ class GarbageCollector:
 
     # -- triggers -----------------------------------------------------------
 
-    def needs_collection(self) -> bool:
-        """Whether the free pool dropped below the GC threshold.
-
-        A floor of two blocks keeps small simulated regions from running
-        completely dry before the percentage threshold can trip (GC itself
-        needs at least one free block to relocate into).
-        """
-        return self.allocator.free_blocks < self._threshold
-
     @property
     def draining(self) -> bool:
         """True while a victim is partially drained."""
@@ -119,7 +110,7 @@ class GarbageCollector:
         """One incremental GC step: continue or start a drain if needed."""
         # Checked on every host request for both regions — the usual
         # answer is "nothing to do", so take it without going through the
-        # ``draining``/``needs_collection`` call frames.
+        # ``draining`` call frame.
         if (self._victim is None
                 and self.allocator.free_blocks >= self._threshold):
             return []
@@ -199,7 +190,7 @@ class GarbageCollector:
                 # Per-span max then the vectorised decode: both are exact
                 # (reduceat max picks an element; decode_ms_many is
                 # elementwise float64), so each latency equals the scalar
-                # decode_ms_for_subpages of that span's reads.
+                # decode_ms_list of that span's reads.
                 maxes = np.maximum.reduceat(rbers, offsets)
                 span_ecc = self.ecc.decode_ms_many(maxes).tolist()
             for (page, slots, lsns), ecc_ms in zip(spans, span_ecc):

@@ -92,11 +92,6 @@ class CachedMappingTable:
         self._lru[page] = dirty
         return True, writeback
 
-    @property
-    def resident_pages(self) -> int:
-        """Translation pages currently cached."""
-        return len(self._lru)
-
     def flush(self) -> int:
         """Drop everything; returns the number of dirty pages flushed."""
         dirty = sum(1 for d in self._lru.values() if d)

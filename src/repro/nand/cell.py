@@ -22,20 +22,6 @@ class CellMode(enum.Enum):
         """True for the SLC-mode cache region."""
         return self is CellMode.SLC
 
-    @property
-    def bits_per_cell(self) -> int:
-        """Bits stored per floating-gate cell."""
-        return 1 if self is CellMode.SLC else 2
-
     def pages_per_block(self, slc_pages: int, mlc_pages: int) -> int:
         """Select the page count for this mode from geometry settings."""
         return slc_pages if self is CellMode.SLC else mlc_pages
-
-    @property
-    def endurance_factor(self) -> int:
-        """Relative erase endurance versus the native high-density mode.
-
-        The paper quotes an SLC:MLC endurance ratio of 10:1 (Section 4.3.2,
-        citing Liu et al.).
-        """
-        return 10 if self is CellMode.SLC else 1

@@ -12,7 +12,7 @@ to move data are FTL decisions (:mod:`repro.ftl`, :mod:`repro.core`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -98,61 +98,10 @@ class FlashArray:
         """The block object for ``block_id``."""
         return self.blocks[block_id]
 
-    def effective_pe(self, block_id: int) -> int:
-        """Wear age used by the RBER model: assumed initial age plus the
-        erases this simulation performed."""
-        return self.config.reliability.initial_pe_cycles + self.blocks[block_id].erase_count
-
     def region_blocks(self, slc: bool) -> list[Block]:
         """All blocks of one region."""
         ids = self.slc_block_ids if slc else self.mlc_block_ids
         return [self.blocks[i] for i in ids]
-
-    def subpage_rbers(self, block_id: int, page: int, slots: Iterable[int],
-                      now: Ms | None = None) -> np.ndarray:
-        """Current RBER of the given subpages (no access-time side effect).
-
-        ``now`` enables the optional retention-loss term (data ages since
-        its program time); omit it to evaluate disturb and wear only.
-        """
-        block = self.blocks[block_id]
-        pe = self.effective_pe(block_id)
-        slot_list = list(slots)
-        rel = self.config.reliability
-        extra = (block.read_count * rel.read_disturb_unit_ratio
-                 * self.rber.disturb_unit(pe)
-                 if rel.read_disturb_unit_ratio else 0.0)
-        if block.is_slc:
-            if len(slot_list) == 1:
-                # Scalar fast path for the dominant single-subpage read:
-                # the arithmetic mirrors ``subpage_rber_array`` operation
-                # for operation, so the value is bit-identical to the
-                # vectorised gather below.
-                s = slot_list[0]
-                unit = self.rber.disturb_unit(pe)
-                ratio = rel.neighbor_disturb_ratio
-                value = self.rber.base(pe, True) + unit * (
-                    float(block.disturb_in[page][s])
-                    + ratio * float(block.disturb_nb[page][s]))
-                value = value + extra
-                if rel.retention_unit_per_ms and now is not None:
-                    age = now - float(block.slot_program_time[page, s])
-                    value = value + (max(age, 0.0)
-                                     * rel.retention_unit_per_ms * unit)
-                return np.array([value], dtype=np.float64)
-            irow = block.disturb_in[page]
-            nrow = block.disturb_nb[page]
-            n_in = np.array([irow[s] for s in slot_list], dtype=np.float64)
-            n_nb = np.array([nrow[s] for s in slot_list], dtype=np.float64)
-            rbers = self.rber.subpage_rber_array(pe, True, n_in, n_nb) + extra
-            if rel.retention_unit_per_ms and now is not None:
-                ages = now - block.slot_program_time[page, slot_list]
-                rbers = rbers + (np.maximum(ages, 0.0)
-                                 * rel.retention_unit_per_ms
-                                 * self.rber.disturb_unit(pe))
-            return rbers
-        base = self.rber.base(pe, slc=False) + extra
-        return np.full(len(slot_list), base, dtype=np.float64)
 
     # -- operations ---------------------------------------------------------
 
@@ -191,29 +140,16 @@ class FlashArray:
             self.programs_mlc += 1
         return ProgramResult(partial=True, disturbed_valid=disturbed)
 
-    def read(self, block_id: int, page: int, slots: list[int], now: Ms) -> np.ndarray:
-        """Read subpages: returns their RBERs and refreshes access times."""
-        block = self.blocks[block_id]
-        pmask = block.prog_mask[page]
-        for slot in slots:
-            if not pmask >> slot & 1:
-                raise FlashError(
-                    f"block {block_id} page {page} slot {slot}: "
-                    f"read of unwritten subpage")
-        rbers = self.subpage_rbers(block_id, page, slots, now=now)
-        block.read_count += 1
-        block.touch(page, slots, now)
-        return rbers
-
     def read_list(self, block_id: int, page: int, slots: list[int],
                   now: Ms) -> "list[float]":
-        """Scalar fast path of :meth:`read`: RBERs as python floats.
+        """Read subpages of one page: their RBERs as python floats.
 
-        Same checks and side effects; every value mirrors the
-        ``subpage_rbers`` arithmetic operation-for-operation over IEEE
-        doubles (python float arithmetic *is* elementwise float64), so
-        the list is bit-identical to the array form — without building
-        any array for the dominant 1–4 subpage read.
+        Rejects a read of an unwritten slot, refreshes the slots' access
+        times and bumps the block's ``read_count`` (read disturb).  Each
+        value is ``base + unit * (n_in + ratio * n_nb) + read_disturb``,
+        plus the retention term, operation-for-operation the expression
+        :meth:`read_span` evaluates through ``RberModel.rber_many`` over
+        IEEE doubles, so both paths price a slot bit-identically.
         """
         block = self.blocks[block_id]
         pmask = block.prog_mask[page]
@@ -264,7 +200,7 @@ class FlashArray:
         ``spans`` lists ``(page, slots)`` in read order; the return value
         is the concatenated per-slot RBER array plus each page's start
         offset into it.  Side effects and values match per-page
-        :meth:`read` calls in sequence exactly: access times refresh,
+        :meth:`read_list` calls in sequence exactly: access times refresh,
         ``read_count`` advances once per page, and the read-disturb term
         of page ``k`` is evaluated at ``read_count + k`` just as the
         sequential loop would.  Only safe when nothing between the

@@ -61,13 +61,6 @@ class Geometry:
         """Channel hosting ``block``."""
         return self.chip_of(block) // self.config.chips_per_channel
 
-    def blocks_of_plane(self, plane: int) -> range:
-        """Global block indices belonging to ``plane``."""
-        if not 0 <= plane < self.planes:
-            raise ConfigError(f"plane {plane} out of range [0, {self.planes})")
-        start = plane * self.blocks_per_plane
-        return range(start, start + self.blocks_per_plane)
-
     # -- logical space -------------------------------------------------
 
     def lpn_of_lsn(self, lsn: Lsn) -> Lpn:
@@ -75,13 +68,6 @@ class Geometry:
         if lsn < 0:
             raise ConfigError(f"negative LSN {lsn}")
         return lsn // self.subpages_per_page
-
-    def lsn_range_of_lpn(self, lpn: Lpn) -> range:
-        """Logical subpages forming logical page ``lpn``."""
-        if lpn < 0:
-            raise ConfigError(f"negative LPN {lpn}")
-        start = lpn * self.subpages_per_page
-        return range(start, start + self.subpages_per_page)
 
     def byte_range_to_lsns(self, offset: Bytes, length: Bytes) -> range:
         """Logical subpages overlapped by the byte extent ``[offset, offset+length)``."""
@@ -96,10 +82,6 @@ class Geometry:
     def pages_per_block(self, slc: bool) -> int:
         """Page count of a block in the given mode."""
         return self.slc_pages_per_block if slc else self.mlc_pages_per_block
-
-    def subpages_per_block(self, slc: bool) -> int:
-        """Subpage count of a block in the given mode."""
-        return self.pages_per_block(slc) * self.subpages_per_page
 
     # -- internal ------------------------------------------------------
 

@@ -65,12 +65,3 @@ class WearTracker:
         if not candidates:
             return None
         return min(candidates, key=lambda b: (b.erase_count, b.block_id))
-
-    def summary(self) -> dict[str, int]:
-        """Wear statistics snapshot."""
-        return {
-            "min_erase": self.min_erase,
-            "max_erase": self.max_erase,
-            "spread": self.spread,
-            "leveling_moves": self.leveling_moves,
-        }

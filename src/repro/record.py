@@ -14,10 +14,11 @@ and one decoder.
 Decoding follows one rule for every record.  The payload must be an
 object with no unknown key and every field that has no default, and each
 value must be of a type its annotation admits: a bool is not an int, an
-int is a valid float, and nothing is coerced, so
-``to_dict(from_dict(d)) == d``.  Any other payload raises the record's
-:attr:`Record.error_type` naming the record and the field.  A record that
-defines ``validate`` is validated once decoded.
+int is a valid float, a float is finite (no NaN or infinity), and
+nothing is coerced, so ``to_dict(from_dict(d)) == d``.  Any other
+payload raises the record's :attr:`Record.error_type` naming the record
+and the field.  A record that defines ``validate`` is validated once
+decoded.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import base64
 import dataclasses
 import functools
 import json
+import math
 import reprlib
 import types
 import typing
@@ -147,9 +149,11 @@ def _scalar(hint: type) -> _Field:
     admits, rejects = _SCALARS[hint]
 
     def decode(value: Any, path: str) -> Any:
-        if isinstance(value, admits) and not isinstance(value, rejects):
-            return value
-        raise _mistyped(value, path, hint.__name__)
+        if not isinstance(value, admits) or isinstance(value, rejects):
+            raise _mistyped(value, path, hint.__name__)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _mistyped(value, path, "a finite float")
+        return value
 
     return _Field(_identity, decode, False)
 

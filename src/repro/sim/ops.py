@@ -63,11 +63,6 @@ class OpRecord(NamedTuple):
         """Subpages actually moved over the channel."""
         return self.transfer_slots if self.transfer_slots else self.n_slots
 
-    @property
-    def is_host(self) -> bool:
-        """True when the op directly serves the host request."""
-        return self.cause is Cause.HOST
-
 
 def _validating_new(cls, kind, block_id, page, n_slots, is_slc, cause,
                     transfer_slots=0, ecc_ms=0.0, raw_errors=0.0):

@@ -60,14 +60,6 @@ class ResourceSet:
             for b in range(geometry.total_blocks)
         ]
 
-    def chip_for_block(self, block_id: int) -> Resource:
-        """Chip server hosting ``block_id``."""
-        return self._pair[block_id][0]
-
-    def channel_for_block(self, block_id: int) -> Resource:
-        """Channel server hosting ``block_id``."""
-        return self._pair[block_id][1]
-
     def acquire_for_block(self, block_id: int, earliest: Ms,
                           duration: Ms) -> tuple[Ms, Ms]:
         """Reserve chip and channel together for one flash operation.

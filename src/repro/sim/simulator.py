@@ -298,8 +298,8 @@ class ReplayCore:
                  resources: ResourceSet | None = None, observer=None):
         self.ftl = ftl
         self.config = config if config is not None else ftl.config
-        self.timing = timing if timing is not None else TimingModel(
-            self.config, ecc=ftl.ecc, rber=ftl.rber)
+        self.timing = (timing if timing is not None
+                       else TimingModel(self.config))
         self.resources = (resources if resources is not None
                           else ResourceSet(ftl.geometry))
         self.pricer = self.timing.pricer(self.resources)
@@ -659,7 +659,7 @@ class Simulator:
         self.idle_gc = idle_gc
         self.idle_threshold_ms = idle_threshold_ms
         self.geometry = ftl.geometry
-        self.timing = TimingModel(self.config, ecc=ftl.ecc, rber=ftl.rber)
+        self.timing = TimingModel(self.config)
         #: The chip/channel clocks every replay of this simulator reserves.
         self.resources = ResourceSet(self.geometry)
 

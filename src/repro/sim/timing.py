@@ -2,19 +2,19 @@
 
 * page read: media sensing time (mode-dependent) + per-subpage channel
   transfer + BCH decode time (a function of the read subpages' RBER,
-  computed by the FTL when it issues the op),
+  computed by the FTL when it issues the op and carried on the op as
+  ``ecc_ms``),
 * page program: per-subpage channel transfer + media program time,
 * erase: the Table 2 block erase time.
 
-A *pseudo read* is a read of a logical address the trace never wrote:
-the data is assumed to pre-exist in the high-density region, priced as an
-MLC read at the base (undisturbed) RBER.
+The model never prices RBER or ECC itself: every read op, including a
+*pseudo read* of never-written data (``BaseFTL._pseudo_reads``), arrives
+with its decode time already set.
 """
 
 from __future__ import annotations
 
 from ..config import SSDConfig
-from ..error import EccModel, RberModel
 from ..units import Ms
 from .ops import OpKind, OpRecord
 from .resources import ResourceSet
@@ -26,14 +26,10 @@ _PROGRAM = OpKind.PROGRAM
 class TimingModel:
     """Prices :class:`~repro.sim.ops.OpRecord` instances."""
 
-    def __init__(self, config: SSDConfig,
-                 ecc: EccModel | None = None,
-                 rber: RberModel | None = None):
+    def __init__(self, config: SSDConfig):
         config.validate()
         self.config = config
         self.timing = config.timing
-        self.ecc = ecc if ecc is not None else EccModel(config.timing, config.reliability)
-        self.rber = rber if rber is not None else RberModel(config.reliability)
         # Table 2 latencies are fixed for a config; hoist them out of the
         # per-operation pricing path (attribute chains are hot here).
         t = self.timing
@@ -69,16 +65,6 @@ class TimingModel:
     def pricer(self, resources: ResourceSet) -> "OpPricer":
         """An :class:`OpPricer` bound to this model and ``resources``."""
         return OpPricer(self, resources)
-
-    def pseudo_read_ecc_ms(self) -> Ms:
-        """ECC decode time for never-written (pre-existing MLC) data."""
-        base = self.rber.base(self.config.reliability.initial_pe_cycles, slc=False)
-        return self.ecc.decode_ms(base)
-
-    def pseudo_read_raw_errors(self, n_slots: int) -> float:
-        """Expected raw bit errors of a pseudo read of ``n_slots`` subpages."""
-        base = self.rber.base(self.config.reliability.initial_pe_cycles, slc=False)
-        return self.ecc.expected_raw_errors(base, n_slots * self.config.geometry.subpage_size)
 
 
 class OpPricer:

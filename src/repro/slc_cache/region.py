@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from ..ftl.levels import SLC_LEVELS, BlockLevel
 from ..nand.block import BlockState
-from ..units import Bytes
 
 
 @dataclass(frozen=True)
@@ -19,20 +18,6 @@ class LevelStats:
     invalid_subpages: int
     programmed_subpages: int
     updated_pages: int
-
-    @property
-    def valid_bytes(self) -> Bytes:
-        """Live bytes resident at this level (4 KiB subpages)."""
-        return self.valid_subpages * 4096
-
-    @property
-    def utilization(self) -> float:
-        """Programmed share of this level's allocated space (64-page
-        SLC-mode blocks of four-subpage pages)."""
-        capacity = self.blocks * 64 * 4
-        if capacity == 0:
-            return 0.0
-        return self.programmed_subpages / capacity
 
 
 class SlcCacheView:
@@ -76,16 +61,6 @@ class SlcCacheView:
     def free_blocks(self) -> int:
         """Blocks available for allocation."""
         return self.ftl.slc_alloc.free_blocks
-
-    @property
-    def free_fraction(self) -> float:
-        """Free share of the region (the GC trigger input)."""
-        return self.ftl.slc_alloc.free_fraction
-
-    @property
-    def under_pressure(self) -> bool:
-        """Whether GC would trigger right now."""
-        return self.ftl.slc_gc.needs_collection()
 
     def summary_rows(self) -> list[dict]:
         """Rows for :func:`repro.metrics.report.format_table`."""

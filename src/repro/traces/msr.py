@@ -25,36 +25,51 @@ from .stream import DEFAULT_CHUNK_REQUESTS as _DEFAULT_CHUNK_REQUESTS
 
 #: Windows filetime ticks per millisecond.
 _TICKS_PER_MS = 10_000
+#: Largest timestamp and extent end a row may carry: the columns are
+#: int64, and neither a rebase (``ticks - first``) nor ``offset + size``
+#: of in-range values can overflow.
+_INT64_MAX = 2**63 - 1
 
 
 def _rows(handle: "Iterable[str]",
           name: str) -> "Iterator[tuple[int, int, bool, int, int]]":
     """``(lineno, ticks, is_write, offset, size)`` of each request row.
 
-    Blank lines and ``#`` comments are skipped; a short row, a
-    non-integer field, an unknown op or a bad extent raises
-    :class:`TraceError` naming the line.
+    Blank lines and ``#`` comments are skipped; a short or unreadable
+    row, a non-integer field, an unknown op, a timestamp outside
+    ``[0, 2**63)`` or a bad extent raises :class:`TraceError` naming the
+    line, and a file that is not UTF-8 one naming the file.
     """
-    for lineno, row in enumerate(csv.reader(handle), start=1):
-        if not row or row[0].startswith("#"):
-            continue
-        if len(row) < 6:
-            raise TraceError(
-                f"{name}:{lineno}: expected >=6 fields, got {len(row)}")
-        try:
-            ticks = int(row[0])
-            op = row[3].strip().lower()
-            offset = int(row[4])
-            size = int(row[5])
-        except ValueError as exc:
-            raise TraceError(
-                f"{name}:{lineno}: malformed field ({exc})") from None
-        if op not in ("read", "write", "r", "w"):
-            raise TraceError(f"{name}:{lineno}: unknown op {row[3]!r}")
-        if size <= 0 or offset < 0:
-            raise TraceError(
-                f"{name}:{lineno}: invalid extent {offset}+{size}")
-        yield lineno, ticks, op.startswith("w"), offset, size
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if not row or row[0].startswith("#"):
+                continue
+            if len(row) < 6:
+                raise TraceError(
+                    f"{name}:{lineno}: expected >=6 fields, got {len(row)}")
+            try:
+                ticks = int(row[0])
+                op = row[3].strip().lower()
+                offset = int(row[4])
+                size = int(row[5])
+            except ValueError as exc:
+                raise TraceError(
+                    f"{name}:{lineno}: malformed field ({exc})") from None
+            if op not in ("read", "write", "r", "w"):
+                raise TraceError(f"{name}:{lineno}: unknown op {row[3]!r}")
+            if size <= 0 or offset < 0 or offset + size > _INT64_MAX:
+                raise TraceError(
+                    f"{name}:{lineno}: invalid extent {offset}+{size}")
+            if not 0 <= ticks <= _INT64_MAX:
+                raise TraceError(
+                    f"{name}:{lineno}: timestamp {ticks} out of range")
+            yield lineno, ticks, op.startswith("w"), offset, size
+    except csv.Error as exc:
+        raise TraceError(f"{name}:{lineno + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{getattr(handle, 'name', name)}: not UTF-8 "
+                         f"text ({exc.reason})") from None
 
 
 def parse_msr_csv(
@@ -70,7 +85,8 @@ def parse_msr_csv(
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        handle: io.TextIOBase = open(path, "r", newline="")
+        handle: io.TextIOBase = open(path, "r", encoding="utf-8",
+                                     newline="")
         trace_name = name or path.stem
         close = True
     else:
@@ -152,7 +168,7 @@ class MsrStream:
         offsets: list[int] = []
         sizes: list[int] = []
         emitted = False
-        with open(self.path, "r", newline="") as handle:
+        with open(self.path, "r", encoding="utf-8", newline="") as handle:
             for lineno, ts, is_write, offset, size in _rows(handle, name):
                 if t0 is None:
                     t0 = ts
@@ -182,7 +198,8 @@ class MsrStream:
 def write_msr_csv(trace: Trace, destination: "str | Path | io.TextIOBase") -> None:
     """Serialise a trace back to the MSR CSV format (round-trip support)."""
     if isinstance(destination, (str, Path)):
-        handle: io.TextIOBase = open(destination, "w", newline="")
+        handle: io.TextIOBase = open(destination, "w", encoding="utf-8",
+                                     newline="")
         close = True
     else:
         handle = destination

@@ -88,55 +88,11 @@ def kib(n: float) -> Bytes:
     return int(n * KIB)
 
 
-def mib(n: float) -> Bytes:
-    """Return ``n`` MiB expressed in bytes."""
-    return int(n * MIB)
-
-
-def gib(n: float) -> Bytes:
-    """Return ``n`` GiB expressed in bytes."""
-    return int(n * GIB)
-
-
-def bytes_to_kib(n: Bytes) -> Kib:
-    """Return ``n`` bytes expressed in KiB."""
-    return n / KIB
-
-
-def bytes_to_mib(n: Bytes) -> float:
-    """Return ``n`` bytes expressed in MiB."""
-    return n / MIB
-
-
 def ceil_div(a: int, b: int) -> int:
     """Integer ceiling division; ``b`` must be positive."""
     if b <= 0:
         raise ValueError(f"divisor must be positive, got {b}")
     return -(-a // b)
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to a multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return (value // alignment) * alignment
-
-
-def align_up(value: int, alignment: int) -> int:
-    """Round ``value`` up to a multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return ceil_div(value, alignment) * alignment
-
-
-def ms_to_us(t_ms: float) -> float:
-    """Convert milliseconds to microseconds."""
-    return t_ms * 1e3
-
-
-def us_to_ms(t_us: float) -> Ms:
-    """Convert microseconds to milliseconds."""
-    return t_us * 1e-3
 
 
 def fmt_bytes(n: Bytes) -> str:
@@ -149,12 +105,3 @@ def fmt_bytes(n: Bytes) -> str:
             return f"{value:.2f}{suffix}"
         value /= 1024.0
     raise AssertionError("unreachable")
-
-
-def fmt_ms(t_ms: Ms) -> str:
-    """Human-readable latency: microseconds below 1 ms, otherwise ms."""
-    if t_ms < 1.0:
-        return f"{t_ms * 1e3:.2f}us"
-    if t_ms < 1e3:
-        return f"{t_ms:.3f}ms"
-    return f"{t_ms / 1e3:.3f}s"

@@ -50,18 +50,6 @@ class TestCodewords:
             code.codewords_for(-1)
 
 
-class TestExpectedErrors:
-    def test_linear_in_rber(self, code):
-        assert code.expected_errors(2e-4) == pytest.approx(2 * code.expected_errors(1e-4))
-
-    def test_value(self, code):
-        assert code.expected_errors(2.8e-4) == pytest.approx(2.8e-4 * 4161)
-
-    def test_negative_rber_rejected(self, code):
-        with pytest.raises(ConfigError):
-            code.expected_errors(-1e-4)
-
-
 class TestFailureProbability:
     def test_zero_rber(self, code):
         assert code.failure_probability(0.0) == 0.0
@@ -90,11 +78,3 @@ class TestFailureProbability:
     def test_negative_rejected(self, code):
         with pytest.raises(ConfigError):
             code.failure_probability(-0.1)
-
-
-class TestCorrectable:
-    def test_within_capability(self, code):
-        assert code.correctable(5)
-
-    def test_beyond_capability(self, code):
-        assert not code.correctable(6)

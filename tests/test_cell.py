@@ -8,14 +8,6 @@ class TestCellMode:
         assert CellMode.SLC.is_slc
         assert not CellMode.MLC.is_slc
 
-    def test_bits_per_cell(self):
-        assert CellMode.SLC.bits_per_cell == 1
-        assert CellMode.MLC.bits_per_cell == 2
-
     def test_pages_per_block_selector(self):
         assert CellMode.SLC.pages_per_block(64, 128) == 64
         assert CellMode.MLC.pages_per_block(64, 128) == 128
-
-    def test_endurance_ratio_paper(self):
-        # Section 4.3.2: SLC:MLC endurance is 10:1.
-        assert CellMode.SLC.endurance_factor == 10 * CellMode.MLC.endurance_factor

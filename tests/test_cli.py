@@ -1,6 +1,10 @@
 """CLI surface."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +102,44 @@ class TestCommands:
         assert main(["simulate", "--trace", "ads", "--scheme", "delta",
                      "--scale", "smoke", "--seed", "3"]) == 0
         assert "delta" in capsys.readouterr().out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fleet", "--tenants", "ts0:abc"], "argument --tenants: 'abc' is not a number"),
+    (["faults", "--rates", "0,x"], "argument --rates: 'x' is not a number"),
+    (["fleet", "--tenants", "nosuch"],
+     "repro-ssd: error: unknown tenant profile 'nosuch'"),
+    (["simulate", "--qd", "-1"],
+     "repro-ssd: error: queue_depth must be >= 1, got -1"),
+], ids=["tenant-weight", "fault-rate", "tenant-profile", "negative-qd"])
+def test_bad_argument_is_an_error_not_a_traceback(argv, message, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC),
+           "REPRO_CACHE_DIR": str(tmp_path / "cache")}
+    proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_run_qd_items_must_be_integers(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "ext-qd", "--qd", "1,y"])
+    assert info.value.code == 2
+    assert "argument --qd: 'y' is not an integer" in capsys.readouterr().err
+
+
+def test_comma_lists_parse_to_numbers():
+    args = build_parser().parse_args(["faults", "--rates", "0,0.5"])
+    assert args.rates == (0.0, 0.5)
+    assert build_parser().parse_args(["faults"]).rates == (0.0, 0.5, 1.0)
+    args = build_parser().parse_args(["run", "ext-qd", "--qd", "1,8"])
+    assert args.qd == (1, 8)
+    args = build_parser().parse_args(["fleet", "--tenants", "ts0, usr0:0.5,"])
+    assert [(t.profile, t.weight) for t in args.tenants] == [
+        ("ts0", 1.0), ("usr0", 0.5)]

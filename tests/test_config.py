@@ -69,11 +69,6 @@ class TestTimingConfig:
         assert t.ecc_min_ms == 0.0005
         assert t.ecc_max_ms == 0.0968
 
-    def test_mode_selectors(self):
-        t = TimingConfig()
-        assert t.read_ms(slc=True) < t.read_ms(slc=False)
-        assert t.write_ms(slc=True) < t.write_ms(slc=False)
-
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError):
             TimingConfig(slc_read_ms=-1).validate()

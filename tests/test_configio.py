@@ -66,6 +66,31 @@ class TestConfigRoundTrip:
         assert (tmp_path / "b.json").read_text() == text
 
 
+class TestMalformedFiles:
+    """Every file ``load_config`` cannot read as a config is a
+    ConfigError naming the file."""
+
+    @pytest.mark.parametrize("content, match", [
+        (b'{"seed": 1}\xff', "invalid JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+        (b'{"timing": {"slc_read_ms": NaN}}', "'timing.slc_read_ms'"),
+        (b'{"timing": {"mlc_read_ms": Infinity}}', "'timing.mlc_read_ms'"),
+        (b'{"cache": {"slc_ratio": 2.0}}', "slc_ratio"),
+    ], ids=["non-utf8", "nested-100k-deep", "nan", "infinity", "invalid"])
+    def test_names_the_file(self, tmp_path, content, match):
+        path = tmp_path / "device.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=match) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigError, match="cannot read") as info:
+            load_config(path)
+        assert str(path) in str(info.value)
+
+
 class TestArtifactJson:
     def test_to_dict(self):
         art = Artifact(id="x", title="T", rows=[{"a": 1}], notes="n",

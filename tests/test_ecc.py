@@ -36,26 +36,14 @@ class TestDecodeLatency:
 
 class TestPageDecode:
     def test_worst_subpage_dominates(self, ecc):
-        mixed = ecc.decode_ms_for_subpages(np.array([1e-5, 4e-4]))
-        assert mixed == pytest.approx(ecc.decode_ms(4e-4))
+        mixed = ecc.decode_ms_list([1e-5, 4e-4, 2e-5])
+        assert mixed == ecc.decode_ms(4e-4)
 
     def test_empty_read_is_min(self, ecc):
-        assert ecc.decode_ms_for_subpages(np.array([])) == pytest.approx(0.0005)
+        assert ecc.decode_ms_list([]) == pytest.approx(0.0005)
 
     def test_accepts_list(self, ecc):
-        assert ecc.decode_ms_for_subpages([1e-4]) == pytest.approx(ecc.decode_ms(1e-4))
-
-
-class TestRawErrors:
-    def test_expected_raw_errors(self, ecc):
-        assert ecc.expected_raw_errors(2.8e-4, 4096) == pytest.approx(2.8e-4 * 4096 * 8)
-
-    def test_zero_bytes(self, ecc):
-        assert ecc.expected_raw_errors(1e-3, 0) == 0.0
-
-    def test_negative_size_rejected(self, ecc):
-        with pytest.raises(ValueError):
-            ecc.expected_raw_errors(1e-4, -1)
+        assert ecc.decode_ms_list([1e-4]) == ecc.decode_ms(1e-4)
 
 
 class TestUncorrectable:

@@ -1,5 +1,7 @@
 """FlashArray facade: regions, operations, counters, RBER queries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,19 +77,23 @@ class TestOperations:
     def test_read_requires_programmed(self, flash):
         block = open_slc(flash)
         with pytest.raises(FlashError):
-            flash.read(block.block_id, 0, [0], 0.0)
+            flash.read_list(block.block_id, 0, [0], 0.0)
+        with pytest.raises(FlashError):
+            flash.read_span(block.block_id, [(0, [0])], 0.0)
+        assert block.read_count == 0
 
     def test_read_returns_rbers(self, flash):
         block = open_slc(flash)
         flash.program(block.block_id, 0, [0, 1], [1, 2], 0.0)
-        rbers = flash.read(block.block_id, 0, [0, 1], 1.0)
-        assert rbers.shape == (2,)
-        assert (rbers > 0).all()
+        rbers = flash.read_list(block.block_id, 0, [0, 1], 1.0)
+        assert len(rbers) == 2
+        assert all(r > 0 for r in rbers)
+        assert block.read_count == 1
 
     def test_read_touches_access_time(self, flash):
         block = open_slc(flash)
         flash.program(block.block_id, 0, [0], [1], 0.0)
-        flash.read(block.block_id, 0, [0], 5.0)
+        flash.read_list(block.block_id, 0, [0], 5.0)
         assert block.slot_time[0, 0] == 5.0
 
     def test_erase_counters_by_region(self, flash):
@@ -99,24 +105,58 @@ class TestOperations:
         assert flash.erases_mlc == 0
 
     def test_effective_pe_includes_initial(self, flash):
-        block_id = flash.slc_block_ids[0]
+        """A read prices its block at ``initial_pe_cycles`` plus the
+        erases this simulation performed."""
         initial = flash.config.reliability.initial_pe_cycles
-        assert flash.effective_pe(block_id) == initial
         block = open_slc(flash)
         flash.program(block.block_id, 0, [0], [1], 0.0)
+        assert flash.read_list(block.block_id, 0, [0], 1.0) == [
+            flash.rber.base(initial, True)]
         flash.invalidate(block.block_id, 0, 0)
         flash.erase(block.block_id)
-        assert flash.effective_pe(block_id) == initial + 1
+        block.open_as(1, 0.0)
+        flash.program(block.block_id, 0, [0], [1], 0.0)
+        assert flash.read_list(block.block_id, 0, [0], 1.0) == [
+            flash.rber.base(initial + 1, True)]
+
+
+def rber(flash, block, page=0, slot=0):
+    """RBER of one slot as a read prices it."""
+    return flash.read_list(block.block_id, page, [slot], 0.0)[0]
 
 
 class TestRberQueries:
     def test_disturbed_subpage_has_higher_rber(self, flash):
         block = open_slc(flash)
         flash.program(block.block_id, 0, [0], [1], 0.0)
-        before = flash.subpage_rbers(block.block_id, 0, [0])[0]
+        before = rber(flash, block)
         flash.program(block.block_id, 0, [1], [2], 0.0)  # partial pass
-        after = flash.subpage_rbers(block.block_id, 0, [0])[0]
+        after = rber(flash, block)
         assert after > before
+
+    def test_span_read_prices_like_page_reads(self):
+        """``read_span`` (the GC drain) and per-page ``read_list`` calls
+        agree bit for bit: program and read disturb, and retention."""
+        cfg = tiny_config()
+        cfg = dataclasses.replace(cfg, reliability=dataclasses.replace(
+            cfg.reliability, read_disturb_unit_ratio=0.01,
+            retention_unit_per_ms=1e-3))
+        twins = []
+        for _ in range(2):
+            f = FlashArray(cfg)
+            block = open_slc(f)
+            for page in range(3):
+                f.program(block.block_id, page, [0], [page], 0.0)
+                f.program(block.block_id, page, [1, 2], [9, 9], 0.0)
+            twins.append((f, block))
+        (one, a), (other, b) = twins
+        spans = [(0, [0, 1, 2]), (1, [0]), (2, [1, 2])]
+        rbers, offsets = one.read_span(a.block_id, spans, 3.0)
+        flat = [v for page, slots in spans
+                for v in other.read_list(b.block_id, page, slots, 3.0)]
+        assert rbers.tolist() == flat
+        assert offsets == [0, 3, 4]
+        assert a.read_count == b.read_count == 3
 
     def test_mlc_rber_at_least_slc(self, flash):
         slc = open_slc(flash)
@@ -124,17 +164,17 @@ class TestRberQueries:
         mlc.open_as(0, 0.0)
         flash.program(slc.block_id, 0, [0], [1], 0.0)
         flash.program(mlc.block_id, 0, [0], [2], 0.0)
-        r_slc = flash.subpage_rbers(slc.block_id, 0, [0])[0]
-        r_mlc = flash.subpage_rbers(mlc.block_id, 0, [0])[0]
+        r_slc = rber(flash, slc)
+        r_mlc = rber(flash, mlc)
         assert r_mlc >= r_slc
 
     def test_rber_grows_with_wear(self, flash):
         block = open_slc(flash)
         flash.program(block.block_id, 0, [0], [1], 0.0)
-        fresh = flash.subpage_rbers(block.block_id, 0, [0])[0]
+        fresh = rber(flash, block)
         flash.invalidate(block.block_id, 0, 0)
         flash.erase(block.block_id)
         block.open_as(1, 0.0)
         flash.program(block.block_id, 0, [0], [1], 0.0)
-        worn = flash.subpage_rbers(block.block_id, 0, [0])[0]
+        worn = rber(flash, block)
         assert worn > fresh

@@ -40,28 +40,11 @@ class TestHierarchy:
             chip = geo.chip_of(block)
             assert geo.channel_of(block) == chip // 2
 
-    def test_blocks_of_plane_partition(self, geo):
-        seen = set()
-        for plane in range(geo.planes):
-            blocks = set(geo.blocks_of_plane(plane))
-            assert not blocks & seen
-            seen |= blocks
-        assert seen == set(range(64))
-
-    def test_blocks_of_plane_matches_plane_of(self, geo):
-        for plane in range(geo.planes):
-            for block in geo.blocks_of_plane(plane):
-                assert geo.plane_of(block) == plane
-
     def test_out_of_range_block(self, geo):
         with pytest.raises(ConfigError):
             geo.plane_of(64)
         with pytest.raises(ConfigError):
             geo.plane_of(-1)
-
-    def test_out_of_range_plane(self, geo):
-        with pytest.raises(ConfigError):
-            geo.blocks_of_plane(8)
 
 
 class TestLogicalSpace:
@@ -70,12 +53,11 @@ class TestLogicalSpace:
         assert geo.lpn_of_lsn(3) == 0
         assert geo.lpn_of_lsn(4) == 1
 
-    def test_lsn_range_of_lpn(self, geo):
-        assert list(geo.lsn_range_of_lpn(2)) == [8, 9, 10, 11]
-
     def test_lpn_lsn_roundtrip(self, geo):
+        spp = geo.subpages_per_page
         for lsn in range(32):
-            assert lsn in geo.lsn_range_of_lpn(geo.lpn_of_lsn(lsn))
+            lpn = geo.lpn_of_lsn(lsn)
+            assert lpn * spp <= lsn < (lpn + 1) * spp
 
     def test_negative_lsn_rejected(self, geo):
         with pytest.raises(ConfigError):
@@ -105,10 +87,6 @@ class TestCapacity:
     def test_pages_per_block_modes(self, geo):
         assert geo.pages_per_block(slc=True) == 64
         assert geo.pages_per_block(slc=False) == 128
-
-    def test_subpages_per_block(self, geo):
-        assert geo.subpages_per_block(slc=True) == 256
-        assert geo.subpages_per_block(slc=False) == 512
 
 
 class TestPPA:

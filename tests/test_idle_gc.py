@@ -10,6 +10,11 @@ from repro.traces.model import Trace
 from conftest import tiny_config
 
 
+def below_threshold(gc):
+    """Whether the region's free pool is under its GC trigger."""
+    return gc.allocator.free_blocks < gc._threshold
+
+
 def bursty_trace(n=1200, burst=50, gap_ms=30.0):
     """Writes in dense bursts separated by long idle gaps."""
     base = generate(profile("ts0"), n_requests=n, seed=4,
@@ -31,12 +36,12 @@ class TestIdleCollect:
     def test_idle_collect_reaches_restore(self):
         ftl = BaselineFTL(tiny_config())
         lsn = 0
-        while not ftl.slc_gc.needs_collection():
+        while not below_threshold(ftl.slc_gc):
             ftl.write([lsn], 0.0)
             lsn += 4
         ops = ftl.idle_collect(1.0)
         assert ops
-        assert not ftl.slc_gc.needs_collection()
+        assert not below_threshold(ftl.slc_gc)
         assert not ftl.slc_gc.draining
 
     def test_state_consistent(self):

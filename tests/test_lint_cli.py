@@ -44,7 +44,7 @@ def test_lint_json_format_on_committed_tree(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["new"] == 0
-    assert payload["rules_run"] == ["D001", "D002", "D003", "S001", "S002",
+    assert payload["rules_run"] == ["D001", "D002", "D003", "S002",
                                     "C001", "U001", "U002", "U003",
                                     "M001", "M002", "N001", "N002",
                                     "K001", "K002", "K003",
@@ -70,7 +70,7 @@ def test_lint_json_reports_seeded_violation(tmp_path, capsys):
     assert violation["fingerprint"]
 
 
-@pytest.mark.parametrize("rule", ["D001", "D002", "D003", "S001", "S002",
+@pytest.mark.parametrize("rule", ["D001", "D002", "D003", "S002",
                                   "C001", "U001", "U002", "U003",
                                   "M001", "M002", "N001", "N002",
                                   "K001", "K002", "K003",
@@ -272,7 +272,7 @@ def test_sarif_clean_tree_schema(monkeypatch, capsys):
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro-ssd-lint"
     rule_ids = [r["id"] for r in driver["rules"]]
-    assert rule_ids == ["D001", "D002", "D003", "S001", "S002", "C001",
+    assert rule_ids == ["D001", "D002", "D003", "S002", "C001",
                         "U001", "U002", "U003", "M001", "M002", "N001",
                         "N002", "K001", "K002", "K003", "P001", "P002",
                         "P003"]

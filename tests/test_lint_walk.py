@@ -261,10 +261,10 @@ def test_analysis_modules_do_not_call_ast_walk():
 
 def test_analysis_passes_share_one_typed_index():
     """Class and type facts live in ``callgraph.py`` alone (checked on
-    the AST): only it reads ``ClassInfo.base_names``, only the engine,
-    the index and the schema reader call ``ast.parse``, and no analysis
-    module imports another's private names."""
-    parsers = {"core.py", "callgraph.py", "schema.py"}
+    the AST): only it reads ``ClassInfo.base_names``, only the engine
+    and the index call ``ast.parse``, and no analysis module imports
+    another's private names."""
+    parsers = {"core.py", "callgraph.py"}
     offenders = []
     for path in iter_python_files(ANALYSIS_DIR):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -311,18 +311,18 @@ def committed_modules() -> set[str]:
 
 
 def test_full_run_builds_one_index_over_every_module(index_builds):
-    run_lint(PACKAGE_ROOT, REPO_ROOT)
+    run_lint(PACKAGE_ROOT)
     assert len(index_builds) == 1
     assert set(index_builds[0].modules) == committed_modules()
 
 
 def test_per_file_families_build_no_index(index_builds):
-    result = run_lint(PACKAGE_ROOT, REPO_ROOT, select=["D", "S", "C", "N"])
+    result = run_lint(PACKAGE_ROOT, select=["D", "S", "C", "N"])
     assert result.rules_run
     assert index_builds == []
 
 
 def test_changed_only_scope_still_indexes_the_whole_tree(index_builds):
-    run_lint(PACKAGE_ROOT, REPO_ROOT, only={"units.py", "nand/block.py"})
+    run_lint(PACKAGE_ROOT, only={"units.py", "nand/block.py"})
     assert len(index_builds) == 1
     assert set(index_builds[0].modules) == committed_modules()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import BaselineFTL
 from repro.config import SSDConfig
 from repro.sim.ops import Cause, OpKind, OpRecord
 from repro.sim.timing import TimingModel
@@ -22,10 +23,6 @@ def timing():
 
 
 class TestOpRecord:
-    def test_is_host(self):
-        assert op(cause=Cause.HOST).is_host
-        assert not op(cause=Cause.GC).is_host
-
     def test_channel_slots_defaults_to_n_slots(self):
         assert op(n_slots=3).channel_slots == 3
 
@@ -81,8 +78,14 @@ class TestTiming:
         assert mlc - slc == pytest.approx(0.05 - 0.025)
 
     def test_pseudo_read_helpers(self, timing):
-        ecc = timing.pseudo_read_ecc_ms()
-        assert 0.0005 <= ecc <= 0.0968
-        errors = timing.pseudo_read_raw_errors(2)
-        assert errors > 0
-        assert errors == pytest.approx(2 * timing.pseudo_read_raw_errors(1))
+        """A read of never-written data is an MLC read at the base RBER
+        (``BaseFTL._pseudo_reads``), its raw errors linear in subpages."""
+        ftl = BaselineFTL(timing.config)
+        (one,) = ftl.handle_read([0], 0.0)
+        (two,) = ftl.handle_read([4, 5], 0.0)
+        assert not one.is_slc and one.cause is Cause.HOST
+        assert 0.0005 <= one.ecc_ms <= 0.0968
+        assert two.ecc_ms == one.ecc_ms
+        assert one.raw_errors > 0
+        assert two.raw_errors == pytest.approx(2 * one.raw_errors)
+        assert ftl.stats.pseudo_read_ops == 2

@@ -34,21 +34,21 @@ class TestAcquirePipelined:
         start, end = rs.acquire_pipelined(0, 0.0, chip_ms=0.025,
                                           channel_ms=0.04, chip_first=True)
         assert (start, end) == (0.0, pytest.approx(0.065))
-        assert rs.chip_for_block(0).next_free == pytest.approx(0.025)
-        assert rs.channel_for_block(0).next_free == pytest.approx(0.065)
+        assert rs.chips[rs.geometry.chip_of(0)].next_free == pytest.approx(0.025)
+        assert rs.channels[rs.geometry.channel_of(0)].next_free == pytest.approx(0.065)
 
     def test_program_channel_then_chip(self, rs):
         start, end = rs.acquire_pipelined(0, 0.0, chip_ms=0.3,
                                           channel_ms=0.04, chip_first=False)
         assert end == pytest.approx(0.34)
-        assert rs.channel_for_block(0).next_free == pytest.approx(0.04)
-        assert rs.chip_for_block(0).next_free == pytest.approx(0.34)
+        assert rs.channels[rs.geometry.channel_of(0)].next_free == pytest.approx(0.04)
+        assert rs.chips[rs.geometry.chip_of(0)].next_free == pytest.approx(0.34)
 
     def test_erase_chip_only(self, rs):
         start, end = rs.acquire_pipelined(0, 0.0, chip_ms=10.0,
                                           channel_ms=0.0, chip_first=True)
         assert end == 10.0
-        assert rs.channel_for_block(0).next_free == 0.0
+        assert rs.channels[rs.geometry.channel_of(0)].next_free == 0.0
 
     def test_channel_freed_during_media_time(self, rs):
         """Two programs to different chips on one channel overlap their
@@ -147,7 +147,7 @@ def test_pricer_pickles_with_its_resources():
                         1.0) == pricer.reserve(
         OpRecord(OpKind.ERASE, 0, 0, 0, True, Cause.GC), 1.0)
     # The restored pricer still books onto the restored resource set.
-    assert copy.resources.chip_for_block(0).operations == 2
+    assert copy.resources.chips[copy.resources.geometry.chip_of(0)].operations == 2
 
 
 class TestEndToEnd:

@@ -13,6 +13,13 @@ def model():
     return RberModel(ReliabilityConfig())
 
 
+def rbers(model, n_in, n_nb, pe=4000):
+    """SLC subpage RBERs at ``pe`` from their disturb counts, as a
+    replay prices them."""
+    return model.rber_many(pe, True, np.array(n_in, dtype=np.int64),
+                           np.array(n_nb, dtype=np.int64)).tolist()
+
+
 class TestCalibration:
     def test_conventional_anchor(self, model):
         assert model.base(4000) == pytest.approx(2.8e-4, rel=1e-9)
@@ -44,13 +51,13 @@ class TestMonotonicity:
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
     def test_disturb_raises_rber(self, model):
-        base = model.subpage_rber(4000, True)
-        assert model.subpage_rber(4000, True, n_in=1) > base
-        assert model.subpage_rber(4000, True, n_nb=1) > base
+        base, in_page, neighbor = rbers(model, [0, 1, 0], [0, 0, 1])
+        assert base == model.base(4000)
+        assert in_page > base
+        assert neighbor > base
 
     def test_neighbor_weaker_than_in_page(self, model):
-        in_page = model.subpage_rber(4000, True, n_in=1)
-        neighbor = model.subpage_rber(4000, True, n_nb=1)
+        _, in_page, neighbor = rbers(model, [0, 1, 0], [0, 0, 1])
         assert neighbor < in_page
 
     def test_mlc_factor(self):
@@ -65,14 +72,6 @@ class TestMonotonicity:
 
 
 class TestVectorized:
-    def test_array_matches_scalar(self, model):
-        n_in = np.array([0, 1, 2, 3])
-        n_nb = np.array([0, 2, 0, 1])
-        arr = model.subpage_rber_array(4000, True, n_in, n_nb)
-        for i in range(4):
-            scalar = model.subpage_rber(4000, True, int(n_in[i]), int(n_nb[i]))
-            assert arr[i] == pytest.approx(scalar)
-
     def test_curve_shape(self, model):
         curves = model.curve([1000, 2000, 4000])
         assert len(curves["pe"]) == 3
@@ -88,5 +87,5 @@ class TestConsistencyWithSubpageModel:
     def test_full_budget_subpage_equals_partial_curve(self, model):
         """A subpage that absorbed (max_programs - 1) in-page events sits
         exactly on the partial-programming curve."""
-        value = model.subpage_rber(4000, True, n_in=3, n_nb=0)
+        (value,) = rbers(model, [3], [0])
         assert value == pytest.approx(model.partial_typical(4000))

@@ -26,45 +26,50 @@ def programmed_flash(cfg):
     return flash, block
 
 
+def rber(flash, block, page=0, now=0.0):
+    """RBER of slot 0 as a read prices it (the read itself is counted)."""
+    return flash.read_list(block.block_id, page, [0], now)[0]
+
+
 class TestReadDisturb:
     def test_off_by_default(self):
         flash, block = programmed_flash(tiny_config())
-        before = flash.subpage_rbers(block.block_id, 0, [0])[0]
+        before = rber(flash, block)
         for t in range(50):
-            flash.read(block.block_id, 0, [0], float(t))
-        after = flash.subpage_rbers(block.block_id, 0, [0])[0]
+            flash.read_list(block.block_id, 0, [0], float(t))
+        after = rber(flash, block)
         assert after == before
 
     def test_reads_raise_rber_when_enabled(self):
         flash, block = programmed_flash(rd_config())
-        before = flash.subpage_rbers(block.block_id, 0, [0])[0]
+        before = rber(flash, block)
         for t in range(50):
-            flash.read(block.block_id, 0, [0], float(t))
-        after = flash.subpage_rbers(block.block_id, 0, [0])[0]
+            flash.read_list(block.block_id, 0, [0], float(t))
+        after = rber(flash, block)
         assert after > before
 
     def test_linear_in_read_count(self):
         flash, block = programmed_flash(rd_config(0.02))
-        base = flash.subpage_rbers(block.block_id, 0, [0])[0]
-        flash.read(block.block_id, 0, [0], 0.0)
-        one = flash.subpage_rbers(block.block_id, 0, [0])[0]
-        flash.read(block.block_id, 0, [0], 1.0)
-        two = flash.subpage_rbers(block.block_id, 0, [0])[0]
+        # Each read is priced at the reads before it: 0, 1 and 2.
+        base = rber(flash, block)
+        one = rber(flash, block)
+        two = rber(flash, block)
         assert two - one == pytest.approx(one - base)
+        assert one > base
 
     def test_affects_whole_block(self):
         flash, block = programmed_flash(rd_config())
         flash.program(block.block_id, 1, [0], [3], 0.0)
-        before = flash.subpage_rbers(block.block_id, 1, [0])[0]
+        before = rber(flash, block, page=1)
         for t in range(20):
-            flash.read(block.block_id, 0, [0], float(t))  # read page 0 only
-        after = flash.subpage_rbers(block.block_id, 1, [0])[0]
+            flash.read_list(block.block_id, 0, [0], float(t))  # read page 0 only
+        after = rber(flash, block, page=1)
         assert after > before
 
     def test_erase_heals(self):
         flash, block = programmed_flash(rd_config())
         for t in range(20):
-            flash.read(block.block_id, 0, [0], float(t))
+            flash.read_list(block.block_id, 0, [0], float(t))
         assert block.read_count == 20
         flash.invalidate(block.block_id, 0, 0)
         flash.invalidate(block.block_id, 0, 1)
@@ -77,10 +82,10 @@ class TestReadDisturb:
         block = flash.block(flash.mlc_block_ids[0])
         block.open_as(0, 0.0)
         flash.program(block.block_id, 0, [0], [1], 0.0)
-        before = flash.subpage_rbers(block.block_id, 0, [0])[0]
+        before = rber(flash, block)
         for t in range(30):
-            flash.read(block.block_id, 0, [0], float(t))
-        assert flash.subpage_rbers(block.block_id, 0, [0])[0] > before
+            flash.read_list(block.block_id, 0, [0], float(t))
+        assert rber(flash, block) > before
 
     def test_end_to_end_error_rate_rises(self):
         trace = generate(profile("lun2"), n_requests=1200, seed=6,

@@ -235,7 +235,7 @@ def wrong_values(hint: object) -> list:
     if hint is int:
         return [True, 2.5, "8", None]
     if hint is float:
-        return [True, "1.5", None, [1.0]]
+        return [True, "1.5", None, [1.0], math.nan, math.inf, -math.inf]
     if hint is str:
         return [1, None, ["a"]]
     if hint is np.ndarray:
@@ -396,6 +396,37 @@ def test_bad_latency_encodings_name_the_field(value):
                "read_latencies": value}
     with pytest.raises(SimulationError, match="read_latencies"):
         SimulationResult.from_dict(payload)
+
+
+def float_fields(cls: type[Record]) -> list[str]:
+    """Fields annotated ``float`` or ``float | None``."""
+    hints = typing.get_type_hints(cls)
+    return [f.name for f in dataclasses.fields(cls)
+            if hints[f.name] in (float, float | None)]
+
+
+FLOAT_RECORDS = [cls for cls in RECORDS if float_fields(cls)]
+
+
+@pytest.mark.parametrize("cls", FLOAT_RECORDS,
+                         ids=[cls.__name__ for cls in FLOAT_RECORDS])
+@SETTINGS
+@given(data=st.data())
+def test_non_finite_floats_name_the_field(cls, data):
+    """NaN and both infinities are no float a record admits: JSON's
+    ``NaN``/``Infinity`` spellings would otherwise slip past every
+    ``value <= 0`` check."""
+    payload = data.draw(STRATEGIES[cls]).to_dict()
+    for name in float_fields(cls):
+        for value in (math.nan, math.inf, -math.inf):
+            rejects(cls, {**payload, name: value}, f"'{name}'",
+                    "finite float")
+
+
+def test_nan_in_a_config_file_names_the_field():
+    text = '{"timing": {"slc_read_ms": NaN}}'
+    with pytest.raises(ConfigError, match="'timing.slc_read_ms'.*finite"):
+        SSDConfig.from_json(text)
 
 
 def test_errors_are_repro_errors():

@@ -58,14 +58,16 @@ class TestResourceSet:
     def test_block_routing_consistent(self, rs):
         geo = rs.geometry
         for block in range(32):
-            assert rs.chip_for_block(block) is rs.chips[geo.chip_of(block)]
-            assert rs.channel_for_block(block) is rs.channels[geo.channel_of(block)]
+            chip, channel = rs._pair[block]
+            assert chip is rs.chips[geo.chip_of(block)]
+            assert channel is rs.channels[geo.channel_of(block)]
 
     def test_acquire_occupies_both(self, rs):
         start, end = rs.acquire_for_block(0, 0.0, 2.0)
         assert (start, end) == (0.0, 2.0)
-        assert rs.chip_for_block(0).next_free == 2.0
-        assert rs.channel_for_block(0).next_free == 2.0
+        geo = rs.geometry
+        assert rs.chips[geo.chip_of(0)].next_free == 2.0
+        assert rs.channels[geo.channel_of(0)].next_free == 2.0
 
     def test_channel_contention_across_chips(self, rs):
         geo = rs.geometry

@@ -26,52 +26,58 @@ def programmed(cfg):
     return flash, block
 
 
+def rber(flash, block, now, slot=0):
+    """RBER of one page-0 slot as a read at ``now`` prices it."""
+    return flash.read_list(block.block_id, 0, [slot], now)[0]
+
+
 class TestRetention:
     def test_off_by_default(self):
         flash, block = programmed(tiny_config())
-        young = flash.subpage_rbers(block.block_id, 0, [0], now=1.0)[0]
-        old = flash.subpage_rbers(block.block_id, 0, [0], now=1e6)[0]
+        young = rber(flash, block, 1.0)
+        old = rber(flash, block, 1e6)
         assert old == young
 
     def test_rber_grows_with_age(self):
         flash, block = programmed(ret_config())
-        young = flash.subpage_rbers(block.block_id, 0, [0], now=1.0)[0]
-        old = flash.subpage_rbers(block.block_id, 0, [0], now=1000.0)[0]
+        young = rber(flash, block, 1.0)
+        old = rber(flash, block, 1000.0)
         assert old > young
 
     def test_linear_in_age(self):
         flash, block = programmed(ret_config())
-        r1 = flash.subpage_rbers(block.block_id, 0, [0], now=100.0)[0]
-        r2 = flash.subpage_rbers(block.block_id, 0, [0], now=200.0)[0]
-        r3 = flash.subpage_rbers(block.block_id, 0, [0], now=300.0)[0]
+        r1 = rber(flash, block, 100.0)
+        r2 = rber(flash, block, 200.0)
+        r3 = rber(flash, block, 300.0)
         assert r3 - r2 == pytest.approx(r2 - r1)
 
     def test_reads_do_not_heal(self):
         """Retention counts from program time; touching data by reading it
         must not reset the clock."""
         flash, block = programmed(ret_config())
-        flash.read(block.block_id, 0, [0], 500.0)  # refreshes access time
-        aged = flash.subpage_rbers(block.block_id, 0, [0], now=1000.0)[0]
+        rber(flash, block, 500.0)  # refreshes access time
+        assert block.slot_time[0, 0] == 500.0
+        aged = rber(flash, block, 1000.0)
         fresh_flash, fresh_block = programmed(ret_config())
-        untouched = fresh_flash.subpage_rbers(
-            fresh_block.block_id, 0, [0], now=1000.0)[0]
+        untouched = rber(fresh_flash, fresh_block, 1000.0)
         # Read disturb is off here, so the values must match exactly.
         assert aged == pytest.approx(untouched)
 
     def test_rewrite_resets_age(self):
         flash, block = programmed(ret_config())
         flash.program(block.block_id, 0, [1], [2], 900.0)  # partial pass
-        old_slot = flash.subpage_rbers(block.block_id, 0, [0], now=1000.0)[0]
-        new_slot = flash.subpage_rbers(block.block_id, 0, [1], now=1000.0)[0]
+        old_slot = rber(flash, block, 1000.0)
+        new_slot = rber(flash, block, 1000.0, slot=1)
         # The fresh slot has 100 ms of age vs 1000 ms, but absorbed no
         # in-page disturb (it was just written); the old slot absorbed one.
         assert new_slot < old_slot
 
-    def test_no_now_means_no_retention_term(self):
+    def test_no_age_means_no_retention_term(self):
         flash, block = programmed(ret_config())
-        base = flash.subpage_rbers(block.block_id, 0, [0])[0]
-        aged = flash.subpage_rbers(block.block_id, 0, [0], now=1e5)[0]
-        assert aged > base
+        plain, _ = programmed(tiny_config())
+        at_program_time = rber(flash, block, 0.0)
+        assert at_program_time == rber(plain, plain.block(block.block_id), 0.0)
+        assert rber(flash, block, 1e5) > at_program_time
 
     def test_end_to_end_error_rate_rises(self):
         trace = generate(profile("ts0"), n_requests=1200, seed=6,

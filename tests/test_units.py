@@ -1,4 +1,4 @@
-"""Unit helpers: conversions, alignment, formatting."""
+"""Unit helpers: conversions, ceiling division, formatting."""
 
 import pytest
 
@@ -9,20 +9,8 @@ class TestSizes:
     def test_kib(self):
         assert units.kib(4) == 4096
 
-    def test_mib(self):
-        assert units.mib(1) == 1024 * 1024
-
-    def test_gib(self):
-        assert units.gib(2) == 2 * 1024 ** 3
-
     def test_fractional_kib(self):
         assert units.kib(0.5) == 512
-
-    def test_bytes_to_kib(self):
-        assert units.bytes_to_kib(8192) == 8.0
-
-    def test_bytes_to_mib(self):
-        assert units.bytes_to_mib(units.mib(3)) == 3.0
 
 
 class TestCeilDiv:
@@ -47,30 +35,7 @@ class TestCeilDiv:
             units.ceil_div(5, -1)
 
 
-class TestAlignment:
-    def test_align_down(self):
-        assert units.align_down(4097, 4096) == 4096
-
-    def test_align_down_exact(self):
-        assert units.align_down(8192, 4096) == 8192
-
-    def test_align_up(self):
-        assert units.align_up(4097, 4096) == 8192
-
-    def test_align_up_exact(self):
-        assert units.align_up(8192, 4096) == 8192
-
-    def test_align_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            units.align_up(10, 0)
-        with pytest.raises(ValueError):
-            units.align_down(10, -4)
-
-
 class TestTime:
-    def test_ms_us_roundtrip(self):
-        assert units.us_to_ms(units.ms_to_us(0.3)) == pytest.approx(0.3)
-
     def test_constants(self):
         assert units.US == pytest.approx(1e-3)
         assert units.SEC == pytest.approx(1e3)
@@ -84,13 +49,4 @@ class TestFormatting:
         assert units.fmt_bytes(4096) == "4.00KiB"
 
     def test_fmt_bytes_mib(self):
-        assert "MiB" in units.fmt_bytes(units.mib(3))
-
-    def test_fmt_ms_sub_millisecond(self):
-        assert units.fmt_ms(0.025) == "25.00us"
-
-    def test_fmt_ms_milliseconds(self):
-        assert units.fmt_ms(10.0) == "10.000ms"
-
-    def test_fmt_ms_seconds(self):
-        assert units.fmt_ms(1500.0) == "1.500s"
+        assert "MiB" in units.fmt_bytes(3 * units.MIB)

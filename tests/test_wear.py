@@ -90,8 +90,3 @@ class TestCandidates:
         blocks[0].invalidate(1, 0)
         tracker = WearTracker(blocks, cache)
         assert tracker.coldest_block() is None
-
-    def test_summary_keys(self, cache):
-        tracker = WearTracker(make_blocks(), cache)
-        summary = tracker.summary()
-        assert set(summary) == {"min_erase", "max_erase", "spread", "leveling_moves"}
