@@ -24,7 +24,6 @@ Machine-checks the repository's simulation contracts (see
 ``K002``  ambient input (env/files/platform) read inside a cached cell
 ``K003``  canonical-key emitter omits a dataclass field
 ``P001``  replay-driver loop-carry state dropped by the pickle protocol
-``P002``  RegionState view pickled without a ``__setstate__`` rebind
 ``P003``  unpicklable payload passed to ``ProcessPoolExecutor``
 ========  ==========================================================
 
@@ -74,11 +73,7 @@ from .core import (
 from .determinism import RandomnessRule, SetIterationRule, WallClockRule
 from .effects import MirrorColumnPairRule, TornStateWriteRule
 from .numpy_rules import DtypeDisciplineRule, ReductionOrderRule
-from .pickle_rules import (
-    ExecutorPayloadRule,
-    LoopCarryPickleRule,
-    ViewRebindRule,
-)
+from .pickle_rules import ExecutorPayloadRule, LoopCarryPickleRule
 from .repro_soundness import (
     AmbientInputRule,
     CacheKeyTaintRule,
@@ -109,7 +104,6 @@ ALL_RULES: tuple[Rule, ...] = (
     AmbientInputRule(),
     CanonicalKeyCompletenessRule(),
     LoopCarryPickleRule(),
-    ViewRebindRule(),
     ExecutorPayloadRule(),
 )
 
@@ -130,7 +124,6 @@ __all__ = [
     "AmbientInputRule",
     "CanonicalKeyCompletenessRule",
     "LoopCarryPickleRule",
-    "ViewRebindRule",
     "ExecutorPayloadRule",
     "BASELINE_NAME",
     "BaselineMatch",

@@ -5,11 +5,12 @@ kernel: a rejected program had already advanced ``next_page``, and an
 empty ``invalidate_many`` corrupted ``pages_with_valid``.  Both are the
 same shape — **a state write reachable before a raise-capable
 validation** — and both silently break the byte-identity guarantee the
-cache/golden stack depends on.  The structure-of-arrays refactor
-added a second invariant: every ``Block`` fact is split into a scalar
-mirror (``pass_counts``, ``state``, the page bitmasks …) and an
-authoritative :class:`~repro.nand.state.RegionState` column, and the two
-must update in lock-step inside the same method.
+cache/golden stack depends on.  The structure-of-arrays kernel adds a
+second invariant: the two ``Block`` facts kept twice — the valid bits
+(``valid_mask`` and its occupancy counters beside the
+:class:`~repro.nand.state.RegionState` ``valid`` column) and the
+lifecycle (``state`` beside ``state_code``) — must update in lock-step
+inside the same method.
 
 This module turns both contracts into checked facts on top of the
 :class:`~repro.analysis.callgraph.ProjectIndex` symbol table:
@@ -52,31 +53,23 @@ from .callgraph import FunctionInfo, ModuleInfo
 from .core import (TRY_STATEMENTS, ProjectContext, ProjectPass, Rule,
                    Violation, walk)
 
-#: Flat :class:`~repro.nand.state.RegionState` columns (the
-#: authoritative arrays of the structure-of-arrays kernel).
+#: Flat :class:`~repro.nand.state.RegionState` columns (the arrays of
+#: the structure-of-arrays kernel).
 REGION_COLUMNS = frozenset({
-    "programmed", "valid", "slot_lsn", "slot_time", "slot_program_time",
-    "disturb_in", "disturb_nb", "program_count", "page_updated",
-    "erase_count", "state_code", "level",
+    "valid", "slot_lsn", "slot_time", "slot_program_time",
+    "disturb_in", "disturb_nb", "page_updated", "state_code",
 })
 
 #: ``Block`` scalar/bitmask mirror -> the ``RegionState`` column it
 #: shadows.  Several occupancy mirrors derive from the same column
-#: (``n_valid``/``page_valid``/``pages_with_valid`` all shadow
-#: ``valid``); writing any one of them pairs with that column.
+#: (``n_valid``/``pages_with_valid`` both shadow ``valid``); writing any
+#: one of them pairs with that column.
 MIRROR_COLUMN: dict[str, str] = {
-    "prog_mask": "programmed",
     "valid_mask": "valid",
-    "pass_counts": "program_count",
-    "erase_count": "erase_count",
-    "state": "state_code",
-    "level": "level",
     "n_valid": "valid",
     "n_invalid": "valid",
-    "page_valid": "valid",
     "pages_with_valid": "valid",
-    "n_programmed": "programmed",
-    "page_programmed": "programmed",
+    "state": "state_code",
 }
 
 #: Columns that have at least one scalar mirror (the column->mirror
@@ -87,9 +80,11 @@ MIRRORED_COLUMNS = frozenset(MIRROR_COLUMN.values())
 #: Watched state written through objects other than ``self`` (for M001's
 #: write tracking: ``block.read_count += 1`` in ``nand/flash.py`` is as
 #: much a state write as ``self.read_count += 1`` inside the block).
+#: The second set is ``Block`` state with no column partner.
 WATCHED_ATTRS = (REGION_COLUMNS | frozenset(MIRROR_COLUMN)
-                 | frozenset({"next_page", "alloc_time", "content_epoch",
-                              "read_count"}))
+                 | frozenset({"prog_mask", "pass_counts", "n_programmed",
+                              "erase_count", "level", "next_page",
+                              "content_epoch", "read_count"}))
 
 #: Directories whose methods M001 checks (the mutable simulator state).
 M001_PREFIXES = ("nand/", "ftl/")

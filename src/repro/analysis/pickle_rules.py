@@ -1,24 +1,15 @@
-"""Checkpoint/pickle safety dataflow (rules P001–P003).
+"""Checkpoint/pickle safety dataflow (rules P001 and P003).
 
 The fleet layer's resume contract — a device replay pickled into a
-checkpoint resumes *bit-identically* — leans on two fragile
-conventions:
+checkpoint resumes *bit-identically* — leans on one fragile convention:
+every piece of **loop-carry state** a replay driver accumulates — in
+``feed`` or in any helper it calls, its own or a base class's — must
+round-trip through the class's pickle protocol (a ``__getstate__`` that
+drops one attribute resumes from a silently reset counter).
 
-* every piece of **loop-carry state** a replay driver accumulates —
-  in ``feed`` or in any helper it calls, its own or a base class's —
-  must round-trip through the class's pickle protocol (a
-  ``__getstate__`` that drops one attribute resumes from a silently
-  reset counter);
-* every class holding **numpy views into**
-  :class:`~repro.nand.state.RegionState` must rebind those views in
-  ``__setstate__`` the way :class:`~repro.nand.block.Block` does
-  (``self._rebind_views()``) — default unpickling would materialise
-  private copies and the restored object graph would stop sharing
-  memory with the region arrays.
-
-Both are enforced dynamically today (``tests/test_checkpoint.py``
-resume-identity suites); this module makes them lint-time facts, plus a
-third guard on the process-pool boundary:
+``tests/test_checkpoint.py`` enforces it dynamically (the resume-identity
+suites); this module makes it a lint-time fact, plus a guard on the
+process-pool boundary:
 
 ======== ============================================================
 ``P001`` a replay-driver attribute assigned outside the
@@ -26,13 +17,16 @@ third guard on the process-pool boundary:
          is dropped by the class's ``__getstate__`` and never
          restored in ``__setstate__``, or is bound to an unpicklable
          value (lambda, generator, open handle)
-``P002`` a class assigns attributes that are views into RegionState
-         columns but its ``__setstate__`` does not rebind them (or is
-         missing entirely)
 ``P003`` an unpicklable payload (lambda, closure, generator
          expression, open handle) flows into
          ``ProcessPoolExecutor.submit``/``map``
 ======== ============================================================
+
+No rule guards numpy views into :class:`~repro.nand.state.RegionState`:
+no class stores one, so default pickling keeps the checkpointed object
+graph sharing the region arrays.  ``tests/test_checkpoint.py`` pickles
+every scheme's replay driver and fails on any stored array that shares
+memory with a region column without being that column.
 
 Like the effect pass, unresolved structure drops facts instead of
 guessing: a ``__getstate__`` whose shape the analysis cannot read
@@ -47,7 +41,6 @@ from typing import Iterator
 from .callgraph import ClassInfo, FunctionInfo
 from .core import (ProjectContext, ProjectPass, Rule, SourceFile,
                    Violation, walk)
-from .effects import REGION_COLUMNS, RegionAliases
 
 #: A class defining or inheriting this method is a chunk-fed replay driver.
 DRIVER_MARKER = "feed"
@@ -59,9 +52,6 @@ NON_CARRY_METHODS = frozenset({"__init__", "__getstate__", "__setstate__"})
 
 #: Pool constructors whose payloads must pickle.
 _POOL_CLASSES = frozenset({"ProcessPoolExecutor"})
-
-#: Array-reshaping calls that still denote a view of their receiver.
-_VIEW_WRAPPERS = frozenset({"reshape", "view"})
 
 
 def _self_assigned_attrs(fn: FunctionInfo) -> dict[str, ast.AST]:
@@ -113,14 +103,13 @@ def _constant_str_elts(node: ast.expr) -> set[str] | None:
 
 
 class PickleAnalysis(ProjectPass):
-    """One whole-tree checkpoint-safety pass shared by P001/P002."""
+    """One whole-tree checkpoint-safety pass (P001)."""
 
     def __init__(self, ctx: ProjectContext) -> None:
         super().__init__(ctx)
         self._check_p001()
-        self._check_p002()
 
-    # -- shared class helpers ----------------------------------------------
+    # -- class helpers -----------------------------------------------------
 
     def _iter_classes(self) -> Iterator[ClassInfo]:
         for relpath in sorted(self.index.modules):
@@ -242,96 +231,16 @@ class PickleAnalysis(ProjectPass):
                         f"__setstate__ — a resumed checkpoint would "
                         f"silently reset it")
 
-    # -- P002: RegionState views need a __setstate__ rebind ------------------
 
-    def _view_column(self, value: ast.expr,
-                     aliases: RegionAliases) -> str | None:
-        """RegionState column ``value`` is a view of, if it is one."""
-        expr = value
-        while True:
-            if (isinstance(expr, ast.Call)
-                    and isinstance(expr.func, ast.Attribute)
-                    and expr.func.attr in _VIEW_WRAPPERS):
-                expr = expr.func.value
-            elif isinstance(expr, ast.Subscript):
-                expr = expr.value
-            else:
-                break
-        if (isinstance(expr, ast.Attribute) and expr.attr in REGION_COLUMNS
-                and aliases.is_region_expr(expr.value)):
-            return expr.attr
-        if isinstance(expr, ast.Name):
-            return aliases.columns.get(expr.id)
-        return None
-
-    def _class_view_attrs(self, cls: ClassInfo) -> dict[str, ast.AST]:
-        """Attrs of ``cls`` assigned as views into RegionState columns."""
-        views: dict[str, ast.AST] = {}
-        for name in sorted(cls.methods):
-            fn = cls.methods[name]
-            aliases = RegionAliases(fn.node)
-            for stmt in fn.statements:
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                column = self._view_column(stmt.value, aliases)
-                if column is None:
-                    continue
-                for target in stmt.targets:
-                    if (isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"):
-                        views.setdefault(target.attr, stmt)
-        return views
-
-    def _check_p002(self) -> None:
-        for cls in self._iter_classes():
-            views = self._class_view_attrs(cls)
-            if not views:
-                continue
-            setstate = self.index.class_method(cls, "__setstate__")
-            if setstate is None:
-                for attr in sorted(views):
-                    self.emit(
-                        "P002", cls.relpath, views[attr],
-                        f"{cls.name}.{attr} is a numpy view into a "
-                        f"RegionState column but the class has no "
-                        f"__setstate__ — default unpickling materialises "
-                        f"a private copy and the restored graph stops "
-                        f"sharing memory (use the Block "
-                        f"__setstate__ -> _rebind_views() pattern)")
-                continue
-            restored = self._restored_attrs(cls, setstate)
-            for attr in sorted(views):
-                if attr not in restored:
-                    self.emit(
-                        "P002", cls.relpath, views[attr],
-                        f"{cls.name}.{attr} is a numpy view into a "
-                        f"RegionState column but __setstate__ never "
-                        f"rebinds it — the restored object would keep a "
-                        f"pickled private copy instead of a view (rebind "
-                        f"it like Block._rebind_views() does)")
-
-
-class _PickleRule(Rule):
-    """Base for the project-level P-rules: filter the shared analysis."""
-
-    def check_project(self, ctx: ProjectContext) -> Iterator[Violation]:
-        if ctx.sources:
-            yield from ctx.shared(PickleAnalysis).findings(self.id)
-
-
-class LoopCarryPickleRule(_PickleRule):
+class LoopCarryPickleRule(Rule):
     """P001: replay-driver loop-carry state must survive the pickle."""
 
     id = "P001"
     title = "replay-driver loop-carry state dropped by the pickle protocol"
 
-
-class ViewRebindRule(_PickleRule):
-    """P002: RegionState views must be rebound in __setstate__."""
-
-    id = "P002"
-    title = "RegionState view pickled without a __setstate__ rebind"
+    def check_project(self, ctx: ProjectContext) -> Iterator[Violation]:
+        if ctx.sources:
+            yield from ctx.shared(PickleAnalysis).findings(self.id)
 
 
 class ExecutorPayloadRule(Rule):

@@ -1,12 +1,12 @@
 """Schema rule S002: Block counter writes outside the nand state kernel.
 
 S002 guards the mirror contract of ``docs/PERFORMANCE.md``: a block's
-python mirrors (``page_valid``/``page_programmed``/slot bitmasks and
-counters) and its region's arrays (subpage state, ``state_code``) are
-written together by ``nand/block.py`` only.  A direct write from
-anywhere else moves one side but not the other, so victim scores and
-the candidate set a victim scan reads off ``state_code`` drift from the
-flash state they summarize.
+python state (slot bitmasks and occupancy counters) and its region's
+arrays (subpage state, ``state_code``) are written together by
+``nand/block.py`` only.  A direct write from anywhere else moves one
+side but not the other, so victim scores and the candidate set a victim
+scan reads off ``state_code`` drift from the flash state they
+summarize.
 
 The result-schema contract of ``docs/CACHING.md`` is not a lint rule:
 ``tests/test_result_schema.py`` compares the live record
@@ -22,15 +22,13 @@ from typing import Iterator
 from .core import Rule, SourceFile, Violation
 
 
-#: Block attributes the nand kernel keeps in step with the region arrays
-#: (see ``Block.__slots__``).  Writing any of these elsewhere moves one
-#: side of a mirror without the other.
+#: Block attributes the nand kernel keeps in step with each other and
+#: with the region arrays (see ``Block.__slots__`` and its view
+#: properties).  Writing any of these elsewhere moves one side of a
+#: mirror without the other.
 _WATCHED_ATTRS = frozenset({
-    "page_valid", "page_programmed", "pages_with_valid",
-    "n_valid", "n_invalid", "n_programmed", "content_epoch",
-    "programmed", "valid", "page_updated", "disturb_in", "disturb_nb",
-    # Structure-of-arrays additions: the slot→lsn binding column and the
-    # per-page python-int bitmask mirrors of programmed/valid.
+    "pages_with_valid", "n_valid", "n_invalid", "n_programmed",
+    "content_epoch", "valid", "page_updated", "disturb_in", "disturb_nb",
     "slot_lsn", "prog_mask", "valid_mask",
 })
 #: In-place mutator methods on lists/arrays/sets.
@@ -43,7 +41,7 @@ _MUTATORS = frozenset({
 def _watched_attribute(node: ast.AST) -> str | None:
     """The watched attribute a write target touches, if any.
 
-    Matches ``x.page_valid``, ``x.page_valid[i]`` and nested subscripts
+    Matches ``x.valid_mask``, ``x.valid_mask[i]`` and nested subscripts
     (``x.valid[p][s]``).
     """
     while isinstance(node, ast.Subscript):
@@ -109,4 +107,4 @@ class BlockCounterWriteRule(Rule):
             self.id, src.relpath, node.lineno, node.col_offset,
             f"{how} mirrored Block state {attr!r} outside the nand state "
             f"kernel — its partner in the region arrays would not move "
-            f"with it; go through Block.program/invalidate/erase")
+            f"with it; go through Block.program_disturb/invalidate/erase")

@@ -70,12 +70,12 @@ def plan_intra_page_update(
     # Condition 3 without scanning the page: every mapping points at a
     # distinct currently-valid slot of the page, so the chunk covers the
     # resident data iff the page holds exactly that many valid subpages.
-    if block.page_valid[fpage] != nslots:
+    if block.valid_mask[fpage].bit_count() != nslots:
         # Partial rewrite: live sibling data would absorb the disturb.
         return None
-    if block.spp - block.page_programmed[fpage] < nslots:
-        return None
     free = block.free_slots_of_page(fpage)
+    if len(free) < nslots:
+        return None
 
     return IntraPagePlan(
         block_id=fblock,

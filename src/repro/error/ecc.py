@@ -88,14 +88,13 @@ class EccModel:
         return 1.0 - (1.0 - per_cw) ** ncw
 
     def uncorrectable_probability_for_subpages(
-            self, rbers: "np.ndarray | list[float]") -> float:
+            self, rbers: "list[float]") -> float:
         """Failure probability of a page read covering several subpages.
 
         Mirrors :meth:`decode_ms_list`: the worst (highest-RBER)
         subpage dominates, so the read fails when *its* codewords exceed
         the correction capability.  Drives the fault-injection read-retry
         ladder (:mod:`repro.faults`)."""
-        arr = np.asarray(rbers, dtype=np.float64)
-        if arr.size == 0:
+        if not rbers:
             return 0.0
-        return self.uncorrectable_probability(float(arr.max()))
+        return self.uncorrectable_probability(max(rbers))

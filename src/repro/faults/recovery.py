@@ -55,12 +55,15 @@ def run_power_loss(ftl: BaseFTL, plan: FaultPlan, now: Ms,
         state = block.state
         if state is BlockState.FREE or state is BlockState.RETIRED:
             continue
+        prog_mask = block.prog_mask
+        valid = block.valid
+        program_time = block.slot_program_time
         for page in range(block.next_page):
-            if block.page_programmed[page] == 0:
+            if not prog_mask[page]:
                 continue
             scanned_pages += 1
-            valid_row = block.valid[page]
-            times_row = block.slot_program_time[page]
+            valid_row = valid[page]
+            times_row = program_time[page]
             slots = [s for s in range(spp)
                      if valid_row[s] and times_row[s] > window_start]
             if slots:

@@ -5,11 +5,12 @@ replay driver (:class:`repro.sim.simulator.OpenLoopReplay`) drags the
 FTL — and through it the :class:`~repro.nand.state.RegionState` arrays,
 mapping/allocator/GC state, any attached fault plan with its RNG stream
 positions — plus the chip/channel resource clocks and the explicit
-loop-carry accumulators.  ``Block``'s pickle protocol rebuilds its
-numpy views into the region arrays on load, so the restored object
-graph has the same shared-memory shape as the original (not silent
+loop-carry accumulators.  No object in that graph stores a numpy view
+into the region arrays — a ``Block`` keeps a reference to its
+``RegionState`` and builds views on access — so default pickling
+restores the same shared-memory shape as the original (not silent
 copies), and a resumed replay is bit-identical to an uninterrupted one
-(``tests/test_checkpoint.py`` proves it property-style).
+(``tests/test_checkpoint.py`` proves both, the latter property-style).
 
 File format: a :mod:`repro.frame` file, the layout result-cache entries
 share, so a mismatched file fails loudly *before* any unpickling::
@@ -42,8 +43,9 @@ MAGIC = b"repro-ckpt\n"
 #: Bump on any incompatible change to the file layout or payload shape
 #: (2: the replay drivers share ``ReplayCore``, which carries the pricer;
 #: 3: ``Block`` and ``RegionAllocator`` carry no victim or counter
-#: watchers).
-CHECKPOINT_VERSION = 3
+#: watchers; 4: ``RegionState`` keeps only the columns something reads
+#: as an array, and ``Block`` pickles as a plain slotted object).
+CHECKPOINT_VERSION = 4
 #: Kind tag of fleet device snapshots (the only kind today).
 DEVICE_KIND = "fleet-device"
 

@@ -40,11 +40,12 @@ def coldness_weight(t_ij: np.ndarray, t_mean: float) -> np.ndarray:
 
 def block_age_sum(block: Block, now: Ms) -> tuple[float, int]:
     """Sum of valid-subpage ages and their count (region-mean ingredient)."""
-    if block.slot_time is None:
+    slot_time = block.slot_time
+    if slot_time is None:
         raise ValueError("age accounting is defined for SLC-mode blocks only")
     if block.n_valid == 0:
         return 0.0, 0
-    times = block.slot_time[block.valid]
+    times = slot_time[block.valid]
     return float(block.n_valid * now - times.sum()), block.n_valid
 
 
@@ -59,23 +60,25 @@ def block_coldness(block: Block, now: Ms, t_mean: float | None = None) -> float:
     ``t_mean`` is the mean access interval ``T``; when omitted, the
     block's own mean valid-subpage age is used (self-normalised variant).
     """
-    if block.slot_time is None:
+    slot_time = block.slot_time
+    if slot_time is None:
         raise ValueError("IS' is defined for SLC-mode blocks only")
-    valid = block.valid
     if block.n_valid == 0:
         return 0.0
     if t_mean is None:
         age_sum, count = block_age_sum(block, now)
         t_mean = age_sum / count
-    if not block.page_updated.any():
+    valid = block.valid
+    page_updated = block.page_updated
+    if not page_updated.any():
         # Common case (no update ever hit this block): J covers every
         # valid subpage.
-        ages = now - block.slot_time[valid]
+        ages = now - slot_time[valid]
         return float(coldness_weight(ages, t_mean).sum())
-    never_updated = valid & ~block.page_updated[:, None]
+    never_updated = valid & ~page_updated[:, None]
     if not never_updated.any():
         return 0.0
-    ages_cold = now - block.slot_time[never_updated]
+    ages_cold = now - slot_time[never_updated]
     return float(coldness_weight(ages_cold, t_mean).sum())
 
 

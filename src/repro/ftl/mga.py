@@ -136,7 +136,8 @@ class MGAFTL(BaseFTL):
             # A program failure may have remapped the pulse to the
             # high-density region, where packing (a partial-programming
             # feature) cannot continue.
-            if (not block.is_slc or block.page_programmed[page] == block.spp
+            if (not block.is_slc
+                    or block.prog_mask[page].bit_count() == block.spp
                     or block.pass_counts[page] >= max_pp):
                 self._pack = None
             else:

@@ -14,32 +14,37 @@ Subpage taxonomy used throughout:
   Baseline block free slots are wasted space (internal fragmentation); in an
   IPU block they are the landing zone for intra-page updates.
 
-Since the structure-of-arrays refactor a block owns no arrays of its
-own: all slot/page/block state lives in the flat per-region arrays of
-:class:`~repro.nand.state.RegionState`, and the ``programmed`` /
-``valid`` / ``slot_lsn`` / ... attributes here are numpy *views* into
-that store (standalone construction, used by unit tests, just builds a
-private single-block region).  Mutations go through flat item stores —
-profiling shows scalar stores beat both fancy indexing and masked array
-ops at ``spp`` = 4 granularity — and maintain, next to the arrays:
+A block owns no arrays: the state something reads as an array lives in
+the flat per-region columns of :class:`~repro.nand.state.RegionState`,
+and the ``valid`` / ``slot_lsn`` / ``slot_time`` / ... properties build a
+view of the block's stripe on each access (a standalone block, as unit
+tests build, gets a private single-block region).  No view is stored,
+so a block pickles as a plain slotted object.  Mutations are flat item
+stores, which beat fancy indexing and masked array ops at ``spp`` = 4.
 
-* python-int **per-page bitmasks** (``prog_mask``/``valid_mask``) that
-  drive every hot membership/enumeration check without touching numpy,
-* scalar occupancy counters (``n_valid``/``page_valid``/...) feeding the
-  victim scores,
-* the region's per-block ``state_code``/``level``/``erase_count``
-  columns, mirrored at (rare) lifecycle transitions.  A victim scan
-  reads ``state_code`` to find the FULL blocks.
+Each fact has one home, except where one copy feeds numpy and the other
+the scalar hot path:
 
-:meth:`Block.verify_array_state` cross-checks every derived quantity
-against the authoritative arrays; ``FlashArray.verify_array_state`` runs
-it over every block, and ``BaseFTL.check_consistency`` (the invariant
-and property tests' hook) calls that.
+* ``prog_mask`` (which slots are programmed), ``pass_counts``,
+  ``erase_count`` and ``level`` live only here; a page's programmed or
+  valid count is one popcount of its bitmask;
+* the valid bits live in the region's ``valid`` column (Equation 2's
+  masks, ``read_list``, recovery) and in the per-page ``valid_mask``
+  with the occupancy counters ``n_valid``/``n_invalid``/
+  ``pages_with_valid`` (membership checks, victim scores);
+* the lifecycle lives in ``state`` (enum checks) and the region's
+  ``state_code`` column (the victim scan's ``np.flatnonzero``).
+
+:meth:`Block.verify_array_state` cross-checks both pairs and the
+counters; ``BaseFTL.check_consistency`` runs it over every block.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Any
+
+import numpy as np
 
 from ..errors import (
     EraseError,
@@ -49,7 +54,7 @@ from ..errors import (
 )
 from .cell import CellMode
 from .state import NO_LSN, RegionState
-from ..units import Lsn, Ms, PeCycles
+from ..units import Lsn, LsnArray, Ms, MsArray, PeCycles
 
 __all__ = ["NO_LSN", "Block", "BlockState", "BLOCK_STATE_CODES"]
 
@@ -86,16 +91,12 @@ class Block:
 
     __slots__ = (
         "block_id", "mode", "is_slc", "pages", "spp", "erase_count", "next_page",
-        "state", "level", "alloc_time",
+        "state", "level",
         "region", "region_slot", "_base", "_page_base",
         "_slots_slice", "_pages_slice",
-        "programmed", "valid", "program_count",
-        "slot_lsn", "slot_time", "slot_program_time", "disturb_in",
-        "disturb_nb", "page_updated",
         "prog_mask", "valid_mask", "_set_slots", "_popcount", "_full_mask",
         "n_valid", "n_invalid", "n_programmed", "content_epoch",
-        "read_count", "page_valid", "page_programmed", "pass_counts",
-        "pages_with_valid",
+        "read_count", "pass_counts", "pages_with_valid",
     )
 
     def __init__(self, block_id: int, mode: CellMode, pages: int,
@@ -113,7 +114,6 @@ class Block:
         self.state = BlockState.FREE
         #: Block-level label (see :mod:`repro.core.levels`); ``None`` when free.
         self.level: int | None = None
-        self.alloc_time: Ms = 0.0
 
         if region is None:
             # Standalone construction (unit tests, scratch blocks): a
@@ -137,38 +137,10 @@ class Block:
         self._slots_slice = slice(base, base + stride)
         self._pages_slice = slice(page_base, page_base + pages)
 
-        # Numpy views over this block's stripe of the region arrays
-        # (shared memory: a write through the flat store is immediately
-        # visible here and vice versa — there is no copy to go stale).
-        self.programmed = region.programmed[self._slots_slice].reshape(
-            pages, subpages_per_page)
-        self.valid = region.valid[self._slots_slice].reshape(
-            pages, subpages_per_page)
-        self.slot_lsn = region.slot_lsn[self._slots_slice].reshape(
-            pages, subpages_per_page)
-        self.program_count = region.program_count[self._pages_slice]
-        if mode.is_slc:
-            self.slot_time = region.slot_time[self._slots_slice].reshape(
-                pages, subpages_per_page)
-            #: Program time, never refreshed by reads (retention ages from
-            #: here; ``slot_time`` is the last *access* Equation 2 uses).
-            self.slot_program_time = region.slot_program_time[
-                self._slots_slice].reshape(pages, subpages_per_page)
-            self.disturb_in = region.disturb_in[self._slots_slice].reshape(
-                pages, subpages_per_page)
-            self.disturb_nb = region.disturb_nb[self._slots_slice].reshape(
-                pages, subpages_per_page)
-            self.page_updated = region.page_updated[self._pages_slice]
-        else:
-            self.slot_time = None
-            self.slot_program_time = None
-            self.disturb_in = None
-            self.disturb_nb = None
-            self.page_updated = None
-
-        #: Per-page python-int bitmasks of programmed/valid slots — the
-        #: hot-path mirror of the bool arrays (maintained in lock-step by
-        #: every mutation below; ``verify_array_state`` cross-checks).
+        #: Per-page python-int bitmasks of programmed/valid slots.
+        #: ``prog_mask`` is the only record of which slots are programmed;
+        #: ``valid_mask`` is the hot-path copy of the ``valid`` column
+        #: (``verify_array_state`` cross-checks the two).
         self.prog_mask = [0] * pages
         self.valid_mask = [0] * pages
         tables = region.tables
@@ -184,80 +156,59 @@ class Block:
         self.content_epoch = 0
         #: Reads served by this block since its last erase (read disturb).
         self.read_count = 0
-        #: Per-page count of valid subpages and the number of pages with at
-        #: least one valid subpage — maintained on program/invalidate/erase
-        #: so whole-page victim scoring never rescans ``valid``.
-        self.page_valid = [0] * pages
-        #: Per-page count of programmed subpages — lets the disturb and
-        #: partial-program checks skip re-summing ``programmed`` rows.
-        self.page_programmed = [0] * pages
-        #: Python-int mirror of ``region.program_count`` for this block —
-        #: the pass-limit checks run per host chunk, where a list load
-        #: beats a numpy scalar load several times over.
+        #: Program passes each page took since the last erase — checked
+        #: against the manufacturer limit per host chunk.
         self.pass_counts = [0] * pages
+        #: Pages holding at least one valid subpage.
         self.pages_with_valid = 0
 
-    # -- pickling ------------------------------------------------------
-    #
-    # Default pickling of the numpy view attributes would materialise
-    # them as independent *copies*, silently severing the shared-memory
-    # contract with ``RegionState`` after a checkpoint restore (writes
-    # through the flat store would no longer be visible through the
-    # block, and vice versa).  Instead the views — and the shared mask
-    # tables — are dropped from the pickled state and rebuilt from
-    # ``(region, region_slot)`` on restore.  ``RegionState`` holds no
-    # back-reference to its blocks, so by the time ``__setstate__``
-    # runs the region object (and its arrays) is fully reconstructed.
+    # -- region views (built per access, never stored) -------------------
 
-    #: Numpy views into ``region`` — rebuilt, never pickled.
-    _VIEW_ATTRS = (
-        "programmed", "valid", "slot_lsn", "program_count",
-        "slot_time", "slot_program_time", "disturb_in", "disturb_nb",
-        "page_updated",
-    )
-    #: Shared ``SlotMaskTables`` lookups — rebound from ``region.tables``.
-    _TABLE_ATTRS = ("_set_slots", "_popcount", "_full_mask")
+    def _slot_view(self, column: Any) -> Any:
+        """``(pages, spp)`` view of this block's stripe of a per-slot
+        column, or ``None`` for a column the region does not track."""
+        if column is None:
+            return None
+        return column[self._slots_slice].reshape(self.pages, self.spp)
 
-    def _rebind_views(self) -> None:
-        """Reconstruct the region-array views exactly as ``__init__``."""
-        region = self.region
-        pages, spp = self.pages, self.spp
-        self.programmed = region.programmed[self._slots_slice].reshape(
-            pages, spp)
-        self.valid = region.valid[self._slots_slice].reshape(pages, spp)
-        self.slot_lsn = region.slot_lsn[self._slots_slice].reshape(
-            pages, spp)
-        self.program_count = region.program_count[self._pages_slice]
-        if self.is_slc:
-            self.slot_time = region.slot_time[self._slots_slice].reshape(
-                pages, spp)
-            self.slot_program_time = region.slot_program_time[
-                self._slots_slice].reshape(pages, spp)
-            self.disturb_in = region.disturb_in[self._slots_slice].reshape(
-                pages, spp)
-            self.disturb_nb = region.disturb_nb[self._slots_slice].reshape(
-                pages, spp)
-            self.page_updated = region.page_updated[self._pages_slice]
-        else:
-            self.slot_time = None
-            self.slot_program_time = None
-            self.disturb_in = None
-            self.disturb_nb = None
-            self.page_updated = None
-        tables = region.tables
-        self._set_slots = tables.set_slots
-        self._popcount = tables.popcount
-        self._full_mask = tables.full_mask
+    @property
+    def valid(self) -> np.ndarray:
+        """``(pages, spp)`` view of the region's ``valid`` column."""
+        return self._slot_view(self.region.valid)
 
-    def __getstate__(self) -> dict:
-        skip = set(self._VIEW_ATTRS) | set(self._TABLE_ATTRS)
-        return {name: getattr(self, name) for name in self.__slots__
-                if name not in skip}
+    @property
+    def slot_lsn(self) -> LsnArray:
+        """``(pages, spp)`` view of the LSN bound to each slot."""
+        return self._slot_view(self.region.slot_lsn)
 
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._rebind_views()
+    # The SLC-only columns: ``None`` for a high-density block.
+
+    @property
+    def slot_time(self) -> MsArray:
+        """Last access time per slot (Equation 2's ``t_ij``)."""
+        return self._slot_view(self.region.slot_time)
+
+    @property
+    def slot_program_time(self) -> MsArray:
+        """Program time per slot, never refreshed by reads (retention
+        ages from here)."""
+        return self._slot_view(self.region.slot_program_time)
+
+    @property
+    def disturb_in(self) -> Any:
+        """In-page program-disturb hits per slot."""
+        return self._slot_view(self.region.disturb_in)
+
+    @property
+    def disturb_nb(self) -> Any:
+        """Neighbour-page program-disturb hits per slot."""
+        return self._slot_view(self.region.disturb_nb)
+
+    @property
+    def page_updated(self) -> Any:
+        """Per-page flag: the resident data was updated in this block."""
+        column = self.region.page_updated
+        return None if column is None else column[self._pages_slice]
 
     # -- capacity queries ----------------------------------------------
 
@@ -292,38 +243,20 @@ class Block:
         jbase = self._base + page * self.spp
         return [int(lsn_f[jbase + s]) for s in slots]
 
-    def can_partial_program(self, page: int, nslots: int, max_programs: int) -> bool:
-        """Whether ``nslots`` more subpages fit into ``page`` in one more pass."""
-        if not 0 <= page < self.next_page:
-            return False
-        if self.pass_counts[page] >= max_programs:
-            return False
-        return self.spp - self.page_programmed[page] >= nslots
-
     # -- mutation -------------------------------------------------------
 
-    def program(self, page: int, slots: list[int], lsns: list[Lsn], now: Ms,
-                max_programs: int) -> bool:
-        """Program ``lsns`` into ``slots`` of ``page``; return True if the
-        pass was a *partial* program of an already-programmed page.
-
-        Raises on out-of-order initial programs, slot reuse, or exceeding
-        the per-page program-pass limit.
-        """
-        partial, _ = self.program_disturb(
-            page, slots, lsns, now, max_programs, apply_disturb=False)
-        return partial
-
     def program_disturb(self, page: int, slots: list[int], lsns: list[Lsn],
-                        now: Ms, max_programs: int,
-                        apply_disturb: bool = True) -> "tuple[bool, int]":
-        """Fused program + disturb pass: one call per flash program.
+                        now: Ms, max_programs: int) -> "tuple[bool, int]":
+        """Program ``lsns`` into ``slots`` of ``page``: one call per flash
+        program, disturb included.
 
-        Returns ``(partial, disturbed_valid)``.  When ``apply_disturb``
-        and the pass is partial, in-page/neighbour disturb bookkeeping is
-        applied in the same call (the write mask is already at hand), and
-        ``disturbed_valid`` counts the valid in-page subpages hit —
-        exactly what separate ``program`` + ``add_disturb`` calls did.
+        Returns ``(partial, disturbed_valid)``: whether the pass was a
+        *partial* program of an already-programmed page and, for a
+        partial pass, how many valid in-page subpages its program disturb
+        hit (in-page and neighbour-page disturb counters are bumped in
+        the same call, while the write mask is at hand).  Raises on
+        out-of-order initial programs, slot reuse, or exceeding the
+        per-page program-pass limit, leaving the block untouched.
         """
         n = len(slots)
         if n != len(lsns) or not n:
@@ -382,7 +315,6 @@ class Block:
         # direct item assignment.
         region = self.region
         jbase = self._base + page * spp
-        programmed_f = region.programmed
         valid_f = region.valid
         lsn_f = region.slot_lsn
         if self.is_slc:
@@ -390,7 +322,6 @@ class Block:
             ptime_f = region.slot_program_time
             for i in range(n):
                 j = jbase + slots[i]
-                programmed_f[j] = True
                 valid_f[j] = True
                 lsn_f[j] = lsns[i]
                 time_f[j] = now
@@ -398,29 +329,23 @@ class Block:
         else:
             for i in range(n):
                 j = jbase + slots[i]
-                programmed_f[j] = True
                 valid_f[j] = True
                 lsn_f[j] = lsns[i]
         self.prog_mask[page] = pmask | wmask
-        self.valid_mask[page] |= wmask
-        n_passes = self.pass_counts[page] + 1
-        self.pass_counts[page] = n_passes
-        region.program_count[self._page_base + page] = n_passes
+        vmask = self.valid_mask[page]
+        if not vmask:
+            self.pages_with_valid += 1
+        self.valid_mask[page] = vmask | wmask
+        self.pass_counts[page] += 1
         self.n_programmed += n
         self.n_valid += n
-        self.page_programmed[page] += n
-        before = self.page_valid[page]
-        self.page_valid[page] = before + n
-        if before == 0:
-            self.pages_with_valid += 1
         if self.next_page >= self.pages and self.state is BlockState.OPEN:
             self.state = BlockState.FULL
             region.state_code[self.region_slot] = 2  # BLOCK_STATE_CODES[FULL]
         self.content_epoch += 1
-        disturbed = 0
-        if partial and apply_disturb:
-            disturbed = self._apply_disturb(page, wmask)
-        return partial, disturbed
+        if partial:
+            return True, self._apply_disturb(page, wmask)
+        return False, 0
 
     def reprogram_pass(self, page: int, max_programs: int) -> int:
         """A partial-program pass that appends bytes inside slots that are
@@ -439,9 +364,7 @@ class Block:
             raise PartialProgramLimitError(
                 f"block {self.block_id} page {page}: "
                 f"{self.pass_counts[page]} passes >= limit {max_programs}")
-        n_passes = self.pass_counts[page] + 1
-        self.pass_counts[page] = n_passes
-        self.region.program_count[self._page_base + page] = n_passes
+        self.pass_counts[page] += 1
         self.content_epoch += 1
         return self._apply_disturb(page, 0)
 
@@ -452,13 +375,12 @@ class Block:
         if not vmask & bit:
             raise SubpageStateError(
                 f"block {self.block_id} page {page} slot {slot}: not valid")
-        self.valid_mask[page] = vmask & ~bit
+        vmask &= ~bit
+        self.valid_mask[page] = vmask
         self.region.valid[self._base + page * self.spp + slot] = False
         self.n_valid -= 1
         self.n_invalid += 1
-        remaining = self.page_valid[page] - 1
-        self.page_valid[page] = remaining
-        if remaining == 0:
+        if not vmask:
             self.pages_with_valid -= 1
         self.content_epoch += 1
 
@@ -484,16 +406,15 @@ class Block:
                 raise SubpageStateError(
                     f"block {self.block_id} page {page} slot {slot}: not valid")
             mask |= bit
-        self.valid_mask[page] = vmask & ~mask
+        vmask &= ~mask
+        self.valid_mask[page] = vmask
         valid_f = self.region.valid
         jbase = self._base + page * self.spp
         for slot in slots:
             valid_f[jbase + slot] = False
         self.n_valid -= k
         self.n_invalid += k
-        remaining = self.page_valid[page] - k
-        self.page_valid[page] = remaining
-        if remaining == 0:
+        if not vmask:
             self.pages_with_valid -= 1
         self.content_epoch += k
 
@@ -504,31 +425,6 @@ class Block:
         if region.page_updated is not None:
             region.page_updated[self._page_base + page] = True
             self.content_epoch += 1
-
-    def touch(self, page: int, slots: list[int], now: Ms) -> None:
-        """Refresh the last-access time of subpages (reads count as access
-        for the coldness estimate of Equation 2)."""
-        time_f = self.region.slot_time
-        if time_f is not None:
-            jbase = self._base + page * self.spp
-            for slot in slots:
-                time_f[jbase + slot] = now
-
-    def add_disturb(self, page: int, written_slots: list[int]) -> int:
-        """Apply program-disturb bookkeeping for one partial-program pass.
-
-        In-page disturb hits every *valid* already-programmed subpage of the
-        page other than the slots just written; neighbouring-page disturb
-        hits programmed subpages of pages ``page - 1`` and ``page + 1``.
-        Returns the number of *valid* in-page subpages disturbed (the
-        quantity IPU eliminates).
-        """
-        if self.region.disturb_in is None:
-            raise SubpageStateError("disturb tracking only exists for SLC-mode blocks")
-        written = 0
-        for slot in written_slots:
-            written |= 1 << slot
-        return self._apply_disturb(page, written)
 
     def _apply_disturb(self, page: int, written_mask: int) -> int:
         """Disturb pass over the bitmasks: scalar int64 increments on the
@@ -567,15 +463,10 @@ class Block:
         self.state = BlockState.FREE
         self.level = None
         region = self.region
-        slot = self.region_slot
-        region.erase_count[slot] = self.erase_count
-        region.state_code[slot] = 0  # BLOCK_STATE_CODES[FREE]
-        region.level[slot] = -1
+        region.state_code[self.region_slot] = 0  # BLOCK_STATE_CODES[FREE]
         slots_slice = self._slots_slice
         pages_slice = self._pages_slice
-        region.programmed[slots_slice] = False
         region.valid[slots_slice] = False
-        region.program_count[pages_slice] = 0
         region.slot_lsn[slots_slice] = NO_LSN
         if self.is_slc:
             region.slot_time[slots_slice] = 0.0
@@ -586,8 +477,6 @@ class Block:
         zeros = [0] * self.pages
         self.prog_mask[:] = zeros
         self.valid_mask[:] = zeros
-        self.page_valid[:] = zeros
-        self.page_programmed[:] = zeros
         self.pass_counts[:] = zeros
         self.n_valid = 0
         self.n_invalid = 0
@@ -618,10 +507,7 @@ class Block:
                 f"block {self.block_id}: open while {self.state.value}")
         self.state = BlockState.OPEN
         self.level = level
-        self.alloc_time = now
-        region = self.region
-        region.state_code[self.region_slot] = 1  # BLOCK_STATE_CODES[OPEN]
-        region.level[self.region_slot] = level
+        self.region.state_code[self.region_slot] = 1  # BLOCK_STATE_CODES[OPEN]
 
     def mark_victim(self) -> None:
         """Transition FULL → VICTIM (GC drain started).  The block leaves
@@ -632,57 +518,35 @@ class Block:
     # -- integrity ------------------------------------------------------
 
     def verify_array_state(self) -> None:
-        """Assert every derived scalar/bitmask mirror agrees with the
-        authoritative region arrays (consistency-hook support)."""
-        pv = self.valid.sum(axis=1).tolist()
-        pp = self.programmed.sum(axis=1).tolist()
-        if self.page_valid != pv:
+        """Assert every mirror agrees with the copy it shadows: the valid
+        bitmasks with the region's ``valid`` column, the occupancy
+        counters with the bitmasks, and ``state`` with ``state_code``
+        (consistency-hook support)."""
+        weights = 1 << np.arange(self.spp, dtype=np.int64)
+        if self.valid_mask != (self.valid @ weights).tolist():
             raise SubpageStateError(
-                f"block {self.block_id}: page_valid counters drifted")
-        if self.page_programmed != pp:
+                f"block {self.block_id}: valid bitmasks drifted from the "
+                f"valid column")
+        if any(v & ~p for v, p in zip(self.valid_mask, self.prog_mask)):
             raise SubpageStateError(
-                f"block {self.block_id}: page_programmed counters drifted")
-        if self.pass_counts != self.program_count.tolist():
-            raise SubpageStateError(
-                f"block {self.block_id}: pass_counts mirror drifted from "
-                f"the program_count array")
-        for page in range(self.pages):
-            prow = int(sum(1 << s for s in range(self.spp)
-                           if self.programmed[page, s]))
-            vrow = int(sum(1 << s for s in range(self.spp)
-                           if self.valid[page, s]))
-            if self.prog_mask[page] != prow or self.valid_mask[page] != vrow:
-                raise SubpageStateError(
-                    f"block {self.block_id} page {page}: slot bitmasks "
-                    f"drifted from the programmed/valid arrays")
-        n_valid = int(self.valid.sum())
-        n_programmed = int(self.programmed.sum())
+                f"block {self.block_id}: a valid slot is not programmed")
+        popcount = self._popcount
+        n_valid = sum(popcount[m] for m in self.valid_mask)
+        n_programmed = sum(popcount[m] for m in self.prog_mask)
         if (self.n_valid != n_valid or self.n_programmed != n_programmed
                 or self.n_invalid != n_programmed - n_valid):
             raise SubpageStateError(
                 f"block {self.block_id}: occupancy counters drifted")
-        if self.pages_with_valid != sum(1 for v in pv if v):
+        if self.pages_with_valid != sum(1 for m in self.valid_mask if m):
             raise SubpageStateError(
                 f"block {self.block_id}: pages_with_valid drifted")
-        region = self.region
-        slot = self.region_slot
-        if int(region.erase_count[slot]) != self.erase_count:
-            raise SubpageStateError(
-                f"block {self.block_id}: erase_count mirror drifted")
-        if int(region.state_code[slot]) != BLOCK_STATE_CODES[self.state]:
+        code = int(self.region.state_code[self.region_slot])
+        if code != BLOCK_STATE_CODES[self.state]:
             raise SubpageStateError(
                 f"block {self.block_id}: state_code mirror drifted "
-                f"({int(region.state_code[slot])} vs {self.state.value})")
-        expected_level = -1 if self.level is None else int(self.level)
-        if int(region.level[slot]) != expected_level:
-            raise SubpageStateError(
-                f"block {self.block_id}: level mirror drifted")
+                f"({code} vs {self.state.value})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        # Counts come straight off the region arrays (ground truth), so a
-        # drifted derived counter is visible when debugging.
-        n_valid = int(self.valid.sum())
-        n_invalid = int(self.programmed.sum()) - n_valid
         return (f"Block({self.block_id}, {self.mode.value}, {self.state.value}, "
                 f"level={self.level}, next_page={self.next_page}, "
-                f"valid={n_valid}, invalid={n_invalid})")
+                f"valid={self.n_valid}, invalid={self.n_invalid})")

@@ -60,8 +60,8 @@ class FlashArray:
             modes.append(mode)
             (self.slc_block_ids if mode.is_slc else self.mlc_block_ids).append(block_id)
 
-        # One structure-of-arrays store per region; every block is a thin
-        # view over its stripe (block ids are striped across planes, so a
+        # One structure-of-arrays store per region; every block reads and
+        # writes its own stripe (block ids are striped across planes, so a
         # block's slot in its region is its rank among same-mode ids).
         self.slc_state = RegionState(
             len(self.slc_block_ids), g.pages_per_block(True),
@@ -286,8 +286,8 @@ class FlashArray:
     # -- integrity --------------------------------------------------------------
 
     def verify_array_state(self) -> None:
-        """Assert every block's mirrors (page counters, slot bitmasks, the
-        per-block columns of the region arrays) agree with its arrays
+        """Assert every block's mirrors (valid bitmasks, occupancy
+        counters, lifecycle state) agree with the copies they shadow
         (consistency-hook support)."""
         for block in self.blocks:
             block.verify_array_state()

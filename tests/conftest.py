@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import SCHEMES, BaselineFTL, IPUFTL, MGAFTL
@@ -23,6 +24,13 @@ def tiny_config(seed: int = 0, **cache_kwargs) -> SSDConfig:
         channels=2, chips_per_channel=1, planes_per_chip=1, total_blocks=32)
     cache = CacheConfig(slc_ratio=0.25, **cache_kwargs)
     return SSDConfig(geometry=geometry, cache=cache, seed=seed).validate()
+
+
+def programmed_matrix(block) -> np.ndarray:
+    """A block's programmed slots as a ``(pages, spp)`` bool matrix, read
+    off ``prog_mask`` (the kernel's only record of them)."""
+    return np.array([[bool(m >> s & 1) for s in range(block.spp)]
+                     for m in block.prog_mask], dtype=bool)
 
 
 @pytest.fixture

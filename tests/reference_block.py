@@ -2,8 +2,8 @@
 
 The array-backed block (:mod:`repro.nand.block` over
 :class:`~repro.nand.state.RegionState`) is a performance kernel: flat
-numpy stores, python-int bitmasks and counters, and the region's
-per-block state columns kept in step.  This module keeps the
+numpy stores, python-int bitmasks and counters kept in step with the
+region's ``valid`` and ``state_code`` columns.  This module keeps the
 *specification* alive as executable code: one slot at a time, nested
 python lists, no numpy, no derived mirrors — the simplest state machine
 that satisfies the documented block semantics.
@@ -47,7 +47,6 @@ class ReferenceBlock:
     # per-page list form.
     erase_count: PeCycles
     next_page: Ppn
-    alloc_time: Ms
     slot_lsn: "list[list[Lsn]]"
     slot_time: "list[list[Ms]] | None"
     slot_program_time: "list[list[Ms]] | None"
@@ -63,7 +62,6 @@ class ReferenceBlock:
         self.next_page = 0
         self.state = BlockState.FREE
         self.level: int | None = None
-        self.alloc_time: Ms = 0.0
         self.content_epoch = 0
         self.read_count = 0
         self._reset_content()
@@ -73,7 +71,7 @@ class ReferenceBlock:
         self.programmed = [[False] * spp for _ in range(pages)]
         self.valid = [[False] * spp for _ in range(pages)]
         self.slot_lsn = [[NO_LSN] * spp for _ in range(pages)]
-        self._pass_counts = [0] * pages
+        self.pass_counts = [0] * pages
         if self.is_slc:
             self.slot_time = [[0.0] * spp for _ in range(pages)]
             self.slot_program_time = [[0.0] * spp for _ in range(pages)]
@@ -134,31 +132,10 @@ class ReferenceBlock:
     def slot_lsns(self, page: int, slots: list[int]) -> "list[Lsn]":
         return [self.slot_lsn[page][s] for s in slots]
 
-    def can_partial_program(self, page: int, nslots: int,
-                            max_programs: int) -> bool:
-        if not 0 <= page < self.next_page:
-            return False
-        if self.pass_counts[page] >= max_programs:
-            return False
-        return self.spp - self.page_programmed[page] >= nslots
-
-    # ``pass_counts`` is authoritative here (the kernel mirrors it from
-    # ``RegionState.program_count``).
-    @property
-    def pass_counts(self) -> list[int]:
-        return self._pass_counts
-
     # -- mutation --------------------------------------------------------
 
-    def program(self, page: int, slots: list[int], lsns: list[Lsn], now: Ms,
-                max_programs: int) -> bool:
-        partial, _ = self.program_disturb(
-            page, slots, lsns, now, max_programs, apply_disturb=False)
-        return partial
-
     def program_disturb(self, page: int, slots: list[int], lsns: list[Lsn],
-                        now: Ms, max_programs: int,
-                        apply_disturb: bool = True) -> "tuple[bool, int]":
+                        now: Ms, max_programs: int) -> "tuple[bool, int]":
         n = len(slots)
         if n != len(lsns) or not n:
             raise SubpageStateError(
@@ -173,10 +150,10 @@ class ReferenceBlock:
             if not self.is_slc:
                 raise SubpageStateError(
                     f"block {self.block_id}: partial programming requires SLC mode")
-            if self._pass_counts[page] >= max_programs:
+            if self.pass_counts[page] >= max_programs:
                 raise PartialProgramLimitError(
                     f"block {self.block_id} page {page}: "
-                    f"{self._pass_counts[page]} passes >= limit {max_programs}")
+                    f"{self.pass_counts[page]} passes >= limit {max_programs}")
         else:
             raise ProgramOrderError(
                 f"block {self.block_id}: page {page} programmed out of order "
@@ -203,14 +180,13 @@ class ReferenceBlock:
             if self.is_slc:
                 self.slot_time[page][slot] = now
                 self.slot_program_time[page][slot] = now
-        self._pass_counts[page] += 1
+        self.pass_counts[page] += 1
         if self.next_page >= self.pages and self.state is BlockState.OPEN:
             self.state = BlockState.FULL
         self.content_epoch += 1
-        disturbed = 0
-        if partial and apply_disturb:
-            disturbed = self.add_disturb(page, slots)
-        return partial, disturbed
+        if partial:
+            return True, self._disturb(page, slots)
+        return False, 0
 
     def reprogram_pass(self, page: int, max_programs: int) -> int:
         if not self.is_slc:
@@ -219,13 +195,13 @@ class ReferenceBlock:
         if not 0 <= page < self.next_page:
             raise ProgramOrderError(
                 f"block {self.block_id}: reprogram of unwritten page {page}")
-        if self._pass_counts[page] >= max_programs:
+        if self.pass_counts[page] >= max_programs:
             raise PartialProgramLimitError(
                 f"block {self.block_id} page {page}: "
-                f"{self._pass_counts[page]} passes >= limit {max_programs}")
-        self._pass_counts[page] += 1
+                f"{self.pass_counts[page]} passes >= limit {max_programs}")
+        self.pass_counts[page] += 1
         self.content_epoch += 1
-        return self.add_disturb(page, [])
+        return self._disturb(page, [])
 
     def invalidate(self, page: int, slot: int) -> None:
         # An out-of-range (non-negative) slot is "not valid" like any
@@ -256,15 +232,11 @@ class ReferenceBlock:
             self.page_updated[page] = True
             self.content_epoch += 1
 
-    def touch(self, page: int, slots: list[int], now: Ms) -> None:
-        if self.slot_time is not None:
-            for slot in slots:
-                self.slot_time[page][slot] = now
-
-    def add_disturb(self, page: int, written_slots: list[int]) -> int:
-        if self.disturb_in is None:
-            raise SubpageStateError(
-                "disturb tracking only exists for SLC-mode blocks")
+    def _disturb(self, page: int, written_slots: list[int]) -> int:
+        """Program disturb of one partial pass: in-page hits every
+        programmed slot not just written, neighbour-page hits every
+        programmed slot of pages ``page - 1`` and ``page + 1``; returns
+        the valid in-page subpages hit."""
         written = set(written_slots)
         hit_valid = 0
         for slot in range(self.spp):
@@ -306,7 +278,6 @@ class ReferenceBlock:
                 f"block {self.block_id}: open while {self.state.value}")
         self.state = BlockState.OPEN
         self.level = level
-        self.alloc_time = now
 
     def mark_victim(self) -> None:
         self.state = BlockState.VICTIM

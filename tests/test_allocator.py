@@ -54,7 +54,7 @@ class TestStriping:
         first = {}
         for _ in range(alloc.stripes * 2):
             block, page = alloc.alloc_page(1, 0.0)
-            block.program(page, [0], [1], 0.0, 4)
+            block.program_disturb(page, [0], [1], 0.0, 4)
             if block.block_id in first:
                 assert page == first[block.block_id] + 1
             else:
@@ -88,11 +88,11 @@ class TestLevels:
 class TestStaleActives:
     def test_erased_active_replaced(self, flash, alloc):
         block, page = alloc.alloc_page(1, 0.0)
-        block.program(page, [0], [1], 0.0, 4)
+        block.program_disturb(page, [0], [1], 0.0, 4)
         flash.invalidate(block.block_id, page, 0)
         # Drain remaining pages so it can be erased.
         while not block.is_full:
-            block.program(block.next_page, [0], [9], 0.0, 4)
+            block.program_disturb(block.next_page, [0], [9], 0.0, 4)
             flash.invalidate(block.block_id, block.next_page - 1, 0)
         flash.erase(block.block_id)
         alloc.release(block.block_id)
@@ -103,7 +103,7 @@ class TestStaleActives:
     def test_full_active_replaced(self, flash, alloc):
         block, page = alloc.alloc_page(1, 0.0)
         while not block.is_full:
-            block.program(block.next_page, [0], [9], 0.0, 4)
+            block.program_disturb(block.next_page, [0], [9], 0.0, 4)
         # Keep requesting from the same level until a fresh block shows up
         # (for_gc bypasses the host reserve in this tiny region).
         for _ in range(alloc.stripes):
@@ -142,8 +142,8 @@ class TestReserve:
 class TestCandidates:
     def test_only_full_blocks(self, flash, alloc):
         block, page = alloc.alloc_page(1, 0.0)
-        block.program(page, [0], [1], 0.0, 4)
+        block.program_disturb(page, [0], [1], 0.0, 4)
         assert alloc.victim_candidates() == []
         while not block.is_full:
-            block.program(block.next_page, [0], [9], 0.0, 4)
+            block.program_disturb(block.next_page, [0], [9], 0.0, 4)
         assert block in alloc.victim_candidates()

@@ -44,33 +44,41 @@ MAX_PROGRAMS = 4
 
 
 def snapshot(b) -> dict:
-    """Every quantity the simulator can observe about a block."""
-    as_list = (lambda m: m.tolist()) if isinstance(b, Block) else (
-        lambda m: [list(row) for row in m])
+    """Every quantity the simulator can observe about a block, read from
+    the kernel's one copy of each fact (programmed slots and per-page
+    counts off the bitmasks, slot state off the region columns)."""
+    if isinstance(b, Block):
+        as_list = (lambda m: m.tolist())
+        programmed = [[bool(m >> s & 1) for s in range(SPP)]
+                      for m in b.prog_mask]
+        page_valid = [m.bit_count() for m in b.valid_mask]
+        page_programmed = [m.bit_count() for m in b.prog_mask]
+    else:
+        as_list = (lambda m: [list(row) for row in m])
+        programmed = as_list(b.programmed)
+        page_valid = b.page_valid
+        page_programmed = b.page_programmed
     snap = {
         "state": b.state,
         "level": b.level,
         "next_page": b.next_page,
         "erase_count": b.erase_count,
-        "alloc_time": b.alloc_time,
         "content_epoch": b.content_epoch,
         "n_valid": b.n_valid,
         "n_invalid": b.n_invalid,
         "n_programmed": b.n_programmed,
-        "page_valid": list(b.page_valid),
-        "page_programmed": list(b.page_programmed),
+        "page_valid": page_valid,
+        "page_programmed": page_programmed,
         "pass_counts": list(b.pass_counts),
         "pages_with_valid": b.pages_with_valid,
         "is_full": b.is_full,
         "reclaimable": b.reclaimable_subpages,
-        "programmed": as_list(b.programmed),
+        "programmed": programmed,
         "valid": as_list(b.valid),
         "slot_lsn": as_list(b.slot_lsn),
         "free_slots": [b.free_slots_of_page(p) for p in range(PAGES)],
         "valid_slots": [b.valid_slots_of_page(p) for p in range(PAGES)],
         "lsns": [b.slot_lsns(p, list(range(SPP))) for p in range(PAGES)],
-        "can_partial": [b.can_partial_program(p, 1, MAX_PROGRAMS)
-                        for p in range(PAGES)],
     }
     if b.is_slc:
         snap["slot_time"] = as_list(b.slot_time)
@@ -109,9 +117,7 @@ operation = st.one_of(
     st.tuples(st.just("invalidate_valid"), page_idx,
               st.integers(min_value=0, max_value=SPP)),
     st.tuples(st.just("invalidate_many_raw"), page_idx, loose_slots),
-    st.tuples(st.just("touch"), page_idx, slot_list),
     st.tuples(st.just("mark_updated"), page_idx),
-    st.tuples(st.just("add_disturb"), page_idx, slot_list),
     st.tuples(st.just("drain_page"), page_idx),
     st.tuples(st.just("erase"),),
     st.tuples(st.just("victim"),),
@@ -162,12 +168,8 @@ class _Driver:
             return b.invalidate_many(page, b.valid_slots_of_page(page)[:op[2]])
         if kind == "invalidate_many_raw":
             return b.invalidate_many(op[1], op[2])
-        if kind == "touch":
-            return b.touch(op[1], op[2], self.now)
         if kind == "mark_updated":
             return b.mark_page_updated(op[1])
-        if kind == "add_disturb":
-            return b.add_disturb(op[1], op[2])
         if kind == "drain_page":
             # GC idiom: invalidate every valid slot of one page.
             page = op[1]
@@ -236,7 +238,7 @@ class TestDifferentialBlockState:
     def test_empty_invalidate_many_is_a_noop(self):
         block = Block(0, CellMode.SLC, PAGES, SPP)
         block.open_as(1, 0.0)
-        block.program(0, [0], [7], 0.0, MAX_PROGRAMS)
+        block.program_disturb(0, [0], [7], 0.0, MAX_PROGRAMS)
         block.invalidate(0, 0)
         before = snapshot(block)
         block.invalidate_many(0, [])
@@ -274,6 +276,11 @@ class TestArrayKernelsBitIdentical:
         _, ecc = _models()
         # The page's slowest codeword: decode_ms of the largest RBER.
         assert ecc.decode_ms_list(values) == ecc.decode_ms(max(values))
+        # The same worst subpage sets the read's failure probability; the
+        # python max equals the float64 array reduction exactly.
+        worst = float(np.asarray(values, dtype=np.float64).max())
+        assert (ecc.uncorrectable_probability_for_subpages(values)
+                == ecc.uncorrectable_probability(worst))
 
     @given(n_in=st.lists(st.integers(min_value=0, max_value=40),
                          min_size=1, max_size=16),

@@ -37,114 +37,107 @@ class TestLifecycle:
 
     def test_full_after_all_pages(self):
         block = make_block(pages=2)
-        block.program(0, [0], [10], 0.0, 4)
+        block.program_disturb(0, [0], [10], 0.0, 4)
         assert block.state is BlockState.OPEN
-        block.program(1, [0], [11], 0.0, 4)
+        block.program_disturb(1, [0], [11], 0.0, 4)
         assert block.state is BlockState.FULL
         assert block.is_full
 
     def test_program_while_free_rejected(self):
         block = Block(0, CellMode.SLC, 4, 4)
         with pytest.raises(SubpageStateError):
-            block.program(0, [0], [1], 0.0, 4)
+            block.program_disturb(0, [0], [1], 0.0, 4)
 
 
 class TestProgramming:
     def test_initial_program_not_partial(self):
         block = make_block()
-        assert block.program(0, [0, 1], [10, 11], 0.0, 4) is False
+        assert block.program_disturb(0, [0, 1], [10, 11], 0.0, 4)[0] is False
 
     def test_second_pass_is_partial(self):
         block = make_block()
-        block.program(0, [0], [10], 0.0, 4)
-        assert block.program(0, [1], [11], 0.0, 4) is True
+        block.program_disturb(0, [0], [10], 0.0, 4)
+        assert block.program_disturb(0, [1], [11], 0.0, 4)[0] is True
 
     def test_out_of_order_rejected(self):
         block = make_block()
         with pytest.raises(ProgramOrderError):
-            block.program(2, [0], [10], 0.0, 4)
+            block.program_disturb(2, [0], [10], 0.0, 4)
 
     def test_slot_reuse_rejected(self):
         block = make_block()
-        block.program(0, [0], [10], 0.0, 4)
+        block.program_disturb(0, [0], [10], 0.0, 4)
         with pytest.raises(SubpageStateError):
-            block.program(0, [0], [11], 0.0, 4)
+            block.program_disturb(0, [0], [11], 0.0, 4)
 
     def test_duplicate_slots_rejected(self):
         block = make_block()
         with pytest.raises(SubpageStateError):
-            block.program(0, [1, 1], [10, 11], 0.0, 4)
+            block.program_disturb(0, [1, 1], [10, 11], 0.0, 4)
 
     def test_empty_slots_rejected(self):
         block = make_block()
         with pytest.raises(SubpageStateError):
-            block.program(0, [], [], 0.0, 4)
+            block.program_disturb(0, [], [], 0.0, 4)
 
     def test_mismatched_lsns_rejected(self):
         block = make_block()
         with pytest.raises(SubpageStateError):
-            block.program(0, [0, 1], [10], 0.0, 4)
+            block.program_disturb(0, [0, 1], [10], 0.0, 4)
 
     def test_slot_out_of_range(self):
         block = make_block()
         with pytest.raises(SubpageStateError):
-            block.program(0, [4], [10], 0.0, 4)
+            block.program_disturb(0, [4], [10], 0.0, 4)
 
     def test_partial_program_limit(self):
         block = make_block()
         for i in range(4):
-            block.program(0, [i], [10 + i], 0.0, 4)
+            block.program_disturb(0, [i], [10 + i], 0.0, 4)
         block2 = make_block(pages=1)
-        # program_count == max -> further pass rejected even with free slots
-        block2.program(0, [0], [1], 0.0, 2)
-        block2.program(0, [1], [2], 0.0, 2)
+        # pass_counts == max -> further pass rejected even with free slots
+        block2.program_disturb(0, [0], [1], 0.0, 2)
+        block2.program_disturb(0, [1], [2], 0.0, 2)
         with pytest.raises(PartialProgramLimitError):
-            block2.program(0, [2], [3], 0.0, 2)
+            block2.program_disturb(0, [2], [3], 0.0, 2)
 
     def test_mlc_partial_program_rejected(self):
         block = make_block(mode=CellMode.MLC)
-        block.program(0, [0], [10], 0.0, 4)
+        block.program_disturb(0, [0], [10], 0.0, 4)
         with pytest.raises(SubpageStateError):
-            block.program(0, [1], [11], 0.0, 4)
+            block.program_disturb(0, [1], [11], 0.0, 4)
 
     def test_program_records_lsn_and_time(self):
         block = make_block()
-        block.program(0, [2], [42], 7.5, 4)
+        block.program_disturb(0, [2], [42], 7.5, 4)
         assert block.slot_lsn[0, 2] == 42
         assert block.slot_time[0, 2] == 7.5
 
     def test_counters(self):
         block = make_block()
-        block.program(0, [0, 1], [1, 2], 0.0, 4)
+        block.program_disturb(0, [0, 1], [1, 2], 0.0, 4)
         assert block.n_programmed == 2
         assert block.n_valid == 2
         assert block.n_invalid == 0
 
-    def test_can_partial_program(self):
-        block = make_block()
-        block.program(0, [0, 1], [1, 2], 0.0, 4)
-        assert block.can_partial_program(0, 2, 4)
-        assert not block.can_partial_program(0, 3, 4)
-        assert not block.can_partial_program(1, 1, 4)  # unwritten page
-
     def test_content_epoch_bumps(self):
         block = make_block()
         e0 = block.content_epoch
-        block.program(0, [0], [1], 0.0, 4)
+        block.program_disturb(0, [0], [1], 0.0, 4)
         assert block.content_epoch > e0
 
 
 class TestInvalidate:
     def test_invalidate_moves_counters(self):
         block = make_block()
-        block.program(0, [0], [1], 0.0, 4)
+        block.program_disturb(0, [0], [1], 0.0, 4)
         block.invalidate(0, 0)
         assert block.n_valid == 0
         assert block.n_invalid == 1
 
     def test_double_invalidate_rejected(self):
         block = make_block()
-        block.program(0, [0], [1], 0.0, 4)
+        block.program_disturb(0, [0], [1], 0.0, 4)
         block.invalidate(0, 0)
         with pytest.raises(SubpageStateError):
             block.invalidate(0, 0)
@@ -156,7 +149,7 @@ class TestInvalidate:
 
     def test_reclaimable(self):
         block = make_block(pages=1)
-        block.program(0, [0, 1], [1, 2], 0.0, 4)
+        block.program_disturb(0, [0, 1], [1, 2], 0.0, 4)
         assert block.reclaimable_subpages == 2
         block.invalidate(0, 0)
         assert block.reclaimable_subpages == 3
@@ -165,8 +158,8 @@ class TestInvalidate:
 class TestDisturb:
     def test_in_page_disturb_hits_valid_neighbors(self):
         block = make_block()
-        block.program(0, [0, 1], [1, 2], 0.0, 4)
-        hit = block.add_disturb(0, [2])
+        block.program_disturb(0, [0, 1], [1, 2], 0.0, 4)
+        _, hit = block.program_disturb(0, [2], [3], 0.0, 4)
         assert hit == 2
         assert block.disturb_in[0][0] == 1
         assert block.disturb_in[0][1] == 1
@@ -174,39 +167,33 @@ class TestDisturb:
 
     def test_invalid_subpages_still_counted_in_array_not_in_hits(self):
         block = make_block()
-        block.program(0, [0, 1], [1, 2], 0.0, 4)
+        block.program_disturb(0, [0, 1], [1, 2], 0.0, 4)
         block.invalidate(0, 0)
-        hit = block.add_disturb(0, [2])
+        _, hit = block.program_disturb(0, [2], [3], 0.0, 4)
         assert hit == 1  # only the valid one matters
         assert block.disturb_in[0][0] == 1  # array still tracks programmed cells
 
     def test_neighbor_disturb(self):
         block = make_block()
-        block.program(0, [0], [1], 0.0, 4)
-        block.program(1, [0, 1], [2, 3], 0.0, 4)
-        block.program(2, [0], [4], 0.0, 4)
-        block.add_disturb(1, [2])
+        block.program_disturb(0, [0], [1], 0.0, 4)
+        block.program_disturb(1, [0, 1], [2, 3], 0.0, 4)
+        block.program_disturb(2, [0], [4], 0.0, 4)
+        block.program_disturb(1, [2], [5], 0.0, 4)
         assert block.disturb_nb[0][0] == 1
         assert block.disturb_nb[2][0] == 1
         assert block.disturb_nb[1][0] == 0  # own page gets in-page, not nb
 
     def test_neighbor_disturb_edge_pages(self):
         block = make_block()
-        block.program(0, [0], [1], 0.0, 4)
-        block.add_disturb(0, [1])  # page -1 does not exist
+        block.program_disturb(0, [0], [1], 0.0, 4)
+        block.program_disturb(0, [1], [2], 0.0, 4)  # page -1 does not exist
         assert sum(map(sum, block.disturb_nb)) == 0
-
-    def test_mlc_disturb_rejected(self):
-        block = make_block(mode=CellMode.MLC)
-        block.program(0, [0], [1], 0.0, 4)
-        with pytest.raises(SubpageStateError):
-            block.add_disturb(0, [1])
 
 
 class TestErase:
     def test_erase_resets_everything(self):
         block = make_block()
-        block.program(0, [0, 1], [1, 2], 0.0, 4)
+        block.program_disturb(0, [0, 1], [1, 2], 0.0, 4)
         block.invalidate(0, 0)
         block.invalidate(0, 1)
         block.erase()
@@ -215,13 +202,13 @@ class TestErase:
         assert block.next_page == 0
         assert block.n_programmed == 0
         assert block.n_invalid == 0
-        assert not block.programmed.any()
+        assert block.prog_mask == [0] * block.pages
         assert (block.slot_lsn == NO_LSN).all()
         assert block.level is None
 
     def test_erase_with_valid_rejected(self):
         block = make_block()
-        block.program(0, [0], [1], 0.0, 4)
+        block.program_disturb(0, [0], [1], 0.0, 4)
         with pytest.raises(EraseError):
             block.erase()
 
@@ -232,18 +219,18 @@ class TestErase:
 
     def test_reuse_after_erase(self):
         block = make_block(pages=1)
-        block.program(0, [0], [1], 0.0, 4)
+        block.program_disturb(0, [0], [1], 0.0, 4)
         block.invalidate(0, 0)
         block.erase()
         block.open_as(2, 1.0)
-        assert block.program(0, [0], [5], 1.0, 4) is False
+        assert block.program_disturb(0, [0], [5], 1.0, 4)[0] is False
         assert block.level == 2
 
 
 class TestHelpers:
     def test_free_and_valid_slots(self):
         block = make_block()
-        block.program(0, [0, 2], [1, 2], 0.0, 4)
+        block.program_disturb(0, [0, 2], [1, 2], 0.0, 4)
         assert block.free_slots_of_page(0) == [1, 3]
         assert block.valid_slots_of_page(0) == [0, 2]
         block.invalidate(0, 0)
@@ -254,12 +241,6 @@ class TestHelpers:
         assert not block.page_updated[0]
         block.mark_page_updated(0)
         assert block.page_updated[0]
-
-    def test_touch_refreshes_time(self):
-        block = make_block()
-        block.program(0, [0], [1], 0.0, 4)
-        block.touch(0, [0], 9.0)
-        assert block.slot_time[0, 0] == 9.0
 
     def test_mlc_block_has_no_slc_arrays(self):
         block = Block(0, CellMode.MLC, 4, 4)

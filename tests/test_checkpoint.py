@@ -5,15 +5,20 @@ This is the property the whole fleet layer leans on, so it is driven
 property-style: hypothesis sweeps the split point, seed, scheme and
 fault-injection state, and every combination must produce the same
 ``deterministic_dict`` as the uninterrupted replay — not approximately,
-exactly.  Separate groups pin the numpy-view aliasing the Block pickle
-protocol must rebuild and the file-format validation of
-:mod:`repro.fleet.checkpoint` (every corruption fails loudly *before*
-the payload unpickles).
+exactly.  Separate groups pin that no object a checkpoint reaches
+stores a view into a region array (so the restored graph shares the
+region's memory, as the original does) and the file-format validation
+of :mod:`repro.fleet.checkpoint` (every corruption fails loudly *before*
+the payload unpickles, or loads the identical payload).
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import SCHEMES as factories
+from repro.config import scaled_config
 from repro.faults import FaultConfig, attach_faults
 from repro.fleet import checkpoint as checkpoint_mod
 from repro.fleet.checkpoint import (
@@ -33,6 +39,8 @@ from repro.fleet.checkpoint import (
 )
 from repro.frontend import FrontendConfig
 from repro.frontend.simulate import FrontendSimulator
+from repro.nand.block import BlockState
+from repro.nand.state import RegionState
 from repro.sim import ClosedLoopReplay, OpenLoopReplay
 from repro.traces.model import Trace
 from repro.traces.profiles import profile
@@ -141,20 +149,23 @@ class TestResumeBitIdentity:
 
 class TestViewAliasing:
     def test_blocks_share_region_after_unpickle(self):
-        """Block's pickled views rebind onto the restored RegionState —
-        shared memory, not silent per-block copies."""
+        """After a round trip every block's region is its FlashArray's
+        region object, and the block's views read that region: a program
+        through the FlashArray shows in ``block.valid``/``block.slot_lsn``."""
         replay = build_replay("ipu", seed=1)
         replay.feed(short_trace(seed=2, n_requests=300))
         clone = pickle.loads(pickle.dumps(replay, protocol=5))
         flash = clone.ftl.flash
-        blocks = list(flash.blocks)
-        slc = [b for b in blocks if b.is_slc]
-        assert slc, "expected SLC blocks in the tiny config"
-        region = slc[0].region
-        for block in slc:
+        for block in flash.blocks:
+            region = flash.slc_state if block.is_slc else flash.mlc_state
             assert block.region is region
-            assert np.shares_memory(block.programmed, region.programmed)
-            assert np.shares_memory(block.valid, region.valid)
+        block = next(b for b in flash.region_blocks(True)
+                     if b.state is BlockState.FREE)
+        block.open_as(0, 0.0)
+        flash.program(block.block_id, 0, [1], [10**6], 1.0)
+        assert block.valid[0, 1] and not block.valid[0, 0]
+        assert block.slot_lsn[0, 1] == 10**6
+        assert np.shares_memory(block.valid, flash.slc_state.valid)
         flash.verify_array_state()
 
     def test_unpickled_state_equals_original(self):
@@ -163,9 +174,41 @@ class TestViewAliasing:
         clone = pickle.loads(pickle.dumps(replay, protocol=5))
         for b1, b2 in zip(replay.ftl.flash.blocks,
                           clone.ftl.flash.blocks):
-            np.testing.assert_array_equal(b1.programmed, b2.programmed)
+            assert b1.prog_mask == b2.prog_mask
             np.testing.assert_array_equal(b1.valid, b2.valid)
             np.testing.assert_array_equal(b1.slot_lsn, b2.slot_lsn)
+
+
+class TestPickleGraph:
+    """No object a checkpoint reaches stores a view into a RegionState
+    column: default pickling would write it as a private copy, and the
+    restored graph would stop sharing memory with the region arrays."""
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_no_pickled_array_aliases_a_region_column(self, scheme):
+        cfg = scaled_config("smoke", seed=3)
+        ftl = factories[scheme](cfg)
+        attach_faults(ftl, FaultConfig.from_rate(1.5), seed=3)
+        replay = OpenLoopReplay(ftl, cfg)
+        replay.feed(short_trace(seed=5, n_requests=3000))
+        flash = ftl.flash
+        columns = [getattr(region, name)
+                   for region in (flash.slc_state, flash.mlc_state)
+                   for name in RegionState.__slots__
+                   if isinstance(getattr(region, name), np.ndarray)]
+        aliases = []
+
+        class AliasProbe(pickle.Pickler):
+            def persistent_id(self, obj):
+                if (isinstance(obj, np.ndarray)
+                        and not any(obj is col for col in columns)
+                        and any(np.shares_memory(obj, col)
+                                for col in columns)):
+                    aliases.append(obj.shape)
+                return None
+
+        AliasProbe(io.BytesIO(), protocol=5).dump(replay)
+        assert aliases == []
 
 
 class TestCheckpointFile:
@@ -220,15 +263,20 @@ class TestCheckpointFile:
             load_checkpoint(path, key="k1")
 
     def test_older_format_version_refused(self, tmp_path, monkeypatch):
-        """A version-2 file (blocks that still pickled their victim and
-        counter watchers) is refused from its header, before the payload
-        unpickles."""
-        assert CHECKPOINT_VERSION == 3
-        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 2)
+        """A version-3 file (a RegionState that still carried its
+        programmed, program_count, erase_count and level columns) is
+        refused from its header, before the payload unpickles."""
+        assert CHECKPOINT_VERSION == 4
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 3)
         path = self._roundtrip(tmp_path, {"a": 1})
         monkeypatch.undo()
-        with pytest.raises(CheckpointError, match="format v2, this build "
-                                                  "reads v3"):
+
+        def unpickle(_blob):
+            raise AssertionError("payload unpickled before the version check")
+
+        monkeypatch.setattr(pickle, "loads", unpickle)
+        with pytest.raises(CheckpointError, match="format v3, this build "
+                                                  "reads v4"):
             load_checkpoint(path, key="k1")
 
     def test_wrong_kind(self, tmp_path):
@@ -236,6 +284,61 @@ class TestCheckpointFile:
         save_checkpoint(path, {"a": 1}, key="k", epoch=0, kind="other")
         with pytest.raises(CheckpointError, match="kind"):
             load_checkpoint(path, key="k")
+
+
+FUZZ_KEY = "f" * 64
+
+
+@functools.lru_cache(maxsize=None)
+def real_checkpoint() -> "tuple[bytes, bytes]":
+    """A device snapshot as a fleet campaign writes it (a paused faulty
+    replay), and the pickle of the payload it loads back to."""
+    replay = build_replay("ipu", seed=7, fault_rate=1.5)
+    replay.feed(short_trace(seed=8, n_requests=200))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d0_e2.ckpt"
+        save_checkpoint(path, replay, key=FUZZ_KEY, epoch=2)
+        _, payload = load_checkpoint(path, key=FUZZ_KEY)
+        return path.read_bytes(), pickle.dumps(payload, protocol=5)
+
+
+#: Byte positions, half of them in the frame's head (magic, length,
+#: header); every payload byte is covered by the header's digest.
+positions = st.one_of(st.integers(0, 511), st.integers(0, 2**31))
+
+mutations = st.one_of(
+    st.tuples(st.just("truncate"), positions),
+    st.tuples(st.just("delete"), positions),
+    st.tuples(st.just("change"), positions, st.integers(1, 255)),
+)
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(mutation=mutations)
+    def test_mutated_file_fails_loudly_or_loads_identically(
+            self, tmp_path_factory, mutation):
+        """Any truncation, one-byte deletion or one-byte change of a real
+        checkpoint raises :class:`CheckpointError` naming the file, or
+        loads the identical payload (a change the header tolerates, such
+        as another epoch number)."""
+        raw, expected = real_checkpoint()
+        at = mutation[1] % len(raw)
+        if mutation[0] == "truncate":
+            mutated = raw[:at]
+        elif mutation[0] == "delete":
+            mutated = raw[:at] + raw[at + 1:]
+        else:
+            mutated = bytearray(raw)
+            mutated[at] ^= mutation[2]
+        path = tmp_path_factory.getbasetemp() / "d0_e2.ckpt"
+        path.write_bytes(bytes(mutated))
+        try:
+            _, payload = load_checkpoint(path, key=FUZZ_KEY)
+        except CheckpointError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert pickle.dumps(payload, protocol=5) == expected
 
 
 class TestCheckpointStore:

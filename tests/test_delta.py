@@ -129,7 +129,7 @@ class TestGC:
         # Drain the page via the relocation path directly.
         from repro.nand.block import BlockState
         while not victim.is_full:
-            victim.program(victim.next_page, [0], [999], 0.0, 4)
+            victim.program_disturb(victim.next_page, [0], [999], 0.0, 4)
             ftl.flash.invalidate(victim.block_id, victim.next_page - 1, 0)
         victim.state = BlockState.VICTIM
         ftl._relocate_slc_page(victim, ppa.page,

@@ -43,15 +43,15 @@ class TestBlockColdness:
 
     def test_uniform_ages(self):
         block = make_block()
-        block.program(0, [0, 1], [1, 2], 0.0, 4)
+        block.program_disturb(0, [0, 1], [1, 2], 0.0, 4)
         # Ages both 10, T = 10 => each weight = 1 - e^-1.
         value = block_coldness(block, 10.0)
         assert value == pytest.approx(2 * (1 - math.exp(-1)))
 
     def test_updated_pages_excluded(self):
         block = make_block()
-        block.program(0, [0], [1], 0.0, 4)
-        block.program(1, [0], [2], 0.0, 4)
+        block.program_disturb(0, [0], [1], 0.0, 4)
+        block.program_disturb(1, [0], [2], 0.0, 4)
         block.mark_page_updated(0)
         full = block_coldness(block, 10.0)
         # Only page 1's subpage contributes.
@@ -59,7 +59,7 @@ class TestBlockColdness:
 
     def test_all_updated_gives_zero(self):
         block = make_block()
-        block.program(0, [0], [1], 0.0, 4)
+        block.program_disturb(0, [0], [1], 0.0, 4)
         block.mark_page_updated(0)
         assert block_coldness(block, 10.0) == 0.0
 
@@ -70,10 +70,10 @@ class TestBlockColdness:
 
     def test_recent_access_reduces_coldness(self):
         cold = make_block()
-        cold.program(0, [0], [1], 0.0, 4)
+        cold.program_disturb(0, [0], [1], 0.0, 4)
         warm = make_block()
-        warm.program(0, [0], [1], 0.0, 4)
-        warm.touch(0, [0], 9.0)
+        warm.program_disturb(0, [0], [1], 0.0, 4)
+        warm.slot_time[0, 0] = 9.0
         # Shared region mean T makes ages comparable across blocks.
         t_mean = 5.5
         assert (block_coldness(warm, 10.0, t_mean)
@@ -81,7 +81,7 @@ class TestBlockColdness:
 
     def test_block_local_mean_is_default(self):
         block = make_block()
-        block.program(0, [0], [1], 0.0, 4)
+        block.program_disturb(0, [0], [1], 0.0, 4)
         import math
         # Single uniform-age subpage: t/T = 1 under the self-normalised
         # variant, regardless of the absolute age.
@@ -95,23 +95,23 @@ class TestBlockIsr:
         a = make_block()
         b = make_block()
         for blk in (a, b):
-            blk.program(0, [0, 1], [1, 2], 0.0, 4)
+            blk.program_disturb(0, [0, 1], [1, 2], 0.0, 4)
             blk.invalidate(0, 0)
         # Block A's survivor was accessed recently; B's has been idle.
-        a.touch(0, [1], 99.0)
+        a.slot_time[0, 1] = 99.0
         t_mean = 50.0
         assert block_isr(b, 100.0, t_mean) > block_isr(a, 100.0, t_mean)
 
     def test_invalid_dominates(self):
         block = make_block()
-        block.program(0, [0, 1, 2, 3], [1, 2, 3, 4], 0.0, 4)
+        block.program_disturb(0, [0, 1, 2, 3], [1, 2, 3, 4], 0.0, 4)
         before = block_isr(block, 10.0)
         block.invalidate(0, 0)
         assert block_isr(block, 10.0) > before
 
     def test_bounds(self):
         block = make_block(pages=1)
-        block.program(0, [0, 1, 2, 3], [1, 2, 3, 4], 0.0, 4)
+        block.program_disturb(0, [0, 1, 2, 3], [1, 2, 3, 4], 0.0, 4)
         for slot in range(4):
             block.invalidate(0, slot)
         assert block_isr(block, 10.0) == pytest.approx(1.0)
@@ -122,7 +122,7 @@ class TestBlockIsr:
     def test_worked_example(self):
         """ISR = (IS + IS') / TS with explicit numbers."""
         block = make_block(pages=1)  # TS = 4
-        block.program(0, [0, 1, 2], [1, 2, 3], 0.0, 4)
+        block.program_disturb(0, [0, 1, 2], [1, 2, 3], 0.0, 4)
         block.invalidate(0, 0)       # IS = 1
         now = 10.0                   # both survivors age 10, T = 10
         is_prime = 2 * (1 - math.exp(-1.0))

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro import SCHEMES
 
-from conftest import tiny_config
+from conftest import programmed_matrix, tiny_config
 
 #: Logical space small enough that random workloads revisit addresses and
 #: force updates, promotions, eviction and GC on the tiny device.
@@ -81,13 +81,14 @@ def assert_block_accounting(ftl) -> None:
     """valid + invalid + free == geometry total, per block."""
     for block in ftl.flash.blocks:
         total = block.pages * block.spp
+        prog = programmed_matrix(block)
         valid = int(block.valid.sum())
-        programmed = int(block.programmed.sum())
-        invalid = int((block.programmed & ~block.valid).sum())
+        programmed = int(prog.sum())
+        invalid = int((prog & ~block.valid).sum())
         free = total - programmed
         assert valid + invalid + free == total
         # Valid data only lives in programmed slots.
-        assert not (block.valid & ~block.programmed).any(), (
+        assert not (block.valid & ~prog).any(), (
             f"block {block.block_id}: valid slot never programmed")
         # Incremental counters track the bitmaps exactly.
         assert block.n_valid == valid

@@ -48,7 +48,7 @@ def test_lint_json_format_on_committed_tree(monkeypatch, capsys):
                                     "C001", "U001", "U002", "U003",
                                     "M001", "M002", "N001", "N002",
                                     "K001", "K002", "K003",
-                                    "P001", "P002", "P003"]
+                                    "P001", "P003"]
     assert payload["files_checked"] > 50
 
 
@@ -74,7 +74,7 @@ def test_lint_json_reports_seeded_violation(tmp_path, capsys):
                                   "C001", "U001", "U002", "U003",
                                   "M001", "M002", "N001", "N002",
                                   "K001", "K002", "K003",
-                                  "P001", "P002", "P003"])
+                                  "P001", "P003"])
 def test_every_rule_listed(rule, capsys):
     assert main(["lint", "--list-rules"]) == 0
     assert rule in capsys.readouterr().out
@@ -274,7 +274,7 @@ def test_sarif_clean_tree_schema(monkeypatch, capsys):
     rule_ids = [r["id"] for r in driver["rules"]]
     assert rule_ids == ["D001", "D002", "D003", "S002", "C001",
                         "U001", "U002", "U003", "M001", "M002", "N001",
-                        "N002", "K001", "K002", "K003", "P001", "P002",
+                        "N002", "K001", "K002", "K003", "P001",
                         "P003"]
     assert all(r["shortDescription"]["text"] for r in driver["rules"])
     assert run["results"] == []

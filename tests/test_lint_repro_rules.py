@@ -10,10 +10,9 @@ Three layers of coverage:
   round-trip, SARIF driver rules, ``--changed-only`` scoping, and the
   baseline-rot guard (exit 2 on entries that can never match again);
 * mutation demos against a copy of the committed tree: deleting a
-  field from a canonical-key emitter trips K001+K003, removing the
-  ``_rebind_views()`` call from ``Block.__setstate__`` trips P002, and a
-  front-end ``__getstate__`` dropping state the shared replay core
-  carries trips P001.
+  field from a canonical-key emitter trips K001+K003, and a front-end
+  ``__getstate__`` dropping state the shared replay core carries trips
+  P001.
 """
 
 from __future__ import annotations
@@ -312,60 +311,6 @@ def test_p001_respects_skip_tuple_dictcomp_getstate(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# P002 — RegionState views need a __setstate__ rebind
-
-P002_VIEWS = """
-    def __init__(self, region, base):
-        self.region = region
-        self.base = base
-        region = self.region
-        self.valid_view = region.valid[base:base + 4]
-        self.prog_view = region.programmed.reshape(2, 2)
-    """
-
-P002_REBIND = """
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._rebind_views()
-
-    def _rebind_views(self):
-        region = self.region
-        self.valid_view = region.valid[self.base:self.base + 4]
-        self.prog_view = region.programmed.reshape(2, 2)
-    """
-
-
-def test_p002_flags_views_without_setstate(tmp_path):
-    rules, result = lint_tree(tmp_path, {"nand/block.py": (
-        "class Block:\n" + textwrap.indent(textwrap.dedent(P002_VIEWS),
-                                           "    "))})
-    assert rules.count("P002") == 2  # one per view attribute
-    assert "no __setstate__" in result.violations[0].message
-
-
-def test_p002_quiet_with_rebind_pattern(tmp_path):
-    rules, _ = lint_tree(tmp_path, {"nand/block.py": (
-        "class Block:\n"
-        + textwrap.indent(textwrap.dedent(P002_VIEWS), "    ")
-        + textwrap.indent(textwrap.dedent(P002_REBIND), "    "))})
-    assert "P002" not in rules
-
-
-def test_p002_flags_setstate_that_skips_one_view(tmp_path):
-    rules, result = lint_tree(tmp_path, {"nand/block.py": """
-        class Block:
-            def __init__(self, region):
-                self.region = region
-                self.valid_view = self.region.valid
-
-            def __setstate__(self, state):
-                self.__dict__.update(state)
-        """})
-    assert rules == ["P002"]
-    assert "never" in result.violations[0].message
-
-
-# --------------------------------------------------------------------------
 # P003 — unpicklable payloads into the process pool
 
 def test_p003_flags_lambda_into_pool_map(tmp_path):
@@ -421,7 +366,7 @@ def test_clean_tree_select_kp_with_empty_baseline(monkeypatch, capsys):
     assert main(["lint", "--select", "K,P", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rules_run"] == ["K001", "K002", "K003",
-                                    "P001", "P002", "P003"]
+                                    "P001", "P003"]
     assert payload["violations"] == []
 
 
@@ -467,7 +412,7 @@ def test_sarif_includes_kp_driver_rules(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     (run,) = doc["runs"]
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert rule_ids == ["K001", "K002", "K003", "P001", "P002", "P003"]
+    assert rule_ids == ["K001", "K002", "K003", "P001", "P003"]
     (result,) = run["results"]
     assert result["ruleId"] == "K003"
     assert result["partialFingerprints"]["reproLint/v1"]
@@ -626,16 +571,6 @@ def test_mutation_env_read_in_registry_scheme_trips_k002(tmp_path):
     assert k002 and all(v.path == "core/ipu_ftl.py" for v in k002)
     assert any("write()" in v.message and "os.environ" in v.message
                for v in k002)
-
-
-def test_mutation_removing_rebind_trips_p002(tmp_path):
-    pkg = _mutated_tree(
-        tmp_path, "nand/block.py",
-        "self._rebind_views()", "pass")
-    result = run_lint(pkg, select=["P"])
-    p002 = [v for v in result.violations if v.rule == "P002"]
-    assert p002 and all(v.path == "nand/block.py" for v in p002)
-    assert any("_rebind_views" in v.message for v in p002)
 
 
 def test_mutation_front_end_getstate_dropping_core_state_trips_p001(tmp_path):

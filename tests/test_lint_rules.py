@@ -315,7 +315,7 @@ def test_d003_only_applies_to_simulation_state_dirs(tmp_path):
 def test_s002_flags_counter_assignment(tmp_path):
     rules, _ = lint_snippet(tmp_path, "ftl/x.py", """
         def hack(block, page):
-            block.page_valid[page] = 0
+            block.valid_mask[page] = 0
         """)
     assert "S002" in rules
 
@@ -339,16 +339,16 @@ def test_s002_flags_mutator_call(tmp_path):
 def test_s002_allows_block_module_and_reads(tmp_path):
     good = """
         def owner_mutation(self, page, n):
-            self.page_valid[page] += n
+            self.valid_mask[page] |= n
 
         def reader(block, page):
-            return block.page_valid[page] == 0
+            return block.valid_mask[page] == 0
         """
     rules, _ = lint_snippet(tmp_path, "nand/block.py", good)
     assert "S002" not in rules
     rules, _ = lint_snippet(tmp_path, "ftl/read_only.py", """
         def reader(block, page):
-            return block.page_valid[page] + block.n_valid
+            return block.valid_mask[page] + block.n_valid
         """)
     assert "S002" not in rules
 

@@ -17,7 +17,7 @@ from repro.nand.block import Block, BlockState
 from repro.nand.cell import CellMode
 from repro.traces import characterize, generate, profile
 
-from conftest import tiny_config
+from conftest import programmed_matrix, tiny_config
 
 # Logical space: 48 subpages (12 logical pages) — small enough that random
 # workloads revisit addresses and trigger updates, promotions and GC.
@@ -90,20 +90,21 @@ class TestFtlVersusOracle:
         ftl, _ = run_workload(scheme, ops)
         limit = ftl.config.reliability.max_page_programs
         for block in ftl.flash.blocks:
+            prog = programmed_matrix(block)
             # Counter consistency.
             assert block.n_valid == int(block.valid.sum())
-            assert block.n_programmed == int(block.programmed.sum())
+            assert block.n_programmed == int(prog.sum())
             assert block.n_invalid == block.n_programmed - block.n_valid
             # Valid implies programmed.
-            assert not (block.valid & ~block.programmed).any()
+            assert not (block.valid & ~prog).any()
             # Sequential programming: nothing beyond next_page.
             if block.next_page < block.pages:
-                assert not block.programmed[block.next_page:].any()
+                assert not prog[block.next_page:].any()
             # Manufacturer pass limit.
-            assert (block.program_count <= limit).all()
+            assert max(block.pass_counts) <= limit
             # MLC pages receive at most one pass.
             if not block.mode.is_slc:
-                assert (block.program_count <= 1).all()
+                assert max(block.pass_counts) <= 1
 
 
 class TestIpuSpecificProperties:
@@ -190,7 +191,8 @@ class TestIsrProperties:
             slots = list(range(min(4, total - placed)))
             if not slots:
                 break
-            block.program(page, slots, [placed + s for s in slots], 0.0, 4)
+            block.program_disturb(page, slots, [placed + s for s in slots],
+                                  0.0, 4)
             placed += len(slots)
         invalidated = 0
         for page in range(4):

@@ -16,7 +16,8 @@ def full_block(block_id, valid_per_page, pages=2, spp=4):
     block = Block(block_id, CellMode.SLC, pages, spp)
     block.open_as(1, 0.0)
     for page in range(pages):
-        block.program(page, list(range(spp)), list(range(spp)), 0.0, spp)
+        block.program_disturb(page, list(range(spp)), list(range(spp)), 0.0,
+                              spp)
         for slot in range(spp - valid_per_page):
             block.invalidate(page, slot)
     return block
@@ -50,8 +51,8 @@ class TestGreedyPage:
         a = full_block(0, valid_per_page=2)
         b = Block(1, CellMode.SLC, 2, 4)
         b.open_as(1, 0.0)
-        b.program(0, [0, 1, 2, 3], [1, 2, 3, 4], 0.0, 4)
-        b.program(1, [0, 1, 2, 3], [5, 6, 7, 8], 0.0, 4)
+        b.program_disturb(0, [0, 1, 2, 3], [1, 2, 3, 4], 0.0, 4)
+        b.program_disturb(1, [0, 1, 2, 3], [5, 6, 7, 8], 0.0, 4)
         for slot in range(4):
             b.invalidate(0, slot)
         assert GreedyPageVictimPolicy().select([a, b], 0.0) is b
@@ -70,15 +71,15 @@ class TestIsr:
     def test_cold_beats_recent_at_equal_invalid(self):
         a = full_block(0, valid_per_page=2)
         b = full_block(1, valid_per_page=2)
-        a.touch(0, [2, 3], 99.0)
-        a.touch(1, [2, 3], 99.0)
+        a.slot_time[0, 2:4] = 99.0
+        a.slot_time[1, 2:4] = 99.0
         assert IsrVictimPolicy().select([a, b], 100.0) is b
 
     def test_cache_invalidated_by_content_change(self):
         policy = IsrVictimPolicy(refresh_ms=1e9)
         hot = full_block(0, valid_per_page=4)
         fresh = full_block(1, valid_per_page=4)
-        hot.touch(0, [0, 1, 2, 3], 10.0)   # hot looks warmer at first
+        hot.slot_time[0] = 10.0   # hot looks warmer at first
         assert policy.select([hot, fresh], 10.0) is fresh
         # Invalidate hot's content: despite the long-lived cache entry
         # (refresh window is huge), the epoch bump forces a recompute.

@@ -68,14 +68,14 @@ def build_block(block_id, state):
     block.open_as(1, 0.0)
     lsn = block_id * PAGES * SPP
     for page in range(PAGES):
-        block.program(page, list(range(SPP)),
-                      list(range(lsn + page * SPP, lsn + (page + 1) * SPP)),
-                      0.0, SPP)
+        block.program_disturb(
+            page, list(range(SPP)),
+            list(range(lsn + page * SPP, lsn + (page + 1) * SPP)), 0.0, SPP)
         if updated[page]:
             block.mark_page_updated(page)
     for page in range(PAGES):
         for slot in range(SPP):
-            block.touch(page, [slot], float(times[page * SPP + slot]))
+            block.slot_time[page, slot] = float(times[page * SPP + slot])
             if invalid[page * SPP + slot]:
                 block.invalidate(page, slot)
     return block
@@ -202,8 +202,8 @@ def apply_op(flash, op, block_id, k, now):
             block.open_as(1, now)
         if block.state is BlockState.OPEN:
             lsn = int(now) * SPP
-            block.program(block.next_page, list(range(k)),
-                          list(range(lsn, lsn + k)), now, SPP)
+            block.program_disturb(block.next_page, list(range(k)),
+                                  list(range(lsn, lsn + k)), now, SPP)
     elif op == "invalidate":
         valid = [(page, slot) for page in range(block.next_page)
                  for slot in block.valid_slots_of_page(page)]

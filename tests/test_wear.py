@@ -14,8 +14,8 @@ def make_blocks(n=4):
 
 def fill(block, lsn0=0, now=0.0):
     block.open_as(1, now)
-    block.program(0, [0], [lsn0], now, 4)
-    block.program(1, [0], [lsn0 + 1], now, 4)
+    block.program_disturb(0, [0], [lsn0], now, 4)
+    block.program_disturb(1, [0], [lsn0 + 1], now, 4)
 
 
 @pytest.fixture
