@@ -17,59 +17,71 @@ Quickstart::
     print(result.summary())
 
 Every name in ``__all__`` but ``__version__`` is imported on first
-access (PEP 562), so importing the package — or a numpy-free subpackage
-such as :mod:`repro.analysis` — loads neither numpy nor the simulator.
+access (PEP 562), and so is every name of the simulator subpackage
+roots (:func:`lazy_exports`), so importing the package — or a numpy-free
+subpackage such as :mod:`repro.analysis` — loads neither numpy nor the
+simulator.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Any
+from typing import Any, Callable
 
 __version__ = "1.0.0"
 
-#: Public name -> the submodule that defines it, in ``__all__`` order.
+
+def lazy_exports(namespace: dict[str, Any], exports: dict[str, str],
+                 ) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """The PEP 562 ``(__getattr__, __dir__)`` of a package root.
+
+    ``namespace`` is the root's ``globals()``; ``exports`` maps each
+    public name to the module that defines it, as a relative import
+    (``".flash"``, ``"..ftl.levels"``).  A name's module is imported on
+    its first access and the value kept in ``namespace``, so importing
+    the root runs none of its submodules.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+#: Public name -> the module that defines it, in ``__all__`` order.
 _EXPORTS = {
-    "SSDConfig": "config",
-    "GeometryConfig": "config",
-    "TimingConfig": "config",
-    "ReliabilityConfig": "config",
-    "CacheConfig": "config",
-    "ScaleSpec": "config",
-    "SCALES": "config",
-    "paper_config": "config",
-    "scaled_config": "config",
-    "ReproError": "errors",
-    "FlashArray": "nand",
-    "CellMode": "nand",
-    "Geometry": "nand",
-    "PPA": "nand",
-    "RberModel": "error",
-    "BCHCode": "error",
-    "EccModel": "error",
-    "BaselineFTL": "ftl",
-    "MGAFTL": "ftl",
-    "DeltaFTL": "ftl",
-    "IPUFTL": "core",
-    "BlockLevel": "ftl.levels",
-    "FrontendConfig": "frontend",
-    "Simulator": "sim",
-    "SimulationResult": "sim",
-    "replay": "sim",
-    "SCHEMES": "schemes",
+    "SSDConfig": ".config", "GeometryConfig": ".config",
+    "TimingConfig": ".config", "ReliabilityConfig": ".config",
+    "CacheConfig": ".config", "ScaleSpec": ".config", "SCALES": ".config",
+    "paper_config": ".config", "scaled_config": ".config",
+    "ReproError": ".errors",
+    "FlashArray": ".nand.flash",
+    "CellMode": ".nand.cell",
+    "Geometry": ".nand.geometry", "PPA": ".nand.geometry",
+    "RberModel": ".error.rber",
+    "BCHCode": ".error.bch",
+    "EccModel": ".error.ecc",
+    "BaselineFTL": ".ftl.baseline",
+    "MGAFTL": ".ftl.mga",
+    "DeltaFTL": ".ftl.delta",
+    "IPUFTL": ".core.ipu_ftl",
+    "BlockLevel": ".ftl.levels",
+    "FrontendConfig": ".frontend.config",
+    "Simulator": ".sim.simulator", "SimulationResult": ".sim.simulator",
+    "replay": ".sim.simulator",
+    "SCHEMES": ".schemes",
 }
 
 __all__ = [*_EXPORTS, "__version__"]
 
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

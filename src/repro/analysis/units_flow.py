@@ -69,8 +69,6 @@ VOCAB_UNITS: dict[str, str] = {
 VOCAB_ELEMS: dict[str, str] = {
     "MsArray": "ms",
     "LsnArray": "lsn",
-    "PeCyclesArray": "pe",
-    "SubpageCountArray": "subpages",
 }
 
 ADDRESS_SPACES = frozenset({"lsn", "lpn", "ppn"})

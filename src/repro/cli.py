@@ -53,7 +53,7 @@ def _print_execution_summary() -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    from .experiments import EXPERIMENTS
+    from .experiments.registry import EXPERIMENTS
     from .metrics.report import format_table
 
     rows = [{"id": eid, "builder": fn.__module__.split(".")[-1]}
@@ -63,7 +63,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .experiments import run as run_experiment
+    from .experiments.registry import run as run_experiment
 
     _setup_execution(args)
     kwargs = {}
@@ -85,7 +85,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
-    from .experiments import EXPERIMENTS, run as run_experiment
+    from .experiments.registry import EXPERIMENTS, run as run_experiment
 
     _setup_execution(args)
     for eid in EXPERIMENTS:
@@ -113,8 +113,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .experiments.runner import default_context, new_context
-    from .frontend import FrontendConfig
-    from .frontend.config import DEFAULT_QUEUE_DEPTH
+    from .frontend.config import DEFAULT_QUEUE_DEPTH, FrontendConfig
     from .metrics.report import format_table
 
     _setup_execution(args)
@@ -221,7 +220,7 @@ def _numbers(cast: type):
 
 def _tenants(text: str):
     """``profile[:weight]`` comma list -> tuple of TenantSpec."""
-    from .fleet import TenantSpec
+    from .fleet.config import TenantSpec
 
     tenants = []
     for item in text.split(","):
@@ -236,8 +235,8 @@ def _tenants(text: str):
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from .experiments.cache import default_cache_dir
     from .experiments.parallel import resolve_jobs
-    from .fleet import FleetConfig, run_campaign
-    from .fleet.campaign import campaign_json
+    from .fleet.campaign import campaign_json, run_campaign
+    from .fleet.config import FleetConfig
     from .metrics.report import format_table
     from .units import KIB
 
@@ -325,7 +324,7 @@ def _add_execution_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_arguments(p: argparse.ArgumentParser) -> None:
-    from .experiments import EXPERIMENTS
+    from .experiments.registry import EXPERIMENTS
 
     p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     p.add_argument("--scale", default="small",

@@ -11,18 +11,16 @@ Block levels and the ISR arithmetic live in :mod:`repro.ftl.levels` and
 :mod:`repro.ftl.hotcold` (the framework layer) and are re-exported here.
 """
 
-from ..ftl.levels import BlockLevel, SLC_LEVELS
-from ..ftl.hotcold import block_isr, block_coldness, coldness_weight
-from .intra_page import IntraPagePlan, plan_intra_page_update
-from .ipu_ftl import IPUFTL
+from .. import lazy_exports
 
-__all__ = [
-    "BlockLevel",
-    "SLC_LEVELS",
-    "block_isr",
-    "block_coldness",
-    "coldness_weight",
-    "IntraPagePlan",
-    "plan_intra_page_update",
-    "IPUFTL",
-]
+_EXPORTS = {
+    "BlockLevel": "..ftl.levels", "SLC_LEVELS": "..ftl.levels",
+    "block_isr": "..ftl.hotcold", "block_coldness": "..ftl.hotcold",
+    "coldness_weight": "..ftl.hotcold",
+    "IntraPagePlan": ".intra_page", "plan_intra_page_update": ".intra_page",
+    "IPUFTL": ".ipu_ftl",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

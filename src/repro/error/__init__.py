@@ -7,8 +7,14 @@ widening as wear grows.  The ECC model follows the Table 2 BCH settings
 (decode latency between 0.0005 ms and 0.0968 ms depending on raw errors).
 """
 
-from .rber import RberModel
-from .bch import BCHCode
-from .ecc import EccModel
+from .. import lazy_exports
 
-__all__ = ["RberModel", "BCHCode", "EccModel"]
+_EXPORTS = {
+    "RberModel": ".rber",
+    "BCHCode": ".bch",
+    "EccModel": ".ecc",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

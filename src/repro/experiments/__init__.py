@@ -27,33 +27,20 @@ Simulation results are memoised per (trace, scheme, scale, seed, P/E), so
 regenerating every figure costs one simulation sweep, not one per figure.
 """
 
-from .artifact import Artifact
-from .cache import CACHE_SCHEMA_VERSION, ResultCache, cell_key, default_cache_dir
-from .parallel import CellSpec, resolve_jobs, run_cells
-from .runner import (
-    RunContext,
-    configure_execution,
-    execution_summary,
-    run_one,
-    run_matrix,
-)
-from .registry import EXPERIMENTS, get, run
+from .. import lazy_exports
 
-__all__ = [
-    "Artifact",
-    "CACHE_SCHEMA_VERSION",
-    "ResultCache",
-    "cell_key",
-    "default_cache_dir",
-    "CellSpec",
-    "resolve_jobs",
-    "run_cells",
-    "RunContext",
-    "configure_execution",
-    "execution_summary",
-    "run_one",
-    "run_matrix",
-    "EXPERIMENTS",
-    "get",
-    "run",
-]
+_EXPORTS = {
+    "Artifact": ".artifact",
+    "CACHE_SCHEMA_VERSION": ".cache", "ResultCache": ".cache",
+    "cell_key": ".cache", "default_cache_dir": ".cache",
+    "CellSpec": ".parallel", "resolve_jobs": ".parallel",
+    "run_cells": ".parallel",
+    "RunContext": ".runner", "configure_execution": ".runner",
+    "execution_summary": ".runner", "run_one": ".runner",
+    "run_matrix": ".runner",
+    "EXPERIMENTS": ".registry", "get": ".registry", "run": ".registry",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -21,18 +21,21 @@ Stale entries are never *wrong*, only unreachable; ``repro-ssd cache
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from ..config import SSDConfig
 from ..errors import ReproError
 from ..frame import FrameError, read_frame, write_frame
-from ..traces.profiles import TraceProfile
-from ..units import Ms
+
+if TYPE_CHECKING:
+    from ..config import SSDConfig
+    from ..traces.profiles import TraceProfile
+    from ..units import Ms
 
 #: Bump whenever simulator behaviour, the result schema or the entry
 #: layout changes, so a code change can never be masked by a stale
@@ -78,6 +81,14 @@ def default_cache_dir() -> Path:
     return Path("~/.cache/repro").expanduser()
 
 
+@functools.lru_cache
+def _config_dict(config: SSDConfig) -> dict:
+    """``config.to_dict()``, memoised per config value: a smoke
+    ``run-all`` keys 131 cells over 10 distinct configs.  Callers only
+    read the shared dict."""
+    return config.to_dict()
+
+
 def cell_key(config: SSDConfig, profile: TraceProfile, n_requests: int,
              interarrival_ms: Ms | None, scheme: str, scale: str,
              seed: int, length_factor: float = 1.0,
@@ -111,7 +122,7 @@ def cell_key(config: SSDConfig, profile: TraceProfile, n_requests: int,
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
-        "config": config.to_dict(),
+        "config": _config_dict(config),
         "profile": profile.to_dict(),
         "n_requests": int(n_requests),
         "interarrival_ms": interarrival_ms,

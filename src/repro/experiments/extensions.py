@@ -170,7 +170,7 @@ def build_qd_study(scale: str = "small", seed: int = 1,
                 "flushes": "-",
             })
     if frontend:
-        from ..frontend import FrontendConfig
+        from ..frontend.config import FrontendConfig
         for qd in qds:
             fctx = new_context(scale, seed)
             fctx.frontend = FrontendConfig.from_qd(qd)

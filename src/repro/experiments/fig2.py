@@ -12,7 +12,7 @@ PE_GRID = (500, 1000, 2000, 3000, 4000, 5000, 6000, 8000)
 def build(scale: str = "small", seed: int = 1) -> Artifact:
     """Evaluate both calibrated curves on the P/E grid."""
     ctx = default_context(scale, seed)
-    from ..error import RberModel
+    from ..error.rber import RberModel
     model = RberModel(ctx.config().reliability)
     curves = model.curve(list(PE_GRID))
     rows = [

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..config import (
     CacheConfig,
@@ -40,15 +40,16 @@ from ..config import (
     scaled_config,
 )
 from ..errors import ExperimentError
-from ..faults import FaultConfig, attach_faults
-from ..frontend import FrontendConfig
-from ..schemes import SCHEMES
-from ..sim.simulator import SimulationResult, Simulator
+from ..sim.simulator import SimulationResult
 from ..traces.model import Trace
 from ..traces.profiles import TRACE_NAMES, TraceProfile, profile
 from ..traces.synth import SyntheticTraceGenerator
 from ..units import Ms
 from .cache import ResultCache, cell_key as _cache_cell_key
+
+if TYPE_CHECKING:
+    from ..faults.config import FaultConfig
+    from ..frontend.config import FrontendConfig
 
 #: SLC cache size over the trace's hot-set bytes.
 CACHE_OVER_HOTSET = 0.8
@@ -286,10 +287,6 @@ class RunContext:
             queue_depth=queue_depth)
 
     def _check_cell(self, cell: Cell) -> None:
-        if cell.scheme not in SCHEMES:
-            raise ExperimentError(
-                f"unknown scheme {cell.scheme!r}; available: "
-                f"{', '.join(SCHEMES)}")
         if cell.queue_depth is not None and self._active_frontend() is not None:
             raise ExperimentError(
                 "queue_depth= asks for a closed-loop replay, but this "
@@ -317,6 +314,10 @@ class RunContext:
 
     def _simulate(self, cell: Cell) -> SimulationResult:
         """Replay ``cell`` in this process and store the result."""
+        from ..faults.plan import attach_faults
+        from ..schemes import SCHEMES
+        from ..sim.simulator import Simulator
+
         ftl = SCHEMES[cell.scheme](
             self._cell_config(cell.trace, cell.pe, cell.config))
         attach_faults(ftl, self._active_faults(), seed=self.seed)
@@ -345,9 +346,8 @@ class RunContext:
         cache key.
         """
         cell = Cell(trace_name, scheme, pe, config, queue_depth)
-        self._check_cell(cell)
-        result = self._lookup(cell)
-        return result if result is not None else self._simulate(cell)
+        self.run_cells([cell])
+        return self._results[cell]
 
     def run_cells(self, cells, jobs: int | None = None) -> None:
         """Memoise every cell, in parallel.
@@ -356,8 +356,8 @@ class RunContext:
         pe[, config[, queue_depth]])`` tuples.  Cells already memoised
         are skipped; cells present in the on-disk cache are restored
         in-process (counted as hits); only the remainder fans out over
-        worker processes.  With one worker, or one cell left, this is
-        plain sequential :meth:`run`.
+        worker processes.  With one worker, or one cell left, the
+        remainder replays in this process.
         """
         from . import parallel
         cells = [Cell(*c) for c in cells]
@@ -366,6 +366,15 @@ class RunContext:
         jobs = jobs if jobs is not None else self.jobs
         n_workers = parallel.resolve_jobs(jobs) if jobs is not None else 1
         pending = [c for c in dict.fromkeys(cells) if self._lookup(c) is None]
+        if not pending:
+            return
+        # Imported on a miss only: SCHEMES loads every FTL, a hit none.
+        from ..schemes import SCHEMES
+        for cell in pending:
+            if cell.scheme not in SCHEMES:
+                raise ExperimentError(
+                    f"unknown scheme {cell.scheme!r}; available: "
+                    f"{', '.join(SCHEMES)}")
         if n_workers <= 1 or len(pending) <= 1:
             for cell in pending:
                 self._simulate(cell)

@@ -16,14 +16,14 @@ the CLI — it pulls in the experiments layer, which plain plan consumers
 do not need.
 """
 
-from .badblocks import BadBlockTable
-from .config import FaultConfig
-from .plan import FaultPlan, FaultStats, attach_faults
+from .. import lazy_exports
 
-__all__ = [
-    "BadBlockTable",
-    "FaultConfig",
-    "FaultPlan",
-    "FaultStats",
-    "attach_faults",
-]
+_EXPORTS = {
+    "BadBlockTable": ".badblocks",
+    "FaultConfig": ".config",
+    "FaultPlan": ".plan", "FaultStats": ".plan", "attach_faults": ".plan",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

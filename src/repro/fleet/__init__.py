@@ -16,13 +16,18 @@ through long fault-injected campaigns.  Three pieces make it work:
 See ``docs/FLEET.md`` for the model and the determinism contracts.
 """
 
-from .config import FleetConfig, TenantSpec
-from .campaign import run_campaign
-from .checkpoint import CheckpointError, CheckpointStore
-from .runner import run_device
-from .shard import OffsetStream, ShardedStream, shard_of
+from .. import lazy_exports
 
-__all__ = [
-    "CheckpointError", "CheckpointStore", "FleetConfig", "OffsetStream",
-    "ShardedStream", "TenantSpec", "run_campaign", "run_device", "shard_of",
-]
+_EXPORTS = {
+    "CheckpointError": ".checkpoint", "CheckpointStore": ".checkpoint",
+    "FleetConfig": ".config",
+    "OffsetStream": ".shard", "ShardedStream": ".shard",
+    "TenantSpec": ".config",
+    "run_campaign": ".campaign",
+    "run_device": ".runner",
+    "shard_of": ".shard",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

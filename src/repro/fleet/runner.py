@@ -23,13 +23,12 @@ job) meaningful at byte granularity.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..config import SSDConfig
 from ..errors import ExperimentError
-from ..schemes import SCHEMES
-from ..sim.simulator import OpenLoopReplay
 from ..traces.profiles import TraceProfile, profile
 from ..traces.stream import MergedStream, TraceStream
 from ..traces.synth import SyntheticStream
@@ -37,6 +36,9 @@ from ..units import Ms
 from .checkpoint import CheckpointStore
 from .config import FleetConfig
 from .shard import OffsetStream, ShardedStream
+
+if TYPE_CHECKING:
+    from ..sim.simulator import OpenLoopReplay
 
 __all__ = [
     "LAT_HIST_EDGES_MS", "check_device_payload", "device_config",
@@ -231,7 +233,10 @@ def _epoch_record(cfg: FleetConfig, device: int, epoch: int,
 
 def _build_replay(cfg: FleetConfig, device: int,
                   dev_cfg: SSDConfig) -> OpenLoopReplay:
-    from ..faults import FaultConfig, attach_faults
+    from ..faults.config import FaultConfig
+    from ..faults.plan import attach_faults
+    from ..schemes import SCHEMES
+    from ..sim.simulator import OpenLoopReplay
 
     if cfg.scheme not in SCHEMES:
         raise ExperimentError(

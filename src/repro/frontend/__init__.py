@@ -7,14 +7,15 @@ specs); ``cache`` and ``scheduler`` are pure data structures;
 ``docs/FRONTEND.md``.
 """
 
-from .cache import BufferStats, WriteBuffer
-from .config import FrontendConfig
-from .scheduler import FrontRequest, MultiQueueScheduler
+from .. import lazy_exports
 
-__all__ = [
-    "BufferStats",
-    "FrontendConfig",
-    "FrontRequest",
-    "MultiQueueScheduler",
-    "WriteBuffer",
-]
+_EXPORTS = {
+    "BufferStats": ".cache",
+    "FrontendConfig": ".config",
+    "FrontRequest": ".scheduler", "MultiQueueScheduler": ".scheduler",
+    "WriteBuffer": ".cache",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,27 +16,21 @@
 The paper's own scheme lives in :mod:`repro.core`.
 """
 
-from .mapping import SubpageMap
-from .allocator import RegionAllocator
-from .hotcold import block_isr, coldness_weight
-from .victim import GreedyVictimPolicy, IsrVictimPolicy, VictimPolicy
-from .gc import GarbageCollector
-from .base import BaseFTL
-from .baseline import BaselineFTL
-from .mga import MGAFTL
-from .delta import DeltaFTL
+from .. import lazy_exports
 
-__all__ = [
-    "SubpageMap",
-    "RegionAllocator",
-    "block_isr",
-    "coldness_weight",
-    "VictimPolicy",
-    "GreedyVictimPolicy",
-    "IsrVictimPolicy",
-    "GarbageCollector",
-    "BaseFTL",
-    "BaselineFTL",
-    "MGAFTL",
-    "DeltaFTL",
-]
+_EXPORTS = {
+    "SubpageMap": ".mapping",
+    "RegionAllocator": ".allocator",
+    "block_isr": ".hotcold", "coldness_weight": ".hotcold",
+    "VictimPolicy": ".victim", "GreedyVictimPolicy": ".victim",
+    "IsrVictimPolicy": ".victim",
+    "GarbageCollector": ".gc",
+    "BaseFTL": ".base",
+    "BaselineFTL": ".baseline",
+    "MGAFTL": ".mga",
+    "DeltaFTL": ".delta",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

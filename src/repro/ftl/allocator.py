@@ -101,7 +101,7 @@ class RegionAllocator:
         heapq.heappush(self._free[stripe], (block.erase_count, block_id))
         self._free_count += 1
 
-    def _pop_free(self, stripe: int, level: int, now: Ms) -> Block | None:
+    def _pop_free(self, stripe: int, level: int) -> Block | None:
         """Open the least-worn free block, preferring ``stripe``'s plane."""
         order = [stripe] + [s for s in range(self.stripes) if s != stripe]
         for s in order:
@@ -110,7 +110,7 @@ class RegionAllocator:
                 _, block_id = heapq.heappop(heap)
                 block = self.flash.block(block_id)
                 if block.state is BlockState.FREE:
-                    block.open_as(level, now)
+                    block.open_as(level)
                     self._free_count -= 1
                     return block
                 # Stale entry: the block was reopened through another path.
@@ -141,7 +141,7 @@ class RegionAllocator:
                 or block.is_full or block.level != level):
             if not for_gc and self._free_count <= GC_RESERVE_BLOCKS:
                 return None
-            block = self._pop_free(stripe, level, now)
+            block = self._pop_free(stripe, level)
             if block is None:
                 return None
             self.active[(level, stripe)] = block

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..config import SSDConfig
-from ..error import EccModel
+from ..error.ecc import EccModel
 from ..errors import OutOfSpaceError
 from ..nand.block import Block
 from ..nand.flash import FlashArray

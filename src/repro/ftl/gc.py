@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ..config import CacheConfig
-from ..error import EccModel
+from ..error.ecc import EccModel
 from ..nand.block import Block, BlockState
 from ..nand.flash import FlashArray
 from ..nand.wear import WearTracker

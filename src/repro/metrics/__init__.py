@@ -7,28 +7,17 @@ latency-distribution helpers and plain-text table rendering used by the
 experiment harnesses and the CLI.
 """
 
-from .memory import MappingBreakdown, mapping_breakdown
-from .latency import latency_distribution, percentile_summary
-from .report import format_table, format_comparison
-from .charts import (
-    bar_chart,
-    distribution_chart,
-    grouped_bar_chart,
-    line_chart,
-)
-from .timeline import TimelineRecorder, TimelineSample
+from .. import lazy_exports
 
-__all__ = [
-    "MappingBreakdown",
-    "mapping_breakdown",
-    "latency_distribution",
-    "percentile_summary",
-    "format_table",
-    "format_comparison",
-    "bar_chart",
-    "grouped_bar_chart",
-    "line_chart",
-    "distribution_chart",
-    "TimelineRecorder",
-    "TimelineSample",
-]
+_EXPORTS = {
+    "MappingBreakdown": ".memory", "mapping_breakdown": ".memory",
+    "latency_distribution": ".latency", "percentile_summary": ".latency",
+    "format_table": ".report", "format_comparison": ".report",
+    "bar_chart": ".charts", "grouped_bar_chart": ".charts",
+    "line_chart": ".charts", "distribution_chart": ".charts",
+    "TimelineRecorder": ".timeline", "TimelineSample": ".timeline",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -7,19 +7,16 @@ program-disturb bookkeeping (in-page and neighbouring-page), per-block P/E
 wear, and erase.
 """
 
-from .cell import CellMode
-from .geometry import Geometry, PPA
-from .block import Block, BlockState
-from .flash import FlashArray, ProgramResult
-from .wear import WearTracker
+from .. import lazy_exports
 
-__all__ = [
-    "CellMode",
-    "Geometry",
-    "PPA",
-    "Block",
-    "BlockState",
-    "FlashArray",
-    "ProgramResult",
-    "WearTracker",
-]
+_EXPORTS = {
+    "CellMode": ".cell",
+    "Geometry": ".geometry", "PPA": ".geometry",
+    "Block": ".block", "BlockState": ".block",
+    "FlashArray": ".flash", "ProgramResult": ".flash",
+    "WearTracker": ".wear",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

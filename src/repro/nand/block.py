@@ -500,7 +500,7 @@ class Block:
         self.state = BlockState.RETIRED
         self.region.state_code[self.region_slot] = 4  # BLOCK_STATE_CODES[RETIRED]
 
-    def open_as(self, level: int, now: Ms) -> None:
+    def open_as(self, level: int) -> None:
         """Transition a free block to OPEN with a block-level label."""
         if self.state is not BlockState.FREE:
             raise SubpageStateError(

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ..config import SSDConfig
-from ..error import RberModel
+from ..error.rber import RberModel
 from ..errors import FlashError
 from .block import Block
 from .cell import CellMode

@@ -12,8 +12,10 @@ the FTL classes a cached cell runs.
 
 from __future__ import annotations
 
-from .core import IPUFTL
-from .ftl import BaselineFTL, DeltaFTL, MGAFTL
+from .core.ipu_ftl import IPUFTL
+from .ftl.baseline import BaselineFTL
+from .ftl.delta import DeltaFTL
+from .ftl.mga import MGAFTL
 
 #: Scheme registry used by experiments and the CLI.
 SCHEMES = {

@@ -7,27 +7,17 @@ drivers (:mod:`repro.sim.simulator`) that drive an FTL scheme over a
 trace and collect the paper's metrics.
 """
 
-from .resources import Resource, ResourceSet
-from .ops import OpKind, Cause, OpRecord
-from .timing import TimingModel
-from .simulator import (
-    ClosedLoopReplay,
-    OpenLoopReplay,
-    SimulationResult,
-    Simulator,
-    replay,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "Resource",
-    "ResourceSet",
-    "OpKind",
-    "Cause",
-    "OpRecord",
-    "TimingModel",
-    "ClosedLoopReplay",
-    "OpenLoopReplay",
-    "Simulator",
-    "SimulationResult",
-    "replay",
-]
+_EXPORTS = {
+    "Resource": ".resources", "ResourceSet": ".resources",
+    "OpKind": ".ops", "Cause": ".ops", "OpRecord": ".ops",
+    "TimingModel": ".timing",
+    "ClosedLoopReplay": ".simulator", "OpenLoopReplay": ".simulator",
+    "Simulator": ".simulator", "SimulationResult": ".simulator",
+    "replay": ".simulator",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

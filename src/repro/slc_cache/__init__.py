@@ -7,6 +7,12 @@ cache that examples, experiments and operators consume: per-level
 occupancy, free headroom, hotness composition.
 """
 
-from .region import SlcCacheView, LevelStats
+from .. import lazy_exports
 
-__all__ = ["SlcCacheView", "LevelStats"]
+_EXPORTS = {
+    "SlcCacheView": ".region", "LevelStats": ".region",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

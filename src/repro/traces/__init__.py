@@ -17,30 +17,23 @@ files are not redistributable, so this package provides:
   Tables 1 and 3 from any trace.
 """
 
-from .model import Trace, TraceRequest, OpType
-from .profiles import TraceProfile, PROFILES, profile
-from .stream import InMemoryStream, MergedStream, TraceStream, materialize
-from .synth import SyntheticStream, SyntheticTraceGenerator, generate
-from .msr import MsrStream, parse_msr_csv
-from .stats import TraceStats, characterize, update_size_buckets
+from .. import lazy_exports
 
-__all__ = [
-    "Trace",
-    "TraceRequest",
-    "OpType",
-    "TraceProfile",
-    "PROFILES",
-    "profile",
-    "InMemoryStream",
-    "MergedStream",
-    "MsrStream",
-    "SyntheticStream",
-    "SyntheticTraceGenerator",
-    "TraceStream",
-    "generate",
-    "materialize",
-    "parse_msr_csv",
-    "TraceStats",
-    "characterize",
-    "update_size_buckets",
-]
+_EXPORTS = {
+    "Trace": ".model", "TraceRequest": ".model", "OpType": ".model",
+    "TraceProfile": ".profiles", "PROFILES": ".profiles",
+    "profile": ".profiles",
+    "InMemoryStream": ".stream", "MergedStream": ".stream",
+    "MsrStream": ".msr",
+    "SyntheticStream": ".synth", "SyntheticTraceGenerator": ".synth",
+    "TraceStream": ".stream",
+    "generate": ".synth",
+    "materialize": ".stream",
+    "parse_msr_csv": ".msr",
+    "TraceStats": ".stats", "characterize": ".stats",
+    "update_size_buckets": ".stats",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

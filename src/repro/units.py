@@ -68,10 +68,6 @@ PeCycles: TypeAlias = Annotated[int, Unit("pe")]
 MsArray: TypeAlias = Annotated[Any, Unit("ms[]")]
 #: Column of logical subpage numbers (int64; ``NO_LSN`` sentinel).
 LsnArray: TypeAlias = Annotated[Any, Unit("lsn[]")]
-#: Column of program/erase cycle counts (int64).
-PeCyclesArray: TypeAlias = Annotated[Any, Unit("pe[]")]
-#: Column of 4 KiB subpage counts.
-SubpageCountArray: TypeAlias = Annotated[Any, Unit("subpages[]")]
 
 KIB: int = 1024
 MIB: int = 1024 * KIB

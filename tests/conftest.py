@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -68,21 +71,50 @@ def ipu(config):
     return IPUFTL(config)
 
 
+@contextlib.contextmanager
+def _isolated_execution():
+    """An empty memoised-context pool; the pool and the process-wide
+    execution defaults are restored on exit.  Yields the pool's
+    ``clear``."""
+    from repro.experiments import runner
+
+    saved = dict(runner._DEFAULT_CONTEXTS)
+    defaults = dict(runner._EXEC_DEFAULTS)
+    runner._DEFAULT_CONTEXTS.clear()
+    try:
+        yield runner._DEFAULT_CONTEXTS.clear
+    finally:
+        runner._DEFAULT_CONTEXTS.clear()
+        runner._DEFAULT_CONTEXTS.update(saved)
+        runner.configure_execution(**defaults)
+
+
 @pytest.fixture
 def fresh_execution():
     """Empty the memoised-context pool for one test, so an in-process
     CLI run starts cold; calling the fixture value empties it again (a
     second run must then read the result cache, not the memo).  The
     pool and the process-wide execution defaults are restored after."""
-    from repro.experiments import runner
+    with _isolated_execution() as clear:
+        yield clear
 
-    saved = dict(runner._DEFAULT_CONTEXTS)
-    defaults = dict(runner._EXEC_DEFAULTS)
-    runner._DEFAULT_CONTEXTS.clear()
-    yield runner._DEFAULT_CONTEXTS.clear
-    runner._DEFAULT_CONTEXTS.clear()
-    runner._DEFAULT_CONTEXTS.update(saved)
-    runner.configure_execution(**defaults)
+
+@pytest.fixture(scope="session")
+def cold_run_all(tmp_path_factory):
+    """``(argv, stdout)`` of one cold in-process ``run-all --scale smoke
+    --jobs 1`` into a fresh cache directory.
+
+    The fill replays every cell (about ten seconds), so the tests that
+    need a filled smoke cache share this one; none of them writes to it.
+    """
+    from repro.cli import main
+
+    argv = ["run-all", "--scale", "smoke", "--jobs", "1", "--cache-dir",
+            str(tmp_path_factory.mktemp("runall-cache"))]
+    out = io.StringIO()
+    with _isolated_execution(), contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return argv, out.getvalue()
 
 
 @pytest.fixture

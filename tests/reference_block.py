@@ -272,7 +272,7 @@ class ReferenceBlock:
                 f"(blocks retire from the just-erased FREE state)")
         self.state = BlockState.RETIRED
 
-    def open_as(self, level: int, now: Ms) -> None:
+    def open_as(self, level: int) -> None:
         if self.state is not BlockState.FREE:
             raise SubpageStateError(
                 f"block {self.block_id}: open while {self.state.value}")

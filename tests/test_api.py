@@ -5,6 +5,14 @@ import pytest
 import repro
 from repro import errors
 
+#: The package roots whose ``__all__`` resolves on first access.
+LAZY_ROOTS = (
+    "repro", "repro.core", "repro.error", "repro.experiments",
+    "repro.faults", "repro.fleet", "repro.frontend", "repro.ftl",
+    "repro.metrics", "repro.nand", "repro.sim", "repro.slc_cache",
+    "repro.traces",
+)
+
 
 class TestExceptionHierarchy:
     def test_all_derive_from_repro_error(self):
@@ -31,16 +39,22 @@ class TestPublicApi:
     def test_lazy_exports_resolve_to_their_modules(self):
         import importlib
 
-        for name in repro.__all__:
-            namespace: dict = {}
-            exec(f"from repro import {name}", namespace)
-            if name == "__version__":
-                continue
-            module = importlib.import_module(f"repro.{repro._EXPORTS[name]}")
-            assert namespace[name] is getattr(module, name), name
-        assert set(repro.__all__) <= set(dir(repro))
-        with pytest.raises(AttributeError):
-            getattr(repro, "NoSuchName")
+        for package in LAZY_ROOTS:
+            root = importlib.import_module(package)
+            for name in root.__all__:
+                namespace: dict = {}
+                exec(f"from {package} import {name}", namespace)
+                if name == "__version__":
+                    continue
+                module = importlib.import_module(root._EXPORTS[name], package)
+                value = getattr(module, name)
+                assert namespace[name] is value, (package, name)
+                # Classes and functions record where they are defined.
+                assert getattr(value, "__module__", module.__name__) == (
+                    module.__name__), (package, name)
+            assert set(root.__all__) <= set(dir(root)), package
+            with pytest.raises(AttributeError):
+                getattr(root, "NoSuchName")
 
     def test_scheme_registry(self):
         assert set(repro.SCHEMES) == {"baseline", "mga", "ipu", "delta"}

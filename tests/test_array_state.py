@@ -144,7 +144,7 @@ class _Driver:
         kind = op[0]
         self.now += 0.5
         if kind == "open":
-            return b.open_as(op[1], self.now)
+            return b.open_as(op[1])
         if kind == "prog_next":
             slots = op[1]
             lsns = [self._next_lsn() for _ in slots]
@@ -229,7 +229,7 @@ class TestDifferentialBlockState:
         # The regression the differential suite first caught: a rejected
         # fresh-page program must not advance next_page.
         block = Block(0, CellMode.SLC, PAGES, SPP)
-        block.open_as(1, 0.0)
+        block.open_as(1)
         before = snapshot(block)
         with pytest.raises(Exception):
             block.program_disturb(0, [0, 0], [1, 2], 0.0, MAX_PROGRAMS)
@@ -237,7 +237,7 @@ class TestDifferentialBlockState:
 
     def test_empty_invalidate_many_is_a_noop(self):
         block = Block(0, CellMode.SLC, PAGES, SPP)
-        block.open_as(1, 0.0)
+        block.open_as(1)
         block.program_disturb(0, [0], [7], 0.0, MAX_PROGRAMS)
         block.invalidate(0, 0)
         before = snapshot(block)

@@ -15,7 +15,7 @@ from repro.nand.cell import CellMode
 
 def make_block(mode=CellMode.SLC, pages=4, spp=4, block_id=0):
     block = Block(block_id, mode, pages, spp)
-    block.open_as(level=1, now=0.0)
+    block.open_as(level=1)
     return block
 
 
@@ -33,7 +33,7 @@ class TestLifecycle:
     def test_open_twice_rejected(self):
         block = make_block()
         with pytest.raises(SubpageStateError):
-            block.open_as(2, 0.0)
+            block.open_as(2)
 
     def test_full_after_all_pages(self):
         block = make_block(pages=2)
@@ -222,7 +222,7 @@ class TestErase:
         block.program_disturb(0, [0], [1], 0.0, 4)
         block.invalidate(0, 0)
         block.erase()
-        block.open_as(2, 1.0)
+        block.open_as(2)
         assert block.program_disturb(0, [0], [5], 1.0, 4)[0] is False
         assert block.level == 2
 

@@ -161,7 +161,7 @@ class TestViewAliasing:
             assert block.region is region
         block = next(b for b in flash.region_blocks(True)
                      if b.state is BlockState.FREE)
-        block.open_as(0, 0.0)
+        block.open_as(0)
         flash.program(block.block_id, 0, [1], [10**6], 1.0)
         assert block.valid[0, 1] and not block.valid[0, 0]
         assert block.slot_lsn[0, 1] == 10**6

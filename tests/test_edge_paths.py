@@ -82,14 +82,14 @@ class TestReprogramGuards:
     def test_reprogram_unwritten_page_rejected(self):
         flash = FlashArray(tiny_config())
         block = flash.block(flash.slc_block_ids[0])
-        block.open_as(1, 0.0)
+        block.open_as(1)
         with pytest.raises(ProgramOrderError):
             flash.reprogram(block.block_id, 0)
 
     def test_reprogram_respects_pass_limit(self):
         flash = FlashArray(tiny_config())
         block = flash.block(flash.slc_block_ids[0])
-        block.open_as(1, 0.0)
+        block.open_as(1)
         flash.program(block.block_id, 0, [0], [1], 0.0)
         for _ in range(3):
             flash.reprogram(block.block_id, 0)
@@ -99,7 +99,7 @@ class TestReprogramGuards:
     def test_reprogram_mlc_rejected(self):
         flash = FlashArray(tiny_config())
         block = flash.block(flash.mlc_block_ids[0])
-        block.open_as(0, 0.0)
+        block.open_as(0)
         flash.program(block.block_id, 0, [0], [1], 0.0)
         with pytest.raises(SubpageStateError):
             block.reprogram_pass(0, 4)
@@ -107,7 +107,7 @@ class TestReprogramGuards:
     def test_reprogram_disturbs_and_counts(self):
         flash = FlashArray(tiny_config())
         block = flash.block(flash.slc_block_ids[0])
-        block.open_as(1, 0.0)
+        block.open_as(1)
         flash.program(block.block_id, 0, [0, 1], [1, 2], 0.0)
         result = flash.reprogram(block.block_id, 0)
         assert result.partial

@@ -1,6 +1,7 @@
 """Experiment harnesses at smoke scale (shared memoised sweep)."""
 
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -231,12 +232,9 @@ def _without_cells_line(out: str) -> str:
 
 
 class TestWarmRunAll:
-    def test_warm_run_all_replays_nothing(self, tmp_path, fresh_execution,
+    def test_warm_run_all_replays_nothing(self, cold_run_all, fresh_execution,
                                           monkeypatch, capsys):
-        args = ["run-all", "--scale", "smoke", "--jobs", "1",
-                "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
+        args, cold = cold_run_all
         simulated, hits, misses = map(int, _CELLS.search(cold).groups())
         assert simulated == misses > 0 and hits == 0
 
@@ -257,3 +255,41 @@ class TestWarmRunAll:
         assert _without_cells_line(warm) == _without_cells_line(cold)
         # One sizing pilot per distinct (trace, requests, seed) input.
         assert pilot_footprints.cache_info().misses == 14
+
+    def test_every_key_is_the_documented_payload_digest(
+            self, cold_run_all, fresh_execution, monkeypatch, capsys):
+        """``cell_key`` memoises the config's ``to_dict()``; each key a
+        warm run-all looks up must still be the sha256 of the payload its
+        docstring lists, built here from fresh ``to_dict()`` calls."""
+        from repro.experiments import runner
+        from repro.experiments.cache import CACHE_SCHEMA_VERSION
+
+        def documented_key(config, profile, n_requests, interarrival_ms,
+                           scheme, scale, seed, length_factor=1.0, pe=None,
+                           faults=None, frontend=None, queue_depth=None):
+            payload = {
+                "schema": CACHE_SCHEMA_VERSION, "config": config.to_dict(),
+                "profile": profile.to_dict(), "n_requests": int(n_requests),
+                "interarrival_ms": interarrival_ms, "scheme": scheme,
+                "scale": scale, "seed": int(seed),
+                "length_factor": float(length_factor), "pe": pe,
+                "faults": faults, "frontend": frontend,
+                "queue_depth": queue_depth,
+            }
+            blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+        looked_up = {}
+        memoised_key = runner._cache_cell_key
+
+        def recording_key(*args, **kwargs):
+            key = memoised_key(*args, **kwargs)
+            looked_up[key] = documented_key(*args, **kwargs)
+            return key
+
+        monkeypatch.setattr(runner, "_cache_cell_key", recording_key)
+        args, cold = cold_run_all
+        assert main(args) == 0
+        capsys.readouterr()
+        assert len(looked_up) == int(_CELLS.search(cold).group(1))
+        assert all(key == doc for key, doc in looked_up.items())

@@ -19,7 +19,7 @@ def flash():
 
 def open_slc(flash, idx=0, level=1):
     block = flash.block(flash.slc_block_ids[idx])
-    block.open_as(level, 0.0)
+    block.open_as(level)
     return block
 
 
@@ -114,7 +114,7 @@ class TestOperations:
             flash.rber.base(initial, True)]
         flash.invalidate(block.block_id, 0, 0)
         flash.erase(block.block_id)
-        block.open_as(1, 0.0)
+        block.open_as(1)
         flash.program(block.block_id, 0, [0], [1], 0.0)
         assert flash.read_list(block.block_id, 0, [0], 1.0) == [
             flash.rber.base(initial + 1, True)]
@@ -161,7 +161,7 @@ class TestRberQueries:
     def test_mlc_rber_at_least_slc(self, flash):
         slc = open_slc(flash)
         mlc = flash.block(flash.mlc_block_ids[0])
-        mlc.open_as(0, 0.0)
+        mlc.open_as(0)
         flash.program(slc.block_id, 0, [0], [1], 0.0)
         flash.program(mlc.block_id, 0, [0], [2], 0.0)
         r_slc = rber(flash, slc)
@@ -174,7 +174,7 @@ class TestRberQueries:
         fresh = rber(flash, block)
         flash.invalidate(block.block_id, 0, 0)
         flash.erase(block.block_id)
-        block.open_as(1, 0.0)
+        block.open_as(1)
         flash.program(block.block_id, 0, [0], [1], 0.0)
         worn = rber(flash, block)
         assert worn > fresh

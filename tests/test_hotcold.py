@@ -12,7 +12,7 @@ from repro.nand.cell import CellMode
 
 def make_block(pages=4, spp=4):
     block = Block(0, CellMode.SLC, pages, spp)
-    block.open_as(1, 0.0)
+    block.open_as(1)
     return block
 
 

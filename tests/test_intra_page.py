@@ -10,7 +10,7 @@ from repro.nand.geometry import PPA
 
 def make_block(mode=CellMode.SLC):
     block = Block(0, mode, 4, 4)
-    block.open_as(1, 0.0)
+    block.open_as(1)
     return block
 
 

@@ -184,7 +184,7 @@ class TestIsrProperties:
     def test_isr_bounds(self, n_valid, n_invalid, now):
         from repro.ftl.hotcold import block_isr
         block = Block(0, CellMode.SLC, 4, 4)
-        block.open_as(1, 0.0)
+        block.open_as(1)
         total = n_valid + n_invalid
         placed = 0
         for page in range(4):

@@ -21,7 +21,7 @@ def rd_config(ratio=0.01):
 def programmed_flash(cfg):
     flash = FlashArray(cfg)
     block = flash.block(flash.slc_block_ids[0])
-    block.open_as(1, 0.0)
+    block.open_as(1)
     flash.program(block.block_id, 0, [0, 1], [1, 2], 0.0)
     return flash, block
 
@@ -80,7 +80,7 @@ class TestReadDisturb:
         cfg = rd_config()
         flash = FlashArray(cfg)
         block = flash.block(flash.mlc_block_ids[0])
-        block.open_as(0, 0.0)
+        block.open_as(0)
         flash.program(block.block_id, 0, [0], [1], 0.0)
         before = rber(flash, block)
         for t in range(30):

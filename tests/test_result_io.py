@@ -80,6 +80,15 @@ class TestCellKey:
         k = key_for(tiny_config())
         assert len(k) == 64 and int(k, 16) >= 0
 
+    def test_equal_configs_share_one_memo_entry(self):
+        from repro.experiments.cache import _config_dict
+
+        _config_dict.cache_clear()
+        first, second = tiny_config(), tiny_config()
+        assert first is not second
+        assert key_for(first) == key_for(second)
+        assert _config_dict.cache_info().currsize == 1
+
     def test_every_table2_field_moves_the_key(self):
         """Changing any Table-2 configuration field must change the key."""
         base = tiny_config()

@@ -21,7 +21,7 @@ def ret_config(rate=1e-3):
 def programmed(cfg):
     flash = FlashArray(cfg)
     block = flash.block(flash.slc_block_ids[0])
-    block.open_as(1, 0.0)
+    block.open_as(1)
     flash.program(block.block_id, 0, [0], [1], 0.0)
     return flash, block
 

@@ -14,7 +14,7 @@ from repro.nand.cell import CellMode
 def full_block(block_id, valid_per_page, pages=2, spp=4):
     """A FULL block with ``valid_per_page`` live slots per page."""
     block = Block(block_id, CellMode.SLC, pages, spp)
-    block.open_as(1, 0.0)
+    block.open_as(1)
     for page in range(pages):
         block.program_disturb(page, list(range(spp)), list(range(spp)), 0.0,
                               spp)
@@ -50,7 +50,7 @@ class TestGreedyPage:
         # block b: one page dead, one page full.
         a = full_block(0, valid_per_page=2)
         b = Block(1, CellMode.SLC, 2, 4)
-        b.open_as(1, 0.0)
+        b.open_as(1)
         b.program_disturb(0, [0, 1, 2, 3], [1, 2, 3, 4], 0.0, 4)
         b.program_disturb(1, [0, 1, 2, 3], [5, 6, 7, 8], 0.0, 4)
         for slot in range(4):

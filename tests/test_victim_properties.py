@@ -65,7 +65,7 @@ def build_block(block_id, state):
     """A FULL SLC block with the given invalidation/age pattern."""
     invalid, times, updated, _late = state
     block = Block(block_id, CellMode.SLC, PAGES, SPP)
-    block.open_as(1, 0.0)
+    block.open_as(1)
     lsn = block_id * PAGES * SPP
     for page in range(PAGES):
         block.program_disturb(
@@ -199,7 +199,7 @@ def apply_op(flash, op, block_id, k, now):
     state = block.state
     if op == "program":
         if state is BlockState.FREE:
-            block.open_as(1, now)
+            block.open_as(1)
         if block.state is BlockState.OPEN:
             lsn = int(now) * SPP
             block.program_disturb(block.next_page, list(range(k)),
