@@ -19,18 +19,17 @@ Machine-checks the repository's simulation contracts (see
 ``N001``  dtype-less or narrow-float numpy construction in a
           byte-identity-gated module
 ``N002``  order-dependent reduction in a byte-identity-gated module
-``K001``  config field read inside a cached cell but missing from the
-          canonical cache key
 ``K002``  ambient input (env/files/platform) read inside a cached cell
-``K003``  canonical-key emitter omits a dataclass field
-``P001``  replay-driver loop-carry state dropped by the pickle protocol
 ``P003``  unpicklable payload passed to ``ProcessPoolExecutor``
 ========  ==========================================================
 
-Result-schema drift is not a rule: ``tests/test_result_schema.py``
-checks the live ``SimulationResult`` against the committed snapshot.
+Contracts a test enforces are not rules: ``tests/test_result_schema.py``
+checks the live ``SimulationResult`` against the committed snapshot,
+``tests/test_record.py`` round-trips every cache-key ``Record``, and
+``tests/test_checkpoint.py`` resumes every replay driver bit for bit
+(``docs/STATIC_ANALYSIS.md``, "Retired rules").
 
-The U-, M-, K- and P-families are interprocedural: one project-wide
+The U-, M- and K-families are interprocedural: one project-wide
 index (:mod:`repro.analysis.callgraph`) — call graph, base-class
 chains, annotation tables and local-variable typing — feeds a
 unit-inference engine (:mod:`repro.analysis.units_flow`) that
@@ -38,13 +37,12 @@ propagates dimension facts from the ``repro.units`` ``Annotated``
 vocabulary through assignments, arithmetic, returns, and call edges;
 an effect/exception pass (:mod:`repro.analysis.effects`) that
 propagates which state each function writes and which paths can
-raise; a cache-key soundness pass
+raise; and a cache-key soundness pass
 (:mod:`repro.analysis.repro_soundness`) that follows the cached
-cells' call trees; and a checkpoint-safety pass
-(:mod:`repro.analysis.pickle_rules`) that follows replay drivers into
-their base classes.  The N-family
-(:mod:`repro.analysis.numpy_rules`) is per-file but gated to the
-modules whose outputs the golden pins diff byte-for-byte.
+cells' call trees.  The N-family (:mod:`repro.analysis.numpy_rules`)
+is per-file but gated to the modules whose outputs the golden pins
+diff byte-for-byte, and P003 (:mod:`repro.analysis.pickle_rules`)
+checks each process-pool call site.
 
 Pure standard library (``ast`` + ``json``): importable and runnable even
 where numpy is not (``tests/test_lean_startup.py`` runs ``python -m repro
@@ -54,13 +52,6 @@ results.
 
 from __future__ import annotations
 
-from .baseline import (
-    BASELINE_NAME,
-    BaselineMatch,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .config_literals import ConfigLiteralRule
 from .core import (
     LintResult,
@@ -73,12 +64,8 @@ from .core import (
 from .determinism import RandomnessRule, SetIterationRule, WallClockRule
 from .effects import MirrorColumnPairRule, TornStateWriteRule
 from .numpy_rules import DtypeDisciplineRule, ReductionOrderRule
-from .pickle_rules import ExecutorPayloadRule, LoopCarryPickleRule
-from .repro_soundness import (
-    AmbientInputRule,
-    CacheKeyTaintRule,
-    CanonicalKeyCompletenessRule,
-)
+from .pickle_rules import ExecutorPayloadRule
+from .repro_soundness import AmbientInputRule
 from .schema import BlockCounterWriteRule
 from .units_flow import (
     AddressSpaceConfusionRule,
@@ -100,10 +87,7 @@ ALL_RULES: tuple[Rule, ...] = (
     MirrorColumnPairRule(),
     DtypeDisciplineRule(),
     ReductionOrderRule(),
-    CacheKeyTaintRule(),
     AmbientInputRule(),
-    CanonicalKeyCompletenessRule(),
-    LoopCarryPickleRule(),
     ExecutorPayloadRule(),
 )
 
@@ -120,20 +104,12 @@ __all__ = [
     "MirrorColumnPairRule",
     "DtypeDisciplineRule",
     "ReductionOrderRule",
-    "CacheKeyTaintRule",
     "AmbientInputRule",
-    "CanonicalKeyCompletenessRule",
-    "LoopCarryPickleRule",
     "ExecutorPayloadRule",
-    "BASELINE_NAME",
-    "BaselineMatch",
     "LintResult",
     "ProjectContext",
     "Rule",
     "SourceFile",
     "Violation",
-    "apply_baseline",
-    "load_baseline",
     "run_lint",
-    "write_baseline",
 ]

@@ -1,9 +1,9 @@
 """Project-wide symbol table, call graph and typing for interprocedural rules.
 
-The per-file rules see one module at a time; the unit (U), effect (M),
-cache-key (K) and pickle (P) passes follow values across calls, into
-attributes and up base-class chains.  This module builds the one
-cross-module index all four read, with nothing but ``ast``:
+The per-file rules see one module at a time; the unit (U), effect (M)
+and cache-key (K) passes follow values across calls, into attributes
+and up base-class chains.  This module builds the one cross-module
+index all three read, with nothing but ``ast``:
 
 * :class:`FunctionInfo` — one function or method: its parameters, its
   annotations, its own statements (:attr:`FunctionInfo.statements`),
@@ -20,7 +20,7 @@ cross-module index all four read, with nothing but ``ast``:
 
   - :meth:`~ProjectIndex.base_chain` — a class and its bases, left to
     right, depth first, each class once; method lookup, attribute
-    typing and the P pass's driver methods all walk it;
+    typing and the K pass's class liveness all walk it;
   - :meth:`~ProjectIndex.annotation` — the one annotation normaliser
     (string annotations parsed once per node, ``X | None`` and
     ``Optional[X]`` reduced to ``X``), read by

@@ -4,9 +4,9 @@ Thin argparse wiring over :func:`repro.analysis.core.run_lint`; the main
 CLI (:mod:`repro.cli`) mounts :func:`add_lint_arguments` /
 :func:`cmd_lint` on its ``lint`` subparser.
 
-Exit codes: 0 clean (baselined findings allowed), 1 new violations or
-stale baseline entries, 2 configuration problems (unknown rule id,
-unreadable baseline).
+Exit codes: 0 clean, 1 findings, 2 configuration problems (unknown
+rule id).  A ``# repro-lint: disable=RULE`` comment is the one way to
+accept a finding.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import argparse
 import subprocess
 from pathlib import Path
 
-from .baseline import BASELINE_NAME, apply_baseline, load_baseline, write_baseline
-from .core import PARSE_ERROR_RULE, run_lint
+from .core import run_lint
 
 
 def find_repo_root() -> Path | None:
@@ -50,7 +49,7 @@ def resolve_roots(root_arg: "str | None") -> tuple[Path, Path | None]:
     repo = find_repo_root()
     if repo is not None:
         return repo / "src" / "repro", repo
-    # Fall back to the importable package itself (no baseline).
+    # Fall back to the importable package itself.
     return Path(__file__).resolve().parents[1], None
 
 
@@ -87,28 +86,6 @@ def changed_files(repo_root: Path, package_root: Path) -> "set[str] | None":
     return out
 
 
-def baseline_rot(entries: "list[dict]", package_root: Path,
-                 known_rules: "set[str]") -> "list[str]":
-    """Human-readable problems for baseline entries that can never match.
-
-    A fingerprint for a rule that no longer exists, or for a file that
-    was deleted, would otherwise sit in ``LINT_BASELINE.json`` forever —
-    it can never be reported stale because the engine never re-derives
-    it.  The CLI treats any such entry as a configuration error (exit 2).
-    """
-    problems: list[str] = []
-    for entry in entries:
-        rule = str(entry.get("rule", ""))
-        path = str(entry.get("path", ""))
-        if rule not in known_rules:
-            problems.append(
-                f"baseline entry for unknown rule {rule!r} ({path})")
-        elif not (package_root / path).is_file():
-            problems.append(
-                f"baseline entry for deleted file {path!r} ({rule})")
-    return problems
-
-
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Mount the lint flags on a subparser."""
     parser.add_argument("--root", metavar="DIR",
@@ -125,12 +102,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated rule ids (U001) and/or "
                              "family prefixes (U = every U-rule) to run "
                              "(default: all)")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help=f"baseline file (default: {BASELINE_NAME} "
-                             f"at the repo root)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline with the current "
-                             "findings and exit 0")
     parser.add_argument("--changed-only", action="store_true",
                         help="report only on files changed vs HEAD "
                              "(staged, unstaged, untracked); project-wide "
@@ -156,10 +127,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     only: "set[str] | None" = None
     if args.changed_only:
-        if args.update_baseline:
-            print("lint: --changed-only cannot rewrite the baseline "
-                  "(it only sees part of the tree)")
-            return 2
         if repo_root is not None:
             only = changed_files(repo_root, package_root)
         if only is None:
@@ -175,43 +142,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"lint: {exc}")
         return 2
 
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-    elif repo_root is not None:
-        baseline_path = repo_root / BASELINE_NAME
-    else:
-        baseline_path = None
-
-    if args.update_baseline:
-        if baseline_path is None:
-            print("lint: no baseline path (pass --baseline or run inside "
-                  "the repository)")
-            return 2
-        write_baseline(baseline_path, result.violations)
-        print(f"lint: baseline rewritten with {len(result.violations)} "
-              f"entries ({baseline_path})")
-        return 0
-
-    entries: list[dict] = []
-    if baseline_path is not None:
-        try:
-            entries = load_baseline(baseline_path)
-        except ValueError as exc:
-            print(f"lint: {exc}")
-            return 2
-        known = {rule.id for rule in ALL_RULES} | {PARSE_ERROR_RULE}
-        problems = baseline_rot(entries, package_root, known)
-        if problems:
-            for problem in problems:
-                print(f"lint: {problem}")
-            print(f"lint: {baseline_path} has rotted — prune the entries "
-                  f"above or rerun --update-baseline")
-            return 2
-    if only is not None:
-        # Entries for unchanged files are out of scope, not stale.
-        entries = [e for e in entries if str(e.get("path", "")) in only]
-    match = apply_baseline(result.violations, entries)
-
     if args.format == "sarif":
         # Violation paths are package-root-relative; rebase them onto
         # the repo root so code-scanning annotations land on the files.
@@ -221,17 +151,16 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 prefix = package_root.relative_to(repo_root).as_posix() + "/"
             except ValueError:
                 prefix = ""
-        report = render_sarif(result, match, uri_prefix=prefix)
+        report = render_sarif(result, uri_prefix=prefix)
     elif args.format == "json":
-        report = render_json(result, match)
+        report = render_json(result)
     else:
-        report = render_text(result, match)
+        report = render_text(result)
 
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
         print(f"lint: wrote {args.format} report to {args.output} "
-              f"({len(match.new)} new, {len(match.baselined)} baselined, "
-              f"{len(match.stale)} stale)")
+              f"({len(result.violations)} findings)")
     else:
         print(report)
-    return 1 if (match.new or match.stale) else 0
+    return 1 if result.violations else 0

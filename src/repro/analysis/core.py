@@ -15,8 +15,8 @@ The engine here is deliberately small:
   ``# repro-lint: disable-file=RULE`` anywhere in the file);
 * :class:`Rule` — base class with per-file and per-project hooks;
 * :func:`run_lint` — walk a package tree, run every rule, drop
-  suppressed findings, and fingerprint the survivors so the baseline
-  file can match them across unrelated line-number drift;
+  suppressed findings, and fingerprint the survivors so code scanning
+  can match them across unrelated line-number drift;
 * :func:`walk` — ``ast.walk`` without its per-node generator stack (the
   same nodes, in the same order), the one tree walk every rule uses.
 """
@@ -83,8 +83,9 @@ class Violation:
 
     ``fingerprint`` is filled in by the engine — a short hash of the
     rule, the file, and the *text* of the offending line (plus an
-    occurrence index for duplicated lines), so baseline entries keep
-    matching when unrelated edits shift line numbers.
+    occurrence index for duplicated lines), so a finding keeps its id
+    when unrelated edits shift line numbers (SARIF
+    ``partialFingerprints``).
     """
 
     rule: str
@@ -279,8 +280,8 @@ def fingerprint(rule: str, path: str, line_text: str, occurrence: int) -> str:
     """Stable 16-hex id of one violation.
 
     Keyed on the offending line's *text*, not its number, so inserting
-    unrelated lines above does not orphan a baseline entry; duplicate
-    lines are disambiguated by their occurrence index.
+    unrelated lines above does not change the id; duplicate lines are
+    disambiguated by their occurrence index.
     """
     blob = f"{rule}\x00{path}\x00{line_text.strip()}\x00{occurrence}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

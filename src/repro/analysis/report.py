@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-from .baseline import BaselineMatch
 from .core import LintResult, Violation
 
 #: SARIF 2.1.0 — the format GitHub code scanning ingests.
@@ -12,58 +11,48 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 SARIF_VERSION = "2.1.0"
 
 
-def render_text(result: LintResult, match: BaselineMatch) -> str:
+def render_text(result: LintResult) -> str:
     """Human-readable report: one ``path:line:col: RULE message`` per
     finding, then a summary line."""
-    out: list[str] = []
-    for v in match.new:
-        out.append(f"{v.location()}: {v.rule} {v.message}")
-    for v in match.baselined:
-        out.append(f"{v.location()}: {v.rule} [baselined] {v.message}")
-    for e in match.stale:
-        out.append(f"{e.get('path')}: {e.get('rule')} [stale baseline entry "
-                   f"{e.get('fingerprint')}] violation no longer present — "
-                   f"shrink the baseline with --update-baseline")
+    out = [f"{v.location()}: {v.rule} {v.message}" for v in result.violations]
     counts = result.counts_by_rule()
     by_rule = ", ".join(f"{r}={n}" for r, n in sorted(counts.items()))
     out.append(f"checked {result.files_checked} files, rules "
                f"{','.join(result.rules_run)}: "
-               f"{len(match.new)} new, {len(match.baselined)} baselined, "
-               f"{len(match.stale)} stale"
+               f"{len(result.violations)} findings"
                + (f" ({by_rule})" if by_rule else ""))
     return "\n".join(out)
 
 
-def _violation_dict(v: Violation, baselined: bool) -> dict:
+def _violation_dict(v: Violation) -> dict:
     return {"rule": v.rule, "path": v.path, "line": v.line, "col": v.col,
-            "message": v.message, "fingerprint": v.fingerprint,
-            "baselined": baselined}
+            "message": v.message, "fingerprint": v.fingerprint}
 
 
-def render_json(result: LintResult, match: BaselineMatch) -> str:
-    """Machine-readable report (the CI lint job's format)."""
+def render_json(result: LintResult) -> str:
+    """Machine-readable report (the CI lint job's format).
+
+    ``new`` counts the findings and ``stale`` is always 0: both keys
+    outlive the retired baseline file because existing readers (the
+    ``perf/`` lint workload) check them.
+    """
     payload = {
         "files_checked": result.files_checked,
         "rules_run": result.rules_run,
         "counts_by_rule": result.counts_by_rule(),
-        "violations": ([_violation_dict(v, False) for v in match.new]
-                       + [_violation_dict(v, True) for v in match.baselined]),
-        "stale_baseline_entries": match.stale,
-        "new": len(match.new),
-        "baselined": len(match.baselined),
-        "stale": len(match.stale),
-        "ok": not match.new and not match.stale,
+        "violations": [_violation_dict(v) for v in result.violations],
+        "new": len(result.violations),
+        "stale": 0,
+        "ok": not result.violations,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _sarif_result(v: Violation, rule_index: dict[str, int],
-                  baselined: bool, uri_prefix: str) -> dict:
+                  uri_prefix: str) -> dict:
     result: dict = {
         "ruleId": v.rule,
-        # Baselined findings are accepted debt: keep them visible in the
-        # scan without failing required code-scanning checks.
-        "level": "note" if baselined else "error",
+        "level": "error",
         "message": {"text": v.message},
         "locations": [{
             "physicalLocation": {
@@ -85,16 +74,12 @@ def _sarif_result(v: Violation, rule_index: dict[str, int],
     return result
 
 
-def render_sarif(result: LintResult, match: BaselineMatch,
-                 uri_prefix: str = "") -> str:
+def render_sarif(result: LintResult, uri_prefix: str = "") -> str:
     """SARIF 2.1.0 report, for GitHub code-scanning upload.
 
     ``uri_prefix`` rebases violation paths (relative to the linted
     package root) onto the repository root — ``"src/repro/"`` in the
-    normal invocation — so annotations land on the right files.  Stale
-    baseline entries have no code location and are not representable as
-    SARIF results; they still fail the exit code, and the text/JSON
-    reporters list them.
+    normal invocation — so annotations land on the right files.
     """
     from . import RULES_BY_ID  # late import: rules import this package
 
@@ -117,11 +102,8 @@ def render_sarif(result: LintResult, match: BaselineMatch,
                 },
             },
             "columnKind": "utf16CodeUnits",
-            "results": (
-                [_sarif_result(v, rule_index, False, uri_prefix)
-                 for v in match.new]
-                + [_sarif_result(v, rule_index, True, uri_prefix)
-                   for v in match.baselined]),
+            "results": [_sarif_result(v, rule_index, uri_prefix)
+                        for v in result.violations],
         }],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -29,8 +29,8 @@ module turns them into checked facts:
            twice, raw KiB counts passed where ``Bytes`` is declared)
   ======== ========================================================
 
-Annotations always win over naming conventions (``lpn_of_lsn(...) ->
-Lpn`` is an LPN despite its suffix); non-scalar annotations
+Annotations always win over naming conventions (a ``first_lsn: Lpn``
+is an LPN despite its suffix); non-scalar annotations
 (``tuple[...]``, ``range``, ``np.ndarray``) pin a name to *unknown*
 rather than letting a misleading suffix invent a unit.  The analysis is
 deliberately conservative: unknown units never fire a rule.

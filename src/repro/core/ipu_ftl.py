@@ -99,7 +99,7 @@ class IPUFTL(BaseFTL):
             # Same-level (hot) or one-level-down (cold) SLC destination.
             # No recursive GC here: if the pool is dry the data falls
             # through to the high-density region.
-            res = self.slc_alloc.alloc_page(int(target), now, for_gc=True)
+            res = self.slc_alloc.alloc_page(int(target), for_gc=True)
             if res is not None:
                 return self._move_chunk(victim, page, slots, lsns, res, now, cause)
         self.stats.evicted_subpages_to_mlc += len(slots)

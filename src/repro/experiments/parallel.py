@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -106,6 +105,9 @@ def run_cells(specs: "list[Any]", jobs: "int | None" = None,
     n_workers = min(resolve_jobs(jobs), len(specs))
     if n_workers <= 1:
         return [worker(spec) for spec in specs]
+    # Imported here: a run whose cells all hit the cache never fans out.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(worker, specs))
 

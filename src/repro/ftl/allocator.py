@@ -24,7 +24,6 @@ import numpy as np
 from ..errors import AllocationError
 from ..nand.block import BLOCK_STATE_CODES, Block, BlockState
 from ..nand.flash import FlashArray
-from ..units import Ms
 
 #: Free blocks host allocations may not dip into — garbage collection
 #: always needs landing room, or a nearly-full region deadlocks.
@@ -118,7 +117,7 @@ class RegionAllocator:
 
     # -- page allocation ---------------------------------------------------
 
-    def alloc_page(self, level: int, now: Ms,
+    def alloc_page(self, level: int,
                    for_gc: bool = False) -> tuple[Block, int] | None:
         """Next free page of the active block for ``level``.
 

@@ -369,21 +369,20 @@ class BaseFTL(abc.ABC):
 
     # -- allocation helpers -----------------------------------------------------
 
-    def alloc_slc_page(self, level: BlockLevel,
-                       now: Ms) -> tuple[Block, int] | None:
+    def alloc_slc_page(self, level: BlockLevel) -> tuple[Block, int] | None:
         """SLC page at ``level``, or None when the cache has no room.
 
         Deliberately does *not* collect garbage inline: foreground GC is
         bounded and runs per request, so a dry pool means the cache is
         under pressure and the write belongs in the high-density region.
         """
-        return self.slc_alloc.alloc_page(int(level), now)
+        return self.slc_alloc.alloc_page(int(level))
 
     def alloc_host_page(self, level: BlockLevel, now: Ms,
                         ops: list[OpRecord]) -> tuple[Block, int]:
         """SLC page at ``level`` for a host chunk, else a high-density page
         (counted as an SLC overflow)."""
-        res = self.alloc_slc_page(level, now)
+        res = self.alloc_slc_page(level)
         if res is None:
             res = self.alloc_mlc_page(now, ops)
             self.stats.slc_overflow_chunks += 1
@@ -399,17 +398,17 @@ class BaseFTL(abc.ABC):
         are appended to ``ops``.
         """
         level = int(BlockLevel.HIGH_DENSITY)
-        res = self.mlc_alloc.alloc_page(level, now, for_gc=for_gc)
+        res = self.mlc_alloc.alloc_page(level, for_gc=for_gc)
         if res is None:
             ops.extend(self.mlc_gc.collect_emergency(now))
-            res = self.mlc_alloc.alloc_page(level, now, for_gc=for_gc)
+            res = self.mlc_alloc.alloc_page(level, for_gc=for_gc)
         if res is None and not for_gc:
             # Free blocks exist but sit in the GC reserve: drain one more
             # victim so the host write can proceed.
             ops.extend(self.mlc_gc.collect_emergency(now))
-            res = self.mlc_alloc.alloc_page(level, now, for_gc=for_gc)
+            res = self.mlc_alloc.alloc_page(level, for_gc=for_gc)
             if res is None:
-                res = self.mlc_alloc.alloc_page(level, now, for_gc=True)
+                res = self.mlc_alloc.alloc_page(level, for_gc=True)
         if res is None:
             raise OutOfSpaceError(
                 f"{self.scheme_name}: high-density region exhausted")
@@ -537,10 +536,10 @@ class BaseFTL(abc.ABC):
         assert faults is not None
         if failed.is_slc:
             level = failed.level if failed.level is not None else 0
-            res = self.slc_alloc.alloc_page(level, now, for_gc=True)
+            res = self.slc_alloc.alloc_page(level, for_gc=True)
             if res is None:
                 faults.pending.extend(self.slc_gc.collect_emergency(now))
-                res = self.slc_alloc.alloc_page(level, now, for_gc=True)
+                res = self.slc_alloc.alloc_page(level, for_gc=True)
             if res is not None:
                 return res
         return self.alloc_mlc_page(now, faults.pending, for_gc=True)

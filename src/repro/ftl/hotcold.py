@@ -25,10 +25,14 @@ can be called cold.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..nand.block import Block
 from ..units import Ms
+
+if TYPE_CHECKING:
+    from ..nand.block import Block
 
 
 def coldness_weight(t_ij: np.ndarray, t_mean: float) -> np.ndarray:

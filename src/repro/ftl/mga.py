@@ -117,7 +117,7 @@ class MGAFTL(BaseFTL):
         while remaining:
             cap = self._pack_capacity()
             if cap is None:
-                res = self.alloc_slc_page(BlockLevel.WORK, now)
+                res = self.alloc_slc_page(BlockLevel.WORK)
                 if res is None:
                     # Cache exhausted even after GC: spill to high-density.
                     ops.extend(self._write_mlc_chunk(remaining, now))

@@ -91,9 +91,3 @@ class CachedMappingTable:
                 self.stats.writebacks += 1
         self._lru[page] = dirty
         return True, writeback
-
-    def flush(self) -> int:
-        """Drop everything; returns the number of dirty pages flushed."""
-        dirty = sum(1 for d in self._lru.values() if d)
-        self._lru.clear()
-        return dirty

@@ -25,22 +25,24 @@ host's scan cannot distort the paper's Figure 12:
 
 * ``scan_seconds`` — measured host wall time (:func:`time.perf_counter`),
   a nondeterministic diagnostic;
-* ``scanned_blocks`` / ``modelled_scan_ms`` — the *modelled* cost of the
-  scan the device firmware would perform: every candidate block examined
-  is charged a per-block constant (ISR pays more per block, it reads the
-  stored 4-byte IS' record of Section 4.4.1 on top of the invalid
-  counter).  This count is deterministic and independent of how fast the
-  simulator happens to evaluate the scan.
+* ``scanned_blocks`` — the *modelled* cost of the scan the device
+  firmware would perform: Figure 12 (:mod:`repro.experiments.fig12`)
+  charges every candidate block examined a per-block constant (ISR pays
+  more per block, it reads the stored 4-byte IS' record of Section
+  4.4.1 on top of the invalid counter).  This count is deterministic and
+  independent of how fast the simulator happens to evaluate the scan.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-from ..nand.block import Block
 from .hotcold import block_age_sum, block_coldness
 from ..units import Ms
+
+if TYPE_CHECKING:
+    from ..nand.block import Block
 
 #: Modelled firmware cost of examining one candidate in a greedy scan
 #: (read one on-chip counter, one compare).
@@ -65,20 +67,12 @@ class VictimPolicy(Protocol):
 
 
 class _ScanAccounting:
-    """Shared wall-time + modelled-cost bookkeeping."""
-
-    #: Per-block modelled scan cost; subclasses override.
-    modelled_ns_per_block = MODELLED_SCAN_NS_PER_BLOCK_GREEDY
+    """Shared wall-time + scanned-block bookkeeping."""
 
     def __init__(self):
         self.scan_seconds = 0.0
         self.scans = 0
         self.scanned_blocks = 0
-
-    @property
-    def modelled_scan_ms(self) -> float:
-        """Deterministic modelled scan cost over all selections (Figure 12)."""
-        return self.scanned_blocks * self.modelled_ns_per_block * 1e-6
 
 
 class GreedyVictimPolicy(_ScanAccounting):
@@ -151,8 +145,6 @@ class IsrVictimPolicy(_ScanAccounting):
     Ties on the ISR score are broken to the lowest ``block_id`` regardless
     of candidate iteration order.
     """
-
-    modelled_ns_per_block = MODELLED_SCAN_NS_PER_BLOCK_ISR
 
     def __init__(self, refresh_ms: float = 100.0):
         super().__init__()

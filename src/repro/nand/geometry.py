@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from ..config import GeometryConfig
 from ..errors import ConfigError
-from ..units import Bytes, Lpn, Lsn
+from ..units import Bytes
 
 
 class PPA(NamedTuple):
@@ -62,12 +62,6 @@ class Geometry:
         return self.chip_of(block) // self.config.chips_per_channel
 
     # -- logical space -------------------------------------------------
-
-    def lpn_of_lsn(self, lsn: Lsn) -> Lpn:
-        """Logical page containing logical subpage ``lsn``."""
-        if lsn < 0:
-            raise ConfigError(f"negative LSN {lsn}")
-        return lsn // self.subpages_per_page
 
     def byte_range_to_lsns(self, offset: Bytes, length: Bytes) -> range:
         """Logical subpages overlapped by the byte extent ``[offset, offset+length)``."""

@@ -84,13 +84,6 @@ def kib(n: float) -> Bytes:
     return int(n * KIB)
 
 
-def ceil_div(a: int, b: int) -> int:
-    """Integer ceiling division; ``b`` must be positive."""
-    if b <= 0:
-        raise ValueError(f"divisor must be positive, got {b}")
-    return -(-a // b)
-
-
 def fmt_bytes(n: Bytes) -> str:
     """Human-readable byte count (binary units)."""
     value = float(n)

@@ -88,13 +88,18 @@ class TestReadPath:
 
 class TestMergeAblation:
     def test_merge_carries_siblings(self):
-        ftl = BaselineFTL(tiny_config(), merge_siblings=True)
-        ftl.handle_write([0], 0.0)
-        ftl.handle_write([1], 1.0)  # same LPN: merges subpage 0 along
-        a, b = ftl.lookup(0), ftl.lookup(1)
-        assert (a.block, a.page) == (b.block, b.page)
-        assert ftl.stats.rmw_read_ops == 1
-        ftl.check_consistency()
+        # LPN 3 as well as LPN 0: at LPN 0 an LPN passed where a sibling's
+        # LSN belongs names subpage 0 itself, so only a nonzero LPN
+        # catches the mix-up.
+        for lpn in (0, 3):
+            ftl = BaselineFTL(tiny_config(), merge_siblings=True)
+            first = lpn * ftl.geometry.subpages_per_page
+            ftl.handle_write([first], 0.0)
+            ftl.handle_write([first + 1], 1.0)  # same LPN: merges `first`
+            a, b = ftl.lookup(first), ftl.lookup(first + 1)
+            assert (a.block, a.page) == (b.block, b.page), lpn
+            assert ftl.stats.rmw_read_ops == 1
+            ftl.check_consistency()
 
     def test_no_merge_leaves_siblings_in_place(self, ftl):
         ftl.handle_write([0], 0.0)

@@ -98,6 +98,20 @@ class TestCommands:
         assert "[cells] 0 simulated" in warm and "1 hits / 0 misses" in warm
         assert warm.split("[cells]")[0] == cold.split("[cells]")[0]
 
+    def test_fleet_stripe_kib_is_scaled_once(self, monkeypatch):
+        import repro.fleet.campaign as campaign
+
+        built = []
+
+        def capture(cfg, **kwargs):
+            built.append(cfg)
+            return None  # a paused campaign: nothing is replayed
+
+        monkeypatch.setattr(campaign, "run_campaign", capture)
+        assert main(["fleet", "--stripe-kib", "8", "--no-cache"]) == 0
+        (cfg,) = built
+        assert cfg.stripe_bytes == 8192
+
     def test_simulate_delta_scheme(self, capsys):
         assert main(["simulate", "--trace", "ads", "--scheme", "delta",
                      "--scale", "smoke", "--seed", "3"]) == 0

@@ -48,21 +48,6 @@ class TestHierarchy:
 
 
 class TestLogicalSpace:
-    def test_lpn_of_lsn(self, geo):
-        assert geo.lpn_of_lsn(0) == 0
-        assert geo.lpn_of_lsn(3) == 0
-        assert geo.lpn_of_lsn(4) == 1
-
-    def test_lpn_lsn_roundtrip(self, geo):
-        spp = geo.subpages_per_page
-        for lsn in range(32):
-            lpn = geo.lpn_of_lsn(lsn)
-            assert lpn * spp <= lsn < (lpn + 1) * spp
-
-    def test_negative_lsn_rejected(self, geo):
-        with pytest.raises(ConfigError):
-            geo.lpn_of_lsn(-1)
-
     def test_byte_range_single_subpage(self, geo):
         assert list(geo.byte_range_to_lsns(0, 4096)) == [0]
 

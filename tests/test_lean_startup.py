@@ -74,12 +74,14 @@ CACHE_MODULES = ["repro", "repro.cli", "repro.errors", "repro.experiments",
                  "repro.metrics.report"]
 
 #: The replay stack: FTLs, the nand kernel, faults, the front-end, the
-#: fleet and the timeline recorder (and their submodules).
+#: fleet and the timeline recorder (and their submodules), and the
+#: process pool a cell fan-out starts.
 REPLAY_MODULES = ("repro.schemes", "repro.core", "repro.ftl.base",
-                  "repro.ftl.gc", "repro.nand.flash", "repro.faults.plan",
-                  "repro.frontend.cache", "repro.frontend.scheduler",
-                  "repro.frontend.simulate", "repro.fleet",
-                  "repro.metrics.timeline")
+                  "repro.ftl.gc", "repro.nand.flash", "repro.nand.block",
+                  "repro.faults.plan", "repro.frontend.cache",
+                  "repro.frontend.scheduler", "repro.frontend.simulate",
+                  "repro.fleet", "repro.metrics.timeline",
+                  "concurrent.futures.process")
 
 #: A rule fixture with one D003 finding (unordered set iteration).
 FIXTURE = """

@@ -1,5 +1,5 @@
 """End-to-end tests of the ``repro-ssd lint`` subcommand: exit codes,
-report formats, and the baseline/ratchet workflow."""
+report formats, and finding fingerprints."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def test_lint_clean_on_committed_tree(monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
     assert main(["lint"]) == 0
     out = capsys.readouterr().out
-    assert "0 new, 0 baselined, 0 stale" in out
+    assert out.rstrip().endswith(": 0 findings")
 
 
 def test_lint_json_format_on_committed_tree(monkeypatch, capsys):
@@ -43,12 +43,11 @@ def test_lint_json_format_on_committed_tree(monkeypatch, capsys):
     assert main(["lint", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    assert payload["new"] == 0
+    assert (payload["new"], payload["stale"]) == (0, 0)
     assert payload["rules_run"] == ["D001", "D002", "D003", "S002",
                                     "C001", "U001", "U002", "U003",
                                     "M001", "M002", "N001", "N002",
-                                    "K001", "K002", "K003",
-                                    "P001", "P003"]
+                                    "K002", "P003"]
     assert payload["files_checked"] > 50
 
 
@@ -73,8 +72,7 @@ def test_lint_json_reports_seeded_violation(tmp_path, capsys):
 @pytest.mark.parametrize("rule", ["D001", "D002", "D003", "S002",
                                   "C001", "U001", "U002", "U003",
                                   "M001", "M002", "N001", "N002",
-                                  "K001", "K002", "K003",
-                                  "P001", "P003"])
+                                  "K002", "P003"])
 def test_every_rule_listed(rule, capsys):
     assert main(["lint", "--list-rules"]) == 0
     assert rule in capsys.readouterr().out
@@ -85,70 +83,7 @@ def test_select_unknown_rule_exits_2(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
-# baseline / ratchet workflow
-
-
-def test_baseline_workflow_ratchets(tmp_path, capsys):
-    bad = seed_violation(tmp_path)
-    root = str(tmp_path)
-
-    # 1. New violation fails.
-    assert main(["lint", "--root", root]) == 1
-    # 2. Grandfather it; the run goes green with it recorded.
-    assert main(["lint", "--root", root, "--update-baseline"]) == 0
-    baseline = tmp_path / "LINT_BASELINE.json"
-    assert baseline.is_file()
-    assert len(json.loads(baseline.read_text())["entries"]) == 1
-    capsys.readouterr()
-    assert main(["lint", "--root", root]) == 0
-    assert "[baselined]" in capsys.readouterr().out
-    # 3. Fixing the code makes the entry stale — the ratchet fails until
-    #    the baseline shrinks.
-    bad.write_text("def drain(ids):\n    return sorted(set(ids))\n",
-                   encoding="utf-8")
-    capsys.readouterr()
-    assert main(["lint", "--root", root]) == 1
-    assert "stale" in capsys.readouterr().out
-    assert main(["lint", "--root", root, "--update-baseline"]) == 0
-    assert json.loads(baseline.read_text())["entries"] == []
-    assert main(["lint", "--root", root]) == 0
-
-
-def test_baseline_survives_line_drift(tmp_path):
-    bad = seed_violation(tmp_path)
-    root = str(tmp_path)
-    assert main(["lint", "--root", root, "--update-baseline"]) == 0
-    # Unrelated edits above the violation shift its line number; the
-    # text-keyed fingerprint keeps the entry matched.
-    bad.write_text("# leading comment\n# another\n" + bad.read_text(),
-                   encoding="utf-8")
-    assert main(["lint", "--root", root]) == 0
-
-
-def test_explicit_baseline_path(tmp_path):
-    seed_violation(tmp_path)
-    baseline = tmp_path / "custom-baseline.json"
-    root = str(tmp_path)
-    assert main(["lint", "--root", root, "--baseline", str(baseline),
-                 "--update-baseline"]) == 0
-    assert baseline.is_file()
-    assert main(["lint", "--root", root, "--baseline", str(baseline)]) == 0
-    # The default baseline name was never created.
-    assert not (tmp_path / "LINT_BASELINE.json").exists()
-
-
-def test_committed_baseline_is_empty():
-    """Satellite contract: the repo baseline stays (near-)empty; every
-    entry that does exist must carry a documenting note."""
-    data = json.loads((REPO_ROOT / "LINT_BASELINE.json").read_text())
-    assert data["format"] == 1
-    for entry in data["entries"]:
-        assert entry.get("note"), f"undocumented baseline entry: {entry}"
-    assert len(data["entries"]) == 0
-
-
-# --------------------------------------------------------------------------
-# baseline / ratchet workflow with U-rules (interprocedural findings)
+# U-rules (interprocedural findings) through the CLI
 
 U_BAD_SNIPPET = """
     def cost(delay_ms, size_bytes):
@@ -156,46 +91,24 @@ U_BAD_SNIPPET = """
     """
 
 
-def test_u_rule_baseline_round_trip(tmp_path, capsys):
-    bad = seed_violation(tmp_path, U_BAD_SNIPPET)
-    root = str(tmp_path)
-
+def _json_violations(root: str, capsys) -> list:
     capsys.readouterr()
-    assert main(["lint", "--root", root]) == 1
-    assert "U001" in capsys.readouterr().out
-    # Grandfather the interprocedural finding, then go green.
-    assert main(["lint", "--root", root, "--update-baseline"]) == 0
-    baseline = tmp_path / "LINT_BASELINE.json"
-    entries = json.loads(baseline.read_text())["entries"]
-    assert [e["rule"] for e in entries] == ["U001"]
-    assert main(["lint", "--root", root]) == 0
+    assert main(["lint", "--root", root, "--format", "json"]) == 1
+    return json.loads(capsys.readouterr().out)["violations"]
 
 
-def test_u_rule_fingerprint_survives_line_drift(tmp_path):
+def test_u_rule_fingerprint_survives_line_drift(tmp_path, capsys):
     bad = seed_violation(tmp_path, U_BAD_SNIPPET)
     root = str(tmp_path)
-    assert main(["lint", "--root", root, "--update-baseline"]) == 0
+    (before,) = _json_violations(root, capsys)
+    assert before["rule"] == "U001"
     # Project-rule findings use the same text-keyed fingerprints as
-    # per-file ones: unrelated edits above must not orphan the entry.
+    # per-file ones: unrelated edits above move the line, not the id.
     bad.write_text("# leading comment\n# another\n" + bad.read_text(),
                    encoding="utf-8")
-    assert main(["lint", "--root", root]) == 0
-
-
-def test_u_rule_stale_entry_fails_ratchet(tmp_path, capsys):
-    bad = seed_violation(tmp_path, U_BAD_SNIPPET)
-    root = str(tmp_path)
-    assert main(["lint", "--root", root, "--update-baseline"]) == 0
-    # Fix the unit mix: the baselined entry goes stale and the ratchet
-    # demands the baseline shrink.
-    bad.write_text("def cost(delay_ms, other_ms):\n"
-                   "    return delay_ms + other_ms\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["lint", "--root", root]) == 1
-    assert "stale" in capsys.readouterr().out
-    assert main(["lint", "--root", root, "--update-baseline"]) == 0
-    assert json.loads(
-        (tmp_path / "LINT_BASELINE.json").read_text())["entries"] == []
+    (after,) = _json_violations(root, capsys)
+    assert after["line"] == before["line"] + 2
+    assert after["fingerprint"] == before["fingerprint"]
 
 
 def test_cli_select_family_prefix(tmp_path, capsys):
@@ -229,10 +142,10 @@ M_BAD_SNIPPET = """
     """
 
 
-def test_clean_tree_with_mn_families_and_empty_baseline(monkeypatch, capsys):
+def test_clean_tree_with_mn_families(monkeypatch, capsys):
     """Acceptance contract: ``--select M,N`` exits 0 on the committed
-    tree with the (empty) committed baseline — every real finding was
-    fixed or carries an in-code suppression, never a baseline entry."""
+    tree — every real finding was fixed or carries an in-code
+    suppression."""
     monkeypatch.chdir(REPO_ROOT)
     assert main(["lint", "--select", "M,N", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -274,8 +187,7 @@ def test_sarif_clean_tree_schema(monkeypatch, capsys):
     rule_ids = [r["id"] for r in driver["rules"]]
     assert rule_ids == ["D001", "D002", "D003", "S002", "C001",
                         "U001", "U002", "U003", "M001", "M002", "N001",
-                        "N002", "K001", "K002", "K003", "P001",
-                        "P003"]
+                        "N002", "K002", "P003"]
     assert all(r["shortDescription"]["text"] for r in driver["rules"])
     assert run["results"] == []
 
@@ -320,17 +232,6 @@ def test_sarif_rebases_uris_on_repo_root(tmp_path, capsys):
     assert uri == "src/repro/ftl/bad.py"
 
 
-def test_sarif_baselined_findings_are_notes(tmp_path, capsys):
-    seed_violation(tmp_path)
-    root = str(tmp_path)
-    assert main(["lint", "--root", root, "--update-baseline"]) == 0
-    capsys.readouterr()
-    assert main(["lint", "--root", root, "--format", "sarif"]) == 0
-    run = _sarif_run(json.loads(capsys.readouterr().out))
-    (result,) = run["results"]
-    assert result["level"] == "note"
-
-
 def test_sarif_output_flag_writes_file(tmp_path, capsys):
     seed_violation(tmp_path)
     out_path = tmp_path / "lint.sarif"
@@ -338,6 +239,6 @@ def test_sarif_output_flag_writes_file(tmp_path, capsys):
     assert main(["lint", "--root", str(tmp_path), "--format", "sarif",
                  "--output", str(out_path)]) == 1
     summary = capsys.readouterr().out
-    assert "wrote sarif report" in summary and "1 new" in summary
+    assert "wrote sarif report" in summary and "(1 findings)" in summary
     run = _sarif_run(json.loads(out_path.read_text(encoding="utf-8")))
     assert [r["ruleId"] for r in run["results"]] == ["D003"]

@@ -71,18 +71,6 @@ class TestCachedMappingTable:
         table.access(0)
         assert table.stats.hit_ratio == 0.5
 
-    def test_flush(self):
-        table = cmt(pages=4)
-        table.access(0, dirty=True)
-        table.access(8, dirty=False)
-        assert table.flush() == 1
-        # Both pages were dropped: each is a miss again, and the dirty
-        # one is not written back a second time.
-        misses = table.stats.misses
-        assert table.access(8) == (True, False)
-        assert table.access(0) == (True, False)
-        assert table.stats.misses == misses + 2
-
     def test_negative_key_rejected(self):
         with pytest.raises(ConfigError):
             cmt().access(-1)

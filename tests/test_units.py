@@ -1,4 +1,4 @@
-"""Unit helpers: conversions, ceiling division, formatting."""
+"""Unit helpers: conversions, formatting."""
 
 import pytest
 
@@ -11,28 +11,6 @@ class TestSizes:
 
     def test_fractional_kib(self):
         assert units.kib(0.5) == 512
-
-
-class TestCeilDiv:
-    def test_exact(self):
-        assert units.ceil_div(8, 4) == 2
-
-    def test_rounds_up(self):
-        assert units.ceil_div(9, 4) == 3
-
-    def test_one(self):
-        assert units.ceil_div(1, 4096) == 1
-
-    def test_zero_numerator(self):
-        assert units.ceil_div(0, 7) == 0
-
-    def test_rejects_zero_divisor(self):
-        with pytest.raises(ValueError):
-            units.ceil_div(5, 0)
-
-    def test_rejects_negative_divisor(self):
-        with pytest.raises(ValueError):
-            units.ceil_div(5, -1)
 
 
 class TestTime:

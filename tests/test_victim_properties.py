@@ -26,6 +26,8 @@ from repro.error import EccModel
 from repro.ftl.allocator import RegionAllocator
 from repro.ftl.hotcold import block_age_sum, block_coldness
 from repro.ftl.victim import (
+    MODELLED_SCAN_NS_PER_BLOCK_GREEDY,
+    MODELLED_SCAN_NS_PER_BLOCK_ISR,
     GreedyPageVictimPolicy,
     GreedyVictimPolicy,
     IsrVictimPolicy,
@@ -175,8 +177,9 @@ class TestVictimPolicyEquivalence:
             policy.select(blocks[:1], NOW)
             assert policy.scans == 2
             assert policy.scanned_blocks == len(blocks) + 1
-        assert isr.modelled_scan_ms == pytest.approx(
-            2.5 * greedy.modelled_scan_ms)
+        assert (isr.scanned_blocks * MODELLED_SCAN_NS_PER_BLOCK_ISR
+                == pytest.approx(2.5 * greedy.scanned_blocks
+                                 * MODELLED_SCAN_NS_PER_BLOCK_GREEDY))
 
 
 #: A device small enough for random steps to fill blocks: 4 blocks (2
