@@ -2,9 +2,9 @@
 """Define, persist and simulate a custom device configuration.
 
 Shows the adoption workflow: tweak Table 2 knobs (here: a TLC-class
-device with slower programs, a bigger SLC cache, the pipelined bus model
-and the translation extension), save the configuration as JSON, reload
-it, and compare IPU against MGA on it.
+device with slower programs, a bigger SLC cache and the translation
+extension), save the configuration as JSON, reload it, and compare IPU
+against MGA on it.
 
 Run:  python examples/custom_device.py
 """
@@ -32,8 +32,7 @@ def build_config() -> SSDConfig:
             total_blocks=96),
         timing=TimingConfig(
             # TLC-class media: slower programs and reads than Table 2's MLC.
-            mlc_read_ms=0.09, mlc_write_ms=2.0,
-            pipelined_bus=True),
+            mlc_read_ms=0.09, mlc_write_ms=2.0),
         cache=CacheConfig(slc_ratio=0.25),
         translation=TranslationConfig(
             enabled=True, entries_per_page=512, cache_pages=8),
@@ -47,7 +46,7 @@ def main() -> None:
     print(f"Configuration written to {path}")
     config = load_config(path)
     print(f"Reloaded: {config.geometry.total_blocks} blocks, "
-          f"{config.slc_blocks} SLC-mode, pipelined bus, "
+          f"{config.slc_blocks} SLC-mode, "
           f"translation cache of {config.translation.cache_pages} pages\n")
 
     trace = generate(profile("wdev0"), n_requests=8_000, seed=42,

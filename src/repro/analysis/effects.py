@@ -78,13 +78,13 @@ MIRROR_COLUMN: dict[str, str] = {
 MIRRORED_COLUMNS = frozenset(MIRROR_COLUMN.values())
 
 #: Watched state written through objects other than ``self`` (for M001's
-#: write tracking: ``block.read_count += 1`` in ``nand/flash.py`` is as
-#: much a state write as ``self.read_count += 1`` inside the block).
-#: The second set is ``Block`` state with no column partner.
+#: write tracking: ``region.slot_time[j] = now`` in ``nand/flash.py`` is
+#: as much a state write as a store inside the block).  The second set
+#: is ``Block`` state with no column partner.
 WATCHED_ATTRS = (REGION_COLUMNS | frozenset(MIRROR_COLUMN)
                  | frozenset({"prog_mask", "pass_counts", "n_programmed",
                               "erase_count", "level", "next_page",
-                              "content_epoch", "read_count"}))
+                              "content_epoch"}))
 
 #: Directories whose methods M001 checks (the mutable simulator state).
 M001_PREFIXES = ("nand/", "ftl/")

@@ -32,12 +32,14 @@ from typing import Iterator
 from .core import Rule, SourceFile, Violation
 from .determinism import numpy_bindings
 
-#: Modules whose outputs the golden stack pins byte-for-byte.
+#: Modules whose outputs the golden stack pins byte-for-byte
+#: (``ftl/hotcold.py``: Equation 2 decides the ISR policy's victims).
 GATED_FILES = frozenset({
     "nand/state.py",
     "nand/flash.py",
     "error/rber.py",
     "error/ecc.py",
+    "ftl/hotcold.py",
 })
 
 #: Constructors whose result dtype depends on the input unless pinned.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .record import Record
-from .units import KIB
+from .units import KIB, Bytes
 
 __all__ = [
     "GeometryConfig",
@@ -53,8 +53,8 @@ class GeometryConfig(Record):
     total_blocks: int = 65536
     slc_pages_per_block: int = 64
     mlc_pages_per_block: int = 128
-    page_size: int = 16 * KIB
-    subpage_size: int = 4 * KIB
+    page_size: Bytes = 16 * KIB
+    subpage_size: Bytes = 4 * KIB
 
     @property
     def chips(self) -> int:
@@ -112,10 +112,6 @@ class TimingConfig(Record):
     #: Channel transfer time for one 4 KiB subpage (~100 MB/s ONFI bus,
     #: consistent with the large-page device generation Table 2 models).
     transfer_ms_per_subpage: float = 0.04
-    #: Pipelined bus model: media time occupies only the chip and transfer
-    #: time only the channel (reads sense first, programs transfer first),
-    #: instead of the default conservative both-busy model.
-    pipelined_bus: bool = False
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on non-physical latencies."""
@@ -167,17 +163,6 @@ class ReliabilityConfig(Record):
     isr_refresh_ms: float = 100.0
     #: Neighbour-page disturb delta as a fraction of in-page disturb delta.
     neighbor_disturb_ratio: float = 0.2
-    #: Read-disturb: RBER added to every subpage of a block per read of
-    #: that block, as a fraction of the in-page disturb unit.  An optional
-    #: extension (0 disables it); reads stress unselected word lines, and
-    #: an erase heals the block.
-    read_disturb_unit_ratio: float = 0.0
-    #: Retention loss: RBER added per millisecond of data age, as a
-    #: fraction of the in-page disturb unit (optional extension, 0
-    #: disables; the axis of Kim et al.'s DAC'17 subpage-aware retention
-    #: model the paper cites as related work).  SLC-mode only — it needs
-    #: per-subpage program times, which MLC blocks do not track.
-    retention_unit_per_ms: float = 0.0
     #: BCH codeword payload in bytes (ISSCC'06-style 512B sectors).
     bch_codeword_bytes: int = 512
     #: BCH correction capability per codeword, in bits.
@@ -203,10 +188,6 @@ class ReliabilityConfig(Record):
             raise ConfigError("isr_refresh_ms must be >= 0")
         if not (0.0 <= self.neighbor_disturb_ratio <= 1.0):
             raise ConfigError("neighbor_disturb_ratio must lie in [0, 1]")
-        if self.read_disturb_unit_ratio < 0:
-            raise ConfigError("read_disturb_unit_ratio must be >= 0")
-        if self.retention_unit_per_ms < 0:
-            raise ConfigError("retention_unit_per_ms must be >= 0")
         if self.bch_codeword_bytes <= 0 or self.bch_t <= 0:
             raise ConfigError("BCH parameters must be positive")
         if self.max_page_programs < 1:

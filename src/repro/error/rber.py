@@ -16,6 +16,8 @@ budget of partial passes (``max_page_programs - 1`` of them, i.e. the
 MGA-style fully-packed page) lands on the measured partial-programming
 curve (3.8e-4 at 4000 P/E).  The unit scales with the base curve, so the
 conventional/partial gap widens with wear exactly as Figure 2 shows.
+Reads and data age add nothing: the paper's error model is wear plus
+program disturb alone.
 """
 
 from __future__ import annotations
@@ -94,7 +96,6 @@ class RberModel:
         slc: bool,
         n_in: np.ndarray,
         n_nb: np.ndarray,
-        read_disturb: float = 0.0,
     ) -> np.ndarray:
         """Array RBER kernel: price many subpages of one block at once.
 
@@ -103,19 +104,15 @@ class RberModel:
         a flush span), so a whole relocation prices in one call.  The
         expression is *operation-for-operation* the scalar loop of
         ``FlashArray.read_list`` — ``base + unit * (n_in + ratio *
-        n_nb)``, then ``+ read_disturb`` — over float64, so every element
-        is bit-identical to the per-slot scalar evaluation (int64 disturb
-        counts convert to float64 exactly).  ``read_disturb`` is the
-        caller's precomputed ``read_count * ratio * unit`` term.
+        n_nb)`` — over float64, so every element is bit-identical to the
+        per-slot scalar evaluation (int64 disturb counts convert to
+        float64 exactly).
         """
         unit = self.disturb_unit(pe)
         ratio = self.config.neighbor_disturb_ratio
-        rbers = self.base(pe, slc) + unit * (
+        return self.base(pe, slc) + unit * (
             n_in.astype(np.float64) + ratio * n_nb.astype(np.float64)
         )
-        if read_disturb:
-            rbers = rbers + read_disturb
-        return rbers
 
     # -- figure 2 helper ---------------------------------------------------
 

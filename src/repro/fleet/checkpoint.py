@@ -44,8 +44,11 @@ MAGIC = b"repro-ckpt\n"
 #: (2: the replay drivers share ``ReplayCore``, which carries the pricer;
 #: 3: ``Block`` and ``RegionAllocator`` carry no victim or counter
 #: watchers; 4: ``RegionState`` keeps only the columns something reads
-#: as an array, and ``Block`` pickles as a plain slotted object).
-CHECKPOINT_VERSION = 4
+#: as an array, and ``Block`` pickles as a plain slotted object; 5:
+#: ``Block`` has no read counter, ``OpPricer`` no bus-model flag or
+#: model reference, ``Resource`` no name and ``OpenLoopReplay`` no
+#: idle-collection state).
+CHECKPOINT_VERSION = 5
 #: Kind tag of fleet device snapshots (the only kind today).
 DEVICE_KIND = "fleet-device"
 

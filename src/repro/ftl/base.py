@@ -348,12 +348,12 @@ class BaseFTL(abc.ABC):
         return ops
 
     def idle_collect(self, now: Ms) -> list[OpRecord]:
-        """Drain pending GC work during host idle time.
+        """Run every collector to its restore watermark, plus any pending
+        fault work, without a host request footing the trigger.
 
-        Real devices collect in the background whenever the bus is quiet;
-        the simulator calls this when it detects an arrival gap, letting
-        the collectors run to their restore watermarks without a host
-        request footing the trigger.
+        No replay driver calls it.  It stays because the invariant tests
+        drain GC through it and ``perf/layers.py`` traces it by name, so
+        the perf harness's entry-point checks resolve it.
         """
         ops: list[OpRecord] = []
         for gc in (self.slc_gc, self.mlc_gc):

@@ -165,10 +165,9 @@ class GarbageCollector:
         # Two-phase drain: gather this trigger's pages, price every read in
         # one batched kernel, then replay the READ/relocate sequence in the
         # original page order.  Byte-identical to the sequential loop: GC
-        # reads draw no fault samples, relocations program *other* blocks
-        # and only invalidate already-read victim pages, and the span
-        # kernel prices page ``k`` at ``read_count + k`` exactly as the
-        # one-read-per-page sequence would.
+        # reads draw no fault samples, and relocations program *other*
+        # blocks and only invalidate already-read victim pages, so no read
+        # of the span sees a disturb count the sequence would not.
         spans: list[tuple[int, list[int], list[int]]] = []
         moved = 0
         while self._drain_page < victim.next_page and moved < budget:

@@ -96,7 +96,7 @@ class Block:
         "_slots_slice", "_pages_slice",
         "prog_mask", "valid_mask", "_set_slots", "_popcount", "_full_mask",
         "n_valid", "n_invalid", "n_programmed", "content_epoch",
-        "read_count", "pass_counts", "pages_with_valid",
+        "pass_counts", "pages_with_valid",
     )
 
     def __init__(self, block_id: int, mode: CellMode, pages: int,
@@ -154,8 +154,6 @@ class Block:
         #: Bumped on every content mutation; lets the stored-IS' cache of
         #: the ISR policy detect staleness cheaply.
         self.content_epoch = 0
-        #: Reads served by this block since its last erase (read disturb).
-        self.read_count = 0
         #: Program passes each page took since the last erase — checked
         #: against the manufacturer limit per host chunk.
         self.pass_counts = [0] * pages
@@ -190,8 +188,8 @@ class Block:
 
     @property
     def slot_program_time(self) -> MsArray:
-        """Program time per slot, never refreshed by reads (retention
-        ages from here)."""
+        """Program time per slot, never refreshed by reads (power-loss
+        recovery finds torn subpages by it)."""
         return self._slot_view(self.region.slot_program_time)
 
     @property
@@ -483,7 +481,6 @@ class Block:
         self.n_programmed = 0
         self.pages_with_valid = 0
         self.content_epoch += 1
-        self.read_count = 0
 
     def retire(self) -> None:
         """Permanently remove a grown-bad block from service.

@@ -144,12 +144,12 @@ class FlashArray:
                   now: Ms) -> "list[float]":
         """Read subpages of one page: their RBERs as python floats.
 
-        Rejects a read of an unwritten slot, refreshes the slots' access
-        times and bumps the block's ``read_count`` (read disturb).  Each
-        value is ``base + unit * (n_in + ratio * n_nb) + read_disturb``,
-        plus the retention term, operation-for-operation the expression
-        :meth:`read_span` evaluates through ``RberModel.rber_many`` over
-        IEEE doubles, so both paths price a slot bit-identically.
+        Rejects a read of an unwritten slot and refreshes the slots'
+        access times.  Each SLC value is ``base + unit * (n_in + ratio *
+        n_nb)``, operation-for-operation the expression :meth:`read_span`
+        evaluates through ``RberModel.rber_many`` over IEEE doubles, so
+        both paths price a slot bit-identically; a high-density slot
+        reads at the base curve.
         """
         block = self.blocks[block_id]
         pmask = block.prog_mask[page]
@@ -161,36 +161,22 @@ class FlashArray:
         rel = self.config.reliability
         pe = rel.initial_pe_cycles + block.erase_count
         rber = self.rber
+        if not block.is_slc:
+            return [rber.base(pe, slc=False)] * len(slots)
         region = block.region
         jbase = block._base + page * block.spp
-        if block.is_slc:
-            unit = rber.disturb_unit(pe)
-            extra = (block.read_count * rel.read_disturb_unit_ratio * unit
-                     if rel.read_disturb_unit_ratio else 0.0)
-            base = rber.base(pe, True)
-            ratio = rel.neighbor_disturb_ratio
-            disturb_in = region.disturb_in
-            disturb_nb = region.disturb_nb
-            time_f = region.slot_time
-            retention = rel.retention_unit_per_ms
-            values = []
-            for slot in slots:
-                j = jbase + slot
-                value = base + unit * (float(disturb_in[j])
-                                       + ratio * float(disturb_nb[j]))
-                value = value + extra
-                if retention:
-                    age = now - float(region.slot_program_time[j])
-                    value = value + max(age, 0.0) * retention * unit
-                values.append(value)
-                time_f[j] = now
-        else:
-            extra = (block.read_count * rel.read_disturb_unit_ratio
-                     * rber.disturb_unit(pe)
-                     if rel.read_disturb_unit_ratio else 0.0)
-            value = rber.base(pe, slc=False) + extra
-            values = [value] * len(slots)
-        block.read_count += 1
+        unit = rber.disturb_unit(pe)
+        base = rber.base(pe, True)
+        ratio = rel.neighbor_disturb_ratio
+        disturb_in = region.disturb_in
+        disturb_nb = region.disturb_nb
+        time_f = region.slot_time
+        values = []
+        for slot in slots:
+            j = jbase + slot
+            values.append(base + unit * (float(disturb_in[j])
+                                         + ratio * float(disturb_nb[j])))
+            time_f[j] = now
         return values
 
     def read_span(self, block_id: int, spans: "list[tuple[int, list[int]]]",
@@ -200,13 +186,11 @@ class FlashArray:
         ``spans`` lists ``(page, slots)`` in read order; the return value
         is the concatenated per-slot RBER array plus each page's start
         offset into it.  Side effects and values match per-page
-        :meth:`read_list` calls in sequence exactly: access times refresh,
-        ``read_count`` advances once per page, and the read-disturb term
-        of page ``k`` is evaluated at ``read_count + k`` just as the
-        sequential loop would.  Only safe when nothing between the
-        sequential reads could change this block's disturb/retention
-        state — the GC drain qualifies (relocations touch *other*
-        blocks and only invalidate already-read pages of the victim).
+        :meth:`read_list` calls in sequence exactly (access times
+        refresh).  Only safe when nothing between the sequential reads
+        could change this block's disturb state — the GC drain qualifies
+        (relocations touch *other* blocks and only invalidate
+        already-read pages of the victim).
         """
         block = self.blocks[block_id]
         spp = block.spp
@@ -224,32 +208,15 @@ class FlashArray:
                         f"block {block_id} page {page} slot {slot}: "
                         f"read of unwritten subpage")
                 flat.append(jbase + slot)
+        pe = self.config.reliability.initial_pe_cycles + block.erase_count
+        if not block.is_slc:
+            return (np.full(len(flat), self.rber.base(pe, slc=False),
+                            dtype=np.float64), offsets)
         j = np.array(flat, dtype=np.intp)
-        rel = self.config.reliability
-        pe = rel.initial_pe_cycles + block.erase_count
         region = block.region
-        if block.is_slc:
-            rbers = self.rber.rber_many(
-                pe, True, region.disturb_in[j], region.disturb_nb[j])
-        else:
-            rbers = np.full(len(flat), self.rber.base(pe, slc=False),
-                            dtype=np.float64)
-        if rel.read_disturb_unit_ratio:
-            unit = self.rber.disturb_unit(pe)
-            read_count = block.read_count
-            end = len(flat)
-            for k in range(len(spans) - 1, -1, -1):
-                extra = (read_count + k) * rel.read_disturb_unit_ratio * unit
-                rbers[offsets[k]:end] = rbers[offsets[k]:end] + extra
-                end = offsets[k]
-        if block.is_slc:
-            if rel.retention_unit_per_ms:
-                ages = now - region.slot_program_time[j]
-                rbers = rbers + (np.maximum(ages, 0.0)
-                                 * rel.retention_unit_per_ms
-                                 * self.rber.disturb_unit(pe))
-            region.slot_time[j] = now
-        block.read_count += len(spans)
+        rbers = self.rber.rber_many(
+            pe, True, region.disturb_in[j], region.disturb_nb[j])
+        region.slot_time[j] = now
         return rbers, offsets
 
     def invalidate(self, block_id: int, page: int, slot: int) -> None:

@@ -505,21 +505,7 @@ class ReplayCore:
 
 
 class OpenLoopReplay(ReplayCore):
-    """Open-loop replay: each request issues at its trace timestamp.
-
-    Optionally runs GC to its restore watermark inside arrival gaps
-    longer than ``idle_threshold_ms`` (background idle-time collection).
-    """
-
-    def __init__(self, ftl, config: SSDConfig | None = None,
-                 timing: TimingModel | None = None,
-                 resources: ResourceSet | None = None,
-                 observer=None, idle_gc: bool = False,
-                 idle_threshold_ms: Ms = 2.0):
-        super().__init__(ftl, config, timing, resources, observer)
-        self.idle_gc = idle_gc
-        self.idle_threshold_ms = idle_threshold_ms
-        self.last_arrival = 0.0
+    """Open-loop replay: each request issues at its trace timestamp."""
 
     def feed(self, trace: Trace) -> None:
         """Replay one chunk (absolute timestamps, arrival order)."""
@@ -529,26 +515,18 @@ class OpenLoopReplay(ReplayCore):
         serve = self._serve
         handle_write = ftl.handle_write
         handle_read = ftl.handle_read
-        reserve = self.pricer.reserve
         observer = self.observer
-        idle_gc = self.idle_gc
-        idle_threshold = self.idle_threshold_ms
         next_power_loss = self.next_power_loss
         base_index = self.n
 
         times = trace.times_ms.tolist()
         writes = trace.is_write.tolist()
         firsts, lasts = _chunk_extents(trace, ftl.geometry)
-        last_arrival = self.last_arrival
         now = self.now
         for i in range(n):
             now = times[i]
             if now >= next_power_loss:
                 next_power_loss = self._power_loss(now)
-            if idle_gc and now - last_arrival >= idle_threshold:
-                for op in ftl.idle_collect(now):
-                    reserve(op, now)
-            last_arrival = now
             lsns = list(range(firsts[i], lasts[i]))
             if writes[i]:
                 complete = serve(handle_write(lsns, now), now, now, False)
@@ -560,7 +538,6 @@ class OpenLoopReplay(ReplayCore):
 
         self.n = base_index + n
         self.now = now
-        self.last_arrival = last_arrival
         self._record_window(latencies, trace.is_write)
 
     def result(self, trace_name: str, wall_seconds: float = 0.0,
@@ -647,17 +624,12 @@ class Simulator:
     """Replays traces (or trace streams) against one FTL instance."""
 
     def __init__(self, ftl, config: SSDConfig | None = None,
-                 observer=None, idle_gc: bool = False,
-                 idle_threshold_ms: Ms = 2.0):
+                 observer=None):
         self.ftl = ftl
         self.config = config if config is not None else ftl.config
         #: Optional callable ``(request_index, now_ms)`` invoked after each
         #: request is serviced (e.g. a metrics TimelineRecorder).
         self.observer = observer
-        #: Run GC to its restore watermark inside arrival gaps longer than
-        #: ``idle_threshold_ms`` (background idle-time collection).
-        self.idle_gc = idle_gc
-        self.idle_threshold_ms = idle_threshold_ms
         self.geometry = ftl.geometry
         self.timing = TimingModel(self.config)
         #: The chip/channel clocks every replay of this simulator reserves.
@@ -680,8 +652,7 @@ class Simulator:
         try:
             return OpenLoopReplay(
                 self.ftl, self.config, self.timing, self.resources,
-                self.observer, self.idle_gc, self.idle_threshold_ms,
-            ).run(trace)
+                self.observer).run(trace)
         finally:
             if gc_was_enabled:
                 gc.enable()

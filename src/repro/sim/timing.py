@@ -7,9 +7,11 @@
 * page program: per-subpage channel transfer + media program time,
 * erase: the Table 2 block erase time.
 
-The model never prices RBER or ECC itself: every read op, including a
-*pseudo read* of never-written data (``BaseFTL._pseudo_reads``), arrives
-with its decode time already set.
+An op occupies its chip and its channel together for the whole
+duration (the SSDsim-style model :class:`OpPricer` books).  The model
+never prices RBER or ECC itself: every read op, including a *pseudo
+read* of never-written data (``BaseFTL._pseudo_reads``), arrives with
+its decode time already set.
 """
 
 from __future__ import annotations
@@ -48,20 +50,6 @@ class TimingModel:
             return transfer + self._write[op.is_slc]
         return self._read[op.is_slc] + transfer + op.ecc_ms
 
-    def segments_ms(self, op: OpRecord) -> tuple[float, float, bool]:
-        """(chip_ms, channel_ms, chip_first) for the pipelined bus model.
-
-        ECC decode happens in the controller as data streams off the
-        channel, so it is charged to the channel stage of reads.
-        """
-        kind = op.kind
-        if kind is OpKind.ERASE:
-            return self._erase_ms, 0.0, True
-        transfer = self._transfer * op.channel_slots
-        if kind is OpKind.PROGRAM:
-            return self._write[op.is_slc], transfer, False
-        return self._read[op.is_slc], transfer + op.ecc_ms, True
-
     def pricer(self, resources: ResourceSet) -> "OpPricer":
         """An :class:`OpPricer` bound to this model and ``resources``."""
         return OpPricer(self, resources)
@@ -71,18 +59,15 @@ class OpPricer:
     """Prices one op and reserves its chip/channel time in one call.
 
     :meth:`reserve` fuses :meth:`TimingModel.duration_ms` and
-    :meth:`ResourceSet.acquire_for_block` (or, under the pipelined bus,
-    ``segments_ms`` and ``acquire_pipelined``) into one call frame, bit
-    for bit.  Every replay driver prices its ops through one.
+    :meth:`ResourceSet.acquire_for_block` into one call frame, bit for
+    bit.  Every replay driver prices its ops through one.
     """
 
-    __slots__ = ("timing", "resources", "_pipelined", "_pair", "_erase_ms",
-                 "_transfer", "_read", "_write")
+    __slots__ = ("resources", "_pair", "_erase_ms", "_transfer", "_read",
+                 "_write")
 
     def __init__(self, timing: TimingModel, resources: ResourceSet):
-        self.timing = timing
         self.resources = resources
-        self._pipelined = timing.timing.pipelined_bus
         self._pair = resources._pair
         self._erase_ms = timing._erase_ms
         self._transfer = timing._transfer
@@ -91,10 +76,6 @@ class OpPricer:
 
     def reserve(self, op: OpRecord, when: Ms) -> Ms:
         """Reserve ``op``'s servers from ``when``; returns its end time."""
-        if self._pipelined:
-            chip_ms, chan_ms, chip_first = self.timing.segments_ms(op)
-            return self.resources.acquire_pipelined(
-                op.block_id, when, chip_ms, chan_ms, chip_first)[1]
         kind = op.kind
         if kind is _ERASE:
             duration = self._erase_ms

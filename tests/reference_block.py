@@ -63,7 +63,6 @@ class ReferenceBlock:
         self.state = BlockState.FREE
         self.level: int | None = None
         self.content_epoch = 0
-        self.read_count = 0
         self._reset_content()
 
     def _reset_content(self) -> None:
@@ -263,7 +262,6 @@ class ReferenceBlock:
         self.level = None
         self._reset_content()
         self.content_epoch += 1
-        self.read_count = 0
 
     def retire(self) -> None:
         if self.state is not BlockState.FREE:

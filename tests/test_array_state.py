@@ -284,10 +284,9 @@ class TestArrayKernelsBitIdentical:
 
     @given(n_in=st.lists(st.integers(min_value=0, max_value=40),
                          min_size=1, max_size=16),
-           pe=st.integers(min_value=0, max_value=6000),
-           read_count=st.integers(min_value=0, max_value=50))
+           pe=st.integers(min_value=0, max_value=6000))
     @settings(max_examples=100, deadline=None)
-    def test_rber_many_equals_scalar(self, n_in, pe, read_count):
+    def test_rber_many_equals_scalar(self, n_in, pe):
         rber, _ = _models()
         n_nb = [(v * 3) % 17 for v in n_in]
         in_arr = np.asarray(n_in, dtype=np.int64)
@@ -295,11 +294,10 @@ class TestArrayKernelsBitIdentical:
         unit = rber.disturb_unit(pe)
         ratio = rber.config.neighbor_disturb_ratio
         base = rber.base(pe, True)
-        read_disturb = read_count * ratio * unit
-        batch = rber.rber_many(pe, True, in_arr, nb_arr, read_disturb).tolist()
+        batch = rber.rber_many(pe, True, in_arr, nb_arr).tolist()
         # Operation-for-operation the scalar fast path of
-        # FlashArray.read_list: base + unit*(n_in + ratio*n_nb) + extra.
-        scalar = [base + unit * (float(i) + ratio * float(n)) + read_disturb
+        # FlashArray.read_list: base + unit*(n_in + ratio*n_nb).
+        scalar = [base + unit * (float(i) + ratio * float(n))
                   for i, n in zip(n_in, n_nb)]
         assert batch == scalar
 

@@ -263,11 +263,11 @@ class TestCheckpointFile:
             load_checkpoint(path, key="k1")
 
     def test_older_format_version_refused(self, tmp_path, monkeypatch):
-        """A version-3 file (a RegionState that still carried its
-        programmed, program_count, erase_count and level columns) is
-        refused from its header, before the payload unpickles."""
-        assert CHECKPOINT_VERSION == 4
-        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 3)
+        """A version-4 file (a Block that still carried its read counter,
+        an OpPricer its bus-model flag) is refused from its header,
+        before the payload unpickles."""
+        assert CHECKPOINT_VERSION == 5
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 4)
         path = self._roundtrip(tmp_path, {"a": 1})
         monkeypatch.undo()
 
@@ -275,8 +275,8 @@ class TestCheckpointFile:
             raise AssertionError("payload unpickled before the version check")
 
         monkeypatch.setattr(pickle, "loads", unpickle)
-        with pytest.raises(CheckpointError, match="format v3, this build "
-                                                  "reads v4"):
+        with pytest.raises(CheckpointError, match="format v4, this build "
+                                                  "reads v5"):
             load_checkpoint(path, key="k1")
 
     def test_wrong_kind(self, tmp_path):

@@ -84,6 +84,22 @@ class TestMalformedFiles:
             load_config(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("timing", "pipelined_bus", True),
+        ("reliability", "read_disturb_unit_ratio", 0.01),
+        ("reliability", "retention_unit_per_ms", 1e-3),
+    ])
+    def test_retired_field_refused(self, tmp_path, section, field, value):
+        """A saved config that still turns on a retired device model
+        fails loudly instead of replaying without it."""
+        data = tiny_config().to_dict()
+        data[section][field] = value
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"'{section}.{field}'") as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_missing_file(self, tmp_path):
         path = tmp_path / "absent.json"
         with pytest.raises(ConfigError, match="cannot read") as info:

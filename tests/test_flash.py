@@ -1,7 +1,5 @@
 """FlashArray facade: regions, operations, counters, RBER queries."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -80,7 +78,6 @@ class TestOperations:
             flash.read_list(block.block_id, 0, [0], 0.0)
         with pytest.raises(FlashError):
             flash.read_span(block.block_id, [(0, [0])], 0.0)
-        assert block.read_count == 0
 
     def test_read_returns_rbers(self, flash):
         block = open_slc(flash)
@@ -88,7 +85,6 @@ class TestOperations:
         rbers = flash.read_list(block.block_id, 0, [0, 1], 1.0)
         assert len(rbers) == 2
         assert all(r > 0 for r in rbers)
-        assert block.read_count == 1
 
     def test_read_touches_access_time(self, flash):
         block = open_slc(flash)
@@ -136,27 +132,27 @@ class TestRberQueries:
 
     def test_span_read_prices_like_page_reads(self):
         """``read_span`` (the GC drain) and per-page ``read_list`` calls
-        agree bit for bit: program and read disturb, and retention."""
-        cfg = tiny_config()
-        cfg = dataclasses.replace(cfg, reliability=dataclasses.replace(
-            cfg.reliability, read_disturb_unit_ratio=0.01,
-            retention_unit_per_ms=1e-3))
+        agree bit for bit on program-disturbed slots, access times
+        included."""
         twins = []
         for _ in range(2):
-            f = FlashArray(cfg)
+            f = FlashArray(tiny_config())
             block = open_slc(f)
             for page in range(3):
                 f.program(block.block_id, page, [0], [page], 0.0)
+                # A partial pass: disturbs slot 0 and the neighbour pages.
                 f.program(block.block_id, page, [1, 2], [9, 9], 0.0)
             twins.append((f, block))
         (one, a), (other, b) = twins
+        assert a.disturb_in[:3, 0].all() and a.disturb_nb[:2, 0].all()
         spans = [(0, [0, 1, 2]), (1, [0]), (2, [1, 2])]
         rbers, offsets = one.read_span(a.block_id, spans, 3.0)
         flat = [v for page, slots in spans
                 for v in other.read_list(b.block_id, page, slots, 3.0)]
         assert rbers.tolist() == flat
+        assert len(set(flat)) > 1
         assert offsets == [0, 3, 4]
-        assert a.read_count == b.read_count == 3
+        assert np.array_equal(a.slot_time, b.slot_time)
 
     def test_mlc_rber_at_least_slc(self, flash):
         slc = open_slc(flash)

@@ -311,3 +311,22 @@ class TestFleetCli:
         assert main(args + ["--checkpoint-dir", ck,
                             "--json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_fleet_cli_refuses_older_checkpoint_format(
+            self, tmp_path, monkeypatch, capsys):
+        """Resuming from snapshots an older build wrote exits 2 naming
+        both formats, instead of unpickling a stale object graph."""
+        import repro.fleet.checkpoint as checkpoint_mod
+        from repro.cli import main
+        ck = str(tmp_path / "ck")
+        args = ["fleet", "--devices", "1", "--tenants", "ts0",
+                "--epochs", "2", "--epoch-requests", "300", "--no-cache",
+                "--jobs", "1", "--checkpoint-dir", ck]
+        current = checkpoint_mod.CHECKPOINT_VERSION
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", current - 1)
+        assert main(args + ["--stop-after-epoch", "1"]) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(args) == 2
+        assert (f"checkpoint format v{current - 1}, this build reads "
+                f"v{current}") in capsys.readouterr().err

@@ -1,11 +1,7 @@
-"""Idle-time background garbage collection."""
+"""``BaseFTL.idle_collect``: run the collectors to their restore
+watermarks without a host request."""
 
-import numpy as np
-import pytest
-
-from repro import IPUFTL, BaselineFTL, Simulator
-from repro.traces import generate, profile
-from repro.traces.model import Trace
+from repro import IPUFTL, BaselineFTL
 
 from conftest import tiny_config
 
@@ -13,19 +9,6 @@ from conftest import tiny_config
 def below_threshold(gc):
     """Whether the region's free pool is under its GC trigger."""
     return gc.allocator.free_blocks < gc._threshold
-
-
-def bursty_trace(n=1200, burst=50, gap_ms=30.0):
-    """Writes in dense bursts separated by long idle gaps."""
-    base = generate(profile("ts0"), n_requests=n, seed=4,
-                    mean_interarrival_ms=0.1)
-    times = np.array(base.times_ms, copy=True)
-    bump = 0.0
-    for i in range(n):
-        if i and i % burst == 0:
-            bump += gap_ms
-        times[i] += bump
-    return Trace(times, base.is_write, base.offsets, base.sizes, name="bursty")
 
 
 class TestIdleCollect:
@@ -52,25 +35,3 @@ class TestIdleCollect:
             lsn += 4
             ftl.idle_collect(float(lsn))
         ftl.check_consistency()
-
-
-class TestSimulatorIdleGc:
-    def test_idle_gc_reduces_foreground_gc_bursts(self):
-        trace = bursty_trace()
-        plain = Simulator(IPUFTL(tiny_config())).run(trace)
-        idle = Simulator(IPUFTL(tiny_config()), idle_gc=True,
-                         idle_threshold_ms=5.0).run(trace)
-        # Same work gets done; idle collection cannot make latency worse
-        # (GC runs while the device would otherwise sit quiet).
-        assert idle.erases_slc >= plain.erases_slc * 0.8
-        assert idle.avg_latency_ms <= plain.avg_latency_ms * 1.05
-
-    def test_idle_gc_preserves_data(self):
-        trace = bursty_trace(n=800)
-        ftl = IPUFTL(tiny_config())
-        Simulator(ftl, idle_gc=True, idle_threshold_ms=5.0).run(trace)
-        ftl.check_consistency()
-
-    def test_disabled_by_default(self):
-        sim = Simulator(IPUFTL(tiny_config()))
-        assert sim.idle_gc is False

@@ -300,6 +300,24 @@ def test_mutation_double_scaled_stripe_trips_u003(tmp_path):
     assert "double scaling" in u003.message
 
 
+def test_mutation_ms_plus_subpage_size_trips_u001(tmp_path):
+    # ``GeometryConfig.subpage_size`` is annotated ``Bytes``, so adding
+    # it to the ms pacing estimate mixes units (the smoke goldens catch
+    # the same mutation through the results it shifts).
+    anchor = ("    per_req = prof.write_ratio * chip_ms_write"
+              " + (1 - prof.write_ratio) * chip_ms_read\n")
+    pkg = _mutated_tree(
+        tmp_path, "experiments/runner.py", anchor,
+        anchor + "    per_req = per_req + config.geometry.subpage_size\n")
+    text = (pkg / "experiments" / "runner.py").read_text(encoding="utf-8")
+    line = text[:text.index(anchor)].count("\n") + 2
+    result = run_lint(pkg, select=["U"])
+    (u001,) = result.violations
+    assert (u001.rule, u001.path, u001.line) == (
+        "U001", "experiments/runner.py", line)
+    assert "ms + bytes" in u001.message
+
+
 def test_mutation_write_before_ecc_validation_trips_m001(tmp_path):
     # The pure validator is reached through ``self.ecc``, an attribute
     # whose class the index infers.

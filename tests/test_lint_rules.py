@@ -1144,6 +1144,19 @@ def test_n002_good_generator_and_mask_sums(tmp_path):
     assert rules == []
 
 
+def test_n002_flags_gather_sum_in_hotcold(tmp_path):
+    """Equation 2 decides ISR victims, so ``ftl/hotcold.py`` is gated:
+    a pairwise ``np.sum`` over an integer-index gather trips N002."""
+    rules, _ = lint_snippet(tmp_path, "ftl/hotcold.py", """
+        import numpy as np
+
+        def age_sum(slot_time, valid, now):
+            idx = np.flatnonzero(valid)
+            return now * len(idx) - np.sum(slot_time[idx])
+        """, select=["N"])
+    assert rules == ["N002"]
+
+
 def test_n002_only_gated_modules(tmp_path):
     rules, _ = lint_snippet(tmp_path, "metrics/latency.py", """
         def mean(latencies):

@@ -79,8 +79,7 @@ def timings(draw) -> TimingConfig:
         slc_write_ms=draw(positive()), mlc_write_ms=draw(positive()),
         erase_ms=draw(positive()), ecc_min_ms=ecc_min,
         ecc_max_ms=draw(numbers(ecc_min, 1.0)),
-        transfer_ms_per_subpage=draw(positive()),
-        pipelined_bus=draw(st.booleans()))
+        transfer_ms_per_subpage=draw(positive()))
 
 
 @st.composite
@@ -96,8 +95,6 @@ def reliabilities(draw) -> ReliabilityConfig:
         mlc_rber_factor=draw(numbers(1.0, 4.0)),
         isr_refresh_ms=draw(numbers(0.0, 1e3)),
         neighbor_disturb_ratio=draw(numbers(0.0, 1.0)),
-        read_disturb_unit_ratio=draw(numbers(0.0, 1.0)),
-        retention_unit_per_ms=draw(numbers(0.0, 1.0)),
         bch_codeword_bytes=draw(st.integers(1, 4096)),
         bch_t=draw(st.integers(1, 64)),
         max_page_programs=draw(st.integers(1, 8)))

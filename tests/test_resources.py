@@ -3,54 +3,41 @@
 import pytest
 
 from repro.config import GeometryConfig
-from repro.errors import SimulationError
 from repro.nand.geometry import Geometry
-from repro.sim.resources import Resource, ResourceSet
+from repro.sim.resources import ResourceSet
+
+
+@pytest.fixture
+def rs():
+    geo = Geometry(GeometryConfig(
+        channels=2, chips_per_channel=2, planes_per_chip=1, total_blocks=32))
+    return ResourceSet(geo)
 
 
 class TestResource:
-    def test_immediate_service_when_idle(self):
-        r = Resource("chip")
-        start, end = r.acquire(5.0, 2.0)
+    """One block's chip/channel pair behaves as a unit-capacity FCFS
+    server."""
+
+    def test_immediate_service_when_idle(self, rs):
+        start, end = rs.acquire_for_block(0, 5.0, 2.0)
         assert (start, end) == (5.0, 7.0)
 
-    def test_fcfs_queueing(self):
-        r = Resource("chip")
-        r.acquire(0.0, 3.0)
-        start, end = r.acquire(1.0, 1.0)
+    def test_fcfs_queueing(self, rs):
+        rs.acquire_for_block(0, 0.0, 3.0)
+        start, end = rs.acquire_for_block(0, 1.0, 1.0)
         assert start == 3.0
         assert end == 4.0
 
-    def test_busy_accounting(self):
-        r = Resource("chip")
-        r.acquire(0.0, 3.0)
-        r.acquire(0.0, 2.0)
-        assert r.busy_ms == 5.0
-        assert r.operations == 2
-
-    def test_utilization(self):
-        r = Resource("chip")
-        r.acquire(0.0, 4.0)
-        assert r.utilization(8.0) == pytest.approx(0.5)
-        assert r.utilization(2.0) == 1.0
-        assert r.utilization(0.0) == 0.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(SimulationError):
-            Resource("x").acquire(0.0, -1.0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(SimulationError):
-            Resource("x").acquire(-1.0, 1.0)
+    def test_busy_accounting(self, rs):
+        rs.acquire_for_block(0, 0.0, 3.0)
+        rs.acquire_for_block(0, 0.0, 2.0)
+        chip, channel = rs._pair[0]
+        for server in (chip, channel):
+            assert server.busy_ms == 5.0
+            assert server.operations == 2
 
 
 class TestResourceSet:
-    @pytest.fixture
-    def rs(self):
-        geo = Geometry(GeometryConfig(
-            channels=2, chips_per_channel=2, planes_per_chip=1, total_blocks=32))
-        return ResourceSet(geo)
-
     def test_counts(self, rs):
         assert len(rs.chips) == 4
         assert len(rs.channels) == 2
