@@ -47,8 +47,9 @@ MAGIC = b"repro-ckpt\n"
 #: as an array, and ``Block`` pickles as a plain slotted object; 5:
 #: ``Block`` has no read counter, ``OpPricer`` no bus-model flag or
 #: model reference, ``Resource`` no name and ``OpenLoopReplay`` no
-#: idle-collection state).
-CHECKPOINT_VERSION = 5
+#: idle-collection state; 6: a free ``Block`` holds one shared all-zero
+#: tuple in place of its three per-page lists).
+CHECKPOINT_VERSION = 6
 #: Kind tag of fleet device snapshots (the only kind today).
 DEVICE_KIND = "fleet-device"
 

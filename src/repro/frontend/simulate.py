@@ -36,7 +36,7 @@ import numpy as np
 
 from ..config import SSDConfig
 from ..errors import SimulationError
-from ..sim.simulator import ReplayCore, SimulationResult, _chunk_extents
+from ..sim.simulator import ReplayCore, SimulationResult
 from ..traces.model import Trace
 from ..units import Lsn, Ms
 from .cache import WriteBuffer
@@ -69,7 +69,7 @@ class FrontendSimulator(ReplayCore):
         #: A growing python list (not a per-chunk array): a request
         #: submitted in one chunk may complete during a later chunk's
         #: scheduler advance, so the storage must already cover every
-        #: submitted index while growing chunk by chunk.  ``finish()``
+        #: submitted index while growing window by window.  ``finish()``
         #: moves it into the latency window.
         self._latencies: list[float] = []
         self._is_write: list[bool] = []
@@ -133,11 +133,6 @@ class FrontendSimulator(ReplayCore):
                 "FrontendSimulator to replay more requests")
         n = len(trace)
         base_index = self.n
-        times = trace.times_ms.tolist()
-        writes = trace.is_write.tolist()
-        firsts, lasts = _chunk_extents(trace, self.geometry)
-        self._latencies.extend([0.0] * n)
-        self._is_write.extend(writes)
 
         buffer = self.buffer
         # The buffer's dirty map, oldest entry first: the writeback sweep
@@ -149,19 +144,26 @@ class FrontendSimulator(ReplayCore):
         submit = self.scheduler.submit
         next_power_loss = self.next_power_loss
         now = self.now
-        for i in range(n):
-            now = times[i]
-            if now >= next_power_loss:
-                next_power_loss = self._power_loss(now)
-            # Periodic writeback: destage entries past their delay in the
-            # background (they occupy chips but complete no request).
-            if entries and now - next(iter(entries.values())) >= delay:
-                for span in buffer.expire(now):
-                    self._flush_span(span, now)
-            first = firsts[i]
-            submit(FrontRequest(base_index + i, now,
-                                list(range(first, lasts[i])), writes[i]),
-                   (first // subpages_per_page) % n_chips, now)
+        for start, times, writes, firsts, lasts in self._row_windows(trace):
+            # A window's latency slots exist before any of its requests
+            # can issue.
+            self._latencies.extend([0.0] * len(times))
+            self._is_write.extend(writes)
+            index = base_index + start
+            for i in range(len(times)):
+                now = times[i]
+                if now >= next_power_loss:
+                    next_power_loss = self._power_loss(now)
+                # Periodic writeback: destage entries past their delay in
+                # the background (they occupy chips but complete no
+                # request).
+                if entries and now - next(iter(entries.values())) >= delay:
+                    for span in buffer.expire(now):
+                        self._flush_span(span, now)
+                first = firsts[i]
+                submit(FrontRequest(index + i, now,
+                                    list(range(first, lasts[i])), writes[i]),
+                       (first // subpages_per_page) % n_chips, now)
         self.n = base_index + n
         self.now = now
 

@@ -25,7 +25,8 @@ stores, which beat fancy indexing and masked array ops at ``spp`` = 4.
 Each fact has one home, except where one copy feeds numpy and the other
 the scalar hot path:
 
-* ``prog_mask`` (which slots are programmed), ``pass_counts``,
+* ``prog_mask`` (which slots are programmed, and so which slots of
+  the region's ``slot_lsn`` column hold an LSN), ``pass_counts``,
   ``erase_count`` and ``level`` live only here; a page's programmed or
   valid count is one popcount of its bitmask;
 * the valid bits live in the region's ``valid`` column (Equation 2's
@@ -37,11 +38,20 @@ the scalar hot path:
 
 :meth:`Block.verify_array_state` cross-checks both pairs and the
 counters; ``BaseFTL.check_consistency`` runs it over every block.
+
+A block pays for its per-page lists (``prog_mask``, ``valid_mask``,
+``pass_counts``) only while it is in service.  A free block holds one
+immutable all-zero tuple in all three, shared by every free block with
+its page count: it reads as zeros, and a write to it raises.
+:meth:`Block.open_as` gives the block its own lists and
+:meth:`Block.erase` takes them back, so a device's host memory follows
+the blocks a replay has opened, not its capacity.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cache
 from typing import Any
 
 import numpy as np
@@ -53,10 +63,10 @@ from ..errors import (
     SubpageStateError,
 )
 from .cell import CellMode
-from .state import NO_LSN, RegionState
+from .state import RegionState
 from ..units import Lsn, LsnArray, Ms, MsArray, PeCycles
 
-__all__ = ["NO_LSN", "Block", "BlockState", "BLOCK_STATE_CODES"]
+__all__ = ["Block", "BlockState", "BLOCK_STATE_CODES"]
 
 
 class BlockState(enum.Enum):
@@ -80,6 +90,13 @@ BLOCK_STATE_CODES: dict[BlockState, int] = {
 }
 
 
+@cache
+def _free_pages(pages: int) -> "tuple[int, ...]":
+    """The all-zero per-page tuple every free block of ``pages`` pages
+    shares in place of its own ``prog_mask``/``valid_mask``/``pass_counts``."""
+    return (0,) * pages
+
+
 class Block:
     """State of one physical block: a view over its region's arrays.
 
@@ -98,6 +115,12 @@ class Block:
         "n_valid", "n_invalid", "n_programmed", "content_epoch",
         "pass_counts", "pages_with_valid",
     )
+
+    # Per-page python ints: a list of the block's own while it is in
+    # service, the shared ``_free_pages`` tuple while it is free.
+    prog_mask: Any
+    valid_mask: Any
+    pass_counts: Any
 
     def __init__(self, block_id: int, mode: CellMode, pages: int,
                  subpages_per_page: int, region: RegionState | None = None,
@@ -137,12 +160,15 @@ class Block:
         self._slots_slice = slice(base, base + stride)
         self._pages_slice = slice(page_base, page_base + pages)
 
-        #: Per-page python-int bitmasks of programmed/valid slots.
-        #: ``prog_mask`` is the only record of which slots are programmed;
+        #: Per-page python-int bitmasks of programmed/valid slots, and the
+        #: program passes each page took since the last erase (checked
+        #: against the manufacturer limit per host chunk).  ``prog_mask``
+        #: is the only record of which slots are programmed;
         #: ``valid_mask`` is the hot-path copy of the ``valid`` column
-        #: (``verify_array_state`` cross-checks the two).
-        self.prog_mask = [0] * pages
-        self.valid_mask = [0] * pages
+        #: (``verify_array_state`` cross-checks the two).  A free block
+        #: shares one all-zero tuple for all three (see :meth:`open_as`).
+        self.prog_mask = self.valid_mask = self.pass_counts = (
+            _free_pages(pages))
         tables = region.tables
         self._set_slots = tables.set_slots
         self._popcount = tables.popcount
@@ -154,9 +180,6 @@ class Block:
         #: Bumped on every content mutation; lets the stored-IS' cache of
         #: the ISR policy detect staleness cheaply.
         self.content_epoch = 0
-        #: Program passes each page took since the last erase — checked
-        #: against the manufacturer limit per host chunk.
-        self.pass_counts = [0] * pages
         #: Pages holding at least one valid subpage.
         self.pages_with_valid = 0
 
@@ -465,17 +488,14 @@ class Block:
         slots_slice = self._slots_slice
         pages_slice = self._pages_slice
         region.valid[slots_slice] = False
-        region.slot_lsn[slots_slice] = NO_LSN
         if self.is_slc:
             region.slot_time[slots_slice] = 0.0
             region.slot_program_time[slots_slice] = 0.0
             region.disturb_in[slots_slice] = 0
             region.disturb_nb[slots_slice] = 0
             region.page_updated[pages_slice] = False
-        zeros = [0] * self.pages
-        self.prog_mask[:] = zeros
-        self.valid_mask[:] = zeros
-        self.pass_counts[:] = zeros
+        self.prog_mask = self.valid_mask = self.pass_counts = (
+            _free_pages(self.pages))
         self.n_valid = 0
         self.n_invalid = 0
         self.n_programmed = 0
@@ -498,10 +518,16 @@ class Block:
         self.region.state_code[self.region_slot] = 4  # BLOCK_STATE_CODES[RETIRED]
 
     def open_as(self, level: int) -> None:
-        """Transition a free block to OPEN with a block-level label."""
+        """Transition a free block to OPEN with a block-level label,
+        giving it its own per-page lists in place of the shared zeros."""
         if self.state is not BlockState.FREE:
             raise SubpageStateError(
                 f"block {self.block_id}: open while {self.state.value}")
+        pages = self.pages
+        self.prog_mask = [0] * pages
+        # The mask stays all zero, as the free block's valid stripe is.
+        self.valid_mask = [0] * pages  # repro-lint: disable=M002
+        self.pass_counts = [0] * pages
         self.state = BlockState.OPEN
         self.level = level
         self.region.state_code[self.region_slot] = 1  # BLOCK_STATE_CODES[OPEN]
@@ -520,7 +546,7 @@ class Block:
         counters with the bitmasks, and ``state`` with ``state_code``
         (consistency-hook support)."""
         weights = 1 << np.arange(self.spp, dtype=np.int64)
-        if self.valid_mask != (self.valid @ weights).tolist():
+        if list(self.valid_mask) != (self.valid @ weights).tolist():
             raise SubpageStateError(
                 f"block {self.block_id}: valid bitmasks drifted from the "
                 f"valid column")

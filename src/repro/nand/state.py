@@ -39,15 +39,22 @@ dtype choices and bit-identity: ``slot_time``/``slot_program_time`` are
 python ``now`` and reading it back round-trips exactly.  Disturb
 counters are ``int64``: integer adds are exact, and the RBER kernel
 converts them to ``float64`` precisely (they stay far below 2**53).
-``slot_lsn`` is ``int64`` with :data:`NO_LSN` = -1 as the never-written
-sentinel; ``state_code`` is a small int.  The SLC-only arrays are
-``None`` for the high-density region — native MLC pages are programmed
-exactly once, so their reliability is the base RBER curve alone.
+``slot_lsn`` is ``int64`` with no never-written sentinel: a block's
+``prog_mask`` is the one record of which slots hold an LSN, and a slot
+it does not mark holds an unspecified value (zero until first written,
+a stale LSN after an erase).  ``state_code`` is a small int.  The
+SLC-only arrays are ``None`` for the high-density region — native MLC
+pages are programmed exactly once, so their reliability is the base
+RBER curve alone.
 
-The mask tables support the hot-path trick the blocks use: each block
-keeps per-page *python int* bitmasks of its programmed/valid slots, so
-membership tests, slot enumeration, per-page counts and disturb
-targeting are plain integer ops.  The tables convert a mask to its
+Every column is allocated with ``np.zeros``, which the OS backs with
+memory only once a page of it is written: a region costs host memory
+for the blocks a replay has programmed, not for its capacity.
+
+The mask tables support the hot-path trick the blocks use: each opened
+block keeps per-page *python int* bitmasks of its programmed/valid
+slots, so membership tests, slot enumeration, per-page counts and
+disturb targeting are plain integer ops.  The tables convert a mask to its
 ascending slot tuple (or its popcount) in one list index.
 ``Block.verify_array_state`` cross-checks the valid bitmasks against the
 ``valid`` column so the two copies can never drift silently.
@@ -58,9 +65,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..units import LsnArray, MsArray
-
-#: Sentinel stored in ``slot_lsn`` for a slot that never held data.
-NO_LSN: int = -1
 
 
 class SlotMaskTables:
@@ -130,7 +134,7 @@ class RegionState:
         n_pages = n_blocks * pages
 
         self.valid = np.zeros(n_slots, dtype=bool)
-        self.slot_lsn = np.full(n_slots, NO_LSN, dtype=np.int64)
+        self.slot_lsn = np.zeros(n_slots, dtype=np.int64)
         if slc:
             self.slot_time = np.zeros(n_slots, dtype=np.float64)
             self.slot_program_time = np.zeros(n_slots, dtype=np.float64)

@@ -32,12 +32,16 @@ class ResourceSet:
         self.geometry = geometry
         self.chips = [Resource() for _ in range(geometry.chips)]
         self.channels = [Resource() for _ in range(geometry.channels)]
-        # The block→chip/channel mapping is fixed modulo arithmetic over a
-        # fixed geometry; resolve it once instead of per reservation.
-        self._pair = [
-            (self.chips[geometry.chip_of(b)], self.channels[geometry.channel_of(b)])
-            for b in range(geometry.total_blocks)
-        ]
+        # The block→chip/channel mapping is fixed over a fixed geometry;
+        # resolve it once instead of per reservation.  Blocks are
+        # plane-major (see ``Geometry``), so each chip's blocks are one
+        # contiguous run and share one (chip, channel) pair.
+        config = geometry.config
+        per_chip = geometry.blocks_per_plane * config.planes_per_chip
+        self._pair: list[tuple[Resource, Resource]] = []
+        for chip, resource in enumerate(self.chips):
+            channel = self.channels[chip // config.chips_per_channel]
+            self._pair += [(resource, channel)] * per_chip
 
     def acquire_for_block(self, block_id: int, earliest: Ms,
                           duration: Ms) -> tuple[Ms, Ms]:

@@ -11,6 +11,12 @@ chip/channel resources in issue order, and the request's response time is
 the completion of its last host-serving operation.  GC and wear-levelling
 operations occupy the resources — delaying later requests — but do not
 count toward the triggering request's own host ops.
+
+Host memory: a driver holds the device state the replay has written
+plus one window of requests.  The request loop reads python scalars, so
+each ``feed()`` turns its chunk into python lists :data:`WINDOW_ROWS`
+rows at a time (:meth:`ReplayCore._row_windows`), never the whole chunk —
+an in-memory :class:`Trace` is one chunk however long it is.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import gc
 import math
 import time
 from dataclasses import dataclass, field, fields
+from typing import Iterator, TypeAlias
 
 import numpy as np
 
@@ -231,24 +238,32 @@ class SimulationResult(Record):
         return out
 
 
-def _chunk_extents(trace: Trace, geometry) -> "tuple[list[int], list[int]]":
-    """Per-request ``[first, last)`` LSN bounds of one whole chunk.
+#: Rows of a chunk a replay driver holds as python lists at a time.
+#: Window boundaries are invisible to the simulation; the constant only
+#: bounds the host memory of a long chunk (about 110 bytes a row).
+WINDOW_ROWS = 4096
 
-    Vectorized :meth:`Geometry.byte_range_to_lsns`: a replay touches
-    every request, so the extent arithmetic (two integer divisions per
-    request) runs once per chunk instead of once per call.  A bad extent
-    raises the scalar path's error.
+#: One window of a chunk: its first row's index in the chunk, then the
+#: arrival times, write flags and ``[first, last)`` LSN bounds of its
+#: requests as python lists.
+RowWindow: TypeAlias = (
+    "tuple[int, list[float], list[bool], list[int], list[int]]")
+
+
+def _row_window_lists(trace: Trace, subpage_size: int) -> Iterator[RowWindow]:
+    """The lists of each :data:`WINDOW_ROWS`-row window of a checked chunk.
+
+    Vectorized :meth:`Geometry.byte_range_to_lsns` per window: the extent
+    arithmetic (two integer divisions per request) runs once per window
+    instead of once per request.
     """
-    offsets = np.asarray(trace.offsets)
-    sizes = np.asarray(trace.sizes)
-    if len(offsets) and (offsets.min() < 0 or sizes.min() <= 0):
-        # Defer to the scalar path for the message.
-        for offset, size in zip(offsets.tolist(), sizes.tolist()):
-            geometry.byte_range_to_lsns(offset, size)
-    subpage_size = geometry.subpage_size
-    firsts = (offsets // subpage_size).tolist()
-    lasts = ((offsets + sizes - 1) // subpage_size + 1).tolist()
-    return firsts, lasts
+    for start in range(0, len(trace), WINDOW_ROWS):
+        rows = slice(start, start + WINDOW_ROWS)
+        offsets = trace.offsets[rows]
+        lasts = (offsets + trace.sizes[rows] - 1) // subpage_size + 1
+        yield (start, trace.times_ms[rows].tolist(),
+               trace.is_write[rows].tolist(),
+               (offsets // subpage_size).tolist(), lasts.tolist())
 
 
 def _source_chunks(source) -> "tuple[str, object]":
@@ -256,7 +271,9 @@ def _source_chunks(source) -> "tuple[str, object]":
 
     An in-memory :class:`Trace` becomes a single whole-trace chunk —
     *not* sliced — so the historical one-shot replay path runs exactly
-    one ``feed()`` over exactly the arrays it always ran over.
+    one ``feed()`` over exactly the arrays it always ran over; the
+    driver's :meth:`ReplayCore._row_windows` bounds what that chunk costs in
+    python lists.
     """
     if isinstance(source, Trace):
         return source.name, (source,)
@@ -323,6 +340,22 @@ class ReplayCore:
         # Drained windows, kept so result() still covers the whole run.
         self._done_lat: list[np.ndarray] = []
         self._done_iw: list[np.ndarray] = []
+
+    def _row_windows(self, trace: Trace) -> Iterator[RowWindow]:
+        """Check one chunk's extents, then iterate over its rows as python
+        lists, :data:`WINDOW_ROWS` at a time (see :data:`RowWindow`).
+
+        The check covers the whole chunk and runs in this call, before
+        any request is served: a bad extent raises
+        :meth:`Geometry.byte_range_to_lsns`'s error.
+        """
+        geometry = self.ftl.geometry
+        offsets, sizes = trace.offsets, trace.sizes
+        if len(offsets) and (offsets.min() < 0 or sizes.min() <= 0):
+            # Defer to the scalar path for the message.
+            for offset, size in zip(offsets.tolist(), sizes.tolist()):
+                geometry.byte_range_to_lsns(offset, size)
+        return _row_window_lists(trace, geometry.subpage_size)
 
     def _serve(self, ops, now: Ms, complete: Ms, host_read: bool) -> Ms:
         """Reserve one request's ops from ``now``; returns its completion.
@@ -519,22 +552,20 @@ class OpenLoopReplay(ReplayCore):
         next_power_loss = self.next_power_loss
         base_index = self.n
 
-        times = trace.times_ms.tolist()
-        writes = trace.is_write.tolist()
-        firsts, lasts = _chunk_extents(trace, ftl.geometry)
         now = self.now
-        for i in range(n):
-            now = times[i]
-            if now >= next_power_loss:
-                next_power_loss = self._power_loss(now)
-            lsns = list(range(firsts[i], lasts[i]))
-            if writes[i]:
-                complete = serve(handle_write(lsns, now), now, now, False)
-            else:
-                complete = serve(handle_read(lsns, now), now, now, True)
-            latencies[i] = complete - now
-            if observer is not None:
-                observer(base_index + i, now)
+        for start, times, writes, firsts, lasts in self._row_windows(trace):
+            for i in range(len(times)):
+                now = times[i]
+                if now >= next_power_loss:
+                    next_power_loss = self._power_loss(now)
+                lsns = list(range(firsts[i], lasts[i]))
+                if writes[i]:
+                    complete = serve(handle_write(lsns, now), now, now, False)
+                else:
+                    complete = serve(handle_read(lsns, now), now, now, True)
+                latencies[start + i] = complete - now
+                if observer is not None:
+                    observer(base_index + start + i, now)
 
         self.n = base_index + n
         self.now = now
@@ -587,26 +618,25 @@ class ClosedLoopReplay(ReplayCore):
         base_index = self.n
         now = self.now
 
-        writes = trace.is_write.tolist()
-        firsts, lasts = _chunk_extents(trace, ftl.geometry)
-        for i in range(n):
-            if len(ring) >= queue_depth:
-                head = ring.pop(0)
-                if head > now:
-                    now = head
-            if now >= next_power_loss:
-                next_power_loss = self._power_loss(now)
-            lsns = list(range(firsts[i], lasts[i]))
-            if writes[i]:
-                complete = serve(handle_write(lsns, now), now, now, False)
-            else:
-                complete = serve(handle_read(lsns, now), now, now, True)
-            ring.append(complete)
-            if complete > max_completion:
-                max_completion = complete
-            latencies[i] = complete - now
-            if observer is not None:
-                observer(base_index + i, now)
+        for start, _, writes, firsts, lasts in self._row_windows(trace):
+            for i in range(len(writes)):
+                if len(ring) >= queue_depth:
+                    head = ring.pop(0)
+                    if head > now:
+                        now = head
+                if now >= next_power_loss:
+                    next_power_loss = self._power_loss(now)
+                lsns = list(range(firsts[i], lasts[i]))
+                if writes[i]:
+                    complete = serve(handle_write(lsns, now), now, now, False)
+                else:
+                    complete = serve(handle_read(lsns, now), now, now, True)
+                ring.append(complete)
+                if complete > max_completion:
+                    max_completion = complete
+                latencies[start + i] = complete - now
+                if observer is not None:
+                    observer(base_index + start + i, now)
 
         self.n = base_index + n
         self.now = now

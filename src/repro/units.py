@@ -66,7 +66,8 @@ PeCycles: TypeAlias = Annotated[int, Unit("pe")]
 
 #: Column of per-slot timestamps in milliseconds (float64).
 MsArray: TypeAlias = Annotated[Any, Unit("ms[]")]
-#: Column of logical subpage numbers (int64; ``NO_LSN`` sentinel).
+#: Column of logical subpage numbers (int64; meaningful only in the
+#: slots a block's ``prog_mask`` marks programmed).
 LsnArray: TypeAlias = Annotated[Any, Unit("lsn[]")]
 
 KIB: int = 1024

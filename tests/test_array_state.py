@@ -58,6 +58,10 @@ def snapshot(b) -> dict:
         programmed = as_list(b.programmed)
         page_valid = b.page_valid
         page_programmed = b.page_programmed
+    # An LSN is observable only in a programmed slot: the kernel keeps
+    # no never-written sentinel in ``slot_lsn``.
+    slot_lsn = [[lsn if done else None for lsn, done in zip(lsns, row)]
+                for lsns, row in zip(as_list(b.slot_lsn), programmed)]
     snap = {
         "state": b.state,
         "level": b.level,
@@ -75,10 +79,11 @@ def snapshot(b) -> dict:
         "reclaimable": b.reclaimable_subpages,
         "programmed": programmed,
         "valid": as_list(b.valid),
-        "slot_lsn": as_list(b.slot_lsn),
+        "slot_lsn": slot_lsn,
         "free_slots": [b.free_slots_of_page(p) for p in range(PAGES)],
         "valid_slots": [b.valid_slots_of_page(p) for p in range(PAGES)],
-        "lsns": [b.slot_lsns(p, list(range(SPP))) for p in range(PAGES)],
+        "lsns": [b.slot_lsns(p, [s for s in range(SPP) if programmed[p][s]])
+                 for p in range(PAGES)],
     }
     if b.is_slc:
         snap["slot_time"] = as_list(b.slot_time)
@@ -189,6 +194,18 @@ class _Driver:
         return self.lsn
 
 
+def assert_lists_follow_lifecycle(block: Block) -> None:
+    """A free or retired block holds the shared all-zero tuple for its
+    per-page values; a block in service holds three lists of its own."""
+    values = (block.prog_mask, block.valid_mask, block.pass_counts)
+    if block.state in (BlockState.FREE, BlockState.RETIRED):
+        assert type(block.prog_mask) is tuple
+        assert block.prog_mask is block.valid_mask is block.pass_counts
+    else:
+        assert all(type(v) is list for v in values)
+        assert len({id(v) for v in values}) == 3
+
+
 def run_differential(mode: CellMode, ops) -> None:
     kernel = _Driver(Block(0, mode, PAGES, SPP))
     reference = _Driver(ReferenceBlock(0, mode, PAGES, SPP))
@@ -205,6 +222,7 @@ def run_differential(mode: CellMode, ops) -> None:
         assert kr == rr, (op, kr, rr)
         assert snapshot(kernel.b) == snapshot(reference.b), op
         kernel.b.verify_array_state()
+        assert_lists_follow_lifecycle(kernel.b)
 
 
 class TestDifferentialBlockState:

@@ -9,7 +9,7 @@ from repro.errors import (
     ProgramOrderError,
     SubpageStateError,
 )
-from repro.nand.block import Block, BlockState, NO_LSN
+from repro.nand.block import Block, BlockState
 from repro.nand.cell import CellMode
 
 
@@ -47,6 +47,29 @@ class TestLifecycle:
         block = Block(0, CellMode.SLC, 4, 4)
         with pytest.raises(SubpageStateError):
             block.program_disturb(0, [0], [1], 0.0, 4)
+
+    def test_per_page_lists_follow_the_lifecycle(self):
+        """Free blocks share one all-zero tuple for their per-page
+        values; opening gives a block its own lists, erasing takes them
+        back."""
+        block = Block(0, CellMode.SLC, 4, 4)
+        other = Block(1, CellMode.MLC, 4, 4)
+        shared = block.prog_mask
+        assert shared == (0, 0, 0, 0)
+        assert (block.valid_mask is block.pass_counts is shared
+                is other.prog_mask)
+        with pytest.raises(TypeError):
+            block.pass_counts[0] += 1
+        block.open_as(1)
+        lists = (block.prog_mask, block.valid_mask, block.pass_counts)
+        assert all(type(v) is list and v == [0] * 4 for v in lists)
+        assert len({id(v) for v in lists}) == 3
+        block.program_disturb(0, [0], [1], 0.0, 4)
+        assert other.prog_mask == (0, 0, 0, 0)
+        block.invalidate(0, 0)
+        block.erase()
+        assert block.prog_mask is block.valid_mask is shared
+        block.verify_array_state()
 
 
 class TestProgramming:
@@ -202,8 +225,8 @@ class TestErase:
         assert block.next_page == 0
         assert block.n_programmed == 0
         assert block.n_invalid == 0
-        assert block.prog_mask == [0] * block.pages
-        assert (block.slot_lsn == NO_LSN).all()
+        assert list(block.prog_mask) == [0] * block.pages
+        assert not block.valid.any()
         assert block.level is None
 
     def test_erase_with_valid_rejected(self):

@@ -168,6 +168,31 @@ class TestViewAliasing:
         assert np.shares_memory(block.valid, flash.slc_state.valid)
         flash.verify_array_state()
 
+    def test_free_block_restores_free_without_lists(self):
+        """A pickled free block restores as free, sharing one immutable
+        all-zero tuple for its per-page values; opening it after the
+        round trip gives it lists of its own."""
+        replay = build_replay("ipu", seed=1)
+        replay.feed(short_trace(seed=2, n_requests=300))
+        clone = pickle.loads(pickle.dumps(replay, protocol=5))
+        flash = clone.ftl.flash
+        free = [b for b in flash.region_blocks(True)
+                if b.state is BlockState.FREE]
+        assert len(free) >= 2
+        first, second = free[:2]
+        shared = first.prog_mask
+        assert type(shared) is tuple and shared == (0,) * first.pages
+        assert (first.valid_mask is first.pass_counts is shared
+                is second.prog_mask)
+        first.open_as(0)
+        lists = (first.prog_mask, first.valid_mask, first.pass_counts)
+        assert all(type(v) is list and v == [0] * first.pages
+                   for v in lists)
+        assert len({id(v) for v in lists}) == 3
+        flash.program(first.block_id, 0, [0], [10**6], 1.0)
+        assert first.prog_mask[0] == 1 and second.prog_mask[0] == 0
+        flash.verify_array_state()
+
     def test_unpickled_state_equals_original(self):
         replay = build_replay("mga", seed=9)
         replay.feed(short_trace(seed=4, n_requests=300))
@@ -263,11 +288,11 @@ class TestCheckpointFile:
             load_checkpoint(path, key="k1")
 
     def test_older_format_version_refused(self, tmp_path, monkeypatch):
-        """A version-4 file (a Block that still carried its read counter,
-        an OpPricer its bus-model flag) is refused from its header,
-        before the payload unpickles."""
-        assert CHECKPOINT_VERSION == 5
-        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 4)
+        """A version-5 file (a free Block that still carried its own
+        per-page lists) is refused from its header, before the payload
+        unpickles."""
+        assert CHECKPOINT_VERSION == 6
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 5)
         path = self._roundtrip(tmp_path, {"a": 1})
         monkeypatch.undo()
 
@@ -275,8 +300,8 @@ class TestCheckpointFile:
             raise AssertionError("payload unpickled before the version check")
 
         monkeypatch.setattr(pickle, "loads", unpickle)
-        with pytest.raises(CheckpointError, match="format v4, this build "
-                                                  "reads v5"):
+        with pytest.raises(CheckpointError, match="format v5, this build "
+                                                  "reads v6"):
             load_checkpoint(path, key="k1")
 
     def test_wrong_kind(self, tmp_path):

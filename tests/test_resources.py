@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import GeometryConfig
+from repro.config import GeometryConfig, paper_config, scaled_config
 from repro.nand.geometry import Geometry
 from repro.sim.resources import ResourceSet
 
@@ -43,11 +43,17 @@ class TestResourceSet:
         assert len(rs.channels) == 2
 
     def test_block_routing_consistent(self, rs):
-        geo = rs.geometry
-        for block in range(32):
-            chip, channel = rs._pair[block]
-            assert chip is rs.chips[geo.chip_of(block)]
-            assert channel is rs.channels[geo.channel_of(block)]
+        """``_pair`` repeats each chip's pair over its run of blocks; it
+        must equal the per-block address arithmetic, here and on the
+        smoke and paper geometries."""
+        for rset in (rs, *(ResourceSet(Geometry(config.geometry))
+                           for config in (scaled_config("smoke"),
+                                          paper_config()))):
+            geo = rset.geometry
+            assert len(rset._pair) == geo.total_blocks
+            for block, (chip, channel) in enumerate(rset._pair):
+                assert chip is rset.chips[geo.chip_of(block)]
+                assert channel is rset.channels[geo.channel_of(block)]
 
     def test_acquire_occupies_both(self, rs):
         start, end = rs.acquire_for_block(0, 0.0, 2.0)

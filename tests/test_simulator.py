@@ -8,8 +8,10 @@ import pytest
 
 from repro import SCHEMES, Simulator, replay
 from repro.errors import ConfigError, SimulationError
+from repro.faults import FaultConfig, attach_faults
 from repro.frontend import FrontendConfig
 from repro.frontend.simulate import FrontendSimulator
+from repro.sim import simulator as simulator_mod
 from repro.traces import generate, profile
 from repro.traces.model import Trace
 
@@ -130,6 +132,42 @@ def test_bad_extent_raises_the_scalar_error(driver, column, value):
             FrontendSimulator(ftl, FrontendConfig.from_qd(4)).run(trace)
     assert ftl.stats.host_write_requests == 0
     assert ftl.stats.host_read_requests == 0
+
+
+def _windowed_replay(driver, faulty):
+    """One replay's deterministic result and the request indices its
+    observer saw (the front end has no observer)."""
+    ftl = SCHEMES["ipu"](tiny_config(seed=3))
+    if faulty:
+        attach_faults(ftl, FaultConfig.from_rate(3.0), seed=5)
+    trace = small_trace(n=1500)
+    seen = []
+
+    def observer(index, now):
+        seen.append(index)
+
+    if driver == "open":
+        result = Simulator(ftl, observer=observer).run(trace)
+    elif driver == "closed":
+        result = Simulator(ftl, observer=observer).run_closed(
+            trace, queue_depth=4)
+    else:
+        result = FrontendSimulator(ftl, FrontendConfig.from_qd(4)).run(trace)
+    return result.deterministic_dict(), seen
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["fault-free", "faulty"])
+@pytest.mark.parametrize("driver", ["open", "closed", "frontend"])
+def test_window_boundaries_are_invisible(driver, faulty, monkeypatch):
+    """A driver turns its chunk into python lists one row window at a
+    time; a 7-row window must replay exactly as one window holding the
+    whole 1,500-request trace."""
+    expected, seen = _windowed_replay(driver, faulty)
+    assert simulator_mod.WINDOW_ROWS > 1500
+    assert seen == ([] if driver == "frontend" else list(range(1500)))
+    assert (expected["power_loss_events"] > 0) is faulty
+    monkeypatch.setattr(simulator_mod, "WINDOW_ROWS", 7)
+    assert _windowed_replay(driver, faulty) == (expected, seen)
 
 
 class TestFinishedFrontendReplay:
