@@ -78,7 +78,6 @@ _EXPORTS = {
     "BlockLevel": ".ftl.levels",
     "FrontendConfig": ".frontend.config",
     "Simulator": ".sim.simulator", "SimulationResult": ".sim.simulator",
-    "replay": ".sim.simulator",
     "SCHEMES": ".schemes",
 }
 

@@ -36,8 +36,7 @@ _EXPORTS = {
     "CellSpec": ".parallel", "resolve_jobs": ".parallel",
     "run_cells": ".parallel",
     "RunContext": ".runner", "configure_execution": ".runner",
-    "execution_summary": ".runner", "run_one": ".runner",
-    "run_matrix": ".runner",
+    "execution_summary": ".runner",
     "EXPERIMENTS": ".registry", "get": ".registry", "run": ".registry",
 }
 

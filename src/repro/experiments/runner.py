@@ -408,9 +408,9 @@ class RunContext:
         }
 
 
-#: Shared contexts per ``(scale, seed, length_factor)``: the benchmark
-#: suite regenerates every figure from one simulation sweep, and the P/E
-#: sweep shares its shortened-trace context the same way.
+#: Shared contexts per ``(scale, seed, length_factor)``: ``run-all``
+#: regenerates every figure from one simulation sweep, and the P/E sweep
+#: shares its shortened-trace context the same way.
 _DEFAULT_CONTEXTS: dict[tuple[str, int, float], RunContext] = {}
 
 #: Cells simulated in this process by any context, shared or not, since
@@ -479,17 +479,3 @@ def execution_summary() -> dict:
         "cache_stores": cache.stats.stores if cache is not None else 0,
         "cache_dir": str(cache.root) if cache is not None else None,
     }
-
-
-def run_one(trace_name: str, scheme: str, scale: str = "small",
-            seed: int = 1, pe: int | None = None) -> SimulationResult:
-    """Convenience wrapper over the shared context."""
-    return default_context(scale, seed).run(trace_name, scheme, pe=pe)
-
-
-def run_matrix(scale: str = "small", seed: int = 1,
-               traces: "tuple[str, ...] | None" = None,
-               schemes: "tuple[str, ...]" = SCHEME_ORDER,
-               pe: int | None = None):
-    """Convenience wrapper over the shared context."""
-    return default_context(scale, seed).run_matrix(traces, schemes, pe=pe)

@@ -11,7 +11,10 @@ failure counters still record the event).
 
 from __future__ import annotations
 
-from ..nand.flash import FlashArray
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..nand.flash import FlashArray
 
 
 class BadBlockTable:

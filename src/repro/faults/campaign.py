@@ -16,11 +16,13 @@ byte-identical JSON, sequentially or under ``--jobs`` fan-out.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, Sequence
 
 from ..experiments.runner import SCHEME_ORDER, RunContext
 from ..traces.profiles import TRACE_NAMES
 from .config import FaultConfig
+from .plan import FaultStats
 
 if TYPE_CHECKING:
     from ..experiments.cache import ResultCache
@@ -31,13 +33,9 @@ CAMPAIGN_SCHEMA = 1
 #: Default sweep: rate 0 proves bit-identity, the rest bend the curves.
 DEFAULT_RATES = (0.0, 0.5, 1.0)
 
-#: Result fields a degradation curve accumulates per (scheme, rate).
-CURVE_FIELDS = (
-    "read_faults", "read_retries", "uncorrectable_reads",
-    "fault_relocations", "program_failures", "erase_failures",
-    "retired_blocks", "power_loss_events", "torn_subpages",
-    "recovered_subpages", "recovery_ms",
-)
+#: Result fields a degradation curve accumulates per (scheme, rate):
+#: every fault counter, in declaration order.
+CURVE_FIELDS = tuple(counter.name for counter in fields(FaultStats))
 
 
 def run_campaign(rates: Sequence[float] = DEFAULT_RATES,
@@ -65,11 +63,10 @@ def run_campaign(rates: Sequence[float] = DEFAULT_RATES,
                          faults=faults if faults.enabled else None)
         results = ctx.run_matrix(names, schemes)
         for scheme in schemes:
-            point: dict = {"rate": rate}
+            # Each counter starts at its FaultStats default (0 or 0.0).
+            point: dict = {"rate": rate, **asdict(FaultStats())}
             total_requests = 0
             latency_sum = 0.0
-            for f_name in CURVE_FIELDS:
-                point[f_name] = 0 if f_name != "recovery_ms" else 0.0
             by_trace: dict[str, dict] = {}
             for trace in names:
                 result = results[(trace, scheme)]

@@ -23,16 +23,16 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..nand.block import Block
 from ..rng import faults_rng
-from ..sim.ops import OpRecord
 from .badblocks import BadBlockTable
 from .config import FaultConfig
 from ..units import Ms
 
 if TYPE_CHECKING:
     from ..ftl.base import BaseFTL
+    from ..nand.block import Block
     from ..nand.flash import FlashArray
+    from ..sim.ops import OpRecord
     from ..sim.timing import TimingModel
 
 

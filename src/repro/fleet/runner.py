@@ -23,12 +23,14 @@ job) meaningful at byte granularity.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..config import SSDConfig
 from ..errors import ExperimentError
+from ..faults.plan import FaultStats
 from ..traces.profiles import TraceProfile, profile
 from ..traces.stream import MergedStream, TraceStream
 from ..traces.synth import SyntheticStream
@@ -59,17 +61,16 @@ LAT_HIST_EDGES_MS: np.ndarray = np.logspace(
 TAIL_QUANTILES: tuple[tuple[str, float], ...] = (
     ("lat_p50_ms", 50.0), ("lat_p99_ms", 99.0), ("lat_p999_ms", 99.9))
 
-#: Cumulative device counters the campaign sums into its totals.
+#: Cumulative device counters the campaign sums into its totals: the
+#: wear counters, then every integer fault counter in declaration order.
 #: Integers only (exact under any summation order); float accumulators
-#: such as ``read_raw_errors`` stay per-device in the payloads.
+#: such as ``read_raw_errors`` and ``recovery_ms`` stay per-device in
+#: the payloads.
 TOTAL_FIELDS = (
     "n_requests", "erases_slc", "erases_mlc", "programs_slc",
     "programs_mlc", "partial_programs", "intra_page_updates",
-    "read_faults", "read_retries", "uncorrectable_reads",
-    "fault_relocations", "program_failures", "erase_failures",
-    "retired_blocks", "power_loss_events", "torn_subpages",
-    "recovered_subpages",
-)
+) + tuple(counter.name for counter in fields(FaultStats)
+          if isinstance(counter.default, int))
 
 
 def histogram_latencies(latencies: np.ndarray) -> list[int]:

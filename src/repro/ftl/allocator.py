@@ -44,9 +44,17 @@ class RegionAllocator:
         self.block_ids = list(block_ids)
         self.total_blocks = len(block_ids)
 
-        geometry = flash.geometry
-        plane_of = geometry.plane_of
-        planes = sorted({plane_of(b) for b in block_ids})
+        # A victim scan reads the region's state column, whose slots run
+        # in ascending block_id, so the allocator owns one whole region.
+        self._blocks = flash.region_blocks(flash.block(block_ids[0]).is_slc)
+        if [b.block_id for b in self._blocks] != self.block_ids:
+            raise AllocationError(
+                f"region {name!r}: block ids are not one whole flash region")
+        self._state = self._blocks[0].region
+
+        # Blocks are plane-major: a block's plane is this quotient.
+        per_plane = flash.geometry.blocks_per_plane
+        planes = sorted({b // per_plane for b in block_ids})
         stripes = len(planes)
         if max_stripes is not None:
             # Small regions cannot afford one open block per plane per
@@ -56,10 +64,10 @@ class RegionAllocator:
         self._plane_index = {plane: i % stripes for i, plane in enumerate(planes)}
         self.stripes = stripes
         self._free: list[list[tuple[int, int]]] = [[] for _ in range(stripes)]
+        blocks = flash.blocks
         for block_id in block_ids:
-            stripe = self._plane_index[plane_of(block_id)]
-            self._free[stripe].append(
-                (flash.block(block_id).erase_count, block_id))
+            self._free[self._plane_index[block_id // per_plane]].append(
+                (blocks[block_id].erase_count, block_id))
         for heap in self._free:
             heapq.heapify(heap)
         self._free_count = self.total_blocks
@@ -68,14 +76,6 @@ class RegionAllocator:
         self.active: dict[tuple[int, int], Block] = {}
         #: level -> next stripe to allocate from (round robin).
         self._cursor: dict[int, int] = {}
-
-        # A victim scan reads the region's state column, whose slots run
-        # in ascending block_id, so the allocator owns one whole region.
-        self._blocks = flash.region_blocks(flash.block(block_ids[0]).is_slc)
-        if [b.block_id for b in self._blocks] != self.block_ids:
-            raise AllocationError(
-                f"region {name!r}: block ids are not one whole flash region")
-        self._state = self._blocks[0].region
 
     # -- pool state -----------------------------------------------------
 
@@ -96,7 +96,8 @@ class RegionAllocator:
             raise AllocationError(
                 f"region {self.name}: releasing non-free block {block_id} "
                 f"({block.state.value})")
-        stripe = self._plane_index[self.flash.geometry.plane_of(block_id)]
+        stripe = self._plane_index[
+            block_id // self.flash.geometry.blocks_per_plane]
         heapq.heappush(self._free[stripe], (block.erase_count, block_id))
         self._free_count += 1
 

@@ -14,6 +14,7 @@ Subclasses choose slot layouts and destinations::
     _relocate_slc_page(...)      where SLC GC moves a page's valid data
     _relocate_mlc_page(...)      where MLC GC moves a page's valid data
     _make_slc_policy()           the SLC victim-selection policy (optional)
+    _pre_erase_hook()            what GC runs before an erase (optional)
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..nand.wear import WearTracker
 from ..sim.ops import Cause, OpKind, OpRecord
 from ..units import Lsn, Ms
 from .allocator import RegionAllocator
-from .gc import GarbageCollector
+from .gc import FinishFn, GarbageCollector
 from .levels import BlockLevel
 from .mapping import SubpageMap
 from .translation import CachedMappingTable
@@ -105,13 +106,16 @@ class BaseFTL(abc.ABC):
         self.mlc_alloc = RegionAllocator(self.flash, self.flash.mlc_block_ids, "mlc")
         self.slc_wear = WearTracker(self.flash.region_blocks(True), config.cache)
         self.mlc_wear = WearTracker(self.flash.region_blocks(False), config.cache)
+        finish = self._pre_erase_hook()
         self.slc_gc = GarbageCollector(
             self.flash, self.slc_alloc, self._make_slc_policy(),
             self._relocate_slc_page, self.ecc, config.cache, wear=self.slc_wear,
+            finish=finish,
         )
         self.mlc_gc = GarbageCollector(
             self.flash, self.mlc_alloc, self._make_mlc_policy(),
             self._relocate_mlc_page, self.ecc, config.cache, wear=self.mlc_wear,
+            finish=finish,
         )
 
         self._subpage_bits = self.geometry.subpage_size * 8
@@ -184,6 +188,11 @@ class BaseFTL(abc.ABC):
         pages) must count whole reclaimable pages, not subpages.
         """
         return GreedyPageVictimPolicy()
+
+    def _pre_erase_hook(self) -> FinishFn | None:
+        """What both collectors run before erasing a drained victim
+        (MGA flushes its eviction buffer); none by default."""
+        return None
 
     # -- request dispatch -----------------------------------------------------
 

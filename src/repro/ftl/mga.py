@@ -19,7 +19,7 @@ from ..nand.block import Block, BlockState
 from ..nand.flash import FlashArray
 from ..sim.ops import Cause, OpRecord
 from .base import BaseFTL
-from .gc import GarbageCollector
+from .gc import FinishFn
 from .levels import BlockLevel
 from ..units import Lsn, Ms
 from .victim import GreedyVictimPolicy, VictimPolicy
@@ -39,22 +39,15 @@ class MGAFTL(BaseFTL):
         #: order, set gives O(1) membership for the write-path check).
         self._evict_buffer: list[int] = []
         self._evict_pending: set[int] = set()
-        # Re-wire the collectors with the pre-erase flush hook.
-        self.slc_gc = GarbageCollector(
-            self.flash, self.slc_alloc, self._make_slc_policy(),
-            self._relocate_slc_page, self.ecc, config.cache,
-            wear=self.slc_wear, finish=self._flush_evictions,
-        )
-        self.mlc_gc = GarbageCollector(
-            self.flash, self.mlc_alloc, self._make_mlc_policy(),
-            self._relocate_mlc_page, self.ecc, config.cache,
-            wear=self.mlc_wear, finish=self._flush_evictions,
-        )
 
     def _make_mlc_policy(self) -> VictimPolicy:
         # MGA repacks evictions compactly, so freed space really is the
         # subpage count: plain greedy is the right metric.
         return GreedyVictimPolicy()
+
+    def _pre_erase_hook(self) -> FinishFn:
+        # Buffered evictions must land before their victim is erased.
+        return self._flush_evictions
 
     # -- mapping ---------------------------------------------------------
 

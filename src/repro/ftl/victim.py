@@ -10,11 +10,13 @@
   blocks full of cold valid data are preferred and their data gets sifted
   down the level hierarchy.
 
-Every policy has one selection path, ``select(candidates, now)``, a
-scan over the region's FULL blocks in ascending ``block_id`` order (see
-:meth:`~repro.ftl.allocator.RegionAllocator.victim_candidates`).  The
-property tests (``tests/test_victim_properties.py``) check it against
-from-scratch reference scans.
+Every policy shares one selection path,
+:meth:`VictimPolicy.select`, a scan over the region's FULL blocks in
+ascending ``block_id`` order (see
+:meth:`~repro.ftl.allocator.RegionAllocator.victim_candidates`); a policy
+supplies only each candidate's score.  The property tests
+(``tests/test_victim_properties.py``) check it against from-scratch
+reference scans.
 
 **Tie-breaking rule (all policies):** among candidates with the same best
 score, the lowest ``block_id`` wins, regardless of candidate iteration
@@ -36,7 +38,7 @@ host's scan cannot distort the paper's Figure 12:
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from .hotcold import block_age_sum, block_coldness
 from ..units import Ms
@@ -52,82 +54,69 @@ MODELLED_SCAN_NS_PER_BLOCK_GREEDY = 100.0
 MODELLED_SCAN_NS_PER_BLOCK_ISR = 250.0
 
 
-class VictimPolicy(Protocol):
-    """Selects one victim from fully-programmed candidate blocks."""
+class VictimPolicy:
+    """Selects one victim from fully-programmed candidate blocks.
 
-    #: Accumulated selection wall time (seconds) and scan count.
-    scan_seconds: float
-    scans: int
-    #: Deterministic count of candidate blocks examined over all scans.
-    scanned_blocks: int
+    A policy supplies only :meth:`scores`; the one :meth:`select` picks
+    the best positive score (lowest ``block_id`` on a tie) and keeps the
+    scan accounting.
+    """
+
+    def __init__(self) -> None:
+        #: Accumulated selection wall time (seconds) and scan count.
+        self.scan_seconds = 0.0
+        self.scans = 0
+        #: Deterministic count of candidate blocks examined over all scans.
+        self.scanned_blocks = 0
+
+    def scores(self, candidates: list[Block], now: Ms) -> list[float]:
+        """One score per candidate, in candidate order.
+
+        Scores read block attributes, not the ``total_subpages`` /
+        ``reclaimable_subpages`` properties: a property call per
+        candidate doubles a greedy scan's cost.
+        """
+        raise NotImplementedError
 
     def select(self, candidates: list[Block], now: Ms) -> Block | None:
         """Return the victim, or None when no candidate is worth collecting."""
-        ...  # pragma: no cover
-
-
-class _ScanAccounting:
-    """Shared wall-time + scanned-block bookkeeping."""
-
-    def __init__(self):
-        self.scan_seconds = 0.0
-        self.scans = 0
-        self.scanned_blocks = 0
-
-
-class GreedyVictimPolicy(_ScanAccounting):
-    """Pick the block with the most reclaimable subpages.
-
-    Ties on the score are broken to the **lowest** ``block_id``, whatever
-    order the candidates arrive in, so selection is a pure function of
-    device state.
-    """
-
-    def select(self, candidates: list[Block], now: Ms) -> Block | None:
         start = time.perf_counter()
         best: Block | None = None
-        best_score = 0
-        for block in candidates:
-            score = block.reclaimable_subpages
-            if score > best_score or (score == best_score and best is not None
-                                      and score > 0 and block.block_id < best.block_id):
+        best_score = 0.0
+        for block, score in zip(candidates, self.scores(candidates, now)):
+            # A chosen block always scored above zero, so a tie with it
+            # is a tie on a positive score.
+            if score > best_score or (best is not None and score == best_score
+                                      and block.block_id < best.block_id):
                 best = block
                 best_score = score
         self.scans += 1
         self.scanned_blocks += len(candidates)
         self.scan_seconds += time.perf_counter() - start
-        return best if best_score > 0 else None
+        return best
 
 
-class GreedyPageVictimPolicy(_ScanAccounting):
+class GreedyVictimPolicy(VictimPolicy):
+    """Pick the block with the most reclaimable subpages."""
+
+    def scores(self, candidates: list[Block], now: Ms) -> list[float]:
+        return [b.pages * b.spp - b.n_valid for b in candidates]
+
+
+class GreedyPageVictimPolicy(VictimPolicy):
     """Pick the block that frees the most whole pages.
 
     The right greedy metric for schemes whose GC moves pages one-to-one
     without compaction (Baseline's positional layout, IPU's extent-grouped
     pages): a page with any valid slot costs a full destination page, so
     only fully-invalid (or never-programmed) pages actually free space.
-
-    Ties are broken to the lowest ``block_id`` regardless of candidate
-    iteration order.
     """
 
-    def select(self, candidates: list[Block], now: Ms) -> Block | None:
-        start = time.perf_counter()
-        best: Block | None = None
-        best_score = 0
-        for block in candidates:
-            score = block.pages - block.pages_with_valid
-            if score > best_score or (score == best_score and best is not None
-                                      and score > 0 and block.block_id < best.block_id):
-                best = block
-                best_score = score
-        self.scans += 1
-        self.scanned_blocks += len(candidates)
-        self.scan_seconds += time.perf_counter() - start
-        return best if best_score > 0 else None
+    def scores(self, candidates: list[Block], now: Ms) -> list[float]:
+        return [b.pages - b.pages_with_valid for b in candidates]
 
 
-class IsrVictimPolicy(_ScanAccounting):
+class IsrVictimPolicy(VictimPolicy):
     """Pick the block with the largest ISR (Equations 1 and 2).
 
     ``T`` is the region-wide mean age of valid subpages (see
@@ -141,9 +130,6 @@ class IsrVictimPolicy(_ScanAccounting):
     a cache entry does need recomputing; batching *across* blocks would
     change summation grouping and is deliberately avoided to keep results
     byte-identical to the scalar reference.)
-
-    Ties on the ISR score are broken to the lowest ``block_id`` regardless
-    of candidate iteration order.
     """
 
     def __init__(self, refresh_ms: float = 100.0):
@@ -175,27 +161,16 @@ class IsrVictimPolicy(_ScanAccounting):
         self._cold_cache[block.block_id] = (block.content_epoch, now, t_mean, value)
         return value
 
-    def select(self, candidates: list[Block], now: Ms) -> Block | None:
-        start = time.perf_counter()
+    def scores(self, candidates: list[Block], now: Ms) -> list[float]:
+        age_sum = self._age_sum
         total_age = 0.0
         total_count = 0
-        for block in candidates:
-            age_sum, count = self._age_sum(block, now)
-            total_age += age_sum
+        # One addition at a time, left to right: ``sum()`` compensates
+        # float sums from Python 3.12 on, which would move ``T``.
+        for block_age, count in [age_sum(b, now) for b in candidates]:
+            total_age += block_age
             total_count += count
         t_mean = total_age / total_count if total_count else 0.0
-
-        best: Block | None = None
-        best_score = 0.0
-        for block in candidates:
-            score = (block.n_invalid
-                     + self._coldness(block, now, t_mean)) / block.total_subpages
-            if score > best_score or (score == best_score and best is not None
-                                      and score > 0.0
-                                      and block.block_id < best.block_id):
-                best = block
-                best_score = score
-        self.scans += 1
-        self.scanned_blocks += len(candidates)
-        self.scan_seconds += time.perf_counter() - start
-        return best if best_score > 0.0 else None
+        coldness = self._coldness
+        return [(b.n_invalid + coldness(b, now, t_mean)) / (b.pages * b.spp)
+                for b in candidates]

@@ -65,13 +65,8 @@ def _slc_pages(config: SSDConfig) -> int:
 
 
 def mapping_breakdown(scheme: str, config: SSDConfig) -> MappingBreakdown:
-    """Mapping memory of ``scheme`` under ``config``.
-
-    Scheme variants (ablations) may suffix the base name with ``-tag``;
-    they share the base scheme's mapping structures.
-    """
+    """Mapping memory of ``scheme`` under ``config``."""
     config.validate()
-    scheme = scheme.split("-", 1)[0]
     pages = _logical_pages(config)
     slc_pages = _slc_pages(config)
     slc_subpages = slc_pages * config.geometry.subpages_per_page

@@ -129,7 +129,7 @@ class Block:
         self.mode = mode
         #: Cached ``mode.is_slc`` — the enum property is too hot to call
         #: per operation, and a block's mode never changes.
-        self.is_slc = mode.is_slc
+        self.is_slc = is_slc = mode is CellMode.SLC
         self.pages = pages
         self.spp = subpages_per_page
         self.erase_count: PeCycles = 0
@@ -141,14 +141,14 @@ class Block:
         if region is None:
             # Standalone construction (unit tests, scratch blocks): a
             # private single-block region backs this block alone.
-            region = RegionState(1, pages, subpages_per_page, mode.is_slc)
+            region = RegionState(1, pages, subpages_per_page, is_slc)
             region_slot = 0
         elif (region.pages != pages or region.spp != subpages_per_page
-              or region.slc != mode.is_slc):
+              or region.slc != is_slc):
             raise SubpageStateError(
                 f"block {block_id}: region geometry mismatch "
                 f"({region.pages}x{region.spp} slc={region.slc} vs "
-                f"{pages}x{subpages_per_page} slc={mode.is_slc})")
+                f"{pages}x{subpages_per_page} slc={is_slc})")
         self.region = region
         self.region_slot = region_slot
         stride = region.block_stride

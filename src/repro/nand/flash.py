@@ -50,34 +50,31 @@ class FlashArray:
         if slc_per_plane >= g.blocks_per_plane:
             raise FlashError("SLC ratio leaves no high-density blocks in a plane")
 
+        # Blocks are plane-major, so a block is SLC-mode when it sits in
+        # the first ``slc_per_plane`` of its plane, and its slot in its
+        # region's structure-of-arrays store is its rank among the
+        # region's ids: one pass builds both regions.
+        per_plane = g.blocks_per_plane
+        spp = g.subpages_per_page
+        slc_pages = g.pages_per_block(True)
+        mlc_pages = g.pages_per_block(False)
+        self.slc_state = RegionState(
+            g.planes * slc_per_plane, slc_pages, spp, slc=True)
+        self.mlc_state = RegionState(
+            g.planes * (per_plane - slc_per_plane), mlc_pages, spp, slc=False)
         self.blocks: list[Block] = []
         self.slc_block_ids: list[int] = []
         self.mlc_block_ids: list[int] = []
-        modes = []
         for block_id in range(g.total_blocks):
-            in_plane = block_id % g.blocks_per_plane
-            mode = CellMode.SLC if in_plane < slc_per_plane else CellMode.MLC
-            modes.append(mode)
-            (self.slc_block_ids if mode.is_slc else self.mlc_block_ids).append(block_id)
-
-        # One structure-of-arrays store per region; every block reads and
-        # writes its own stripe (block ids are striped across planes, so a
-        # block's slot in its region is its rank among same-mode ids).
-        self.slc_state = RegionState(
-            len(self.slc_block_ids), g.pages_per_block(True),
-            g.subpages_per_page, slc=True)
-        self.mlc_state = RegionState(
-            len(self.mlc_block_ids), g.pages_per_block(False),
-            g.subpages_per_page, slc=False)
-        region_slots = {True: 0, False: 0}
-        for block_id in range(g.total_blocks):
-            mode = modes[block_id]
-            region = self.slc_state if mode.is_slc else self.mlc_state
-            slot = region_slots[mode.is_slc]
-            region_slots[mode.is_slc] = slot + 1
-            self.blocks.append(Block(
-                block_id, mode, g.pages_per_block(mode.is_slc),
-                g.subpages_per_page, region=region, region_slot=slot))
+            if block_id % per_plane < slc_per_plane:
+                ids, mode, pages, region = (self.slc_block_ids, CellMode.SLC,
+                                            slc_pages, self.slc_state)
+            else:
+                ids, mode, pages, region = (self.mlc_block_ids, CellMode.MLC,
+                                            mlc_pages, self.mlc_state)
+            self.blocks.append(Block(block_id, mode, pages, spp,
+                                     region=region, region_slot=len(ids)))
+            ids.append(block_id)
 
         self.erases_slc = 0
         self.erases_mlc = 0

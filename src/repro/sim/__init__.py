@@ -15,7 +15,6 @@ _EXPORTS = {
     "TimingModel": ".timing",
     "ClosedLoopReplay": ".simulator", "OpenLoopReplay": ".simulator",
     "Simulator": ".simulator", "SimulationResult": ".simulator",
-    "replay": ".simulator",
 }
 
 __all__ = [*_EXPORTS]

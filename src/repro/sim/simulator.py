@@ -480,7 +480,7 @@ class ReplayCore:
             mlc_gc_collections=ftl.mlc_gc.stats.collections,
             gc_scan_seconds=ftl.slc_gc.policy.scan_seconds,
             gc_scans=ftl.slc_gc.policy.scans,
-            gc_scan_blocks=getattr(ftl.slc_gc.policy, "scanned_blocks", 0),
+            gc_scan_blocks=ftl.slc_gc.policy.scanned_blocks,
             slc_wear_spread=ftl.slc_wear.spread,
             mlc_wear_spread=ftl.mlc_wear.spread,
         )
@@ -496,18 +496,10 @@ class ReplayCore:
             result.cmt_writebacks = cmt.stats.writebacks
         plan = getattr(ftl, "faults", None)
         if plan is not None:
-            s = plan.stats
-            result.read_faults = s.read_faults
-            result.read_retries = s.read_retries
-            result.uncorrectable_reads = s.uncorrectable_reads
-            result.fault_relocations = s.fault_relocations
-            result.program_failures = s.program_failures
-            result.erase_failures = s.erase_failures
-            result.retired_blocks = s.retired_blocks
-            result.power_loss_events = s.power_loss_events
-            result.torn_subpages = s.torn_subpages
-            result.recovered_subpages = s.recovered_subpages
-            result.recovery_ms = s.recovery_ms
+            # Every FaultStats counter is a result field of the same name.
+            for counter in fields(plan.stats):
+                setattr(result, counter.name,
+                        getattr(plan.stats, counter.name))
         return result
 
     def feed(self, trace: Trace) -> None:
@@ -701,8 +693,3 @@ class Simulator:
         return ClosedLoopReplay(
             self.ftl, queue_depth, self.config, self.timing, self.resources,
             self.observer).run(trace)
-
-
-def replay(ftl, trace: Trace, config: SSDConfig | None = None) -> SimulationResult:
-    """One-shot convenience: build a simulator and run a trace."""
-    return Simulator(ftl, config).run(trace)

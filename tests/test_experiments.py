@@ -138,8 +138,8 @@ class TestTableArtifacts:
 
 
 class TestSimArtifacts:
-    """Single-trace checks against the shared sweep (full-matrix artifact
-    builds are exercised by the benchmarks)."""
+    """Single-trace checks against the shared sweep (every full-matrix
+    artifact build runs in the cold ``run-all`` of ``TestWarmRunAll``)."""
 
     def test_fig5_rows_render(self, warm_context):
         base = warm_context.run("ts0", "baseline")
@@ -232,6 +232,18 @@ def _without_cells_line(out: str) -> str:
 
 
 class TestWarmRunAll:
+    def test_cold_run_all_renders_every_artifact(self, cold_run_all):
+        # An artifact renders as its title line, a header, a rule and
+        # one line per row; one with no rows prints "(no rows)" instead.
+        lines = cold_run_all[1].splitlines()
+        for eid in EXPERIMENTS:
+            title = next(i for i, line in enumerate(lines)
+                         if line.startswith(f"[{eid}] "))
+            header, rule, first_row = lines[title + 1:title + 4]
+            assert header != "(no rows)", eid
+            assert rule.startswith("-") and set(rule) <= {"-", " "}, eid
+            assert first_row.strip(), eid
+
     def test_warm_run_all_replays_nothing(self, cold_run_all, fresh_execution,
                                           monkeypatch, capsys):
         args, cold = cold_run_all

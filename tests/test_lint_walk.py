@@ -30,7 +30,7 @@ from repro.analysis.core import (SourceFile, dotted_name, iter_python_files,
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 ANALYSIS_DIR = PACKAGE_ROOT / "analysis"
-ROOTS = ("src/repro", "tests", "perf", "benchmarks")
+ROOTS = ("src/repro", "tests", "perf")
 
 #: Statement, expression and pattern forms the committed tree rarely or
 #: never uses; every one of them must walk like ``ast.walk``.

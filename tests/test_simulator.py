@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import SCHEMES, Simulator, replay
+from repro import SCHEMES, Simulator
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultConfig, attach_faults
 from repro.frontend import FrontendConfig
@@ -69,14 +69,14 @@ class TestReplay:
         assert result.mapping_table_bytes > 0
 
     def test_summary_keys(self):
-        result = replay(SCHEMES["ipu"](tiny_config()), small_trace(n=100))
+        result = Simulator(SCHEMES["ipu"](tiny_config())).run(small_trace(n=100))
         summary = result.summary()
         for key in ("scheme", "trace", "avg_latency_ms", "read_error_rate",
                     "erases_slc", "slc_page_utilization"):
             assert key in summary
 
     def test_replay_helper(self):
-        result = replay(SCHEMES["baseline"](tiny_config()), small_trace(n=50))
+        result = Simulator(SCHEMES["baseline"](tiny_config())).run(small_trace(n=50))
         assert result.scheme == "baseline"
         assert result.trace_name == "ts0"
 
@@ -94,21 +94,21 @@ class TestGcAccounting:
 
     def test_sim_time_spans_trace(self):
         trace = small_trace(n=200)
-        result = replay(SCHEMES["mga"](tiny_config()), trace)
+        result = Simulator(SCHEMES["mga"](tiny_config())).run(trace)
         assert result.sim_time_ms >= float(trace.times_ms[-1])
 
 
 class TestEmptyAndEdge:
     def test_single_request(self):
         trace = Trace([0.0], [True], [0], [4096], name="one")
-        result = replay(SCHEMES["ipu"](tiny_config()), trace)
+        result = Simulator(SCHEMES["ipu"](tiny_config())).run(trace)
         assert result.n_requests == 1
         assert result.avg_read_latency_ms == 0.0
 
     def test_read_only_trace(self):
         trace = Trace([0.0, 1.0], [False, False], [0, 8192],
                       [4096, 4096], name="ro")
-        result = replay(SCHEMES["baseline"](tiny_config()), trace)
+        result = Simulator(SCHEMES["baseline"](tiny_config())).run(trace)
         assert result.read_bits == 2 * 4096 * 8
         assert result.programs_slc == 0
 
