@@ -14,6 +14,8 @@ op its subpages' RBER times the bits read, and the replay sums them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..config import ReliabilityConfig, TimingConfig
@@ -23,6 +25,18 @@ from .bch import BCHCode
 
 #: Subpage payload a failure-probability query covers (4 KiB LSN unit).
 SUBPAGE_BYTES = 4 * KIB
+#: Distinct ``(code, RBER)`` pairs the failure-probability memo keeps.
+FAILURE_MEMO_ENTRIES = 1024
+
+
+@functools.lru_cache(maxsize=FAILURE_MEMO_ENTRIES)
+def _subpage_failure_probability(code: BCHCode, rber: float) -> float:
+    """Probability at least one of ``code``'s codewords in a 4 KiB
+    subpage fails.  Pure and costly (a binomial tail per call), while a
+    replay reads only a few distinct RBERs, so memoised per process."""
+    per_cw = code.failure_probability(rber)
+    ncw = code.codewords_for(SUBPAGE_BYTES)
+    return 1.0 - (1.0 - per_cw) ** ncw
 
 
 class EccModel:
@@ -83,9 +97,7 @@ class EccModel:
 
     def uncorrectable_probability(self, rber: float) -> float:
         """Probability at least one codeword of a 4 KiB subpage fails."""
-        per_cw = self.code.failure_probability(rber)
-        ncw = self.code.codewords_for(SUBPAGE_BYTES)
-        return 1.0 - (1.0 - per_cw) ** ncw
+        return _subpage_failure_probability(self.code, rber)
 
     def uncorrectable_probability_for_subpages(
             self, rbers: "list[float]") -> float:

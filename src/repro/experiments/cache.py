@@ -10,6 +10,11 @@ the trace profile and generation parameters, the scheme, the scale/seed
 pair and a schema version — and stores the serialised result JSON under
 ``~/.cache/repro`` (or ``REPRO_CACHE_DIR`` / ``--cache-dir``).
 
+The same store holds *trace facts*: what the harness reads off a
+generated trace without replaying it (a sizing pilot's footprints, a
+trace's Table 1/3 statistics), keyed by :func:`facts_key` and counted
+apart from cells.
+
 Invalidation is purely by key: any Table-2 field change, a different
 seed, trace length or scheme yields a different digest, and a bump of
 :data:`CACHE_SCHEMA_VERSION` (required whenever the simulator's observable
@@ -120,7 +125,7 @@ def cell_key(config: SSDConfig, profile: TraceProfile, n_requests: int,
     (whose results they reproduce bit-identically), while any enabled
     knob combination gets its own key space.
     """
-    payload = {
+    return _digest({
         "schema": CACHE_SCHEMA_VERSION,
         "config": _config_dict(config),
         "profile": profile.to_dict(),
@@ -134,7 +139,21 @@ def cell_key(config: SSDConfig, profile: TraceProfile, n_requests: int,
         "faults": faults,
         "frontend": frontend,
         "queue_depth": queue_depth,
-    }
+    })
+
+
+def facts_key(kind: str, inputs: dict) -> str:
+    """SHA-256 digest identifying one trace fact.
+
+    ``kind`` names the fact (``"pilot"`` or ``"trace"``) and ``inputs``
+    are every value its computation reads, JSON-ready.  The payload
+    carries a ``kind`` field that no cell payload has, so a facts key
+    never equals a cell key.
+    """
+    return _digest({"schema": CACHE_SCHEMA_VERSION, "kind": kind, **inputs})
+
+
+def _digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -160,21 +179,28 @@ class ResultCache:
 
     def __init__(self, root: "Path | str | None" = None):
         self.root = Path(root).expanduser() if root is not None else default_cache_dir()
+        #: Counters of cell and fleet-device entries.
         self.stats = CacheStats()
+        #: Counters of trace-fact entries, kept apart so ``stats`` (the
+        #: CLI's ``[cells]`` line) counts cells only.
+        self.fact_stats = CacheStats()
 
     def path_for(self, key: str) -> Path:
         """On-disk location of one entry."""
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str,
-            decode: "Callable[[Any], Any] | None" = None) -> Any:
-        """The stored payload, or None on a miss (counted).
+            decode: "Callable[[Any], Any] | None" = None,
+            stats: CacheStats | None = None) -> Any:
+        """The stored payload, or None on a miss (counted in ``stats``,
+        by default :attr:`stats`).
 
         The frame's magic, schema version, key and digest are checked
         before the payload is parsed; ``decode`` then turns it into the
         caller's value.  An entry that fails any step, or that ``decode``
         rejects with a :class:`~repro.errors.ReproError`, is a miss.
         """
+        stats = self.stats if stats is None else stats
         path = self.path_for(key)
         try:
             header, body = read_frame(path.read_bytes(), MAGIC)
@@ -185,27 +211,29 @@ class ResultCache:
             if decode is not None:
                 payload = decode(payload)
         except FileNotFoundError:
-            self.stats.misses += 1
+            stats.misses += 1
             return None
         except (OSError, ValueError, RecursionError, ReproError):
             # A torn, corrupt or rejected entry is a miss; drop it so the
             # fresh result replaces it.
-            self.stats.misses += 1
+            stats.misses += 1
             with contextlib.suppress(OSError):
                 path.unlink()
             return None
-        self.stats.hits += 1
+        stats.hits += 1
         return payload
 
-    def put(self, key: str, payload: dict) -> None:
-        """Store one payload atomically (counted)."""
+    def put(self, key: str, payload: dict,
+            stats: CacheStats | None = None) -> None:
+        """Store one payload atomically (counted in ``stats``, by default
+        :attr:`stats`)."""
         body = json.dumps(payload, separators=(",", ":")).encode()
         try:
             write_frame(self.path_for(key), MAGIC,
                         {"schema": CACHE_SCHEMA_VERSION, "key": key}, body)
         except FileNotFoundError:  # a concurrent clear took the temp file
             return
-        self.stats.stores += 1
+        (self.stats if stats is None else stats).stores += 1
 
     def __len__(self) -> int:
         """Number of entries on disk."""

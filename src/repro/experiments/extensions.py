@@ -212,7 +212,8 @@ def build_translation_study(scale: str = "small", seed: int = 1) -> Artifact:
         # set: page-mapped lookups mostly hit, while MGA's 4x-denser
         # second-level key space cannot fit.
         entries = 256
-        lpns = ctx.trace(trace).footprint_bytes // base_cfg.geometry.page_size
+        lpns = (ctx.trace_facts(trace).footprint_bytes
+                // base_cfg.geometry.page_size)
         configs[trace] = dataclasses.replace(
             base_cfg,
             translation=TranslationConfig(

@@ -20,6 +20,13 @@ cell may override the device config or ask for a closed-loop replay at a
 fixed queue depth; :meth:`RunContext.run` is the one place any of them
 is simulated, so every cell goes through the on-disk result cache.
 
+What the harness reads off a generated trace rather than replaying it —
+a sizing pilot's footprints (:class:`PilotFootprints`) and a replayed
+trace's Table 1/3 statistics and span (:class:`TraceFacts`) — are *trace
+facts*, which take the same path as cells: :meth:`RunContext.fact`
+serves them from the context's memo, then the result cache, and only
+then generates a trace.  So a warm ``run-all`` generates none.
+
 At ``paper`` scale the device is the fixed Table 2 configuration (65536
 blocks, 5% SLC) and traces replay at full length instead.
 """
@@ -29,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 from ..config import (
     CacheConfig,
@@ -40,16 +47,18 @@ from ..config import (
     scaled_config,
 )
 from ..errors import ExperimentError
+from ..record import Record
 from ..sim.simulator import SimulationResult
-from ..traces.model import Trace
-from ..traces.profiles import TRACE_NAMES, TraceProfile, profile
-from ..traces.synth import SyntheticTraceGenerator
-from ..units import Ms
-from .cache import ResultCache, cell_key as _cache_cell_key
+from ..traces.profiles import TRACE_NAMES, TraceProfile, TraceStats, profile
+from ..units import Bytes, Ms
+from .cache import ResultCache, cell_key as _cache_cell_key, facts_key
 
 if TYPE_CHECKING:
     from ..faults.config import FaultConfig
     from ..frontend.config import FrontendConfig
+    from ..traces.model import Trace
+
+F = TypeVar("F", bound=Record)
 
 #: SLC cache size over the trace's hot-set bytes.
 CACHE_OVER_HOTSET = 0.8
@@ -88,13 +97,25 @@ def estimate_interarrival_ms(prof: TraceProfile, config: SSDConfig,
     return max(0.02, per_req / (chips * utilization))
 
 
+@dataclass(frozen=True)
+class PilotFootprints(Record):
+    """The trace fact a device is sized from (:func:`pilot_footprints`)."""
+
+    error_type = ExperimentError
+
+    hotset_bytes: float
+    page_footprint_bytes: float
+
+
 @functools.cache
 def pilot_footprints(prof: TraceProfile, n_requests: int,
-                     seed: int) -> tuple[float, float]:
-    """``(hot-set bytes, page-footprint bytes)`` of ``n_requests``
-    requests of ``prof``, estimated by the sizing pilot: a short
-    generation whose extent table measures both, scaled to the full
-    request count.  Pure, so memoised per process on its arguments."""
+                     seed: int) -> PilotFootprints:
+    """Hot-set and page-footprint bytes of ``n_requests`` requests of
+    ``prof``, estimated by the sizing pilot: a short generation whose
+    extent table measures both, scaled to the full request count.  Pure,
+    so memoised per process on its arguments."""
+    from ..traces.synth import SyntheticTraceGenerator
+
     pilot_n = max(1, min(PILOT_REQUESTS, n_requests))
     gen = SyntheticTraceGenerator(prof, n_requests=pilot_n, seed=seed)
     gen.generate()
@@ -102,8 +123,20 @@ def pilot_footprints(prof: TraceProfile, n_requests: int,
     assert ext is not None
     scale_factor = n_requests / pilot_n
     page_size = GeometryConfig().page_size
-    return (float(ext.sizes[ext.is_hot].sum()) * scale_factor,
-            float(ext.page_footprint_bytes(page_size)) * scale_factor)
+    return PilotFootprints(
+        float(ext.sizes[ext.is_hot].sum()) * scale_factor,
+        float(ext.page_footprint_bytes(page_size)) * scale_factor)
+
+
+@dataclass(frozen=True)
+class TraceFacts(Record):
+    """The trace facts the tables and the translation study read off a
+    replayed trace: its Table 1/3 statistics and its byte span."""
+
+    error_type = ExperimentError
+
+    stats: TraceStats
+    footprint_bytes: Bytes
 
 
 def sized_config(spec: ScaleSpec, hotset_bytes: float, page_fp: float,
@@ -182,6 +215,7 @@ class RunContext:
     _results: dict = field(default_factory=dict, repr=False)
     _traces: dict = field(default_factory=dict, repr=False)
     _configs: dict = field(default_factory=dict, repr=False)
+    _facts: dict = field(default_factory=dict, repr=False)
 
     @property
     def spec(self) -> ScaleSpec:
@@ -222,26 +256,77 @@ class RunContext:
             if self.scale == "paper":
                 cfg = self.config()
             else:
-                hotset_bytes, page_fp = pilot_footprints(
-                    profile(trace_name), self.trace_requests(trace_name),
-                    self.seed)
-                cfg = sized_config(self.spec, hotset_bytes, page_fp, self.seed)
+                pilot = self.pilot(trace_name)
+                cfg = sized_config(self.spec, pilot.hotset_bytes,
+                                   pilot.page_footprint_bytes, self.seed)
             self._configs[key] = cfg if pe is None else cfg.with_pe_cycles(pe)
         return self._configs[key]
+
+    def _generator_args(self, trace_name: str) -> dict:
+        """The keyword arguments :meth:`trace` passes the generator
+        besides the profile."""
+        return {
+            "n_requests": self.trace_requests(trace_name),
+            "seed": self.seed,
+            "mean_interarrival_ms": estimate_interarrival_ms(
+                profile(trace_name), self.trace_config(trace_name)),
+        }
 
     def trace(self, trace_name: str) -> Trace:
         """The (memoised) synthetic trace for this context."""
         if trace_name not in self._traces:
-            prof = profile(trace_name)
-            cfg = self.trace_config(trace_name)
-            gen = SyntheticTraceGenerator(
-                prof,
-                n_requests=self.trace_requests(trace_name),
-                seed=self.seed,
-                mean_interarrival_ms=estimate_interarrival_ms(prof, cfg),
-            )
+            from ..traces.synth import SyntheticTraceGenerator
+
+            gen = SyntheticTraceGenerator(profile(trace_name),
+                                          **self._generator_args(trace_name))
             self._traces[trace_name] = gen.generate()
         return self._traces[trace_name]
+
+    # -- trace facts -------------------------------------------------------
+
+    def fact(self, kind: str, inputs: dict, record: type[F],
+             compute: Callable[[], F]) -> F:
+        """The trace fact ``compute()`` derives from ``inputs``.
+
+        Memoised, else read from the result cache, else computed and
+        stored: the path a cell takes.  ``inputs`` must hold everything
+        ``compute`` reads; with ``kind`` and the schema version they
+        are the fact's key (:func:`repro.experiments.cache.facts_key`).
+        Facts are counted apart from cells, in ``cache.fact_stats``.
+        """
+        key = facts_key(kind, inputs)
+        fact = self._facts.get(key)
+        if fact is None and self.cache is not None:
+            fact = self.cache.get(key, record.from_dict,
+                                  self.cache.fact_stats)
+        if fact is None:
+            fact = compute()
+            if self.cache is not None:
+                self.cache.put(key, fact.to_dict(), self.cache.fact_stats)
+        self._facts[key] = fact
+        return fact
+
+    def pilot(self, trace_name: str) -> PilotFootprints:
+        """The sizing pilot's footprints for ``trace_name``."""
+        prof = profile(trace_name)
+        n_requests = self.trace_requests(trace_name)
+        inputs = {"profile": prof.to_dict(), "n_requests": n_requests,
+                  "seed": self.seed, "pilot_requests": PILOT_REQUESTS,
+                  "page_size": GeometryConfig().page_size}
+        return self.fact("pilot", inputs, PilotFootprints,
+                         lambda: pilot_footprints(prof, n_requests, self.seed))
+
+    def trace_facts(self, trace_name: str) -> TraceFacts:
+        """Table 1/3 statistics and span of :meth:`trace`'s trace."""
+        def measure() -> TraceFacts:
+            from ..traces.stats import characterize
+
+            trace = self.trace(trace_name)
+            return TraceFacts(characterize(trace), trace.footprint_bytes)
+
+        inputs = {"profile": profile(trace_name).to_dict(),
+                  **self._generator_args(trace_name)}
+        return self.fact("trace", inputs, TraceFacts, measure)
 
     # -- simulation --------------------------------------------------------------
 

@@ -1,14 +1,14 @@
 """Tables 1-3: trace characterisation and simulator settings.
 
 Tables 1 and 3 are regenerated by characterising the synthetic traces the
-experiments actually replay, side by side with the paper's published
+experiments actually replay (their trace facts, read from the result
+cache when it holds them), side by side with the paper's published
 values; Table 2 is a self-check dump of the configuration.
 """
 
 from __future__ import annotations
 
 from ..traces.profiles import PROFILES, TRACE_NAMES
-from ..traces.stats import characterize
 from ..units import KIB
 from .artifact import Artifact
 from .runner import default_context
@@ -20,8 +20,7 @@ def build_table1(scale: str = "small", seed: int = 1) -> Artifact:
     rows = []
     for name in TRACE_NAMES:
         prof = PROFILES[name]
-        stats = characterize(ctx.trace(name))
-        measured = stats.update_size_probs
+        measured = ctx.trace_facts(name).stats.update_size_probs
         rows.append({
             "Trace": name,
             "<=4K paper": f"{prof.update_size_probs[0]:.1%}",
@@ -62,7 +61,7 @@ def build_table3(scale: str = "small", seed: int = 1) -> Artifact:
     rows = []
     for name in TRACE_NAMES:
         prof = PROFILES[name]
-        stats = characterize(ctx.trace(name))
+        stats = ctx.trace_facts(name).stats
         rows.append({
             "Trace": name,
             "# Req (ours)": f"{stats.n_requests:,}",

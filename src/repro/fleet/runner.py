@@ -134,10 +134,10 @@ def device_config(cfg: FleetConfig) -> SSDConfig:
     hotset_bytes = page_fp = 0.0
     for index, (tenant, n_requests) in enumerate(
             zip(cfg.tenants, cfg.tenant_requests())):
-        tenant_hotset, tenant_fp = pilot_footprints(
-            profile(tenant.profile), n_requests, cfg.tenant_seed(index))
-        hotset_bytes += tenant_hotset
-        page_fp += tenant_fp
+        pilot = pilot_footprints(profile(tenant.profile), n_requests,
+                                 cfg.tenant_seed(index))
+        hotset_bytes += pilot.hotset_bytes
+        page_fp += pilot.page_footprint_bytes
     return sized_config(SCALES[cfg.scale], hotset_bytes / cfg.n_devices,
                         page_fp / cfg.n_devices, cfg.seed)
 

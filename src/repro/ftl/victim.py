@@ -72,9 +72,9 @@ class VictimPolicy:
     def scores(self, candidates: list[Block], now: Ms) -> list[float]:
         """One score per candidate, in candidate order.
 
-        Scores read block attributes, not the ``total_subpages`` /
-        ``reclaimable_subpages`` properties: a property call per
-        candidate doubles a greedy scan's cost.
+        Scores read block attributes, not the ``total_subpages``
+        property: a property call per candidate doubles a greedy scan's
+        cost.
         """
         raise NotImplementedError
 

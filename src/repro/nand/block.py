@@ -243,11 +243,6 @@ class Block:
         """True once every page received its initial program pass."""
         return self.next_page >= self.pages
 
-    @property
-    def reclaimable_subpages(self) -> int:
-        """Subpages freed by collecting this block (everything non-valid)."""
-        return self.total_subpages - self.n_valid
-
     def free_slots_of_page(self, page: int) -> list[int]:
         """Unprogrammed slot indices of ``page`` (ascending), read off the
         programmed bitmask (one table lookup, no array scan)."""

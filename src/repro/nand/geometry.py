@@ -46,21 +46,6 @@ class Geometry:
         self.slc_pages_per_block = config.slc_pages_per_block
         self.mlc_pages_per_block = config.mlc_pages_per_block
 
-    # -- hierarchy -----------------------------------------------------
-
-    def plane_of(self, block: int) -> int:
-        """Plane hosting ``block``."""
-        self._check_block(block)
-        return block // self.blocks_per_plane
-
-    def chip_of(self, block: int) -> int:
-        """Chip hosting ``block``."""
-        return self.plane_of(block) // self.config.planes_per_chip
-
-    def channel_of(self, block: int) -> int:
-        """Channel hosting ``block``."""
-        return self.chip_of(block) // self.config.chips_per_channel
-
     # -- logical space -------------------------------------------------
 
     def byte_range_to_lsns(self, offset: Bytes, length: Bytes) -> range:
@@ -76,9 +61,3 @@ class Geometry:
     def pages_per_block(self, slc: bool) -> int:
         """Page count of a block in the given mode."""
         return self.slc_pages_per_block if slc else self.mlc_pages_per_block
-
-    # -- internal ------------------------------------------------------
-
-    def _check_block(self, block: int) -> None:
-        if not 0 <= block < self.total_blocks:
-            raise ConfigError(f"block {block} out of range [0, {self.total_blocks})")

@@ -30,7 +30,7 @@ _EXPORTS = {
     "generate": ".synth",
     "materialize": ".stream",
     "parse_msr_csv": ".msr",
-    "TraceStats": ".stats", "characterize": ".stats",
+    "TraceStats": ".profiles", "characterize": ".stats",
     "update_size_buckets": ".stats",
 }
 

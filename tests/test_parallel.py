@@ -133,7 +133,8 @@ class TestCacheIntegration:
         ctx = RunContext(jobs=2, cache=cache, **FAST)
         ctx.run_matrix(traces=("ts0",), schemes=SCHEMES)
         assert ctx.executed_cells == len(SCHEMES)
-        assert len(cache) == len(SCHEMES)
+        # One entry per cell, and one for ts0's sizing-pilot fact.
+        assert len(cache) == len(SCHEMES) + 1
 
         warm = RunContext(jobs=2, cache=ResultCache(tmp_path), **FAST)
         warm.run_matrix(traces=("ts0",), schemes=SCHEMES)

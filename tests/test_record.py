@@ -30,12 +30,13 @@ from repro.config import (
     TranslationConfig,
 )
 from repro.errors import ConfigError, ReproError, SimulationError
+from repro.experiments.runner import PilotFootprints, TraceFacts
 from repro.faults import FaultConfig
 from repro.fleet import FleetConfig, TenantSpec
 from repro.frontend import FrontendConfig
 from repro.record import Record
 from repro.sim.simulator import SimulationResult
-from repro.traces.profiles import PROFILES, TraceProfile
+from repro.traces.profiles import PROFILES, TraceProfile, TraceStats
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -138,6 +139,19 @@ def trace_profiles(draw) -> TraceProfile:
         update_size_probs=(small, mid, 1.0 - small - mid))
 
 
+trace_stats = st.builds(
+    TraceStats, name=st.text(max_size=8), n_requests=st.integers(0, 10**7),
+    write_ratio=numbers(0.0, 1.0), mean_write_bytes=numbers(0.0, 1 << 20),
+    hot_write_ratio=numbers(0.0, 1.0), n_updates=st.integers(0, 10**7),
+    update_size_probs=st.tuples(*[numbers(0.0, 1.0)] * 3))
+
+pilot_records = st.builds(PilotFootprints,
+                          hotset_bytes=numbers(0.0, 1e12),
+                          page_footprint_bytes=numbers(0.0, 1e12))
+
+trace_facts = st.builds(TraceFacts, stats=trace_stats,
+                        footprint_bytes=st.integers(0, 2**40))
+
 fault_configs = st.builds(
     FaultConfig, read_fault_scale=numbers(0.0, 1e3),
     program_fault_rate=numbers(0.0, 1.0), erase_fault_rate=numbers(0.0, 1.0),
@@ -198,6 +212,9 @@ STRATEGIES: dict[type[Record], st.SearchStrategy] = {
     TranslationConfig: translations,
     SSDConfig: ssd_configs,
     TraceProfile: trace_profiles(),
+    TraceStats: trace_stats,
+    PilotFootprints: pilot_records,
+    TraceFacts: trace_facts,
     FaultConfig: fault_configs,
     FrontendConfig: frontend_configs,
     TenantSpec: tenant_specs,

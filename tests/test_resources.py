@@ -6,6 +6,8 @@ from repro.config import GeometryConfig, paper_config, scaled_config
 from repro.nand.geometry import Geometry
 from repro.sim.resources import ResourceSet
 
+from reference_geometry import channel_of, chip_of
+
 
 @pytest.fixture
 def rs():
@@ -52,23 +54,23 @@ class TestResourceSet:
             geo = rset.geometry
             assert len(rset._pair) == geo.total_blocks
             for block, (chip, channel) in enumerate(rset._pair):
-                assert chip is rset.chips[geo.chip_of(block)]
-                assert channel is rset.channels[geo.channel_of(block)]
+                assert chip is rset.chips[chip_of(geo, block)]
+                assert channel is rset.channels[channel_of(geo, block)]
 
     def test_acquire_occupies_both(self, rs):
         start, end = rs.acquire_for_block(0, 0.0, 2.0)
         assert (start, end) == (0.0, 2.0)
         geo = rs.geometry
-        assert rs.chips[geo.chip_of(0)].next_free == 2.0
-        assert rs.channels[geo.channel_of(0)].next_free == 2.0
+        assert rs.chips[chip_of(geo, 0)].next_free == 2.0
+        assert rs.channels[channel_of(geo, 0)].next_free == 2.0
 
     def test_channel_contention_across_chips(self, rs):
         geo = rs.geometry
         # Two blocks on different chips of the same channel contend.
         b0 = 0
         b1 = next(b for b in range(32)
-                  if geo.channel_of(b) == geo.channel_of(b0)
-                  and geo.chip_of(b) != geo.chip_of(b0))
+                  if channel_of(geo, b) == channel_of(geo, b0)
+                  and chip_of(geo, b) != chip_of(geo, b0))
         rs.acquire_for_block(b0, 0.0, 2.0)
         start, _ = rs.acquire_for_block(b1, 0.0, 1.0)
         assert start == 2.0
@@ -77,7 +79,7 @@ class TestResourceSet:
         geo = rs.geometry
         b0 = 0
         b1 = next(b for b in range(32)
-                  if geo.channel_of(b) != geo.channel_of(b0))
+                  if channel_of(geo, b) != channel_of(geo, b0))
         rs.acquire_for_block(b0, 0.0, 2.0)
         start, _ = rs.acquire_for_block(b1, 0.0, 1.0)
         assert start == 0.0

@@ -2,15 +2,25 @@
 
 import pytest
 
-from repro.config import SCALES
+from repro.cli import main
+from repro.config import SCALES, GeometryConfig
+from repro.experiments.cache import ResultCache, facts_key
 from repro.experiments.runner import (
     CACHE_OVER_HOTSET,
     MLC_OVER_FOOTPRINT,
+    PILOT_REQUESTS,
+    PilotFootprints,
     RunContext,
+    TraceFacts,
     estimate_interarrival_ms,
+    pilot_footprints,
 )
 from repro.traces.profiles import PROFILES, profile
+from repro.traces.stats import characterize
 from repro.traces.synth import SyntheticTraceGenerator
+
+#: A short context: the smoke scale floors its traces at 1000 requests.
+FAST = dict(scale="smoke", seed=7, length_factor=0.25)
 
 
 class TestPacing:
@@ -109,3 +119,90 @@ class TestTraceRequests:
         b = RunContext(scale="smoke", seed=2).trace("ts0")
         import numpy as np
         assert not np.array_equal(a.offsets, b.offsets)
+
+
+def pilot_key(ctx: RunContext, name: str) -> str:
+    """The documented key of ``name``'s sizing-pilot fact."""
+    return facts_key("pilot", {
+        "profile": profile(name).to_dict(),
+        "n_requests": ctx.trace_requests(name), "seed": ctx.seed,
+        "pilot_requests": PILOT_REQUESTS,
+        "page_size": GeometryConfig().page_size})
+
+
+def trace_key(ctx: RunContext, name: str) -> str:
+    """The documented key of ``name``'s trace fact: the generator's
+    arguments."""
+    prof = profile(name)
+    return facts_key("trace", {
+        "profile": prof.to_dict(), "n_requests": ctx.trace_requests(name),
+        "seed": ctx.seed, "mean_interarrival_ms": estimate_interarrival_ms(
+            prof, ctx.trace_config(name))})
+
+
+def counts(stats) -> tuple[int, int, int]:
+    return stats.hits, stats.misses, stats.stores
+
+
+class TestTraceFacts:
+    def test_cached_facts_equal_fresh_ones_bit_for_bit(self, tmp_path,
+                                                       monkeypatch):
+        fresh = RunContext(**FAST)
+        pilot, facts = fresh.pilot("ts0"), fresh.trace_facts("ts0")
+        # Without a cache a fact is computed exactly as the consumers
+        # computed it before facts were cached.
+        assert pilot == pilot_footprints(profile("ts0"),
+                                         fresh.trace_requests("ts0"), 7)
+        assert facts == TraceFacts(characterize(fresh.trace("ts0")),
+                                   fresh.trace("ts0").footprint_bytes)
+
+        cache = ResultCache(tmp_path)
+        cold = RunContext(cache=cache, **FAST)
+        assert (cold.pilot("ts0"), cold.trace_facts("ts0")) == (pilot, facts)
+        assert counts(cache.fact_stats) == (0, 2, 2)
+        assert counts(cache.stats) == (0, 0, 0)
+        for key in (pilot_key(cold, "ts0"), trace_key(cold, "ts0")):
+            assert cache.path_for(key).exists()
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("a cached fact generated a trace")
+
+        monkeypatch.setattr(SyntheticTraceGenerator, "generate", no_trace)
+        warm_cache = ResultCache(tmp_path)
+        warm = RunContext(cache=warm_cache, **FAST)
+        for got, want in ((warm.pilot("ts0"), pilot),
+                          (warm.trace_facts("ts0"), facts)):
+            assert got.to_json() == want.to_json() and got == want
+        assert counts(warm_cache.fact_stats) == (2, 0, 0)
+
+    @pytest.mark.parametrize("damage", [
+        lambda cache, key, other: cache.path_for(key).write_bytes(
+            b"\xff\xfe\xfd"),
+        lambda cache, key, other: cache.put(
+            key, cache.get(other, PilotFootprints.from_dict).to_dict()),
+        lambda cache, key, other: cache.put(
+            key, {**cache.get(key), "footprint_bytes": "1 MiB"}),
+    ], ids=["bytes", "pilot-payload", "mistyped"])
+    def test_damaged_or_foreign_fact_is_a_replaced_miss(self, tmp_path,
+                                                        damage):
+        cache = ResultCache(tmp_path)
+        cold = RunContext(cache=cache, **FAST)
+        facts = cold.trace_facts("ts0")
+        key, other = trace_key(cold, "ts0"), pilot_key(cold, "ts0")
+        damage(ResultCache(tmp_path), key, other)
+
+        cache = ResultCache(tmp_path)
+        ctx = RunContext(cache=cache, **FAST)
+        assert ctx.trace_facts("ts0") == facts
+        # The pilot hits; the damaged fact is one miss, recomputed and
+        # stored in its place.
+        assert counts(cache.fact_stats) == (1, 1, 1)
+        assert ResultCache(tmp_path).get(key, TraceFacts.from_dict) == facts
+
+    def test_cache_clear_removes_facts(self, tmp_path, capsys):
+        cache = ResultCache(tmp_path)
+        RunContext(cache=cache, **FAST).trace_facts("ts0")
+        assert len(cache) == 2
+        assert main(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 2 cached results" in capsys.readouterr().out
+        assert len(cache) == 0
