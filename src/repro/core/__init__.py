@@ -15,8 +15,7 @@ from .. import lazy_exports
 
 _EXPORTS = {
     "BlockLevel": "..ftl.levels", "SLC_LEVELS": "..ftl.levels",
-    "block_isr": "..ftl.hotcold", "block_coldness": "..ftl.hotcold",
-    "coldness_weight": "..ftl.hotcold",
+    "block_coldness": "..ftl.hotcold", "coldness_weight": "..ftl.hotcold",
     "IntraPagePlan": ".intra_page", "plan_intra_page_update": ".intra_page",
     "IPUFTL": ".ipu_ftl",
 }

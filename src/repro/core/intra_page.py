@@ -32,8 +32,6 @@ class IntraPagePlan(NamedTuple):
     page: int
     #: Free slots that will receive the new version (ascending).
     target_slots: tuple[int, ...]
-    #: Old slots to invalidate (one per chunk subpage).
-    old_slots: tuple[int, ...]
 
 
 def plan_intra_page_update(
@@ -81,5 +79,4 @@ def plan_intra_page_update(
         block_id=fblock,
         page=fpage,
         target_slots=tuple(free[:nslots]),
-        old_slots=tuple(m.slot for m in mappings),
     )

@@ -48,8 +48,9 @@ MAGIC = b"repro-ckpt\n"
 #: ``Block`` has no read counter, ``OpPricer`` no bus-model flag or
 #: model reference, ``Resource`` no name and ``OpenLoopReplay`` no
 #: idle-collection state; 6: a free ``Block`` holds one shared all-zero
-#: tuple in place of its three per-page lists).
-CHECKPOINT_VERSION = 6
+#: tuple in place of its three per-page lists; 7: ``GcStats`` and
+#: ``FtlStats`` drop the counters nothing read).
+CHECKPOINT_VERSION = 7
 #: Kind tag of fleet device snapshots (the only kind today).
 DEVICE_KIND = "fleet-device"
 

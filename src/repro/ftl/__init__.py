@@ -21,7 +21,7 @@ from .. import lazy_exports
 _EXPORTS = {
     "SubpageMap": ".mapping",
     "RegionAllocator": ".allocator",
-    "block_isr": ".hotcold", "coldness_weight": ".hotcold",
+    "coldness_weight": ".hotcold",
     "VictimPolicy": ".victim", "GreedyVictimPolicy": ".victim",
     "IsrVictimPolicy": ".victim",
     "GarbageCollector": ".gc",

@@ -35,26 +35,19 @@ _FULL = BLOCK_STATE_CODES[BlockState.FULL]
 class RegionAllocator:
     """Free-pool and active-block management for one region."""
 
-    def __init__(self, flash: FlashArray, block_ids: list[int], name: str,
+    def __init__(self, flash: FlashArray, slc: bool,
                  max_stripes: int | None = None):
-        if not block_ids:
-            raise AllocationError(f"region {name!r} has no blocks")
         self.flash = flash
-        self.name = name
-        self.block_ids = list(block_ids)
-        self.total_blocks = len(block_ids)
-
+        self.name = "slc" if slc else "mlc"
         # A victim scan reads the region's state column, whose slots run
-        # in ascending block_id, so the allocator owns one whole region.
-        self._blocks = flash.region_blocks(flash.block(block_ids[0]).is_slc)
-        if [b.block_id for b in self._blocks] != self.block_ids:
-            raise AllocationError(
-                f"region {name!r}: block ids are not one whole flash region")
-        self._state = self._blocks[0].region
+        # in ascending block_id.
+        self._blocks = flash.region_blocks(slc)
+        self._state = flash.slc_state if slc else flash.mlc_state
+        self.total_blocks = len(self._blocks)
 
         # Blocks are plane-major: a block's plane is this quotient.
         per_plane = flash.geometry.blocks_per_plane
-        planes = sorted({b // per_plane for b in block_ids})
+        planes = sorted({b.block_id // per_plane for b in self._blocks})
         stripes = len(planes)
         if max_stripes is not None:
             # Small regions cannot afford one open block per plane per
@@ -64,10 +57,9 @@ class RegionAllocator:
         self._plane_index = {plane: i % stripes for i, plane in enumerate(planes)}
         self.stripes = stripes
         self._free: list[list[tuple[int, int]]] = [[] for _ in range(stripes)]
-        blocks = flash.blocks
-        for block_id in block_ids:
-            self._free[self._plane_index[block_id // per_plane]].append(
-                (blocks[block_id].erase_count, block_id))
+        for block in self._blocks:
+            self._free[self._plane_index[block.block_id // per_plane]].append(
+                (block.erase_count, block.block_id))
         for heap in self._free:
             heapq.heapify(heap)
         self._free_count = self.total_blocks

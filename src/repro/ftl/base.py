@@ -53,8 +53,6 @@ class FtlStats:
 
     host_write_requests: int = 0
     host_read_requests: int = 0
-    host_written_subpages: int = 0
-    host_read_subpages: int = 0
     host_programs_slc: int = 0
     host_programs_mlc: int = 0
     gc_programs_slc: int = 0
@@ -101,9 +99,9 @@ class BaseFTL(abc.ABC):
         # The SLC region is small; cap its write striping so the open
         # blocks per (level, stripe) don't consume the whole cache.
         slc_stripes = max(1, min(4, len(self.flash.slc_block_ids) // 8))
-        self.slc_alloc = RegionAllocator(
-            self.flash, self.flash.slc_block_ids, "slc", max_stripes=slc_stripes)
-        self.mlc_alloc = RegionAllocator(self.flash, self.flash.mlc_block_ids, "mlc")
+        self.slc_alloc = RegionAllocator(self.flash, True,
+                                         max_stripes=slc_stripes)
+        self.mlc_alloc = RegionAllocator(self.flash, False)
         self.slc_wear = WearTracker(self.flash.region_blocks(True), config.cache)
         self.mlc_wear = WearTracker(self.flash.region_blocks(False), config.cache)
         finish = self._pre_erase_hook()
@@ -205,7 +203,6 @@ class BaseFTL(abc.ABC):
         region instead (the Figure 6 dynamic).
         """
         self.stats.host_write_requests += 1
-        self.stats.host_written_subpages += len(lsns)
         ops = self._translate(lsns, write=True) if self.cmt is not None else []
         # Inline duplicate of ``maybe_collect``'s do-nothing fast path:
         # the trigger check runs twice per host request, and the usual
@@ -230,7 +227,6 @@ class BaseFTL(abc.ABC):
         traces would otherwise starve the collector between rare writes.
         """
         self.stats.host_read_requests += 1
-        self.stats.host_read_subpages += len(lsns)
         gc_ops = (self._translate(lsns, write=False)
                   if self.cmt is not None else [])
         # Same inline trigger fast path as handle_write.

@@ -5,7 +5,8 @@ threshold (Table 2: 5%), ask the victim policy for a block, drain its valid
 subpages through the scheme's relocation callback, erase, release, and run
 the static wear-levelling check.  The relocation callback decides *where*
 data goes (same level, lower level, eviction to the high-density region) —
-that is where Baseline/MGA/IPU differ.
+that is where Baseline/MGA/IPU differ.  GC, emergency GC and wear
+levelling all move a victim through one drain and one erase step.
 
 Draining is **incremental** (partial GC): each trigger relocates at most
 ``gc_pages_per_trigger`` pages of the current victim, so a collection
@@ -17,7 +18,7 @@ completion (over subsequent triggers) before a new victim is selected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +29,7 @@ from ..nand.block import Block, BlockState
 from ..nand.flash import FlashArray
 from ..nand.wear import WearTracker
 from ..sim.ops import Cause, OpKind, OpRecord
-from .allocator import RegionAllocator
+from .allocator import GC_RESERVE_BLOCKS, RegionAllocator
 from ..units import Ms
 from .victim import VictimPolicy
 
@@ -44,13 +45,10 @@ class GcStats:
 
     collections: int = 0
     moved_subpages: int = 0
-    stalled_passes: int = 0
     #: Sum over victims of programmed/total subpages (Figure 9 numerator).
     utilization_sum: float = 0.0
     #: Victims collected (Figure 9 denominator).
     utilization_blocks: int = 0
-    #: Victims per block-level label (diagnostics).
-    victims_by_level: dict[int, int] = field(default_factory=dict)
 
     @property
     def page_utilization(self) -> float:
@@ -71,7 +69,7 @@ class GarbageCollector:
         relocate: RelocateFn,
         ecc: EccModel,
         cache: CacheConfig,
-        wear: WearTracker | None = None,
+        wear: WearTracker,
         finish: FinishFn | None = None,
     ):
         self.flash = flash
@@ -92,7 +90,6 @@ class GarbageCollector:
         # every host op.  The floor sits above the allocator's host
         # reserve, or the pool would park at the reserve with the trigger
         # never firing.
-        from .allocator import GC_RESERVE_BLOCKS
         total = allocator.total_blocks
         self._threshold = max(GC_RESERVE_BLOCKS + 2,
                               math.ceil(total * cache.gc_threshold))
@@ -132,8 +129,8 @@ class GarbageCollector:
                     self._begin(victim)
                     started += 1
                 budget -= self._drain_step(now, budget, ops)
-            if self.wear is not None and not self.draining and self.wear.should_level():
-                ops.extend(self._level_wear(now))
+            if not self.draining and self.wear.should_level():
+                self._level_wear(now, ops)
             return ops
         finally:
             self._collecting = False
@@ -144,11 +141,8 @@ class GarbageCollector:
         return self.policy.select(self.allocator.victim_candidates(), now)
 
     def _begin(self, victim: Block) -> None:
-        level = victim.level if victim.level is not None else 0
         self.stats.utilization_sum += victim.n_programmed / victim.total_subpages
         self.stats.utilization_blocks += 1
-        self.stats.victims_by_level[level] = (
-            self.stats.victims_by_level.get(level, 0) + 1)
         victim.mark_victim()
         self._victim = victim
         self._drain_page = 0
@@ -162,139 +156,103 @@ class GarbageCollector:
         """
         victim = self._victim
         assert victim is not None
-        # Two-phase drain: gather this trigger's pages, price every read in
-        # one batched kernel, then replay the READ/relocate sequence in the
-        # original page order.  Byte-identical to the sequential loop: GC
-        # reads draw no fault samples, and relocations program *other*
-        # blocks and only invalidate already-read victim pages, so no read
-        # of the span sees a disturb count the sequence would not.
-        spans: list[tuple[int, list[int], list[int]]] = []
-        moved = 0
-        while self._drain_page < victim.next_page and moved < budget:
-            page = self._drain_page
-            self._drain_page += 1
-            slots = victim.valid_slots_of_page(page)
-            if not slots:
-                continue
-            spans.append((page, slots, victim.slot_lsns(page, slots)))
-            moved += 1
-        if spans:
-            if len(spans) == 1:
-                page, slots, _ = spans[0]
-                values = self.flash.read_list(victim.block_id, page, slots, now)
-                span_ecc = [self.ecc.decode_ms_list(values)]
-            else:
-                rbers, offsets = self.flash.read_span(
-                    victim.block_id, [(p, s) for p, s, _ in spans], now)
-                # Per-span max then the vectorised decode: both are exact
-                # (reduceat max picks an element; decode_ms_many is
-                # elementwise float64), so each latency equals the scalar
-                # decode_ms_list of that span's reads.
-                maxes = np.maximum.reduceat(rbers, offsets)
-                span_ecc = self.ecc.decode_ms_many(maxes).tolist()
-            for (page, slots, lsns), ecc_ms in zip(spans, span_ecc):
-                ops.append(OpRecord(
-                    OpKind.READ, victim.block_id, page, len(slots),
-                    victim.is_slc, Cause.GC, 0, ecc_ms,
-                ))
-                ops.extend(self.relocate(victim, page, slots, lsns, now, Cause.GC))
-                self.stats.moved_subpages += len(slots)
-
+        self._drain_page, moved = self._drain(
+            victim, self._drain_page, budget, now, Cause.GC, ops)
+        self.stats.moved_subpages += sum(moved)
         if self._drain_page >= victim.next_page:
-            if self.finish is not None:
-                ops.extend(self.finish(now, Cause.GC))
-            self.flash.erase(victim.block_id)
-            ops.append(OpRecord(
-                kind=OpKind.ERASE,
-                block_id=victim.block_id,
-                page=0,
-                n_slots=0,
-                is_slc=victim.is_slc,
-                cause=Cause.GC,
-            ))
-            # A fault plan may retire the block on erase (grown bad block);
-            # RETIRED blocks never rejoin the free pool.
-            if victim.state is BlockState.FREE:
-                self.allocator.release(victim.block_id)
-            if self.wear is not None:
-                self.wear.note_erase()
+            self._erase(victim, now, Cause.GC, ops)
             self.stats.collections += 1
             self._victim = None
-            self._drain_page = 0
-        return max(moved, 1)
+        return max(len(moved), 1)
 
-    def collect(self, victim: Block, now: Ms) -> list[OpRecord]:
-        """Drain and erase one victim block in full (tests, wear paths)."""
-        ops: list[OpRecord] = []
-        self._begin(victim)
-        while self._victim is not None:
-            self._drain_step(now, victim.pages + 1, ops)
-        return ops
+    def _drain(self, block: Block, page: int, budget: int, now: Ms,
+               cause: Cause, ops: list[OpRecord]) -> tuple[int, list[int]]:
+        """Relocate up to ``budget`` non-empty pages of ``block`` from
+        ``page`` on; returns the next page to examine and the subpage
+        count of each page moved.
+
+        Gathers the pages, prices every read in one batched kernel, then
+        emits READ and the relocation ops in page order.  Byte-identical
+        to reading page by page: drain reads draw no fault samples, and
+        relocations program *other* blocks and only invalidate
+        already-read pages of ``block``, so no read sees a disturb count
+        the sequence would not.
+        """
+        spans: list[tuple[int, list[int], list[int]]] = []
+        while page < block.next_page and len(spans) < budget:
+            slots = block.valid_slots_of_page(page)
+            if slots:
+                spans.append((page, slots, block.slot_lsns(page, slots)))
+            page += 1
+        if not spans:
+            return page, []
+        if len(spans) == 1:
+            first, slots, _ = spans[0]
+            values = self.flash.read_list(block.block_id, first, slots, now)
+            span_ecc = [self.ecc.decode_ms_list(values)]
+        else:
+            rbers, offsets = self.flash.read_span(
+                block.block_id, [(p, s) for p, s, _ in spans], now)
+            # Per-span max then the vectorised decode: both are exact
+            # (reduceat max picks an element; decode_ms_many is
+            # elementwise float64), so each latency equals the scalar
+            # decode_ms_list of that span's reads.
+            maxes = np.maximum.reduceat(rbers, offsets)
+            span_ecc = self.ecc.decode_ms_many(maxes).tolist()
+        for (span_page, slots, lsns), ecc_ms in zip(spans, span_ecc):
+            ops.append(OpRecord(OpKind.READ, block.block_id, span_page,
+                                len(slots), block.is_slc, cause, 0, ecc_ms))
+            ops.extend(self.relocate(block, span_page, slots, lsns, now, cause))
+        return page, [len(slots) for _, slots, _ in spans]
+
+    def _erase(self, block: Block, now: Ms, cause: Cause,
+               ops: list[OpRecord]) -> None:
+        """Erase a drained ``block`` and return it to the free pool."""
+        if self.finish is not None:
+            ops.extend(self.finish(now, cause))
+        self.flash.erase(block.block_id)
+        ops.append(OpRecord(OpKind.ERASE, block.block_id, 0, 0, block.is_slc,
+                            cause))
+        # A fault plan may retire the block on erase (grown bad block);
+        # RETIRED blocks never rejoin the free pool.
+        if block.state is BlockState.FREE:
+            self.allocator.release(block.block_id)
+        self.wear.note_erase()
 
     def collect_emergency(self, now: Ms) -> list[OpRecord]:
         """Force a full collection because an allocation is about to fail.
 
-        Finishes any partially-drained victim, then collects one more full
-        block if a victim exists.  Returns the (possibly empty) op list;
-        the caller retries its allocation afterwards.
+        Finishes the partially-drained victim if there is one, else
+        selects a victim and drains it in full.  Returns the (possibly
+        empty) op list; the caller retries its allocation afterwards.
         """
         if self._collecting:
             return []
         self._collecting = True
         try:
             ops: list[OpRecord] = []
-            if self._victim is not None:
-                victim = self._victim
-                while self._victim is not None:
-                    self._drain_step(now, victim.pages + 1, ops)
-                return ops
-            victim = self._select(now)
-            if victim is None:
-                return ops
-            self._begin(victim)
+            if self._victim is None:
+                victim = self._select(now)
+                if victim is None:
+                    return ops
+                self._begin(victim)
             while self._victim is not None:
-                self._drain_step(now, victim.pages + 1, ops)
+                self._drain_step(now, self._victim.pages, ops)
             return ops
         finally:
             self._collecting = False
 
-    def _level_wear(self, now: Ms) -> list[OpRecord]:
+    def _level_wear(self, now: Ms, ops: list[OpRecord]) -> None:
         """Static wear levelling: recycle the least-worn resident block.
 
         Relocating the cold data (through the scheme's normal movement
         rules) returns the healthy block to the free pool, where the
         wear-aware allocator immediately favours it for fresh writes.
         """
-        assert self.wear is not None
         source = self.wear.coldest_block()
-        if source is None or source.state is not BlockState.FULL:
-            return []
-        ops: list[OpRecord] = []
+        if source is None:
+            return
         source.mark_victim()
-        for page in range(source.next_page):
-            slots = source.valid_slots_of_page(page)
-            if not slots:
-                continue
-            lsns = source.slot_lsns(page, slots)
-            values = self.flash.read_list(source.block_id, page, slots, now)
-            ops.append(OpRecord(
-                kind=OpKind.READ, block_id=source.block_id, page=page,
-                n_slots=len(slots), is_slc=source.is_slc,
-                cause=Cause.WEAR,
-                ecc_ms=self.ecc.decode_ms_list(values),
-            ))
-            ops.extend(self.relocate(source, page, slots, lsns, now, Cause.WEAR))
-        if self.finish is not None:
-            ops.extend(self.finish(now, Cause.WEAR))
-        self.flash.erase(source.block_id)
-        ops.append(OpRecord(
-            kind=OpKind.ERASE, block_id=source.block_id, page=0, n_slots=0,
-            is_slc=source.is_slc, cause=Cause.WEAR,
-        ))
-        # Same retirement rule as _drain_step: a block the fault plan
-        # retired on erase stays out of the free pool for good.
-        if source.state is BlockState.FREE:
-            self.allocator.release(source.block_id)
-        self.wear.note_erase()
+        self._drain(source, 0, source.pages, now, Cause.WEAR, ops)
+        self._erase(source, now, Cause.WEAR, ops)
         self.wear.leveling_moves += 1
-        return ops

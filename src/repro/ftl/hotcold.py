@@ -21,6 +21,9 @@ illustrates.  Under the paper's Poisson-update assumption, ``1 -
 exp(-t/T)`` is the probability that a subpage with mean interval ``T``
 would already have been updated after ``t`` — how confidently the data
 can be called cold.
+
+:class:`repro.ftl.victim.IsrVictimPolicy` combines these terms into
+Eq. 1; ``tests/reference_isr.py`` evaluates both equations from scratch.
 """
 
 from __future__ import annotations
@@ -53,25 +56,20 @@ def block_age_sum(block: Block, now: Ms) -> tuple[float, int]:
     return float(block.n_valid * now - times.sum()), block.n_valid
 
 
-def block_coldness(block: Block, now: Ms, t_mean: float | None = None) -> float:
-    """``IS'_i`` of Equation 2 for one SLC-mode block.
+def block_coldness(block: Block, now: Ms, t_mean: float) -> float:
+    """``IS'_i`` of Equation 2 for one SLC-mode block, with mean access
+    interval ``T = t_mean``.
 
     The index set J contains the valid subpages of pages whose resident
     data was never updated while in this block; an intra-page update both
     invalidates old slots and marks the page updated, so everything still
     valid in a non-updated page is by definition not-yet-updated data.
-
-    ``t_mean`` is the mean access interval ``T``; when omitted, the
-    block's own mean valid-subpage age is used (self-normalised variant).
     """
     slot_time = block.slot_time
     if slot_time is None:
         raise ValueError("IS' is defined for SLC-mode blocks only")
     if block.n_valid == 0:
         return 0.0
-    if t_mean is None:
-        age_sum, count = block_age_sum(block, now)
-        t_mean = age_sum / count
     valid = block.valid
     page_updated = block.page_updated
     if not page_updated.any():
@@ -84,8 +82,3 @@ def block_coldness(block: Block, now: Ms, t_mean: float | None = None) -> float:
         return 0.0
     ages_cold = now - slot_time[never_updated]
     return float(coldness_weight(ages_cold, t_mean).sum())
-
-
-def block_isr(block: Block, now: Ms, t_mean: float | None = None) -> float:
-    """``ISR_i`` of Equation 1."""
-    return (block.n_invalid + block_coldness(block, now, t_mean)) / block.total_subpages

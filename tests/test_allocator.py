@@ -18,7 +18,7 @@ def flash():
 
 @pytest.fixture
 def alloc(flash):
-    return RegionAllocator(flash, flash.slc_block_ids, "slc")
+    return RegionAllocator(flash, True)
 
 
 class TestPoolState:
@@ -32,15 +32,6 @@ class TestPoolState:
         assert block.level == 1
         assert page == 0
         assert alloc.free_blocks == alloc.total_blocks - 1
-
-    def test_empty_region_rejected(self, flash):
-        with pytest.raises(AllocationError):
-            RegionAllocator(flash, [], "empty")
-
-    def test_partial_region_rejected(self, flash):
-        # The victim scan reads the whole region's state column.
-        with pytest.raises(AllocationError, match="whole flash region"):
-            RegionAllocator(flash, flash.slc_block_ids[1:], "slc")
 
 
 class TestStriping:
@@ -62,7 +53,7 @@ class TestStriping:
                 first[block.block_id] = page
 
     def test_max_stripes_cap(self, flash):
-        alloc = RegionAllocator(flash, flash.slc_block_ids, "slc", max_stripes=1)
+        alloc = RegionAllocator(flash, True, max_stripes=1)
         assert alloc.stripes == 1
 
 
@@ -72,7 +63,7 @@ class TestWearAwareness:
         for block_id in flash.slc_block_ids[1:]:
             flash.block(block_id).erase_count = 5
         # Rebuild allocator so heaps see the wear.
-        alloc = RegionAllocator(flash, flash.slc_block_ids, "slc", max_stripes=1)
+        alloc = RegionAllocator(flash, True, max_stripes=1)
         block, _ = alloc.alloc_page(1)
         assert block.block_id == flash.slc_block_ids[0]
 
@@ -120,14 +111,14 @@ class TestStaleActives:
 
 class TestReserve:
     def test_host_blocked_at_reserve(self, flash):
-        alloc = RegionAllocator(flash, flash.slc_block_ids, "slc", max_stripes=1)
+        alloc = RegionAllocator(flash, True, max_stripes=1)
         opened = 0
         while alloc.alloc_page(opened + 10) is not None:
             opened += 1  # each call a new level -> new block
         assert alloc.free_blocks == GC_RESERVE_BLOCKS
 
     def test_gc_can_use_reserve(self, flash):
-        alloc = RegionAllocator(flash, flash.slc_block_ids, "slc", max_stripes=1)
+        alloc = RegionAllocator(flash, True, max_stripes=1)
         level = 10
         while alloc.alloc_page(level) is not None:
             level += 1

@@ -288,11 +288,11 @@ class TestCheckpointFile:
             load_checkpoint(path, key="k1")
 
     def test_older_format_version_refused(self, tmp_path, monkeypatch):
-        """A version-5 file (a free Block that still carried its own
-        per-page lists) is refused from its header, before the payload
+        """A version-6 file (GC and FTL stats that still carried counters
+        nothing read) is refused from its header, before the payload
         unpickles."""
-        assert CHECKPOINT_VERSION == 6
-        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 5)
+        assert CHECKPOINT_VERSION == 7
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 6)
         path = self._roundtrip(tmp_path, {"a": 1})
         monkeypatch.undo()
 
@@ -300,8 +300,8 @@ class TestCheckpointFile:
             raise AssertionError("payload unpickled before the version check")
 
         monkeypatch.setattr(pickle, "loads", unpickle)
-        with pytest.raises(CheckpointError, match="format v5, this build "
-                                                  "reads v6"):
+        with pytest.raises(CheckpointError, match="format v6, this build "
+                                                  "reads v7"):
             load_checkpoint(path, key="k1")
 
     def test_wrong_kind(self, tmp_path):

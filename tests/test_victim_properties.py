@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.config import CacheConfig, GeometryConfig, SSDConfig
 from repro.error import EccModel
 from repro.ftl.allocator import RegionAllocator
-from repro.ftl.hotcold import block_age_sum, block_coldness
 from repro.ftl.victim import (
     MODELLED_SCAN_NS_PER_BLOCK_GREEDY,
     MODELLED_SCAN_NS_PER_BLOCK_ISR,
@@ -41,6 +40,7 @@ from repro.sim.resources import ResourceSet
 from repro.sim.timing import TimingModel
 
 from conftest import tiny_config
+from reference_isr import ref_isr
 
 PAGES = 2
 SPP = 4
@@ -108,23 +108,6 @@ def ref_greedy_page(blocks):
     best, best_score = None, 0
     for block in sorted(blocks, key=lambda b: b.block_id):
         score = block.pages - block.pages_with_valid
-        if score > best_score:
-            best, best_score = block, score
-    return best
-
-
-def ref_isr(blocks, now):
-    ordered = sorted(blocks, key=lambda b: b.block_id)
-    total_age, total_count = 0.0, 0
-    for block in ordered:  # same accumulation order as the policy
-        age_sum, count = block_age_sum(block, now)
-        total_age += age_sum
-        total_count += count
-    t_mean = total_age / total_count if total_count else 0.0
-    best, best_score = None, 0.0
-    for block in ordered:
-        score = (block.n_invalid
-                 + block_coldness(block, now, t_mean)) / block.total_subpages
         if score > best_score:
             best, best_score = block, score
     return best
@@ -230,12 +213,12 @@ class TestVictimCandidates:
     def test_candidates_are_the_full_blocks(self, steps):
         flash = FlashArray(SSDConfig(geometry=TINY_GEOMETRY,
                                      cache=CacheConfig(slc_ratio=0.25)))
-        allocs = [RegionAllocator(flash, flash.slc_block_ids, "slc"),
-                  RegionAllocator(flash, flash.mlc_block_ids, "mlc")]
+        regions = {slc: RegionAllocator(flash, slc) for slc in (True, False)}
         for now, (op, block_id, k) in enumerate(steps):
             apply_op(flash, op, block_id, k, float(now))
-            for alloc in allocs:
-                expected = [flash.block(b) for b in sorted(alloc.block_ids)
+            for slc, alloc in regions.items():
+                ids = flash.slc_block_ids if slc else flash.mlc_block_ids
+                expected = [flash.block(b) for b in sorted(ids)
                             if flash.block(b).state is BlockState.FULL]
                 assert alloc.victim_candidates() == expected
         flash.verify_array_state()
